@@ -35,6 +35,7 @@ from .experiments import (
     run_example2,
 )
 from .integrands import (
+    SOBOLEV_MAX_CELLS,
     affine_integrand,
     constant_integrand,
     power_integrand,
@@ -515,13 +516,23 @@ def cmd_example2(config: RunConfig) -> int:
     return EXIT_OK
 
 
+_SOBOLEV_DIVISORS = (1, 2, 4)
+
+
 def cmd_sobolev(config: RunConfig) -> int:
     g = _build_integrand(config)
     # Refinement probe: halving the guard band only reveals new near-diagonal
     # mass if the grid resolves it, so cells are doubled along with delta.
+    # Check the finest probe against the cap before any dense estimate runs.
+    finest = config.cells * _SOBOLEV_DIVISORS[-1]
+    if finest > SOBOLEV_MAX_CELLS:
+        raise ValueError(
+            f"--cells {config.cells} probes {finest} cells, above the cap of {SOBOLEV_MAX_CELLS}; "
+            f"use --cells {SOBOLEV_MAX_CELLS // _SOBOLEV_DIVISORS[-1]} or fewer"
+        )
     estimates = []
     base_delta = config.delta if config.delta is not None else 2.0 * g.total_time / config.cells
-    for divisor in (1, 2, 4):
+    for divisor in _SOBOLEV_DIVISORS:
         estimates.append(
             sobolev_seminorm(g, config.sigma, config.p, config.cells * divisor, base_delta / divisor)
         )

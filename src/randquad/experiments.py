@@ -8,8 +8,18 @@ randomised rule's Monte Carlo L^p error, and a single-realisation
 Brownian-driven integrand against a fine union-grid reference.
 
 Randomness policy: every driver takes one seed; each (ladder, step,
-replication) slot maps to its own stream id through a fixed packing, so
-runs are reproducible and replications never share a stream.
+replication) slot maps to its own stream id through a fixed packing,
+``lane * 2^40 + slot * 2^20 + replication``, so runs are reproducible and
+replications never share a stream.  The packing holds only while slots and
+replications stay below 2^20; past that a replication would silently reuse
+the next slot's streams, so larger values are rejected with ``ValueError``
+(``run_example1`` checks its replication count before drawing anything).
+
+Batching: ``mc_lp_error`` evaluates its replications in blocks of about
+``BATCH_ELEMENTS`` cells, ``max(1, BATCH_ELEMENTS // N)`` replications at a
+time.  Each row of a block still draws from its own stream, the block is
+one integrand call and one row-wise compensated sum, and every replication's
+value is bit-for-bit the one a separate ``rtq`` call would give.
 
 Timing: each quadrature call is repeated five times and the median of a
 monotonic clock is reported, which resists scheduler noise without
@@ -38,9 +48,10 @@ from .random_sources import (
     RngStream,
     coarsen_tau,
     sample_brownian_path,
+    sample_tau_batch,
     sample_tau_sequence,
 )
-from .summation import compensated_sum
+from .summation import BLOCK_ELEMENTS, NeumaierSum
 
 # Fixed default so every run is reproducible without flags; chosen because
 # its single-realisation (pathwise) ladders show the typical behaviour
@@ -57,6 +68,7 @@ METRIC_PATHWISE_MAX_PREFIX = "pathwise_max_prefix"
 # drivers' random inputs disjoint; slots enumerate (integrand, step) pairs.
 _SLOT_STRIDE = 1 << 20
 _LANE_STRIDE = 1 << 40
+MAX_REPLICATIONS = _SLOT_STRIDE
 _LANE_MC = 0
 _LANE_PATHWISE = 1
 _LANE_AS_RATE = 2
@@ -64,6 +76,8 @@ _LANE_PATH = 3
 _LANE_COARSEN = 4
 
 TIMING_REPEATS = 5
+# Cells per batched block of Monte Carlo replications.
+BATCH_ELEMENTS = 1 << 11
 
 
 def mc_metric_name(p: float) -> str:
@@ -71,6 +85,12 @@ def mc_metric_name(p: float) -> str:
 
 
 def _lane_stream(seed: int, lane: int, slot: int = 0, replication: int = 0) -> RngStream:
+    for name, value, limit in (
+        ("slot", slot, _LANE_STRIDE // _SLOT_STRIDE),
+        ("replication", replication, _SLOT_STRIDE),
+    ):
+        if not 0 <= value < limit:
+            raise ValueError(f"stream {name} {value!r} is outside [0, {limit}); stream ids would collide")
     return RngStream(seed, lane * _LANE_STRIDE + slot * _SLOT_STRIDE + replication)
 
 
@@ -175,7 +195,9 @@ def mc_lp_error(
     Runs ``replications`` independent offset sequences (stream ids
     ``stream.stream_id + m``), averages |reference - RTQ_m|^p and returns
     the p-th root together with the delta-method standard error of that
-    root.
+    root.  Replications are evaluated in batches of
+    ``max(1, BATCH_ELEMENTS // N)`` rows; the result is bit-for-bit that of
+    one ``rtq`` call per replication.
     """
     if replications < 2:
         raise ValueError("replications must be at least 2 to estimate a standard error")
@@ -186,9 +208,12 @@ def mc_lp_error(
     if reference is None:
         raise ValueError(f"integrand {g.label!r} has no exact integral; pass reference=")
     powered = np.empty(replications)
-    for m in range(replications):
-        tau = sample_tau_sequence(RngStream(stream.seed, stream.stream_id + m), part.intervals)
-        powered[m] = abs(reference - rtq(g, part, tau).value) ** p
+    batch = max(1, BATCH_ELEMENTS // part.intervals)
+    for start in range(0, replications, batch):
+        rows = min(batch, replications - start)
+        tau = sample_tau_batch(RngStream(stream.seed, stream.stream_id + start), rows, part.intervals)
+        values = rtq(g, part, tau).value.tolist()
+        powered[start : start + rows] = [abs(reference - v) ** p for v in values]
     mean = float(np.mean(powered))
     error = mean ** (1.0 / p)
     se_mean = float(np.sqrt(np.var(powered, ddof=1) / replications))
@@ -344,6 +369,11 @@ def run_example1(
     Deterministic given ``seed``; wall times are measured, everything else
     is reproducible bit for bit.
     """
+    if replications > MAX_REPLICATIONS:
+        raise ValueError(
+            f"replications must be at most {MAX_REPLICATIONS} (2^20), got {replications!r}; "
+            "more would reuse the next slot's random streams"
+        )
     exponents = list(step_exponents)
     steps = [2.0**-i for i in exponents]
     reports = []
@@ -401,17 +431,25 @@ def union_grid_reference(bi: BrownianIntegrand) -> float:
     own evaluation convention, so the coarse rules are measured against the
     best trapezoidal value of the very function they integrate rather than
     against an inconsistent rebuild of it.
+
+    The union grid is built and summed a block of fine cells at a time, so
+    memory stays bounded however fine the path; the carried compensated
+    state makes the value bit-for-bit that of one sum over the whole grid.
     """
     path = bi.path
-    times = np.empty(2 * path.cells + 1)
-    times[0::2] = path.grid_times
-    times[1::2] = path.mid_times
-    widths = np.diff(times)
-    if np.any(widths <= 0.0):
-        raise ValueError("union grid is not strictly increasing")
-    g = bi.value_at(times)
-    cells = 0.5 * widths * (g[:-1] + g[1:])
-    return compensated_sum(cells.tolist())
+    acc = NeumaierSum()
+    block = BLOCK_ELEMENTS // 2
+    for start in range(0, path.cells, block):
+        stop = min(start + block, path.cells)
+        times = np.empty(2 * (stop - start) + 1)
+        times[0::2] = path.grid_times[start : stop + 1]
+        times[1::2] = path.mid_times[start:stop]
+        widths = np.diff(times)
+        if np.any(widths <= 0.0):
+            raise ValueError("union grid is not strictly increasing")
+        g = bi.value_at(times)
+        acc.extend(0.5 * widths * (g[:-1] + g[1:]))
+    return acc.value
 
 
 def run_example2(

@@ -28,6 +28,10 @@ from .quadrature import CTQ, RTQ, Integrand, Partition, QuadratureValue
 from .random_sources import BrownianPath, CoarseTau
 from .summation import compensated_sum
 
+# Largest ``cells`` accepted by ``sobolev_seminorm``: its dense cells x cells
+# arrays then take over 2 GiB.
+SOBOLEV_MAX_CELLS = 8192
+
 
 def power_integrand(gamma: float, total_time: float = 1.0) -> Integrand:
     """The power function t**gamma on [0, total_time].
@@ -133,16 +137,15 @@ class BrownianIntegrand:
 
 
 def brownian_integrand(path: BrownianPath) -> BrownianIntegrand:
-    """Accumulate the Euler prefix sums of a path, one fine cell at a time."""
-    J = path.cells
-    prefix = np.empty(J + 1)
-    g = 0.0
-    prefix[0] = g
-    h = path.step
-    values = path.grid_values.tolist()
-    for j in range(J):
-        g = g + values[j] * h
-        prefix[j + 1] = g
+    """Accumulate the Euler prefix sums of a path, one fine cell at a time.
+
+    ``np.cumsum`` adds sequentially from prefix[0] = 0.0, so every prefix is
+    the left-to-right running sum of the products step * B(t_j).
+    """
+    prefix = np.empty(path.cells + 1)
+    prefix[0] = 0.0
+    np.multiply(path.grid_values[:-1], path.step, out=prefix[1:])
+    np.cumsum(prefix, out=prefix)
     prefix.setflags(write=False)
     return BrownianIntegrand(path=path, prefix=prefix)
 
@@ -173,7 +176,7 @@ def ctq_brownian(bi: BrownianIntegrand, part: Partition) -> QuadratureValue:
     factor = _coarse_factor(bi, part)
     g_nodes = bi.prefix[::factor]
     h = part.step
-    value = float(h * compensated_sum(g_nodes[1:].tolist()) - 0.5 * h * g_nodes[-1])
+    value = float(h * compensated_sum(g_nodes[1:]) - 0.5 * h * g_nodes[-1])
     return QuadratureValue(value=value, rule=CTQ, evaluations=2 * part.intervals)
 
 
@@ -214,7 +217,7 @@ def rtq_brownian(bi: BrownianIntegrand, part: Partition, ctau: CoarseTau) -> Qua
     b_nodes = bi.path.grid_values[::factor]
     random_part = ctau.values * ctau.mid_values + ctau.complements * ctau.comp_values
     cells = h * g_nodes[:-1] + quarter * (b_nodes[:-1] + random_part)
-    value = compensated_sum(cells.tolist())
+    value = compensated_sum(cells)
     return QuadratureValue(value=value, rule=RTQ, evaluations=2 * part.intervals)
 
 
@@ -251,9 +254,12 @@ def sobolev_seminorm(
     sits at or beyond the membership boundary, which is what makes it
     useful as a (purely heuristic) diagnostic.
 
+    The double integral is computed on dense ``cells x cells`` arrays, so
+    ``cells`` is capped at ``SOBOLEV_MAX_CELLS``.
+
     Raises:
         ValueError: if ``g`` carries no exact derivative, or sigma/p/cells
-            are out of range.
+            are out of range (``cells`` above ``SOBOLEV_MAX_CELLS`` included).
     """
     if g.exact_derivative is None:
         raise ValueError(f"sobolev_seminorm requires an exact derivative; {g.label!r} has none")
@@ -264,8 +270,8 @@ def sobolev_seminorm(
     if p < 2.0:
         raise ValueError(f"p must be at least 2, got {p!r}")
     cells = int(cells)
-    if cells < 2:
-        raise ValueError(f"cells must be at least 2, got {cells!r}")
+    if not 2 <= cells <= SOBOLEV_MAX_CELLS:
+        raise ValueError(f"cells must lie in [2, {SOBOLEV_MAX_CELLS}], got {cells!r}")
     T = g.total_time
     width = T / cells
     if delta is None:

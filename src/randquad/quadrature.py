@@ -10,6 +10,11 @@ Both rules are deliberately implemented as written, with 2N integrand
 evaluations per full partition, so their cost accounting stays symmetric.
 ``ctq`` accepts ``shared_nodes=True`` to switch to the N+1-evaluation
 weighted form for timing studies.
+
+``rtq`` also takes a batch of offset sequences, one per row of a 2-d
+:class:`TauSequence`.  A single sequence is the one-row case of the same
+evaluation path: one integrand call on all the offset times, then one
+compensated sum per row.
 """
 
 from __future__ import annotations
@@ -64,6 +69,9 @@ class TauSequence:
     Complements are stored rather than recomputed: ``complement()`` is then
     an exact swap of the two arrays, so the rule's invariance under
     complementing offsets holds bit for bit (float addition is commutative).
+
+    ``values`` is 1-d for one sequence, or 2-d with one sequence per row for
+    a batch; ``len`` is the number of offsets in each sequence.
     """
 
     values: np.ndarray
@@ -73,12 +81,12 @@ class TauSequence:
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.float64)
         c = np.asarray(self.complements, dtype=np.float64)
-        if v.ndim != 1 or v.shape != c.shape:
-            raise ValueError("values and complements must be 1-d arrays of equal length")
+        if v.ndim not in (1, 2) or v.shape != c.shape:
+            raise ValueError("values and complements must be 1-d or 2-d arrays of equal shape")
         if v.size == 0:
             raise ValueError("TauSequence must contain at least one offset")
         for name, arr in (("values", v), ("complements", c)):
-            if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+            if arr.min() <= 0.0 or arr.max() >= 1.0:
                 raise ValueError(f"TauSequence {name} must lie strictly inside (0, 1)")
         v.setflags(write=False)
         c.setflags(write=False)
@@ -95,7 +103,7 @@ class TauSequence:
         return TauSequence(values=self.complements, complements=self.values, seed=self.seed)
 
     def __len__(self) -> int:
-        return int(self.values.size)
+        return int(self.values.shape[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,9 +129,13 @@ class Integrand:
 
 @dataclass(frozen=True, eq=False)
 class QuadratureValue:
-    """Result of one quadrature rule application."""
+    """Result of one quadrature rule application.
 
-    value: float
+    For a batch of offset sequences ``value`` holds one value per row and
+    ``evaluations`` counts the integrand evaluations of all rows.
+    """
+
+    value: float | np.ndarray
     rule: str
     evaluations: int
 
@@ -132,11 +144,11 @@ def _evaluate(g: Integrand, times: np.ndarray, what: str) -> np.ndarray:
     out = np.asarray(g.evaluator(times), dtype=np.float64)
     if out.shape[: times.ndim] != times.shape:
         raise ValueError(
-            f"integrand {g.label!r} returned shape {out.shape} for {times.shape[0]} {what} points"
+            f"integrand {g.label!r} returned shape {out.shape} for {times.size} {what} points"
         )
-    finite = np.isfinite(out)
-    if not finite.all():
-        bad = np.nonzero(~finite.reshape(finite.shape[0], -1).all(axis=1))[0][0]
+    if not np.isfinite(out).all():
+        finite = np.isfinite(out).reshape(*times.shape, -1).all(axis=-1)
+        bad = tuple(np.argwhere(~finite)[0])
         raise EvaluationError(
             f"integrand {g.label!r} returned a non-finite value at node t={times[bad]!r}"
         )
@@ -150,20 +162,14 @@ def _cell_terms_ctq(g: Integrand, part: Partition) -> np.ndarray:
 
 
 def _cell_terms_rtq(g: Integrand, part: Partition, tau: TauSequence) -> np.ndarray:
+    """Cell terms g(t + tau h) + g(t + (1 - tau) h), one row per offset sequence."""
     n = part.intervals
     if len(tau) < n:
         raise ValueError(f"TauSequence has {len(tau)} offsets but the partition has {n} cells")
     lefts = part.nodes[:-1]
-    a = _evaluate(g, lefts + tau.values[:n] * part.step, "offset")
-    b = _evaluate(g, lefts + tau.complements[:n] * part.step, "complement-offset")
+    a = _evaluate(g, lefts + tau.values[..., :n] * part.step, "offset")
+    b = _evaluate(g, lefts + tau.complements[..., :n] * part.step, "complement-offset")
     return a + b
-
-
-def _scaled_sum(cells: np.ndarray, half_step: float) -> float:
-    if cells.ndim == 1:
-        return half_step * compensated_sum(cells.tolist())
-    # Vector-valued integrand: compensate each component independently.
-    return half_step * np.array([compensated_sum(col.tolist()) for col in cells.T])
 
 
 def ctq(g: Integrand, part: Partition, shared_nodes: bool = False) -> QuadratureValue:
@@ -180,21 +186,27 @@ def ctq(g: Integrand, part: Partition, shared_nodes: bool = False) -> Quadrature
         weighted = 2.0 * vals
         weighted[0] = vals[0]
         weighted[-1] = vals[-1]
-        value = _scaled_sum(weighted, half_step)
+        value = half_step * compensated_sum(weighted, axis=0)
         return QuadratureValue(value=value, rule=CTQ, evaluations=part.intervals + 1)
+    # Summing along axis 0 compensates each component of a vector-valued
+    # integrand independently.
     cells = _cell_terms_ctq(g, part)
-    return QuadratureValue(value=_scaled_sum(cells, half_step), rule=CTQ, evaluations=2 * part.intervals)
+    value = half_step * compensated_sum(cells, axis=0)
+    return QuadratureValue(value=value, rule=CTQ, evaluations=2 * part.intervals)
 
 
 def rtq(g: Integrand, part: Partition, tau: TauSequence) -> QuadratureValue:
     """Randomised trapezoidal quadrature: per-cell evaluation at tau and 1 - tau.
 
     Deterministic given ``tau``; extra offsets beyond the partition's cell
-    count are ignored.
+    count are ignored.  For a 2-d ``tau`` the value is an array with one
+    rule value per row, each bit-for-bit equal to ``rtq`` on that row alone.
     """
     cells = _cell_terms_rtq(g, part, tau)
     half_step = 0.5 * part.step
-    return QuadratureValue(value=_scaled_sum(cells, half_step), rule=RTQ, evaluations=2 * part.intervals)
+    value = half_step * compensated_sum(cells, axis=tau.values.ndim - 1)
+    evaluations = 2 * part.intervals * (tau.values.size // len(tau))
+    return QuadratureValue(value=value, rule=RTQ, evaluations=evaluations)
 
 
 def rtq_prefix(g: Integrand, part: Partition, tau: TauSequence) -> list[QuadratureValue]:
@@ -206,9 +218,9 @@ def rtq_prefix(g: Integrand, part: Partition, tau: TauSequence) -> list[Quadratu
     """
     cells = _cell_terms_rtq(g, part, tau)
     if cells.ndim != 1:
-        raise ValueError("rtq_prefix supports scalar integrands only")
+        raise ValueError("rtq_prefix supports scalar integrands and single offset sequences only")
     half_step = 0.5 * part.step
-    partials = compensated_cumsum(cells.tolist())
+    partials = compensated_cumsum(cells)
     return [
         QuadratureValue(value=float(half_step * p), rule=RTQ, evaluations=2 * (n + 1))
         for n, p in enumerate(partials)

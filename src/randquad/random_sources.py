@@ -66,6 +66,21 @@ def sample_tau_sequence(stream: RngStream, count: int) -> TauSequence:
     return TauSequence(values=values, complements=1.0 - values, seed=stream.seed)
 
 
+def sample_tau_batch(stream: RngStream, rows: int, count: int) -> TauSequence:
+    """A 2-d batch of ``rows`` offset sequences of ``count`` offsets each.
+
+    Row r comes from its own stream ``(stream.seed, stream.stream_id + r)``
+    and is bit-for-bit ``sample_tau_sequence`` on that stream, so batching
+    replications changes no draw.
+    """
+    if rows < 1 or count < 1:
+        raise ValueError(f"rows and count must be positive integers, got {rows!r} and {count!r}")
+    values = np.empty((int(rows), int(count)))
+    for r in range(int(rows)):
+        values[r] = _strict_uniform(RngStream(stream.seed, stream.stream_id + r).generator(), int(count))
+    return TauSequence(values=values, complements=1.0 - values, seed=stream.seed)
+
+
 @dataclass(frozen=True, eq=False)
 class BrownianPath:
     """Fine-grid Brownian motion plus one bridge sample inside every cell.

@@ -2,64 +2,143 @@
 
 Quadrature error ladders in this package reach ~1e-9; naive left-to-right
 summation noise at that scale would corrupt fitted convergence orders, so
-every quadrature sum goes through the Neumaier (improved Kahan) accumulator
-below.  ``compensated_sum`` and ``compensated_cumsum`` share the exact same
-sequence of floating-point operations, which is what lets the randomised
-rule and its prefix (partial-sum) variant agree bit for bit on the final
-element.
+every quadrature sum goes through the Neumaier (improved Kahan) recurrence
+
+    t_k = fl(t_{k-1} + x_k),    c_k = fl(c_{k-1} + e_k),    value = t_n + c_n
+
+where e_k is the exact rounding error of the k-th addition and t_0 = c_0 = 0.
+
+The recurrence runs in numpy, not element by element, and is still the
+same recurrence bit for bit (the vectorised form of Ogita, Rump and Oishi's
+Sum2, "Accurate sum and dot product", SIAM J. Sci. Comput. 26(6), 2005):
+
+- ``np.cumsum`` is a sequential add, so the cumulative sum of
+  ``[t_0, x_1, ..., x_n]`` is exactly the sequence of running totals t_k.
+  Starting from 0.0 also keeps the scalar loop's handling of a leading -0.0.
+- Knuth's branch-free TwoSum, ``z = t_k - t_{k-1}``,
+  ``e_k = (t_{k-1} - (t_k - z)) + (x_k - z)``, recovers each rounding error
+  exactly.  Neumaier's branch on ``|t_{k-1}| >= |x_k|`` computes the same
+  exact error, so the carries match too.
+- The carries are the cumulative sum of ``[c_0, e_1, ..., e_n]`` and the
+  running compensated values are ``t_k + c_k``.
+
+``compensated_sum`` is the last running value and ``compensated_cumsum`` all
+of them, both from the one kernel, so the sum/prefix identity holds by
+construction; that is what lets the randomised rule and its prefix
+(partial-sum) variant agree bit for bit on the final element.
+
+The kernel takes a 2-d ``(rows, n)`` array whose rows sum independently and
+walks it in blocks of about ``BLOCK_ELEMENTS`` values, carrying each row's
+``(t, c)`` state from one block to the next.  Temporaries stay cache-sized
+and peak memory bounded however long the input, and a caller can stream
+blocks it builds on the fly through one :class:`NeumaierSum`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import math
 
 import numpy as np
 
+# Values per kernel block (all rows together); small enough that a block's
+# temporaries stay in cache.
+BLOCK_ELEMENTS = 1 << 12
+
+
+def _accumulate(values: np.ndarray, total: np.ndarray, carry: np.ndarray, prefixes=None) -> None:
+    """Run the Neumaier recurrence along each row of the 2-d ``values``.
+
+    ``total`` and ``carry`` hold one running state per row and are updated
+    in place.  When ``prefixes`` (shaped like ``values``) is given, the
+    running compensated values are written into it.
+    """
+    rows, n = values.shape
+    if values.size == 0:
+        return
+    width = min(n, max(1, BLOCK_ELEMENTS // rows))
+    t_buf = np.empty((rows, width + 1))
+    e_buf = np.empty((rows, width + 1))
+    z_buf = np.empty((rows, width))
+    for start in range(0, n, width):
+        x = values[:, start : start + width]
+        k = x.shape[1]
+        t, e, z = t_buf[:, : k + 1], e_buf[:, : k + 1], z_buf[:, :k]
+        t[:, 0] = total
+        t[:, 1:] = x
+        np.add.accumulate(t, axis=1, out=t)
+        prev, new, err = t[:, :-1], t[:, 1:], e[:, 1:]
+        # TwoSum: z = new - prev; err = (prev - (new - z)) + (x - z)
+        np.subtract(new, prev, out=z)
+        np.subtract(new, z, out=err)
+        np.subtract(prev, err, out=err)
+        np.subtract(x, z, out=z)
+        np.add(err, z, out=err)
+        e[:, 0] = carry
+        np.add.accumulate(e, axis=1, out=e)
+        if prefixes is not None:
+            np.add(new, err, out=prefixes[:, start : start + k])
+        total[:] = t[:, -1]
+        carry[:] = e[:, -1]
+
+
+def _as_rows(values, axis: int | None) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``values`` as a 2-d float64 array with the summed axis last, plus the
+    shape of the result."""
+    arr = np.asarray(values, dtype=np.float64)
+    if axis is None:
+        return arr.reshape(1, -1), ()
+    if axis not in (-1, arr.ndim - 1):
+        arr = np.moveaxis(arr, axis, -1)
+    return arr.reshape(math.prod(arr.shape[:-1]), arr.shape[-1]), arr.shape[:-1]
+
 
 class NeumaierSum:
-    """Running compensated sum.
+    """Running compensated sum that can be fed one value or one block at a time.
 
-    Keeps a correction term alongside the running total so that the error
-    of each addition is captured instead of lost.  ``value`` folds the
-    correction back in.
+    Feeding the values in pieces gives the same result bit for bit as
+    ``compensated_sum`` over all of them, because the kernel's carried
+    ``(total, carry)`` state is the whole state of the recurrence.
     """
 
     __slots__ = ("_total", "_carry")
 
     def __init__(self) -> None:
-        self._total = 0.0
-        self._carry = 0.0
+        self._total = np.zeros(1)
+        self._carry = np.zeros(1)
 
     def add(self, x: float) -> None:
-        t = self._total + x
-        if abs(self._total) >= abs(x):
-            self._carry += (self._total - t) + x
-        else:
-            self._carry += (x - t) + self._total
-        self._total = t
+        self.extend((x,))
+
+    def extend(self, values) -> None:
+        _accumulate(np.asarray(values, dtype=np.float64).reshape(1, -1), self._total, self._carry)
 
     @property
     def value(self) -> float:
-        return self._total + self._carry
+        return float(self._total[0] + self._carry[0])
 
 
-def compensated_sum(values: Iterable[float]) -> float:
-    """Sum ``values`` with Neumaier compensation."""
-    acc = NeumaierSum()
-    for x in values:
-        acc.add(x)
-    return acc.value
+def compensated_sum(values, axis: int | None = None):
+    """Sum ``values`` with Neumaier compensation.
+
+    With ``axis=None`` every value is summed into one float.  With an integer
+    ``axis`` the sums run along that axis, each one independently, and the
+    result is an array of the remaining shape (a float for 1-d input).
+    """
+    rows, shape = _as_rows(values, axis)
+    total = np.zeros(rows.shape[0])
+    carry = np.zeros(rows.shape[0])
+    _accumulate(rows, total, carry)
+    sums = total + carry
+    return float(sums[0]) if not shape else sums.reshape(shape)
 
 
-def compensated_cumsum(values: Iterable[float]) -> np.ndarray:
-    """All running compensated partial sums of ``values``.
+def compensated_cumsum(values) -> np.ndarray:
+    """All running compensated partial sums of ``values``, flattened.
 
     The k-th entry equals ``compensated_sum(values[:k+1])`` bit for bit:
-    both functions perform the identical additions in the identical order.
+    both are values of the same recurrence at the same step.
     """
-    acc = NeumaierSum()
-    out = []
-    for x in values:
-        acc.add(x)
-        out.append(acc.value)
-    return np.asarray(out, dtype=np.float64)
+    rows, _ = _as_rows(values, None)
+    prefixes = np.empty_like(rows)
+    _accumulate(rows, np.zeros(1), np.zeros(1), prefixes)
+    return prefixes[0]

@@ -1,5 +1,6 @@
 import csv
 import os
+import time
 
 import pytest
 
@@ -106,6 +107,13 @@ class TestExample1Command:
         capsys.readouterr()
         assert (tmp_path / "env" / "orders.csv").exists()
 
+    def test_replications_past_stream_packing_exit_2_immediately(self, tmp_path, capsys):
+        start = time.perf_counter()
+        assert main(["example1", "-M", "1048577", "--outdir", str(tmp_path)]) == EXIT_USAGE
+        assert time.perf_counter() - start < 1.0
+        assert "replications" in capsys.readouterr().err
+        assert not (tmp_path / "errors.csv").exists()
+
     def test_unwritable_outdir_exits_3(self, capsys):
         argv = ["example1", "--gammas", "1.5", "--min-exp", "5", "--max-exp", "6", "-M", "5",
                 "--outdir", "/proc/nonexistent/out"]
@@ -178,6 +186,14 @@ class TestSobolevCommand:
         argv = ["sobolev", "--integrand", "power", "--gamma", "1.5", "--sigma", "1.95", "--cells", "256"]
         assert main(argv) == EXIT_OK
         assert "DIVERGING" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cells", ["2049", "8192"])
+    def test_cells_above_the_cap_exit_2_without_computing(self, cells, capsys):
+        argv = ["sobolev", "--integrand", "power", "--gamma", "1.5", "--sigma", "1.2", "--cells", cells]
+        start = time.perf_counter()
+        assert main(argv) == EXIT_USAGE
+        assert time.perf_counter() - start < 0.5
+        assert "cap" in capsys.readouterr().err
 
     def test_invalid_sigma_exits_2(self, capsys):
         argv = ["sobolev", "--integrand", "power", "--gamma", "1.5", "--sigma", "2.5"]

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -15,10 +17,11 @@ from randquad import (
     power_integrand,
     run_example1,
     run_example2,
+    rtq,
     union_grid_reference,
 )
-from randquad.experiments import warn_if_nonmonotone
-from randquad.random_sources import RngStream
+from randquad.experiments import MAX_REPLICATIONS, _lane_stream, warn_if_nonmonotone
+from randquad.random_sources import RngStream, sample_tau_sequence
 
 
 def synthetic_ladder(constant, order, exponents=(5, 6, 7, 8, 9, 10)):
@@ -127,6 +130,43 @@ class TestMcLpError:
     def test_rejects_single_replication(self):
         with pytest.raises(ValueError):
             mc_lp_error(power_integrand(1.5), make_partition(1.0, 4), 2.0, 1, RngStream(0))
+
+    @pytest.mark.parametrize(
+        "intervals,replications,p",
+        [
+            (32, 300, 2.0),  # many rows per batch; 300 is not a multiple of 64 or 128
+            (1024, 11, 3.0),  # a few rows per batch; odd M leaves a short last batch
+            (8192, 3, 2.0),  # N above the batch size: one row per batch
+        ],
+    )
+    def test_batched_equals_per_replication_loop(self, intervals, replications, p):
+        g = power_integrand(1.25)
+        part = make_partition(1.0, intervals)
+        stream = RngStream(9, 5 << 20)
+        powered = np.empty(replications)
+        for m in range(replications):
+            tau = sample_tau_sequence(RngStream(stream.seed, stream.stream_id + m), intervals)
+            powered[m] = abs(g.exact_integral - rtq(g, part, tau).value) ** p
+        mean = float(np.mean(powered))
+        expected_error = mean ** (1.0 / p)
+        se_mean = float(np.sqrt(np.var(powered, ddof=1) / replications))
+        expected_se = (1.0 / p) * mean ** (1.0 / p - 1.0) * se_mean
+        assert mc_lp_error(g, part, p, replications, stream) == (expected_error, expected_se)
+
+
+class TestStreamPacking:
+    def test_slot_and_replication_limits(self):
+        limit = 1 << 20
+        assert _lane_stream(1, 2, limit - 1, limit - 1).stream_id == (2 << 40) + ((limit - 1) << 20) + limit - 1
+        for slot, replication in ((limit, 0), (0, limit), (-1, 0)):
+            with pytest.raises(ValueError, match="collide"):
+                _lane_stream(1, 0, slot, replication)
+
+    def test_example1_rejects_replications_past_the_packing_before_drawing(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="replications"):
+            run_example1(replications=MAX_REPLICATIONS + 1)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestAsRateCheck:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from randquad import (
     sample_brownian_path,
     sobolev_seminorm,
 )
+from randquad.integrands import SOBOLEV_MAX_CELLS
 from randquad.random_sources import RngStream
 
 
@@ -231,3 +233,9 @@ class TestSobolevSeminorm:
     def test_parameter_validation(self, sigma, p, cells):
         with pytest.raises(ValueError):
             sobolev_seminorm(power_integrand(1.5), sigma, p, cells)
+
+    def test_cells_above_the_cap_rejected_before_allocating(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=str(SOBOLEV_MAX_CELLS)):
+            sobolev_seminorm(power_integrand(1.5), 1.2, 2.0, SOBOLEV_MAX_CELLS + 1)
+        assert time.perf_counter() - start < 0.5

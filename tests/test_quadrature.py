@@ -105,6 +105,19 @@ class TestCtq:
         with pytest.raises(EvaluationError, match="0.5"):
             ctq(g, make_partition(1.0, 2))
 
+    def test_nonfinite_in_a_batch_names_the_single_node(self):
+        def evil(t):
+            t = np.asarray(t, dtype=float)
+            return np.where(t == 0.0625, np.nan, t)
+
+        g = Integrand(evaluator=evil, total_time=1.0, label="evil")
+        tau = TauSequence.from_values([[0.5, 0.5, 0.5, 0.5], [0.25, 0.5, 0.5, 0.5]])
+        with pytest.raises(EvaluationError) as info:
+            rtq(g, make_partition(1.0, 4), tau)
+        message = str(info.value)
+        assert "t=" in message and "0.0625" in message
+        assert "[" not in message  # one node, not a whole row of times
+
 
 class TestRtq:
     def test_constant_exact_for_any_tau(self):
@@ -150,6 +163,22 @@ class TestRtq:
         a = rtq(g, part, sample_tau_sequence(RngStream(5, 17), 32)).value
         b = rtq(g, part, sample_tau_sequence(RngStream(5, 17), 32)).value
         assert a == b
+
+
+class TestRtqBatch:
+    def test_each_row_equals_its_own_rule_bitwise(self):
+        g = power_integrand(1.5)
+        part = make_partition(1.0, 64)
+        rows = [sample_tau_sequence(RngStream(3, i), 64).values for i in range(5)]
+        batch = rtq(g, part, TauSequence.from_values(np.stack(rows)))
+        assert batch.evaluations == 5 * 2 * 64
+        singles = [rtq(g, part, TauSequence.from_values(row)).value for row in rows]
+        np.testing.assert_array_equal(batch.value.view(np.int64), np.array(singles).view(np.int64))
+
+    def test_prefix_rejects_a_batch(self):
+        tau = TauSequence.from_values(np.full((2, 4), 0.5))
+        with pytest.raises(ValueError, match="single offset sequences"):
+            rtq_prefix(power_integrand(1.5), make_partition(1.0, 4), tau)
 
 
 class TestRtqPrefix:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from randquad.summation import NeumaierSum, compensated_cumsum, compensated_sum
+from randquad.summation import BLOCK_ELEMENTS, NeumaierSum, compensated_cumsum, compensated_sum
 
 
 def test_recovers_cancellation_kahan_misses():
@@ -38,3 +38,77 @@ def test_accumulator_is_incremental():
     for x in (0.1, 0.2, 0.3):
         acc.add(x)
     assert acc.value == compensated_sum([0.1, 0.2, 0.3])
+
+
+def neumaier_loop(values):
+    """Scalar Neumaier recurrence, one element at a time: the kernel's oracle."""
+    total = 0.0
+    carry = 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            carry += (total - t) + x
+        else:
+            carry += (x - t) + total
+        total = t
+    return total + carry
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def wide_magnitudes(rng, shape, max_exp=300):
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-max_exp, max_exp + 1, size=shape)
+
+
+BLOCK = BLOCK_ELEMENTS
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+def test_kernel_bitwise_equals_scalar_loop_across_block_edges(n):
+    rng = np.random.default_rng(n)
+    values = wide_magnitudes(rng, n)
+    assert bits(compensated_sum(values)) == bits(neumaier_loop(values.tolist()))
+    prefixes = compensated_cumsum(values)
+    loop_prefixes = [neumaier_loop(values[: k + 1].tolist()) for k in range(0, n, max(1, n // 37))]
+    np.testing.assert_array_equal(bits(prefixes[:: max(1, n // 37)]), bits(loop_prefixes))
+
+
+def test_kernel_bitwise_equals_scalar_loop_on_wide_magnitudes():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(1, 3000))
+        values = wide_magnitudes(rng, n, max_exp=int(rng.integers(0, 301)))
+        assert bits(compensated_sum(values)) == bits(neumaier_loop(values.tolist()))
+
+
+def test_leading_negative_zero_matches_scalar_loop():
+    for values in ([-0.0], [-0.0, -0.0], [-0.0, 1.5, -1.5], [-0.0, 1e-300, -1e300]):
+        assert bits(compensated_sum(values)) == bits(neumaier_loop(values))
+        assert bits(compensated_cumsum(values)[-1]) == bits(neumaier_loop(values))
+
+
+def test_rows_sum_independently_and_match_per_row_loops():
+    rng = np.random.default_rng(5)
+    for rows, n in ((1, 10), (3, BLOCK + 7), (128, 32), (4, 1024), (BLOCK + 3, 2)):
+        values = wide_magnitudes(rng, (rows, n), max_exp=200)
+        expected = [neumaier_loop(row.tolist()) for row in values]
+        np.testing.assert_array_equal(bits(compensated_sum(values, axis=1)), bits(expected))
+        np.testing.assert_array_equal(bits(compensated_sum(values.T, axis=0)), bits(expected))
+
+
+def test_cumsum_last_is_sum_bitwise_across_blocks():
+    rng = np.random.default_rng(13)
+    for n in (1, BLOCK, 2 * BLOCK + 1):
+        values = wide_magnitudes(rng, n)
+        assert bits(compensated_cumsum(values)[-1]) == bits(compensated_sum(values))
+
+
+def test_accumulator_fed_in_pieces_equals_one_sum():
+    rng = np.random.default_rng(17)
+    values = wide_magnitudes(rng, 2 * BLOCK + 9)
+    acc = NeumaierSum()
+    for start in range(0, values.size, 1000):
+        acc.extend(values[start : start + 1000])
+    assert bits(acc.value) == bits(compensated_sum(values))
