@@ -7,102 +7,29 @@ order faster than the classical rule.  This package ships the two rules,
 seeded random sources (offset sequences and Brownian paths with bridge
 refinement), the integrand corpus used in the convergence experiments, and
 drivers that fit empirical convergence orders.
+
+The package namespace holds what the two drivers and the quick start need;
+everything else is imported from its submodule (``randquad.quadrature``,
+``randquad.random_sources``, ``randquad.integrands``,
+``randquad.experiments``, ``randquad.summation``).
 """
 
-from .experiments import (
-    ASRateCheck,
-    ASRateRow,
-    ConvergenceReport,
-    DEFAULT_SEED,
-    ErrorLadder,
-    Example2Result,
-    ExperimentResult,
-    LadderRow,
-    as_rate_check,
-    fit_order,
-    mc_lp_error,
-    run_example1,
-    run_example2,
-    union_grid_reference,
-)
-from .integrands import (
-    BrownianIntegrand,
-    SobolevEstimate,
-    affine_integrand,
-    brownian_integrand,
-    constant_integrand,
-    ctq_brownian,
-    power_integrand,
-    rtq_brownian,
-    sobolev_seminorm,
-)
-from .quadrature import (
-    CTQ,
-    RTQ,
-    EvaluationError,
-    Integrand,
-    Partition,
-    QuadratureValue,
-    TauSequence,
-    ctq,
-    make_partition,
-    rtq,
-    rtq_prefix,
-)
-from .random_sources import (
-    BrownianPath,
-    CoarseTau,
-    RngStream,
-    coarsen_tau,
-    load_path_csv,
-    sample_brownian_path,
-    sample_tau_sequence,
-    save_path_csv,
-)
+from .experiments import DEFAULT_SEED, mc_lp_error, run_example1, run_example2
+from .integrands import power_integrand
+from .quadrature import ctq, make_partition, rtq
+from .random_sources import RngStream, sample_tau_sequence
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ASRateCheck",
-    "ASRateRow",
-    "BrownianIntegrand",
-    "BrownianPath",
-    "CTQ",
-    "CoarseTau",
-    "ConvergenceReport",
     "DEFAULT_SEED",
-    "ErrorLadder",
-    "EvaluationError",
-    "Example2Result",
-    "ExperimentResult",
-    "Integrand",
-    "LadderRow",
-    "Partition",
-    "QuadratureValue",
-    "RTQ",
     "RngStream",
-    "SobolevEstimate",
-    "TauSequence",
-    "affine_integrand",
-    "as_rate_check",
-    "brownian_integrand",
-    "coarsen_tau",
-    "constant_integrand",
     "ctq",
-    "ctq_brownian",
-    "fit_order",
-    "load_path_csv",
     "make_partition",
     "mc_lp_error",
     "power_integrand",
     "rtq",
-    "rtq_brownian",
-    "rtq_prefix",
     "run_example1",
     "run_example2",
-    "sample_brownian_path",
     "sample_tau_sequence",
-    "save_path_csv",
-    "sobolev_seminorm",
-    "union_grid_reference",
 ]

@@ -4,7 +4,7 @@ Subcommands:
 
     eval      one quadrature evaluation of a builtin integrand
     example1  power-function convergence study (errors.csv, orders.csv,
-              gnuplot data, optional SVG)
+              gnuplot data and a script that renders it)
     example2  Brownian-target convergence study (errors.csv, orders.csv,
               timing.csv, optional path.csv dump)
     sobolev   fractional Sobolev norm diagnostic with a delta-refinement probe
@@ -75,7 +75,6 @@ class RunConfig:
     c1: float = 1.0
     total_time: float = 1.0
     intervals: int = 32
-    shared_nodes: bool = False
     # experiment parameters
     gammas: tuple[float, ...] = (1.25, 1.5, 1.75)
     min_exp: int = 5
@@ -83,7 +82,6 @@ class RunConfig:
     replications: int = 100
     p: float = 2.0
     h_ref_exp: int = 14
-    svg: bool = False
     dump_path: bool = False
     # sobolev parameters
     sigma: float = 1.2
@@ -96,21 +94,15 @@ class RunConfig:
             argv += ["--rule", self.rule]
             argv += self._integrand_argv()
             argv += ["--N", repr(self.intervals)]
-            if self.shared_nodes:
-                argv += ["--shared-nodes"]
         elif self.subcommand == "example1":
             argv += ["--outdir", self.output_dir, "--gammas"]
             argv += [repr(g) for g in self.gammas]
             argv += ["--min-exp", repr(self.min_exp), "--max-exp", repr(self.max_exp)]
             argv += ["-M", repr(self.replications), "-p", repr(self.p)]
-            if self.svg:
-                argv += ["--svg"]
         elif self.subcommand == "example2":
             argv += ["--outdir", self.output_dir]
             argv += ["--h-ref-exp", repr(self.h_ref_exp)]
             argv += ["--min-exp", repr(self.min_exp), "--max-exp", repr(self.max_exp)]
-            if self.svg:
-                argv += ["--svg"]
             if self.dump_path:
                 argv += ["--dump-path"]
         elif self.subcommand == "sobolev":
@@ -171,7 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--rule", choices=("ctq", "rtq"), required=True)
     add_integrand(p_eval)
     p_eval.add_argument("--N", dest="intervals", type=int, required=True, help="number of cells")
-    p_eval.add_argument("--shared-nodes", action="store_true", help="CTQ with N+1 shared evaluations")
     add_seed(p_eval)
 
     p_ex1 = sub.add_parser("example1", help="power-function convergence study")
@@ -179,14 +170,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add_steps(p_ex1)
     p_ex1.add_argument("-M", dest="replications", type=int, default=100, help="Monte Carlo replications")
     p_ex1.add_argument("-p", dest="p", type=float, default=2.0, help="L^p error exponent")
-    p_ex1.add_argument("--svg", action="store_true", help="also render built-in SVG plots")
     add_outdir(p_ex1)
     add_seed(p_ex1)
 
     p_ex2 = sub.add_parser("example2", help="Brownian-target convergence study")
     p_ex2.add_argument("--h-ref-exp", type=int, default=14, help="reference step is 2^-h_ref_exp")
     add_steps(p_ex2)
-    p_ex2.add_argument("--svg", action="store_true", help="also render built-in SVG plots")
     p_ex2.add_argument("--dump-path", action="store_true", help="also write path.csv")
     add_outdir(p_ex2)
     add_seed(p_ex2)
@@ -239,7 +228,7 @@ def cmd_eval(config: RunConfig) -> int:
     g = _build_integrand(config)
     part = make_partition(config.total_time, config.intervals)
     if config.rule == "ctq":
-        q = ctq(g, part, shared_nodes=config.shared_nodes)
+        q = ctq(g, part)
     else:
         tau = sample_tau_sequence(RngStream(config.seed), part.intervals)
         q = rtq(g, part, tau)
@@ -317,50 +306,6 @@ def _write_dat(path: str, header: list[str], columns: list[np.ndarray]) -> None:
             fh.write(" ".join(_fmt(v) for v in row) + "\n")
 
 
-_SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#7f7f7f")
-
-
-def _svg_chart(title: str, xlabel: str, ylabel: str, series) -> str:
-    """Tiny log2-log2 line chart; series is a list of (name, xs, ys)."""
-    width, height, margin = 640, 480, 60
-    pts = [(math.log2(x), math.log2(y)) for _, xs, ys in series for x, y in zip(xs, ys) if y > 0]
-    if not pts:
-        raise ValueError("nothing to plot: all values are zero")
-    x_lo, x_hi = min(p[0] for p in pts), max(p[0] for p in pts)
-    y_lo, y_hi = min(p[1] for p in pts), max(p[1] for p in pts)
-    x_span = (x_hi - x_lo) or 1.0
-    y_span = (y_hi - y_lo) or 1.0
-
-    def sx(x):
-        return margin + (math.log2(x) - x_lo) / x_span * (width - 2 * margin)
-
-    def sy(y):
-        return height - margin - (math.log2(y) - y_lo) / y_span * (height - 2 * margin)
-
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2}" y="24" text-anchor="middle" font-size="16">{title}</text>',
-        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" y2="{height - margin}" stroke="black"/>',
-        f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" stroke="black"/>',
-        f'<text x="{width / 2}" y="{height - 16}" text-anchor="middle" font-size="12">{xlabel}</text>',
-        f'<text x="18" y="{height / 2}" text-anchor="middle" font-size="12" '
-        f'transform="rotate(-90 18 {height / 2})">{ylabel}</text>',
-        f'<text x="{margin}" y="{height - margin + 16}" font-size="10">{x_lo:.1f}</text>',
-        f'<text x="{width - margin}" y="{height - margin + 16}" text-anchor="end" font-size="10">{x_hi:.1f}</text>',
-        f'<text x="{margin - 4}" y="{height - margin}" text-anchor="end" font-size="10">{y_lo:.1f}</text>',
-        f'<text x="{margin - 4}" y="{margin + 4}" text-anchor="end" font-size="10">{y_hi:.1f}</text>',
-    ]
-    for i, (name, xs, ys) in enumerate(series):
-        color = _SVG_COLORS[i % len(_SVG_COLORS)]
-        coords = " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in zip(xs, ys) if y > 0)
-        out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        out.append(f'<text x="{width - margin + 4}" y="{margin + 14 * i}" font-size="11" fill="{color}">{name}</text>')
-    out.append("</svg>")
-    return "\n".join(out)
-
-
 def _gnuplot_script(path: str, panels: list[tuple[str, str, list[tuple[str, int]]]]) -> None:
     """Emit a gnuplot script; panels are (dat_file, title, [(series, column)])."""
     lines = [
@@ -394,16 +339,15 @@ def _ensure_outdir(config: RunConfig) -> str:
 
 
 def cmd_example1(config: RunConfig) -> int:
-    exponents = range(config.min_exp, config.max_exp + 1)
+    outdir = _ensure_outdir(config)
     result = run_example1(
         gammas=config.gammas,
-        step_exponents=exponents,
+        step_exponents=range(config.min_exp, config.max_exp + 1),
         replications=config.replications,
         p=config.p,
         seed=config.seed,
         total_time=config.total_time,
     )
-    outdir = _ensure_outdir(config)
     ladders = [rep.ladder for rep in result.reports]
     _write_errors_csv(os.path.join(outdir, "errors.csv"), ladders)
     _write_orders_csv(os.path.join(outdir, "orders.csv"), result)
@@ -437,19 +381,6 @@ def cmd_example1(config: RunConfig) -> int:
                 [("CTQ", 2), ("RTQ L2", 3), ("RTQ pathwise", 4), ("h^2", 5), ("h^2.5", 6)],
             )
         )
-        if config.svg:
-            svg = _svg_chart(
-                f"errors, gamma={label}",
-                "log2 h",
-                "log2 error",
-                [
-                    ("CTQ", h, lad_ctq.errors),
-                    ("RTQ L2", h, lad_l2.errors),
-                    ("RTQ pathwise", h, lad_pw.errors),
-                ],
-            )
-            with open(os.path.join(outdir, f"example1_gamma{label}.svg"), "w") as fh:
-                fh.write(svg)
 
     timing_label = "1.5" if 1.5 in config.gammas else f"{config.gammas[0]:g}"
     lad_ctq = result.report(timing_label, "CTQ", "absolute").ladder
@@ -469,14 +400,13 @@ def cmd_example1(config: RunConfig) -> int:
 def cmd_example2(config: RunConfig) -> int:
     if config.h_ref_exp < config.max_exp:
         raise ValueError("h-ref-exp must be at least max-exp (reference finer than coarse grids)")
-    exponents = range(config.min_exp, config.max_exp + 1)
+    outdir = _ensure_outdir(config)
     result = run_example2(
-        step_exponents=exponents,
+        step_exponents=range(config.min_exp, config.max_exp + 1),
         reference_step=2.0**-config.h_ref_exp,
         seed=config.seed,
         total_time=config.total_time,
     )
-    outdir = _ensure_outdir(config)
     ladders = [rep.ladder for rep in result.reports]
     _write_errors_csv(os.path.join(outdir, "errors.csv"), ladders)
     _write_orders_csv(os.path.join(outdir, "orders.csv"), result)
@@ -503,15 +433,6 @@ def cmd_example2(config: RunConfig) -> int:
             ("example2_timing.dat", "time cost", [("CTQ", 2), ("RTQ", 3)]),
         ],
     )
-    if config.svg:
-        svg = _svg_chart(
-            "Brownian target errors",
-            "log2 h",
-            "log2 error",
-            [("CTQ", h, lad_ctq.errors), ("RTQ", h, lad_rtq.errors)],
-        )
-        with open(os.path.join(outdir, "example2.svg"), "w") as fh:
-            fh.write(svg)
     print(f"example2: wrote errors.csv, orders.csv, timing.csv to {outdir} (reference={_fmt(result.reference)})")
     return EXIT_OK
 

@@ -308,6 +308,16 @@ def as_rate_check(
     return ASRateCheck(target_exponent=target, rows=tuple(rows))
 
 
+def _dyadic_steps(step_exponents) -> list[float]:
+    """The steps 2^-i of a driver's ladder; an empty exponent range is an error."""
+    steps = [2.0**-i for i in step_exponents]
+    if not steps:
+        raise ValueError(
+            f"the step exponent range {step_exponents!r} is empty; the minimum must not exceed the maximum"
+        )
+    return steps
+
+
 def _timed(fn, repeats: int = TIMING_REPEATS):
     """Median wall time of ``fn()`` over ``repeats`` calls, plus its value."""
     times = []
@@ -374,8 +384,7 @@ def run_example1(
             f"replications must be at most {MAX_REPLICATIONS} (2^20), got {replications!r}; "
             "more would reuse the next slot's random streams"
         )
-    exponents = list(step_exponents)
-    steps = [2.0**-i for i in exponents]
+    steps = _dyadic_steps(step_exponents)
     reports = []
     for gi, gamma in enumerate(gammas):
         g = power_integrand(gamma, total_time)
@@ -466,8 +475,7 @@ def run_example2(
     pre-built ``path`` (consistent with ``reference_step``) can be injected
     for controlled studies; by default one is sampled from the seed.
     """
-    exponents = list(step_exponents)
-    steps = [2.0**-i for i in exponents]
+    steps = _dyadic_steps(step_exponents)
     if min(steps) < reference_step:
         raise ValueError("coarse steps must not be finer than the reference step")
     if path is None:

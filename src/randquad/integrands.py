@@ -70,7 +70,6 @@ def power_integrand(gamma: float, total_time: float = 1.0) -> Integrand:
         exact_integral=prefix(T),
         exact_derivative=derivative,
         exact_prefix_integral=prefix,
-        dimension=1,
     )
 
 
@@ -85,7 +84,6 @@ def constant_integrand(c: float, total_time: float = 1.0) -> Integrand:
         exact_integral=c * T,
         exact_derivative=lambda t: np.zeros_like(np.asarray(t, dtype=np.float64)),
         exact_prefix_integral=lambda t: c * float(t),
-        dimension=1,
     )
 
 
@@ -100,7 +98,6 @@ def affine_integrand(a: float, b: float, total_time: float = 1.0) -> Integrand:
         exact_integral=a * T + b * T * T / 2.0,
         exact_derivative=lambda t: np.full_like(np.asarray(t, dtype=np.float64), b),
         exact_prefix_integral=lambda t: a * float(t) + b * float(t) ** 2 / 2.0,
-        dimension=1,
     )
 
 
@@ -132,7 +129,6 @@ class BrownianIntegrand:
             evaluator=self.value_at,
             total_time=self.path.total_time,
             label="gB",
-            dimension=1,
         )
 
 

@@ -6,15 +6,15 @@ interior offset ``tau`` and at its reflection ``1 - tau`` about the cell
 midpoint; averaging the two keeps the rule exact on affine functions while
 the randomness averages out the cell-level error of rough integrands.
 
-Both rules are deliberately implemented as written, with 2N integrand
-evaluations per full partition, so their cost accounting stays symmetric.
-``ctq`` accepts ``shared_nodes=True`` to switch to the N+1-evaluation
-weighted form for timing studies.
+Both rules run one path: the cell terms g(a) + g(b) at the two evaluation
+points a, b of every cell, one compensated sum of them along the last
+axis, scaled by h/2.  Each rule makes 2N integrand evaluations per
+partition, so their cost accounting stays symmetric.
 
 ``rtq`` also takes a batch of offset sequences, one per row of a 2-d
 :class:`TauSequence`.  A single sequence is the one-row case of the same
-evaluation path: one integrand call on all the offset times, then one
-compensated sum per row.
+path: one integrand call on all the offset times, then one compensated sum
+per row.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ class TauSequence:
 
     values: np.ndarray
     complements: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.float64)
@@ -86,7 +85,8 @@ class TauSequence:
         if v.size == 0:
             raise ValueError("TauSequence must contain at least one offset")
         for name, arr in (("values", v), ("complements", c)):
-            if arr.min() <= 0.0 or arr.max() >= 1.0:
+            # Written so that a NaN offset fails both comparisons and is rejected.
+            if not (arr.min() > 0.0 and arr.max() < 1.0):
                 raise ValueError(f"TauSequence {name} must lie strictly inside (0, 1)")
         v.setflags(write=False)
         c.setflags(write=False)
@@ -94,13 +94,13 @@ class TauSequence:
         object.__setattr__(self, "complements", c)
 
     @classmethod
-    def from_values(cls, values, seed: int | None = None) -> "TauSequence":
+    def from_values(cls, values) -> "TauSequence":
         v = np.asarray(values, dtype=np.float64)
-        return cls(values=v, complements=1.0 - v, seed=seed)
+        return cls(values=v, complements=1.0 - v)
 
     def complement(self) -> "TauSequence":
         """The sequence with every tau replaced by 1 - tau."""
-        return TauSequence(values=self.complements, complements=self.values, seed=self.seed)
+        return TauSequence(values=self.complements, complements=self.values)
 
     def __len__(self) -> int:
         return int(self.values.shape[-1])
@@ -108,11 +108,11 @@ class TauSequence:
 
 @dataclass(frozen=True, eq=False)
 class Integrand:
-    """An evaluable function on [0, total_time].
+    """A real-valued evaluable function on [0, total_time].
 
-    ``evaluator`` must accept a 1-d float64 array of times and return the
-    values as an array of the same length (shape ``(n, d)`` for vector
-    integrands).  Evaluation must be pure: same times, same values.
+    ``evaluator`` must accept a float64 array of times and return the values
+    as an array of the same shape.  Evaluation must be pure: same times,
+    same values.
 
     ``exact_prefix_integral`` maps t to the integral over [0, t]; when set,
     ``exact_integral`` should equal its value at ``total_time``.
@@ -124,7 +124,6 @@ class Integrand:
     exact_integral: float | None = None
     exact_derivative: Callable[[np.ndarray], np.ndarray] | None = None
     exact_prefix_integral: Callable[[float], float] | None = None
-    dimension: int = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,14 +139,12 @@ class QuadratureValue:
     evaluations: int
 
 
-def _evaluate(g: Integrand, times: np.ndarray, what: str) -> np.ndarray:
+def _evaluate(g: Integrand, times: np.ndarray) -> np.ndarray:
     out = np.asarray(g.evaluator(times), dtype=np.float64)
-    if out.shape[: times.ndim] != times.shape:
-        raise ValueError(
-            f"integrand {g.label!r} returned shape {out.shape} for {times.size} {what} points"
-        )
-    if not np.isfinite(out).all():
-        finite = np.isfinite(out).reshape(*times.shape, -1).all(axis=-1)
+    if out.shape != times.shape:
+        raise ValueError(f"integrand {g.label!r} returned shape {out.shape} for times of shape {times.shape}")
+    finite = np.isfinite(out)
+    if not finite.all():
         bad = tuple(np.argwhere(~finite)[0])
         raise EvaluationError(
             f"integrand {g.label!r} returned a non-finite value at node t={times[bad]!r}"
@@ -155,44 +152,28 @@ def _evaluate(g: Integrand, times: np.ndarray, what: str) -> np.ndarray:
     return out
 
 
-def _cell_terms_ctq(g: Integrand, part: Partition) -> np.ndarray:
-    left = _evaluate(g, part.nodes[:-1], "left")
-    right = _evaluate(g, part.nodes[1:], "right")
-    return left + right
+def _cell_terms(g: Integrand, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """g(a) + g(b): each cell's two evaluations, before the h/2 weight."""
+    return _evaluate(g, a) + _evaluate(g, b)
 
 
-def _cell_terms_rtq(g: Integrand, part: Partition, tau: TauSequence) -> np.ndarray:
-    """Cell terms g(t + tau h) + g(t + (1 - tau) h), one row per offset sequence."""
+def _offset_times(part: Partition, tau: TauSequence) -> tuple[np.ndarray, np.ndarray]:
+    """The times t_n + tau_n h and t_n + (1 - tau_n) h, one row per offset sequence."""
     n = part.intervals
     if len(tau) < n:
         raise ValueError(f"TauSequence has {len(tau)} offsets but the partition has {n} cells")
     lefts = part.nodes[:-1]
-    a = _evaluate(g, lefts + tau.values[..., :n] * part.step, "offset")
-    b = _evaluate(g, lefts + tau.complements[..., :n] * part.step, "complement-offset")
-    return a + b
+    return lefts + tau.values[..., :n] * part.step, lefts + tau.complements[..., :n] * part.step
 
 
-def ctq(g: Integrand, part: Partition, shared_nodes: bool = False) -> QuadratureValue:
+def ctq(g: Integrand, part: Partition) -> QuadratureValue:
     """Classical trapezoidal quadrature of ``g`` over ``part``.
 
-    With ``shared_nodes=False`` (default) every cell evaluates both of its
-    endpoints, 2N evaluations in total.  ``shared_nodes=True`` evaluates the
-    N+1 distinct nodes once and applies trapezoidal weights; the value is
-    the same up to rounding, only the cost accounting changes.
+    Every cell evaluates both of its endpoints, 2N evaluations in total.
     """
-    half_step = 0.5 * part.step
-    if shared_nodes:
-        vals = _evaluate(g, part.nodes, "grid")
-        weighted = 2.0 * vals
-        weighted[0] = vals[0]
-        weighted[-1] = vals[-1]
-        value = half_step * compensated_sum(weighted, axis=0)
-        return QuadratureValue(value=value, rule=CTQ, evaluations=part.intervals + 1)
-    # Summing along axis 0 compensates each component of a vector-valued
-    # integrand independently.
-    cells = _cell_terms_ctq(g, part)
-    value = half_step * compensated_sum(cells, axis=0)
-    return QuadratureValue(value=value, rule=CTQ, evaluations=2 * part.intervals)
+    cells = _cell_terms(g, part.nodes[:-1], part.nodes[1:])
+    value = 0.5 * part.step * compensated_sum(cells, axis=-1)
+    return QuadratureValue(value=value, rule=CTQ, evaluations=2 * cells.size)
 
 
 def rtq(g: Integrand, part: Partition, tau: TauSequence) -> QuadratureValue:
@@ -202,11 +183,9 @@ def rtq(g: Integrand, part: Partition, tau: TauSequence) -> QuadratureValue:
     count are ignored.  For a 2-d ``tau`` the value is an array with one
     rule value per row, each bit-for-bit equal to ``rtq`` on that row alone.
     """
-    cells = _cell_terms_rtq(g, part, tau)
-    half_step = 0.5 * part.step
-    value = half_step * compensated_sum(cells, axis=tau.values.ndim - 1)
-    evaluations = 2 * part.intervals * (tau.values.size // len(tau))
-    return QuadratureValue(value=value, rule=RTQ, evaluations=evaluations)
+    cells = _cell_terms(g, *_offset_times(part, tau))
+    value = 0.5 * part.step * compensated_sum(cells, axis=-1)
+    return QuadratureValue(value=value, rule=RTQ, evaluations=2 * cells.size)
 
 
 def rtq_prefix(g: Integrand, part: Partition, tau: TauSequence) -> list[QuadratureValue]:
@@ -216,12 +195,11 @@ def rtq_prefix(g: Integrand, part: Partition, tau: TauSequence) -> list[Quadratu
     bit-for-bit equal to ``rtq(g, part, tau)`` because both run the same
     compensated accumulation.
     """
-    cells = _cell_terms_rtq(g, part, tau)
-    if cells.ndim != 1:
-        raise ValueError("rtq_prefix supports scalar integrands and single offset sequences only")
+    if tau.values.ndim != 1:
+        raise ValueError("rtq_prefix supports single offset sequences only")
+    cells = _cell_terms(g, *_offset_times(part, tau))
     half_step = 0.5 * part.step
-    partials = compensated_cumsum(cells)
     return [
         QuadratureValue(value=float(half_step * p), rule=RTQ, evaluations=2 * (n + 1))
-        for n, p in enumerate(partials)
+        for n, p in enumerate(compensated_cumsum(cells))
     ]

@@ -63,7 +63,7 @@ def sample_tau_sequence(stream: RngStream, count: int) -> TauSequence:
     if count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
     values = _strict_uniform(stream.generator(), int(count))
-    return TauSequence(values=values, complements=1.0 - values, seed=stream.seed)
+    return TauSequence(values=values, complements=1.0 - values)
 
 
 def sample_tau_batch(stream: RngStream, rows: int, count: int) -> TauSequence:
@@ -78,7 +78,7 @@ def sample_tau_batch(stream: RngStream, rows: int, count: int) -> TauSequence:
     values = np.empty((int(rows), int(count)))
     for r in range(int(rows)):
         values[r] = _strict_uniform(RngStream(stream.seed, stream.stream_id + r).generator(), int(count))
-    return TauSequence(values=values, complements=1.0 - values, seed=stream.seed)
+    return TauSequence(values=values, complements=1.0 - values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +146,7 @@ def sample_brownian_path(stream: RngStream, total_time: float, step: float) -> B
         total_time=T,
         grid_times=grid_times,
         grid_values=grid_values,
-        offsets=TauSequence(values=offsets, complements=complements, seed=stream.seed),
+        offsets=TauSequence(values=offsets, complements=complements),
         mid_times=mid_times,
         mid_values=mid_values,
     )
@@ -184,25 +184,6 @@ class CoarseTau:
 
     def __len__(self) -> int:
         return int(self.values.size)
-
-    @property
-    def mirror_reuse_count(self) -> int:
-        return int(self.comp_is_mirror.sum())
-
-    def swapped(self) -> "CoarseTau":
-        """The same object with the offset and complement roles exchanged."""
-        return CoarseTau(
-            factor=self.factor,
-            coarse_step=self.coarse_step,
-            values=self.complements,
-            complements=self.values,
-            selected_indices=self.selected_indices,
-            mid_times=self.comp_times,
-            mid_values=self.comp_values,
-            comp_times=self.mid_times,
-            comp_values=self.mid_values,
-            comp_is_mirror=self.comp_is_mirror,
-        )
 
 
 def coarsen_tau(path: BrownianPath, coarse_step: float, stream: RngStream) -> CoarseTau:

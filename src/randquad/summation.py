@@ -93,7 +93,7 @@ def _as_rows(values, axis: int | None) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 class NeumaierSum:
-    """Running compensated sum that can be fed one value or one block at a time.
+    """Running compensated sum that can be fed one block of values at a time.
 
     Feeding the values in pieces gives the same result bit for bit as
     ``compensated_sum`` over all of them, because the kernel's carried
@@ -105,9 +105,6 @@ class NeumaierSum:
     def __init__(self) -> None:
         self._total = np.zeros(1)
         self._carry = np.zeros(1)
-
-    def add(self, x: float) -> None:
-        self.extend((x,))
 
     def extend(self, values) -> None:
         _accumulate(np.asarray(values, dtype=np.float64).reshape(1, -1), self._total, self._carry)

@@ -12,28 +12,25 @@ import time
 import numpy as np
 import pytest
 
-from randquad import (
+from randquad.experiments import (
     DEFAULT_SEED,
     ErrorLadder,
     LadderRow,
-    TauSequence,
+    as_rate_check,
+    fit_order,
+    mc_lp_error,
+    run_example1,
+    run_example2,
+)
+from randquad.integrands import (
     affine_integrand,
     brownian_integrand,
     constant_integrand,
-    ctq,
     ctq_brownian,
-    fit_order,
-    make_partition,
-    mc_lp_error,
     power_integrand,
-    rtq,
-    run_example1,
-    run_example2,
-    sample_brownian_path,
-    sample_tau_sequence,
-    as_rate_check,
 )
-from randquad.random_sources import RngStream, coarsen_tau
+from randquad.quadrature import TauSequence, ctq, make_partition, rtq
+from randquad.random_sources import RngStream, coarsen_tau, sample_brownian_path, sample_tau_sequence
 
 GAMMAS = (1.25, 1.5, 1.75)
 GAMMA_LABELS = ("1.25", "1.5", "1.75")

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from randquad import cli
 from randquad.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, RunConfig, main
 
 
@@ -24,7 +25,7 @@ class TestRunConfig:
             ["eval", "--rule", "ctq", "--integrand", "power", "--gamma", "1.5", "--N", "32"],
             ["eval", "--rule", "rtq", "--integrand", "affine", "--c0", "0.5", "--c1", "-2.0", "--N", "7", "--seed", "9"],
             ["example1", "--gammas", "1.25", "1.75", "--min-exp", "4", "--max-exp", "7", "-M", "17", "-p", "3.0"],
-            ["example2", "--h-ref-exp", "12", "--min-exp", "5", "--max-exp", "8", "--dump-path", "--svg"],
+            ["example2", "--h-ref-exp", "12", "--min-exp", "5", "--max-exp", "8", "--dump-path"],
             ["sobolev", "--integrand", "power", "--gamma", "1.5", "--sigma", "1.95", "--cells", "256", "--delta", "0.001"],
         ],
     )
@@ -114,7 +115,11 @@ class TestExample1Command:
         assert "replications" in capsys.readouterr().err
         assert not (tmp_path / "errors.csv").exists()
 
-    def test_unwritable_outdir_exits_3(self, capsys):
+    def test_unwritable_outdir_exits_3(self, capsys, monkeypatch):
+        def driver_must_not_run(**kwargs):
+            pytest.fail("the driver ran before the output directory was probed")
+
+        monkeypatch.setattr(cli, "run_example1", driver_must_not_run)
         argv = ["example1", "--gammas", "1.5", "--min-exp", "5", "--max-exp", "6", "-M", "5",
                 "--outdir", "/proc/nonexistent/out"]
         assert main(argv) == EXIT_IO
@@ -159,13 +164,13 @@ class TestExample2Command:
         assert main(argv) == EXIT_USAGE
         assert "error" in capsys.readouterr().err
 
-    def test_svg_rendering(self, tmp_path, capsys):
-        argv = ["example2", "--h-ref-exp", "9", "--min-exp", "5", "--max-exp", "7",
-                "--seed", "3", "--svg", "--outdir", str(tmp_path)]
-        assert main(argv) == EXIT_OK
-        capsys.readouterr()
-        svg = (tmp_path / "example2.svg").read_text()
-        assert svg.startswith("<svg") and "polyline" in svg
+
+@pytest.mark.parametrize("subcommand", ["example1", "example2"])
+def test_empty_step_ladder_exits_2_before_writing(subcommand, tmp_path, capsys):
+    argv = [subcommand, "--min-exp", "8", "--max-exp", "5", "--outdir", str(tmp_path)]
+    assert main(argv) == EXIT_USAGE
+    assert "step exponent range range(8, 6) is empty" in capsys.readouterr().err
+    assert not (tmp_path / "errors.csv").exists()
 
 
 class TestSobolevCommand:

@@ -3,24 +3,21 @@ import time
 import numpy as np
 import pytest
 
-from randquad import (
+from randquad.experiments import (
+    MAX_REPLICATIONS,
     ErrorLadder,
     LadderRow,
-    affine_integrand,
+    _lane_stream,
     as_rate_check,
-    brownian_integrand,
-    ctq,
-    ctq_brownian,
     fit_order,
-    make_partition,
     mc_lp_error,
-    power_integrand,
     run_example1,
     run_example2,
-    rtq,
     union_grid_reference,
+    warn_if_nonmonotone,
 )
-from randquad.experiments import MAX_REPLICATIONS, _lane_stream, warn_if_nonmonotone
+from randquad.integrands import affine_integrand, brownian_integrand, ctq_brownian, power_integrand
+from randquad.quadrature import ctq, make_partition, rtq
 from randquad.random_sources import RngStream, sample_tau_sequence
 
 
@@ -119,7 +116,7 @@ class TestMcLpError:
             assert abs(e1 - e2) < 3.0 * max(s1, s2)
 
     def test_requires_reference(self):
-        from randquad import Integrand
+        from randquad.quadrature import Integrand
 
         g = Integrand(evaluator=lambda t: np.asarray(t) ** 2, total_time=1.0, label="bare")
         with pytest.raises(ValueError, match="exact integral"):
@@ -272,7 +269,8 @@ class TestRunExample2:
             run_example2(step_exponents=range(5, 12), reference_step=2.0**-10, seed=8)
 
     def test_injected_zero_path_gives_zero_errors(self):
-        from randquad import BrownianPath, TauSequence
+        from randquad.quadrature import TauSequence
+        from randquad.random_sources import BrownianPath
 
         cells = 2**8
         step = 2.0**-8

@@ -1,19 +1,25 @@
 """The 0-ulp output contract: a run reproduces the benchmark's committed golden.
 
-``perfbench/golden/ex2_ref20.json`` holds the ``errors.csv``/``orders.csv``
-records (without the measured ``wall_time_s`` column) of
-``example2 --h-ref-exp 20 --max-exp 15`` per seed.  Any change to the
-summation kernel, the Brownian machinery or the reference that moves a
-value by one ulp fails here.
+``perfbench/golden/<workload>.json`` holds, per seed, the records of one
+benchmark workload: its ``errors.csv``/``orders.csv`` rows without the
+measured ``wall_time_s`` column, or its printed lines split into tokens at
+whitespace and commas.  The three workloads cover both generic rules
+(``example1 -M 1000``), the Brownian machinery and the streamed reference
+(``example2 --h-ref-exp 20 --max-exp 15``) and the Sobolev diagnostic
+(``sobolev --sigma 1.2 --cells 1024``).  Any change that moves one of their
+values by one ulp fails here.  The tests only read the golden files.
 """
 
 import csv
 import json
+import re
 from pathlib import Path
 
 from randquad.cli import EXIT_OK, main
 
-GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "ex2_ref20.json"
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+SEED = "2"
+TOKEN_SPLIT = re.compile(r"[\s,]+")
 
 
 def records_without_timing(path):
@@ -25,12 +31,41 @@ def records_without_timing(path):
     return rows
 
 
-def test_example2_fine_reference_matches_golden_bit_for_bit(tmp_path, capsys):
-    golden = json.loads(GOLDEN.read_text())
-    argv = [*golden["argv"], "--seed", "2", "--outdir", str(tmp_path)]
-    assert argv[:5] == ["example2", "--h-ref-exp", "20", "--max-exp", "15"]
+def run_workload(name, tmp_path, capsys):
+    """Run a workload's argv at seed 2; return its argv, its records and the golden's."""
+    golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+    expected = golden["seeds"][SEED]
+    argv = [*golden["argv"], "--seed", SEED]
+    if "stdout" not in expected:
+        argv += ["--outdir", str(tmp_path)]
     assert main(argv) == EXIT_OK
-    capsys.readouterr()
-    expected = golden["seeds"]["2"]
-    for name in ("errors.csv", "orders.csv"):
-        assert records_without_timing(tmp_path / name) == expected[name], name
+    stdout = capsys.readouterr().out
+    records = {}
+    for output in expected:
+        if output == "stdout":
+            records[output] = [TOKEN_SPLIT.split(line.strip()) for line in stdout.splitlines() if line.strip()]
+        else:
+            records[output] = records_without_timing(tmp_path / output)
+    return golden["argv"], records, expected
+
+
+def test_example1_mc1000_matches_golden_bit_for_bit(tmp_path, capsys):
+    argv, records, expected = run_workload("ex1_mc1000", tmp_path, capsys)
+    assert argv == ["example1", "-M", "1000"]
+    assert set(expected) == {"errors.csv", "orders.csv"}
+    for name in expected:
+        assert records[name] == expected[name], name
+
+
+def test_example2_fine_reference_matches_golden_bit_for_bit(tmp_path, capsys):
+    argv, records, expected = run_workload("ex2_ref20", tmp_path, capsys)
+    assert argv[:5] == ["example2", "--h-ref-exp", "20", "--max-exp", "15"]
+    assert set(expected) == {"errors.csv", "orders.csv"}
+    for name in expected:
+        assert records[name] == expected[name], name
+
+
+def test_sobolev_1024_matches_golden_bit_for_bit(tmp_path, capsys):
+    argv, records, expected = run_workload("sobolev_1024", tmp_path, capsys)
+    assert argv == ["sobolev", "--sigma", "1.2", "--cells", "1024"]
+    assert records == expected

@@ -1,26 +1,22 @@
+import dataclasses
 import math
 import time
 
 import numpy as np
 import pytest
 
-from randquad import (
-    BrownianPath,
-    TauSequence,
+from randquad.integrands import (
+    SOBOLEV_MAX_CELLS,
     affine_integrand,
     brownian_integrand,
-    coarsen_tau,
     constant_integrand,
-    ctq,
     ctq_brownian,
-    make_partition,
     power_integrand,
     rtq_brownian,
-    sample_brownian_path,
     sobolev_seminorm,
 )
-from randquad.integrands import SOBOLEV_MAX_CELLS
-from randquad.random_sources import RngStream
+from randquad.quadrature import TauSequence, ctq, make_partition
+from randquad.random_sources import BrownianPath, RngStream, coarsen_tau, sample_brownian_path
 
 
 class TestPowerIntegrand:
@@ -163,7 +159,16 @@ class TestRtqBrownian:
         bi = brownian_integrand(path)
         part = make_partition(1.0, 64)
         ctau = coarsen_tau(path, part.step, RngStream(14, 1))
-        assert rtq_brownian(bi, part, ctau).value == rtq_brownian(bi, part, ctau.swapped()).value
+        swapped = dataclasses.replace(
+            ctau,
+            values=ctau.complements,
+            complements=ctau.values,
+            mid_times=ctau.comp_times,
+            mid_values=ctau.comp_values,
+            comp_times=ctau.mid_times,
+            comp_values=ctau.mid_values,
+        )
+        assert rtq_brownian(bi, part, ctau).value == rtq_brownian(bi, part, swapped).value
 
     def test_wrong_coarse_step_rejected(self):
         path = sample_brownian_path(RngStream(15), 1.0, 2.0**-8)

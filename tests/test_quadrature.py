@@ -3,15 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from randquad import (
+from randquad.integrands import affine_integrand, constant_integrand, power_integrand
+from randquad.quadrature import (
     EvaluationError,
     Integrand,
     TauSequence,
-    affine_integrand,
-    constant_integrand,
     ctq,
     make_partition,
-    power_integrand,
     rtq,
     rtq_prefix,
 )
@@ -57,6 +55,8 @@ class TestTauSequence:
             TauSequence.from_values([0.5, 0.0])
         with pytest.raises(ValueError):
             TauSequence.from_values([1.0])
+        with pytest.raises(ValueError):
+            TauSequence.from_values([0.5, float("nan")])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -90,9 +90,11 @@ class TestCtq:
         g = square_integrand()
         part = make_partition(1.0, 8)
         assert ctq(g, part).evaluations == 16
-        shared = ctq(g, part, shared_nodes=True)
-        assert shared.evaluations == 9
-        assert shared.value == pytest.approx(ctq(g, part).value, rel=1e-14)
+
+    def test_integrands_are_scalar_valued(self):
+        pair = Integrand(evaluator=lambda t: np.stack([t, 3.0 - 2.0 * t], axis=-1), total_time=1.0, label="pair")
+        with pytest.raises(ValueError, match="returned shape"):
+            ctq(pair, make_partition(1.0, 4))
 
     def test_nonfinite_names_node(self):
         def evil(t):
@@ -223,30 +225,3 @@ class TestRtqPrefix:
         prefix = rtq_prefix(g, make_partition(1.0, 3), tau)
         assert [q.evaluations for q in prefix] == [2, 4, 6]
 
-
-class TestVectorIntegrands:
-    """Vector dimension is carried through the rules componentwise."""
-
-    @staticmethod
-    def _pair():
-        # components (t, 3 - 2t): exact integrals (1/2, 2) over [0, 1]
-        return Integrand(
-            evaluator=lambda t: np.stack([np.asarray(t), 3.0 - 2.0 * np.asarray(t)], axis=-1),
-            total_time=1.0,
-            label="pair",
-            dimension=2,
-        )
-
-    def test_ctq_componentwise(self):
-        value = ctq(self._pair(), make_partition(1.0, 8)).value
-        np.testing.assert_allclose(value, [0.5, 2.0], rtol=1e-15)
-
-    def test_rtq_componentwise(self):
-        tau = TauSequence.from_values([0.2, 0.9, 0.4, 0.6])
-        value = rtq(self._pair(), make_partition(1.0, 4), tau).value
-        np.testing.assert_allclose(value, [0.5, 2.0], rtol=1e-14)
-
-    def test_prefix_is_scalar_only(self):
-        tau = TauSequence.from_values([0.5] * 4)
-        with pytest.raises(ValueError, match="scalar"):
-            rtq_prefix(self._pair(), make_partition(1.0, 4), tau)

@@ -36,7 +36,7 @@ def test_cumsum_last_is_sum_bitwise():
 def test_accumulator_is_incremental():
     acc = NeumaierSum()
     for x in (0.1, 0.2, 0.3):
-        acc.add(x)
+        acc.extend((x,))
     assert acc.value == compensated_sum([0.1, 0.2, 0.3])
 
 
