@@ -19,7 +19,10 @@ Batching: ``mc_lp_error`` evaluates its replications in blocks of about
 ``BATCH_ELEMENTS`` cells, ``max(1, BATCH_ELEMENTS // N)`` replications at a
 time.  Each row of a block still draws from its own stream, the block is
 one integrand call and one row-wise compensated sum, and every replication's
-value is bit-for-bit the one a separate ``rtq`` call would give.
+value is bit-for-bit the one a separate ``rtq`` call would give.  The
+streams of all M replications are seeded once, in one vectorised pass
+(``random_sources.sample_tau_batches``), rather than by building a numpy
+``SeedSequence`` and ``PCG64`` per replication; the draws are the same.
 
 Timing: each quadrature call is repeated five times and the median of a
 monotonic clock is reported, which resists scheduler noise without
@@ -48,7 +51,7 @@ from .random_sources import (
     RngStream,
     coarsen_tau,
     sample_brownian_path,
-    sample_tau_batch,
+    sample_tau_batches,
     sample_tau_sequence,
 )
 from .summation import BLOCK_ELEMENTS, NeumaierSum
@@ -195,9 +198,9 @@ def mc_lp_error(
     Runs ``replications`` independent offset sequences (stream ids
     ``stream.stream_id + m``), averages |reference - RTQ_m|^p and returns
     the p-th root together with the delta-method standard error of that
-    root.  Replications are evaluated in batches of
-    ``max(1, BATCH_ELEMENTS // N)`` rows; the result is bit-for-bit that of
-    one ``rtq`` call per replication.
+    root.  The replications' streams are seeded together and evaluated in
+    batches of ``max(1, BATCH_ELEMENTS // N)`` rows; the result is
+    bit-for-bit that of one ``rtq`` call per replication.
     """
     if replications < 2:
         raise ValueError("replications must be at least 2 to estimate a standard error")
@@ -207,13 +210,10 @@ def mc_lp_error(
         reference = g.exact_integral
     if reference is None:
         raise ValueError(f"integrand {g.label!r} has no exact integral; pass reference=")
-    powered = np.empty(replications)
+    powered = []
     batch = max(1, BATCH_ELEMENTS // part.intervals)
-    for start in range(0, replications, batch):
-        rows = min(batch, replications - start)
-        tau = sample_tau_batch(RngStream(stream.seed, stream.stream_id + start), rows, part.intervals)
-        values = rtq(g, part, tau).value.tolist()
-        powered[start : start + rows] = [abs(reference - v) ** p for v in values]
+    for tau in sample_tau_batches(stream, replications, part.intervals, batch):
+        powered += [abs(reference - v) ** p for v in rtq(g, part, tau).value.tolist()]
     mean = float(np.mean(powered))
     error = mean ** (1.0 / p)
     se_mean = float(np.sqrt(np.var(powered, ddof=1) / replications))
@@ -289,12 +289,8 @@ def as_rate_check(
             _lane_stream(master_stream.seed, _LANE_AS_RATE, master_stream.stream_id, m),
             part.intervals,
         )
-        partials = rtq_prefix(g, part, tau)
-        max_err = 0.0
-        for n, q in enumerate(partials, start=1):
-            err = abs(g.exact_prefix_integral(part.nodes[n]) - q.value)
-            if err > max_err:
-                max_err = err
+        partials = rtq_prefix(g, part, tau).value
+        max_err = float(np.max(np.abs(g.exact_prefix_integral(part.nodes[1:]) - partials)))
         bound = h**target
         rows.append(
             ASRateRow(
@@ -309,11 +305,19 @@ def as_rate_check(
 
 
 def _dyadic_steps(step_exponents) -> list[float]:
-    """The steps 2^-i of a driver's ladder; an empty exponent range is an error."""
+    """The steps 2^-i of a driver's ladder.
+
+    A ladder needs two rungs to fit an order, so an empty or one-exponent
+    range is an error, raised before anything is sampled or written.
+    """
     steps = [2.0**-i for i in step_exponents]
     if not steps:
         raise ValueError(
             f"the step exponent range {step_exponents!r} is empty; the minimum must not exceed the maximum"
+        )
+    if len(steps) < 2:
+        raise ValueError(
+            f"the step exponent range {step_exponents!r} has one exponent; fitting an order needs at least two"
         )
     return steps
 

@@ -60,14 +60,16 @@ def power_integrand(gamma: float, total_time: float = 1.0) -> Integrand:
     def derivative(t: np.ndarray) -> np.ndarray:
         return gamma * np.asarray(t, dtype=np.float64) ** (gamma - 1.0)
 
-    def prefix(t: float) -> float:
-        return float(t) ** (gamma + 1.0) / (gamma + 1.0)
+    def prefix(t: np.ndarray) -> np.ndarray:
+        return np.asarray(t, dtype=np.float64) ** (gamma + 1.0) / (gamma + 1.0)
 
     return Integrand(
         evaluator=value,
         total_time=T,
         label=f"power(gamma={gamma:g})",
-        exact_integral=prefix(T),
+        # Python's float power, not numpy's: the two can differ by an ulp,
+        # and every error ladder is measured against this value.
+        exact_integral=T ** (gamma + 1.0) / (gamma + 1.0),
         exact_derivative=derivative,
         exact_prefix_integral=prefix,
     )
@@ -83,7 +85,7 @@ def constant_integrand(c: float, total_time: float = 1.0) -> Integrand:
         label=f"constant({c:g})",
         exact_integral=c * T,
         exact_derivative=lambda t: np.zeros_like(np.asarray(t, dtype=np.float64)),
-        exact_prefix_integral=lambda t: c * float(t),
+        exact_prefix_integral=lambda t: c * np.asarray(t, dtype=np.float64),
     )
 
 
@@ -91,13 +93,18 @@ def affine_integrand(a: float, b: float, total_time: float = 1.0) -> Integrand:
     """The affine function a + b*t; both rules integrate it exactly."""
     T = float(total_time)
     a, b = float(a), float(b)
+
+    def prefix(t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=np.float64)
+        return a * t + b * t**2 / 2.0
+
     return Integrand(
         evaluator=lambda t: a + b * np.asarray(t, dtype=np.float64),
         total_time=T,
         label=f"affine({a:g},{b:g})",
         exact_integral=a * T + b * T * T / 2.0,
         exact_derivative=lambda t: np.full_like(np.asarray(t, dtype=np.float64), b),
-        exact_prefix_integral=lambda t: a * float(t) + b * float(t) ** 2 / 2.0,
+        exact_prefix_integral=prefix,
     )
 
 

@@ -114,8 +114,9 @@ class Integrand:
     as an array of the same shape.  Evaluation must be pure: same times,
     same values.
 
-    ``exact_prefix_integral`` maps t to the integral over [0, t]; when set,
-    ``exact_integral`` should equal its value at ``total_time``.
+    ``exact_prefix_integral`` maps an array of times t to the integrals over
+    [0, t]; when set, ``exact_integral`` should equal its value at
+    ``total_time`` up to rounding.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -123,15 +124,16 @@ class Integrand:
     label: str = ""
     exact_integral: float | None = None
     exact_derivative: Callable[[np.ndarray], np.ndarray] | None = None
-    exact_prefix_integral: Callable[[float], float] | None = None
+    exact_prefix_integral: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True, eq=False)
 class QuadratureValue:
     """Result of one quadrature rule application.
 
-    For a batch of offset sequences ``value`` holds one value per row and
-    ``evaluations`` counts the integrand evaluations of all rows.
+    For a batch of offset sequences ``value`` holds one value per row, and
+    for ``rtq_prefix`` one partial sum per cell; ``evaluations`` counts the
+    integrand evaluations behind all of them.
     """
 
     value: float | np.ndarray
@@ -188,18 +190,15 @@ def rtq(g: Integrand, part: Partition, tau: TauSequence) -> QuadratureValue:
     return QuadratureValue(value=value, rule=RTQ, evaluations=2 * cells.size)
 
 
-def rtq_prefix(g: Integrand, part: Partition, tau: TauSequence) -> list[QuadratureValue]:
+def rtq_prefix(g: Integrand, part: Partition, tau: TauSequence) -> QuadratureValue:
     """Partial sums of the randomised rule over the first n cells, n = 1..N.
 
-    Element n approximates the integral over [0, t_n]; the final element is
-    bit-for-bit equal to ``rtq(g, part, tau)`` because both run the same
-    compensated accumulation.
+    ``value`` is an array whose element n - 1 approximates the integral over
+    [0, t_n]; its last element is bit-for-bit equal to ``rtq(g, part, tau)``
+    because both run the same compensated accumulation.
     """
     if tau.values.ndim != 1:
         raise ValueError("rtq_prefix supports single offset sequences only")
     cells = _cell_terms(g, *_offset_times(part, tau))
-    half_step = 0.5 * part.step
-    return [
-        QuadratureValue(value=float(half_step * p), rule=RTQ, evaluations=2 * (n + 1))
-        for n, p in enumerate(compensated_cumsum(cells))
-    ]
+    value = 0.5 * part.step * compensated_cumsum(cells)
+    return QuadratureValue(value=value, rule=RTQ, evaluations=2 * cells.size)

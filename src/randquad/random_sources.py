@@ -5,6 +5,18 @@ Everything random in this package flows from an :class:`RngStream`, a
 distinct stream ids under one seed give independent, non-overlapping
 generators and the same pair always reproduces the same draws.
 
+Batch seeding: a Monte Carlo study draws from thousands of consecutive
+stream ids, and building a ``SeedSequence`` and a ``PCG64`` per stream costs
+far more than the draws.  :func:`sample_tau_batches` therefore derives the
+PCG64 states of a whole range of stream ids in one vectorised pass (numpy's
+SeedSequence hash and mix as uint32 column operations, then PCG64's
+seeding step per row) and draws every row through one reused generator.
+The derived states are bit-for-bit those of
+``default_rng(SeedSequence([seed, stream_id]))``.  That contract rests on
+numpy's seeding algorithms staying as they are; a test compares the two on
+edge seeds and ids, so a numpy release that changed them would fail it.
+``RngStream.generator()`` stays the single-stream path.
+
 A :class:`BrownianPath` holds a fine-grid Brownian motion together with one
 extra sample strictly inside every fine cell, drawn from the Brownian
 bridge conditional on the cell endpoints: at time ``(j + tau) * h`` the
@@ -19,6 +31,7 @@ randomised rule's primary evaluation points are never interpolated.
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,19 +79,133 @@ def sample_tau_sequence(stream: RngStream, count: int) -> TauSequence:
     return TauSequence(values=values, complements=1.0 - values)
 
 
-def sample_tau_batch(stream: RngStream, rows: int, count: int) -> TauSequence:
-    """A 2-d batch of ``rows`` offset sequences of ``count`` offsets each.
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): pool size, hash and
+# mix constants.
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
 
-    Row r comes from its own stream ``(stream.seed, stream.stream_id + r)``
-    and is bit-for-bit ``sample_tau_sequence`` on that stream, so batching
-    replications changes no draw.
+
+def _hash_constants(init: int, mult: int):
+    """The (xor, multiply) constant pairs of SeedSequence's successive hash calls."""
+    while True:
+        nxt = (init * mult) & _MASK32
+        yield np.uint32(init), np.uint32(nxt)
+        init = nxt
+
+
+def _hashmix(value: np.ndarray, consts) -> np.ndarray:
+    xor, mult = next(consts)
+    value = (value ^ xor) * mult
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _seed_words(seed: int, first: int, rows: int) -> np.ndarray:
+    """``SeedSequence([seed, first + r]).generate_state(4, np.uint64)`` for every row r.
+
+    A (rows, 4) uint64 array, computed column-wise for all rows at once.
+    SeedSequence splits each integer into 32-bit words (one word for 0),
+    concatenates them and hashes missing pool entries as 0.  Seed and id are
+    both below 2^64, so the entropy fits the pool; writing every id as two
+    words is then exact, because a zero high word is the zero padding.
+    ``seed`` and ``first`` come from an :class:`RngStream`, which has
+    checked their range; the ids past ``first`` are checked here.
     """
-    if rows < 1 or count < 1:
-        raise ValueError(f"rows and count must be positive integers, got {rows!r} and {count!r}")
-    values = np.empty((int(rows), int(count)))
-    for r in range(int(rows)):
-        values[r] = _strict_uniform(RngStream(stream.seed, stream.stream_id + r).generator(), int(count))
-    return TauSequence(values=values, complements=1.0 - values)
+    seed, first, rows = int(seed), int(first), int(rows)
+    if rows < 1:
+        raise ValueError(f"rows must be a positive integer, got {rows!r}")
+    if first + rows > _MAX_UINT64:
+        raise ValueError(f"stream ids {first!r} + [0, {rows!r}) leave the 64-bit unsigned range")
+    ids = (np.arange(rows, dtype=np.uint64) + np.uint64(first)).astype("<u8").view("<u4").reshape(rows, 2)
+    seed_words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
+    pool = np.zeros((_POOL_WORDS, rows), dtype=np.uint32)
+    pool[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    pool[len(seed_words) : len(seed_words) + 2] = ids.T
+
+    # SeedSequence.mix_entropy: hash every pool word, then mix each word
+    # into every other, in numpy's order.
+    consts = _hash_constants(_INIT_A, _MULT_A)
+    mixer = [_hashmix(word, consts) for word in pool]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                mixer[dst] = _mix(mixer[dst], _hashmix(mixer[src], consts))
+
+    # SeedSequence.generate_state(4, np.uint64): eight 32-bit words cycling
+    # through the pool, paired little-endian into four 64-bit words.
+    consts = _hash_constants(_INIT_B, _MULT_B)
+    state = np.empty((rows, 2 * _POOL_WORDS), dtype="<u4")
+    for i in range(2 * _POOL_WORDS):
+        state[:, i] = _hashmix(mixer[i % _POOL_WORDS], consts)
+    return state.view("<u8").astype(np.uint64)
+
+
+def _pcg64_state(words) -> dict:
+    """The ``PCG64.state`` that seeding with ``generate_state`` output ``words`` sets.
+
+    PCG64's srandom: inc = (seq << 1) | 1, state = 0, step, add the initial
+    state, step.  From state 0 the first step yields inc.
+    """
+    s_hi, s_lo, i_hi, i_lo = map(int, words)
+    inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
+    state = (((s_hi << 64) | s_lo) + inc) * _PCG64_MULT + inc
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state & _MASK128, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def sample_tau_batches(
+    stream: RngStream, replications: int, count: int, block_rows: int
+) -> Iterator[TauSequence]:
+    """Offset sequences of ``count`` offsets for ``replications`` streams, in blocks.
+
+    Yields 2-d :class:`TauSequence` blocks of up to ``block_rows`` rows.
+    Replication m comes from its own stream ``(stream.seed,
+    stream.stream_id + m)`` and is bit-for-bit ``sample_tau_sequence`` on
+    that stream, so batching replications changes no draw.  The seeds of all
+    the streams are derived up front in one vectorised pass
+    (:func:`_seed_words`); each row is then drawn through one reused
+    generator set to that stream's start state.  A row holding an exact 0 or
+    1 is redrawn from its start state by the single-stream rule.
+
+    Raises:
+        ValueError: if a count is not positive or a stream id would leave
+            the 64-bit range (before anything is drawn).
+    """
+    if count < 1 or block_rows < 1:
+        raise ValueError(f"count and block_rows must be positive integers, got {count!r} and {block_rows!r}")
+    # Seeded here, outside the generator, so a bad range fails at the call.
+    words = _seed_words(stream.seed, stream.stream_id, replications)
+    return _draw_blocks(words, int(count), int(block_rows))
+
+
+def _draw_blocks(words: np.ndarray, count: int, block_rows: int) -> Iterator[TauSequence]:
+    # The seed is irrelevant: every row sets its own stream's state first.
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    for start in range(0, len(words), block_rows):
+        states = [_pcg64_state(w) for w in words[start : start + block_rows].tolist()]
+        values = np.empty((len(states), count))
+        for row, state in zip(values, states):
+            bitgen.state = state
+            gen.random(out=row)
+        for r in np.flatnonzero(((values <= 0.0) | (values >= 1.0)).any(axis=1)):
+            bitgen.state = states[r]
+            values[r] = _strict_uniform(gen, count)
+        yield TauSequence(values=values, complements=1.0 - values)
 
 
 @dataclass(frozen=True, eq=False)

@@ -173,6 +173,16 @@ def test_empty_step_ladder_exits_2_before_writing(subcommand, tmp_path, capsys):
     assert not (tmp_path / "errors.csv").exists()
 
 
+@pytest.mark.parametrize("subcommand", ["example1", "example2"])
+def test_one_rung_ladder_exits_2_before_writing(subcommand, tmp_path, capsys):
+    # One rung cannot be fitted; before this was rejected, example1 exited 0
+    # with NaN orders.
+    argv = [subcommand, "--min-exp", "5", "--max-exp", "5", "--outdir", str(tmp_path)]
+    assert main(argv) == EXIT_USAGE
+    assert "range(5, 6) has one exponent" in capsys.readouterr().err
+    assert not (tmp_path / "errors.csv").exists()
+
+
 class TestSobolevCommand:
     def test_zero_integrand_all_terms_zero(self, capsys):
         argv = ["sobolev", "--integrand", "constant", "--c0", "0", "--sigma", "1.5"]

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from randquad.experiments import (
+    _LANE_AS_RATE,
+    DEFAULT_SEED,
     MAX_REPLICATIONS,
     ErrorLadder,
     LadderRow,
@@ -17,7 +19,7 @@ from randquad.experiments import (
     warn_if_nonmonotone,
 )
 from randquad.integrands import affine_integrand, brownian_integrand, ctq_brownian, power_integrand
-from randquad.quadrature import ctq, make_partition, rtq
+from randquad.quadrature import ctq, make_partition, rtq, rtq_prefix
 from randquad.random_sources import RngStream, sample_tau_sequence
 
 
@@ -166,7 +168,43 @@ class TestStreamPacking:
         assert time.perf_counter() - start < 1.0
 
 
+def per_node_max_prefix_errors(gamma, steps, master):
+    """``as_rate_check``'s max-prefix errors as its per-node loop computed
+    them, with the running integral of t**gamma in Python float arithmetic."""
+    maxima = []
+    for m, h in enumerate(steps):
+        part = make_partition(1.0, round(1.0 / h))
+        stream = _lane_stream(master.seed, _LANE_AS_RATE, master.stream_id, m)
+        partials = rtq_prefix(power_integrand(gamma), part, sample_tau_sequence(stream, part.intervals)).value
+        max_err = 0.0
+        for n in range(1, part.intervals + 1):
+            err = abs(float(part.nodes[n]) ** (gamma + 1.0) / (gamma + 1.0) - float(partials[n - 1]))
+            if err > max_err:
+                max_err = err
+        maxima.append(max_err)
+    return maxima
+
+
 class TestAsRateCheck:
+    def test_max_prefix_errors_equal_the_per_node_loop_on_the_acceptance_ladder(self):
+        steps = [2.0**-i for i in range(5, 13)]
+        master = RngStream(DEFAULT_SEED)
+        check = as_rate_check(power_integrand(1.75), 2.0, 0.25, steps, master)
+        assert [row.max_prefix_error for row in check.rows] == per_node_max_prefix_errors(1.75, steps, master)
+
+    @pytest.mark.parametrize("gamma", [1.25, 1.5, 1.75])
+    def test_max_prefix_errors_within_an_ulp_of_the_integral_elsewhere(self, gamma):
+        # numpy's array power and Python's float power may round t**(gamma+1)
+        # an ulp apart (seed 7, gamma 1.5, h = 2^-5 does), so off the
+        # acceptance ladder the two agree to an ulp of the running integral.
+        steps = [2.0**-i for i in range(5, 13)]
+        master = RngStream(7)
+        check = as_rate_check(power_integrand(gamma), 2.0, 0.25, steps, master)
+        loop = per_node_max_prefix_errors(gamma, steps, master)
+        ulp = np.spacing(1.0 / (gamma + 1.0))
+        for row, expected in zip(check.rows, loop):
+            assert abs(row.max_prefix_error - expected) <= ulp
+
     def test_affine_passes_every_rung_with_zero_error(self):
         g = affine_integrand(1.0, 3.0)
         check = as_rate_check(g, 2.0, 0.25, [2.0**-i for i in range(3, 7)], RngStream(0))

@@ -7,7 +7,9 @@ whitespace and commas.  The three workloads cover both generic rules
 (``example1 -M 1000``), the Brownian machinery and the streamed reference
 (``example2 --h-ref-exp 20 --max-exp 15``) and the Sobolev diagnostic
 (``sobolev --sigma 1.2 --cells 1024``).  Any change that moves one of their
-values by one ulp fails here.  The tests only read the golden files.
+values by one ulp fails here.  Every workload runs at the default seed 2;
+``example1 -M 1000``, which exercises the batched stream seeding, runs at
+the held-out seed 7 as well.  The tests only read the golden files.
 """
 
 import csv
@@ -18,7 +20,8 @@ from pathlib import Path
 from randquad.cli import EXIT_OK, main
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
-SEED = "2"
+DEFAULT_SEED = "2"
+HELD_OUT_SEED = "7"
 TOKEN_SPLIT = re.compile(r"[\s,]+")
 
 
@@ -31,11 +34,11 @@ def records_without_timing(path):
     return rows
 
 
-def run_workload(name, tmp_path, capsys):
-    """Run a workload's argv at seed 2; return its argv, its records and the golden's."""
+def run_workload(name, tmp_path, capsys, seed=DEFAULT_SEED):
+    """Run a workload's argv at ``seed``; return its argv, its records and the golden's."""
     golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
-    expected = golden["seeds"][SEED]
-    argv = [*golden["argv"], "--seed", SEED]
+    expected = golden["seeds"][seed]
+    argv = [*golden["argv"], "--seed", seed]
     if "stdout" not in expected:
         argv += ["--outdir", str(tmp_path)]
     assert main(argv) == EXIT_OK
@@ -49,12 +52,20 @@ def run_workload(name, tmp_path, capsys):
     return golden["argv"], records, expected
 
 
-def test_example1_mc1000_matches_golden_bit_for_bit(tmp_path, capsys):
-    argv, records, expected = run_workload("ex1_mc1000", tmp_path, capsys)
+def check_example1_mc1000(tmp_path, capsys, seed):
+    argv, records, expected = run_workload("ex1_mc1000", tmp_path, capsys, seed)
     assert argv == ["example1", "-M", "1000"]
     assert set(expected) == {"errors.csv", "orders.csv"}
     for name in expected:
         assert records[name] == expected[name], name
+
+
+def test_example1_mc1000_matches_golden_bit_for_bit(tmp_path, capsys):
+    check_example1_mc1000(tmp_path, capsys, DEFAULT_SEED)
+
+
+def test_example1_mc1000_matches_golden_on_the_held_out_seed(tmp_path, capsys):
+    check_example1_mc1000(tmp_path, capsys, HELD_OUT_SEED)
 
 
 def test_example2_fine_reference_matches_golden_bit_for_bit(tmp_path, capsys):

@@ -187,20 +187,20 @@ class TestRtqPrefix:
     def test_constant_prefix_values(self):
         g = constant_integrand(1.0)
         tau = TauSequence.from_values([0.2, 0.4, 0.6, 0.8])
-        values = [q.value for q in rtq_prefix(g, make_partition(1.0, 4), tau)]
+        values = rtq_prefix(g, make_partition(1.0, 4), tau).value.tolist()
         assert values == [0.25, 0.5, 0.75, 1.0]
 
     def test_last_element_bitwise_equals_rtq(self):
         g = power_integrand(1.75)
         part = make_partition(1.0, 128)
         tau = sample_tau_sequence(RngStream(421), 128)
-        assert rtq_prefix(g, part, tau)[-1].value == rtq(g, part, tau).value
+        assert rtq_prefix(g, part, tau).value[-1] == rtq(g, part, tau).value
 
     def test_linear_prefix_independent_of_tau(self):
         g = affine_integrand(0.0, 1.0)
         for seed in (1, 2, 3):
             tau = sample_tau_sequence(RngStream(seed), 2)
-            values = [q.value for q in rtq_prefix(g, make_partition(1.0, 2), tau)]
+            values = rtq_prefix(g, make_partition(1.0, 2), tau).value.tolist()
             assert values == pytest.approx([0.125, 0.5], rel=1e-14)
 
     def test_prefix_increment_is_cell_contribution(self):
@@ -210,18 +210,17 @@ class TestRtqPrefix:
         prefix = rtq_prefix(g, part, tau)
         half = 0.5 * part.step
         prev = 0.0
-        for n, q in enumerate(prefix):
+        for n, q in enumerate(prefix.value):
             t = part.nodes[n]
             cell = half * (
                 g.evaluator(np.array([t + tau.values[n] * part.step]))[0]
                 + g.evaluator(np.array([t + tau.complements[n] * part.step]))[0]
             )
-            assert q.value - prev == pytest.approx(cell, rel=1e-12, abs=1e-15)
-            prev = q.value
+            assert q - prev == pytest.approx(cell, rel=1e-12, abs=1e-15)
+            prev = q
 
     def test_evaluation_counts(self):
         g = square_integrand()
         tau = TauSequence.from_values([0.5] * 3)
-        prefix = rtq_prefix(g, make_partition(1.0, 3), tau)
-        assert [q.evaluations for q in prefix] == [2, 4, 6]
+        assert rtq_prefix(g, make_partition(1.0, 3), tau).evaluations == 6
 

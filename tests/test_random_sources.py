@@ -1,16 +1,23 @@
 import numpy as np
 import pytest
 
+from randquad import random_sources
 from randquad.quadrature import TauSequence
 from randquad.random_sources import (
     BrownianPath,
     RngStream,
+    _pcg64_state,
+    _seed_words,
+    _strict_uniform,
     coarsen_tau,
     load_path_csv,
     sample_brownian_path,
+    sample_tau_batches,
     sample_tau_sequence,
     save_path_csv,
 )
+
+EDGE_SEEDS = [0, 1, 2, 2**32 - 1, 2**32, 2**64 - 1]
 
 
 class TestRngStream:
@@ -56,6 +63,70 @@ class TestTauSampling:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             sample_tau_sequence(RngStream(1), 0)
+
+
+class TestBatchSeeding:
+    """The vectorised seeding must reproduce numpy's SeedSequence/PCG64 bit for
+    bit; a numpy release that changed either would fail here first."""
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    @pytest.mark.parametrize(
+        "first,rows",
+        [(0, 3), (2**20 - 1, 2), (2**32 - 2, 4), (2**40, 2), (2**64 - 3, 3)],
+        ids=["zero", "slot-edge", "straddles-2^32", "lane", "top"],
+    )
+    def test_states_equal_numpy_seeding(self, seed, first, rows):
+        words = _seed_words(seed, first, rows)
+        assert words.shape == (rows, 4) and words.dtype == np.uint64
+        for r in range(rows):
+            expected = np.random.PCG64(np.random.SeedSequence([seed, first + r])).state
+            assert _pcg64_state(words[r]) == expected
+
+    @pytest.mark.parametrize("rows", [1, 2, 64, 1000])
+    def test_rows_equal_single_stream_draws(self, rows):
+        stream = RngStream(11, (3 << 40) + 5)
+        blocks = list(sample_tau_batches(stream, rows, 48, 64))
+        assert [len(b.values) for b in blocks] == [min(64, rows - s) for s in range(0, rows, 64)]
+        values = np.concatenate([b.values for b in blocks])
+        for m in (range(rows) if rows <= 64 else (0, 1, 63, 64, 500, rows - 1)):
+            expected = sample_tau_sequence(RngStream(stream.seed, stream.stream_id + m), 48)
+            np.testing.assert_array_equal(values[m].view(np.int64), expected.values.view(np.int64))
+
+    def test_a_row_drawing_an_exact_zero_is_redrawn_by_the_single_stream_rule(self, monkeypatch):
+        # A state whose next step lands on 0 makes the first output, and so
+        # the first uniform, exactly 0.0.
+        inc = _pcg64_state(_seed_words(4, 2, 1)[0])["state"]["inc"]
+        mult_inverse = pow(random_sources._PCG64_MULT, -1, 1 << 128)
+        zero_next = {
+            "bit_generator": "PCG64",
+            "state": {"state": (-inc * mult_inverse) % (1 << 128), "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        calls = []
+
+        def patched(words):
+            calls.append(None)
+            return zero_next if len(calls) == 3 else _pcg64_state(words)
+
+        monkeypatch.setattr(random_sources, "_pcg64_state", patched)
+        (block,) = sample_tau_batches(RngStream(4), 5, 16, 8)
+        rng = np.random.Generator(np.random.PCG64())
+        rng.bit_generator.state = zero_next
+        assert rng.random() == 0.0
+        rng.bit_generator.state = zero_next
+        np.testing.assert_array_equal(block.values[2], _strict_uniform(rng, 16))
+        assert np.all(block.values > 0.0)
+        for m in (0, 1, 3, 4):
+            np.testing.assert_array_equal(block.values[m], sample_tau_sequence(RngStream(4, m), 16).values)
+
+    def test_stream_ids_past_64_bits_rejected_before_drawing(self):
+        # Like RngStream, the batch refuses ids of 2^64 and more; the check is
+        # made when the batch is requested, not when its first block is drawn.
+        with pytest.raises(ValueError, match="64-bit"):
+            sample_tau_batches(RngStream(0, 2**64 - 5), 6, 4, 2)
+        (block,) = sample_tau_batches(RngStream(1, 2**64 - 2), 2, 4, 2)
+        np.testing.assert_array_equal(block.values[1], sample_tau_sequence(RngStream(1, 2**64 - 1), 4).values)
 
 
 class TestBrownianPath:
