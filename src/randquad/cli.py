@@ -9,10 +9,15 @@ Subcommands:
               timing.csv, optional path.csv dump)
     sobolev   fractional Sobolev norm diagnostic with a delta-refinement probe
 
-Exit codes: 0 success, 2 usage or validation error, 3 output I/O error.
+Exit codes: 0 success, 2 usage or validation error (a size too large to
+allocate included), 3 output I/O error.
 All randomness flows from --seed; without the flag a fixed documented
 default is used, never wall-clock entropy.  CSV numbers are written in
 shortest round-trip decimal form.
+
+``main`` hands the parsed ``argparse.Namespace`` straight to the
+subcommand's ``cmd_*`` function; every default is stated once, as the
+flag's ``default=``, and the study defaults are read from ``experiments``.
 """
 
 from __future__ import annotations
@@ -22,12 +27,16 @@ import csv
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .experiments import (
+    DEFAULT_GAMMAS,
+    DEFAULT_P,
+    DEFAULT_REFERENCE_EXP,
+    DEFAULT_REPLICATIONS,
     DEFAULT_SEED,
+    DEFAULT_STEP_EXPONENTS,
     ErrorLadder,
     ExperimentResult,
     mc_metric_name,
@@ -50,85 +59,6 @@ _DEFAULT_OUTPUT_DIR = "randquad-output"
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-
-def _default_output_dir() -> str:
-    return os.environ.get(OUTPUT_DIR_ENV, _DEFAULT_OUTPUT_DIR)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed command-line configuration.
-
-    ``to_argv``/``from_argv`` round-trip losslessly: every accepted
-    configuration reparses to an equal RunConfig.
-    """
-
-    subcommand: str
-    seed: int = DEFAULT_SEED
-    output_dir: str = ""
-    # eval / sobolev integrand selection
-    rule: str = "ctq"
-    integrand: str = "power"
-    gamma: float = 1.5
-    c0: float = 0.0
-    c1: float = 1.0
-    total_time: float = 1.0
-    intervals: int = 32
-    # experiment parameters
-    gammas: tuple[float, ...] = (1.25, 1.5, 1.75)
-    min_exp: int = 5
-    max_exp: int = 10
-    replications: int = 100
-    p: float = 2.0
-    h_ref_exp: int = 14
-    dump_path: bool = False
-    # sobolev parameters
-    sigma: float = 1.2
-    cells: int = 512
-    delta: float | None = None
-
-    def to_argv(self) -> list[str]:
-        argv = [self.subcommand, "--seed", repr(self.seed)]
-        if self.subcommand == "eval":
-            argv += ["--rule", self.rule]
-            argv += self._integrand_argv()
-            argv += ["--N", repr(self.intervals)]
-        elif self.subcommand == "example1":
-            argv += ["--outdir", self.output_dir, "--gammas"]
-            argv += [repr(g) for g in self.gammas]
-            argv += ["--min-exp", repr(self.min_exp), "--max-exp", repr(self.max_exp)]
-            argv += ["-M", repr(self.replications), "-p", repr(self.p)]
-        elif self.subcommand == "example2":
-            argv += ["--outdir", self.output_dir]
-            argv += ["--h-ref-exp", repr(self.h_ref_exp)]
-            argv += ["--min-exp", repr(self.min_exp), "--max-exp", repr(self.max_exp)]
-            if self.dump_path:
-                argv += ["--dump-path"]
-        elif self.subcommand == "sobolev":
-            argv += self._integrand_argv()
-            argv += ["--sigma", repr(self.sigma), "-p", repr(self.p)]
-            argv += ["--cells", repr(self.cells)]
-            if self.delta is not None:
-                argv += ["--delta", repr(self.delta)]
-        else:
-            raise ValueError(f"unknown subcommand {self.subcommand!r}")
-        return argv
-
-    def _integrand_argv(self) -> list[str]:
-        argv = ["--integrand", self.integrand, "--T", repr(self.total_time)]
-        if self.integrand == "power":
-            argv += ["--gamma", repr(self.gamma)]
-        else:
-            argv += ["--c0", repr(self.c0)]
-            if self.integrand == "affine":
-                argv += ["--c1", repr(self.c1)]
-        return argv
-
-    @staticmethod
-    def from_argv(argv) -> "RunConfig":
-        ns = _build_parser().parse_args(list(argv))
-        return _namespace_to_config(ns)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -156,8 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     def add_steps(p):
-        p.add_argument("--min-exp", type=int, default=5, help="coarsest step 2^-min_exp")
-        p.add_argument("--max-exp", type=int, default=10, help="finest step 2^-max_exp")
+        p.add_argument("--min-exp", type=int, default=DEFAULT_STEP_EXPONENTS[0], help="coarsest step 2^-min_exp")
+        p.add_argument("--max-exp", type=int, default=DEFAULT_STEP_EXPONENTS[-1], help="finest step 2^-max_exp")
 
     p_eval = sub.add_parser("eval", help="evaluate one quadrature rule once")
     p_eval.add_argument("--rule", choices=("ctq", "rtq"), required=True)
@@ -166,15 +96,15 @@ def _build_parser() -> argparse.ArgumentParser:
     add_seed(p_eval)
 
     p_ex1 = sub.add_parser("example1", help="power-function convergence study")
-    p_ex1.add_argument("--gammas", type=float, nargs="+", default=[1.25, 1.5, 1.75])
+    p_ex1.add_argument("--gammas", type=float, nargs="+", default=DEFAULT_GAMMAS)
     add_steps(p_ex1)
-    p_ex1.add_argument("-M", dest="replications", type=int, default=100, help="Monte Carlo replications")
-    p_ex1.add_argument("-p", dest="p", type=float, default=2.0, help="L^p error exponent")
+    p_ex1.add_argument("-M", dest="replications", type=int, default=DEFAULT_REPLICATIONS, help="Monte Carlo replications")
+    p_ex1.add_argument("-p", dest="p", type=float, default=DEFAULT_P, help="L^p error exponent")
     add_outdir(p_ex1)
     add_seed(p_ex1)
 
     p_ex2 = sub.add_parser("example2", help="Brownian-target convergence study")
-    p_ex2.add_argument("--h-ref-exp", type=int, default=14, help="reference step is 2^-h_ref_exp")
+    p_ex2.add_argument("--h-ref-exp", type=int, default=DEFAULT_REFERENCE_EXP, help="reference step is 2^-h_ref_exp")
     add_steps(p_ex2)
     p_ex2.add_argument("--dump-path", action="store_true", help="also write path.csv")
     add_outdir(p_ex2)
@@ -183,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sob = sub.add_parser("sobolev", help="fractional Sobolev norm diagnostic")
     add_integrand(p_sob)
     p_sob.add_argument("--sigma", type=float, required=True, help="regularity order in [1, 2)")
-    p_sob.add_argument("-p", dest="p", type=float, default=2.0)
+    p_sob.add_argument("-p", dest="p", type=float, default=DEFAULT_P)
     p_sob.add_argument("--cells", type=int, default=512)
     p_sob.add_argument("--delta", type=float, default=None, help="diagonal guard band (default: 2 cell widths)")
     add_seed(p_sob)
@@ -191,28 +121,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _namespace_to_config(ns: argparse.Namespace) -> RunConfig:
-    values = {}
-    known = {f.name for f in fields(RunConfig)}
-    for key, val in vars(ns).items():
-        if key not in known:
-            continue
-        if key == "gammas":
-            val = tuple(val)
-        values[key] = val
-    outdir = getattr(ns, "outdir", None)
-    values["output_dir"] = outdir if outdir is not None else _default_output_dir()
-    return RunConfig(**values)
-
-
-def _build_integrand(config: RunConfig) -> Integrand:
-    if config.integrand == "power":
-        return power_integrand(config.gamma, config.total_time)
-    if config.integrand == "constant":
-        return constant_integrand(config.c0, config.total_time)
-    if config.integrand == "affine":
-        return affine_integrand(config.c0, config.c1, config.total_time)
-    raise ValueError(f"unknown integrand {config.integrand!r}")
+def _build_integrand(args: argparse.Namespace) -> Integrand:
+    if args.integrand == "power":
+        return power_integrand(args.gamma, args.total_time)
+    if args.integrand == "constant":
+        return constant_integrand(args.c0, args.total_time)
+    return affine_integrand(args.c0, args.c1, args.total_time)
 
 
 def _fmt(value) -> str:
@@ -224,13 +138,13 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def cmd_eval(config: RunConfig) -> int:
-    g = _build_integrand(config)
-    part = make_partition(config.total_time, config.intervals)
-    if config.rule == "ctq":
+def cmd_eval(args: argparse.Namespace) -> int:
+    g = _build_integrand(args)
+    part = make_partition(args.total_time, args.intervals)
+    if args.rule == "ctq":
         q = ctq(g, part)
     else:
-        tau = sample_tau_sequence(RngStream(config.seed), part.intervals)
+        tau = sample_tau_sequence(RngStream(args.seed), part.intervals)
         q = rtq(g, part, tau)
     print(f"rule: {q.rule}")
     print(f"integrand: {g.label} on [0, {_fmt(g.total_time)}]")
@@ -238,8 +152,8 @@ def cmd_eval(config: RunConfig) -> int:
     print(f"h: {_fmt(part.step)}")
     print(f"value: {_fmt(q.value)}")
     print(f"evaluations: {q.evaluations}")
-    if config.rule == "rtq":
-        print(f"seed: {config.seed}")
+    if args.rule == "rtq":
+        print(f"seed: {args.seed}")
     if g.exact_integral is not None:
         print(f"exact: {_fmt(g.exact_integral)}")
         print(f"abs_error: {_fmt(abs(g.exact_integral - q.value))}")
@@ -328,8 +242,8 @@ def _gnuplot_script(path: str, panels: list[tuple[str, str, list[tuple[str, int]
         fh.write("\n".join(lines) + "\n")
 
 
-def _ensure_outdir(config: RunConfig) -> str:
-    outdir = config.output_dir or _default_output_dir()
+def _ensure_outdir(outdir: str | None) -> str:
+    outdir = outdir or os.environ.get(OUTPUT_DIR_ENV, _DEFAULT_OUTPUT_DIR)
     os.makedirs(outdir, exist_ok=True)
     probe = os.path.join(outdir, ".write-probe")
     with open(probe, "w") as fh:
@@ -338,23 +252,22 @@ def _ensure_outdir(config: RunConfig) -> str:
     return outdir
 
 
-def cmd_example1(config: RunConfig) -> int:
-    outdir = _ensure_outdir(config)
+def cmd_example1(args: argparse.Namespace) -> int:
+    outdir = _ensure_outdir(args.outdir)
     result = run_example1(
-        gammas=config.gammas,
-        step_exponents=range(config.min_exp, config.max_exp + 1),
-        replications=config.replications,
-        p=config.p,
-        seed=config.seed,
-        total_time=config.total_time,
+        gammas=args.gammas,
+        step_exponents=range(args.min_exp, args.max_exp + 1),
+        replications=args.replications,
+        p=args.p,
+        seed=args.seed,
     )
     ladders = [rep.ladder for rep in result.reports]
     _write_errors_csv(os.path.join(outdir, "errors.csv"), ladders)
     _write_orders_csv(os.path.join(outdir, "orders.csv"), result)
 
     panels = []
-    metric_l2 = mc_metric_name(config.p)
-    for gamma in config.gammas:
+    metric_l2 = mc_metric_name(args.p)
+    for gamma in args.gammas:
         label = f"{gamma:g}"
         lad_ctq = result.report(label, "CTQ", "absolute").ladder
         lad_l2 = result.report(label, "RTQ", metric_l2).ladder
@@ -382,7 +295,7 @@ def cmd_example1(config: RunConfig) -> int:
             )
         )
 
-    timing_label = "1.5" if 1.5 in config.gammas else f"{config.gammas[0]:g}"
+    timing_label = "1.5" if 1.5 in args.gammas else f"{args.gammas[0]:g}"
     lad_ctq = result.report(timing_label, "CTQ", "absolute").ladder
     lad_rtq = result.report(timing_label, "RTQ", metric_l2).ladder
     dat = f"example1_timing_gamma{timing_label}.dat"
@@ -397,21 +310,20 @@ def cmd_example1(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_example2(config: RunConfig) -> int:
-    if config.h_ref_exp < config.max_exp:
+def cmd_example2(args: argparse.Namespace) -> int:
+    if args.h_ref_exp < args.max_exp:
         raise ValueError("h-ref-exp must be at least max-exp (reference finer than coarse grids)")
-    outdir = _ensure_outdir(config)
+    outdir = _ensure_outdir(args.outdir)
     result = run_example2(
-        step_exponents=range(config.min_exp, config.max_exp + 1),
-        reference_step=2.0**-config.h_ref_exp,
-        seed=config.seed,
-        total_time=config.total_time,
+        step_exponents=range(args.min_exp, args.max_exp + 1),
+        reference_step=2.0**-args.h_ref_exp,
+        seed=args.seed,
     )
     ladders = [rep.ladder for rep in result.reports]
     _write_errors_csv(os.path.join(outdir, "errors.csv"), ladders)
     _write_orders_csv(os.path.join(outdir, "orders.csv"), result)
     _write_timing_csv(os.path.join(outdir, "timing.csv"), ladders)
-    if config.dump_path:
+    if args.dump_path:
         save_path_csv(result.path, os.path.join(outdir, "path.csv"))
 
     lad_ctq, lad_rtq = ladders
@@ -440,22 +352,24 @@ def cmd_example2(config: RunConfig) -> int:
 _SOBOLEV_DIVISORS = (1, 2, 4)
 
 
-def cmd_sobolev(config: RunConfig) -> int:
-    g = _build_integrand(config)
+def cmd_sobolev(args: argparse.Namespace) -> int:
+    g = _build_integrand(args)
+    if args.cells < 2:
+        raise ValueError(f"--cells must be at least 2, got {args.cells}")
     # Refinement probe: halving the guard band only reveals new near-diagonal
     # mass if the grid resolves it, so cells are doubled along with delta.
     # Check the finest probe against the cap before any dense estimate runs.
-    finest = config.cells * _SOBOLEV_DIVISORS[-1]
+    finest = args.cells * _SOBOLEV_DIVISORS[-1]
     if finest > SOBOLEV_MAX_CELLS:
         raise ValueError(
-            f"--cells {config.cells} probes {finest} cells, above the cap of {SOBOLEV_MAX_CELLS}; "
+            f"--cells {args.cells} probes {finest} cells, above the cap of {SOBOLEV_MAX_CELLS}; "
             f"use --cells {SOBOLEV_MAX_CELLS // _SOBOLEV_DIVISORS[-1]} or fewer"
         )
     estimates = []
-    base_delta = config.delta if config.delta is not None else 2.0 * g.total_time / config.cells
+    base_delta = args.delta if args.delta is not None else 2.0 * g.total_time / args.cells
     for divisor in _SOBOLEV_DIVISORS:
         estimates.append(
-            sobolev_seminorm(g, config.sigma, config.p, config.cells * divisor, base_delta / divisor)
+            sobolev_seminorm(g, args.sigma, args.p, args.cells * divisor, base_delta / divisor)
         )
     est = estimates[0]
     print(f"integrand: {g.label} on [0, {_fmt(g.total_time)}]")
@@ -488,13 +402,16 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        config = RunConfig.from_argv(sys.argv[1:] if argv is None else argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[config.subcommand](config)
+        return _COMMANDS[args.subcommand](args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

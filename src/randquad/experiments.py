@@ -62,6 +62,10 @@ from .summation import BLOCK_ELEMENTS, NeumaierSum
 DEFAULT_SEED = 2
 DEFAULT_STEP_EXPONENTS = tuple(range(5, 11))
 DEFAULT_GAMMAS = (1.25, 1.5, 1.75)
+DEFAULT_REPLICATIONS = 100
+DEFAULT_P = 2.0
+# Example 2's reference step is 2^-DEFAULT_REFERENCE_EXP.
+DEFAULT_REFERENCE_EXP = 14
 
 METRIC_ABSOLUTE = "absolute"
 METRIC_PATHWISE = "pathwise"
@@ -204,8 +208,8 @@ def mc_lp_error(
     """
     if replications < 2:
         raise ValueError("replications must be at least 2 to estimate a standard error")
-    if p < 1.0:
-        raise ValueError(f"p must be at least 1, got {p!r}")
+    if not 1.0 <= p < np.inf:
+        raise ValueError(f"p must be finite and at least 1, got {p!r}")
     if reference is None:
         reference = g.exact_integral
     if reference is None:
@@ -373,8 +377,8 @@ class Example2Result(ExperimentResult):
 def run_example1(
     gammas=DEFAULT_GAMMAS,
     step_exponents=DEFAULT_STEP_EXPONENTS,
-    replications: int = 100,
-    p: float = 2.0,
+    replications: int = DEFAULT_REPLICATIONS,
+    p: float = DEFAULT_P,
     seed: int = DEFAULT_SEED,
     total_time: float = 1.0,
 ) -> ExperimentResult:
@@ -467,7 +471,7 @@ def union_grid_reference(bi: BrownianIntegrand) -> float:
 
 def run_example2(
     step_exponents=DEFAULT_STEP_EXPONENTS,
-    reference_step: float = 2.0**-14,
+    reference_step: float = 2.0**-DEFAULT_REFERENCE_EXP,
     seed: int = DEFAULT_SEED,
     total_time: float = 1.0,
     path: BrownianPath | None = None,

@@ -33,6 +33,20 @@ from .summation import compensated_sum
 SOBOLEV_MAX_CELLS = 8192
 
 
+def _finite(name: str, value: float) -> float:
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _horizon(total_time: float) -> float:
+    T = float(total_time)
+    if not 0.0 < T < np.inf:
+        raise ValueError(f"total_time must be positive and finite, got {total_time!r}")
+    return T
+
+
 def power_integrand(gamma: float, total_time: float = 1.0) -> Integrand:
     """The power function t**gamma on [0, total_time].
 
@@ -40,12 +54,8 @@ def power_integrand(gamma: float, total_time: float = 1.0) -> Integrand:
     below 1 are accepted (the rules still evaluate) but warn, because the
     regularity statements behind the convergence orders no longer apply.
     """
-    gamma = float(gamma)
-    T = float(total_time)
-    if T <= 0.0 or not np.isfinite(T):
-        raise ValueError(f"total_time must be positive and finite, got {total_time!r}")
-    if not np.isfinite(gamma):
-        raise ValueError(f"gamma must be finite, got {gamma!r}")
+    T = _horizon(total_time)
+    gamma = _finite("gamma", gamma)
     if gamma <= 1.0:
         warnings.warn(
             f"gamma={gamma!r} is at or below 1; the rule is still evaluable but the "
@@ -77,8 +87,8 @@ def power_integrand(gamma: float, total_time: float = 1.0) -> Integrand:
 
 def constant_integrand(c: float, total_time: float = 1.0) -> Integrand:
     """The constant function c, exact on any partition for both rules."""
-    T = float(total_time)
-    c = float(c)
+    T = _horizon(total_time)
+    c = _finite("c", c)
     return Integrand(
         evaluator=lambda t: np.full_like(np.asarray(t, dtype=np.float64), c),
         total_time=T,
@@ -91,8 +101,8 @@ def constant_integrand(c: float, total_time: float = 1.0) -> Integrand:
 
 def affine_integrand(a: float, b: float, total_time: float = 1.0) -> Integrand:
     """The affine function a + b*t; both rules integrate it exactly."""
-    T = float(total_time)
-    a, b = float(a), float(b)
+    T = _horizon(total_time)
+    a, b = _finite("a", a), _finite("b", b)
 
     def prefix(t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
@@ -270,8 +280,8 @@ def sobolev_seminorm(
     p = float(p)
     if not 1.0 <= sigma < 2.0:
         raise ValueError(f"sigma must lie in [1, 2), got {sigma!r}")
-    if p < 2.0:
-        raise ValueError(f"p must be at least 2, got {p!r}")
+    if not 2.0 <= p < np.inf:
+        raise ValueError(f"p must be finite and at least 2, got {p!r}")
     cells = int(cells)
     if not 2 <= cells <= SOBOLEV_MAX_CELLS:
         raise ValueError(f"cells must lie in [2, {SOBOLEV_MAX_CELLS}], got {cells!r}")
@@ -280,8 +290,8 @@ def sobolev_seminorm(
     if delta is None:
         delta = 2.0 * width
     delta = float(delta)
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta!r}")
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
 
     mid = (np.arange(cells) + 0.5) * width
     gv = np.asarray(g.evaluator(mid), dtype=np.float64)

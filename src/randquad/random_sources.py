@@ -393,19 +393,16 @@ def coarsen_tau(path: BrownianPath, coarse_step: float, stream: RngStream) -> Co
     )
 
 
-_PATH_CSV_HEADER = ["j", "t", "B_grid", "tau", "t_mid", "B_mid"]
-
-
 def save_path_csv(path: BrownianPath, destination) -> None:
     """Dump a path as CSV for cross-implementation comparison.
 
     One row per grid index j; the final row (j = J) has no interior sample
     and leaves the tau, t_mid and B_mid fields empty.  Floats are written
-    in shortest round-trip form, so a dump/load cycle is lossless.
+    in shortest round-trip form, so every field parses back to the same float.
     """
     with open(destination, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_PATH_CSV_HEADER)
+        writer.writerow(["j", "t", "B_grid", "tau", "t_mid", "B_mid"])
         J = path.cells
         for j in range(J + 1):
             row = [str(j), repr(float(path.grid_times[j])), repr(float(path.grid_values[j]))]
@@ -419,32 +416,3 @@ def save_path_csv(path: BrownianPath, destination) -> None:
                 row += ["", "", ""]
             writer.writerow(row)
 
-
-def load_path_csv(source) -> BrownianPath:
-    """Rebuild a :class:`BrownianPath` from :func:`save_path_csv` output."""
-    with open(source, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != _PATH_CSV_HEADER:
-            raise ValueError(f"unexpected path CSV header: {header!r}")
-        rows = list(reader)
-    if len(rows) < 2:
-        raise ValueError("path CSV must contain at least two grid rows")
-    J = len(rows) - 1
-    grid_times = np.array([float(r[1]) for r in rows])
-    grid_values = np.array([float(r[2]) for r in rows])
-    offsets = np.array([float(r[3]) for r in rows[:J]])
-    mid_times = np.array([float(r[4]) for r in rows[:J]])
-    mid_values = np.array([float(r[5]) for r in rows[:J]])
-    step = grid_times[1] - grid_times[0]
-    for arr in (grid_times, grid_values, mid_times, mid_values):
-        arr.setflags(write=False)
-    return BrownianPath(
-        step=float(step),
-        total_time=float(grid_times[-1]),
-        grid_times=grid_times,
-        grid_values=grid_values,
-        offsets=TauSequence.from_values(offsets),
-        mid_times=mid_times,
-        mid_values=mid_values,
-    )

@@ -1,11 +1,12 @@
 import csv
+import inspect
 import os
 import time
 
 import pytest
 
 from randquad import cli
-from randquad.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, RunConfig, main
+from randquad.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 
 def read_csv(path):
@@ -18,20 +19,41 @@ def drop_column(rows, name):
     return [[cell for i, cell in enumerate(row) if i != idx] for row in rows]
 
 
-class TestRunConfig:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["eval", "--rule", "ctq", "--integrand", "power", "--gamma", "1.5", "--N", "32"],
-            ["eval", "--rule", "rtq", "--integrand", "affine", "--c0", "0.5", "--c1", "-2.0", "--N", "7", "--seed", "9"],
-            ["example1", "--gammas", "1.25", "1.75", "--min-exp", "4", "--max-exp", "7", "-M", "17", "-p", "3.0"],
-            ["example2", "--h-ref-exp", "12", "--min-exp", "5", "--max-exp", "8", "--dump-path"],
-            ["sobolev", "--integrand", "power", "--gamma", "1.5", "--sigma", "1.95", "--cells", "256", "--delta", "0.001"],
-        ],
-    )
-    def test_round_trips_losslessly(self, argv):
-        config = RunConfig.from_argv(argv)
-        assert RunConfig.from_argv(config.to_argv()) == config
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--rule", "ctq", "--integrand", "power", "--gamma", "1.5", "--N", "32"],
+        ["eval", "--rule", "rtq", "--integrand", "affine", "--c0", "0.5", "--c1", "-2.0", "--N", "7", "--seed", "9"],
+        ["example1", "--gammas", "1.25", "1.75", "--min-exp", "4", "--max-exp", "7", "-M", "17", "-p", "3.0"],
+        ["example2", "--h-ref-exp", "12", "--min-exp", "5", "--max-exp", "8", "--dump-path"],
+        ["sobolev", "--integrand", "power", "--gamma", "1.5", "--sigma", "1.95", "--cells", "256", "--delta", "0.001"],
+    ],
+)
+def test_flag_combinations_run(argv, tmp_path, capsys):
+    if argv[0].startswith("example"):
+        argv = argv + ["--outdir", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("subcommand", ["example1", "example2"])
+def test_study_flags_default_to_the_driver_defaults(subcommand, tmp_path, monkeypatch):
+    driver = getattr(cli, subcommand.replace("example", "run_example"))
+    received = {}
+
+    class Received(Exception):
+        pass
+
+    def record(**kwargs):
+        received.update(kwargs)
+        raise Received
+
+    monkeypatch.setattr(cli, driver.__name__, record)
+    with pytest.raises(Received):
+        main([subcommand, "--outdir", str(tmp_path)])
+    received["step_exponents"] = tuple(received["step_exponents"])
+    defaults = inspect.signature(driver).parameters
+    assert received == {name: defaults[name].default for name in received}
 
 
 class TestEval:
@@ -210,7 +232,46 @@ class TestSobolevCommand:
         assert time.perf_counter() - start < 0.5
         assert "cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cells", ["1", "0", "-4"])
+    def test_cells_below_two_exit_2(self, cells, capsys):
+        argv = ["sobolev", "--integrand", "power", "--gamma", "1.5", "--sigma", "1.2", "--cells", cells]
+        assert main(argv) == EXIT_USAGE
+        assert f"--cells must be at least 2, got {cells}" in capsys.readouterr().err
+
     def test_invalid_sigma_exits_2(self, capsys):
         argv = ["sobolev", "--integrand", "power", "--gamma", "1.5", "--sigma", "2.5"]
         assert main(argv) == EXIT_USAGE
         assert "sigma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["example1", "-p", "inf", "-M", "5", "--gammas", "1.5", "--min-exp", "5", "--max-exp", "6"], "p must be"),
+        (["example1", "-p", "nan", "-M", "5", "--gammas", "1.5", "--min-exp", "5", "--max-exp", "6"], "p must be"),
+        (["sobolev", "--sigma", "1.2", "-p", "nan"], "p must be"),
+        (["sobolev", "--sigma", "1.2", "-p", "inf"], "p must be"),
+        (["sobolev", "--sigma", "1.2", "--delta", "nan"], "delta must be"),
+        (["sobolev", "--sigma", "1.2", "--delta", "inf"], "delta must be"),
+        (["sobolev", "--sigma", "1.2", "--integrand", "constant", "--c0", "1", "--T", "inf"], "total_time"),
+        (["sobolev", "--sigma", "1.2", "--integrand", "affine", "--c0", "nan"], "must be finite"),
+    ],
+)
+def test_non_finite_study_parameters_exit_2(argv, message, tmp_path, capsys):
+    # Each of these once exited 0 with a zero error, a NaN order or a NaN
+    # total reported as "stable".
+    if argv[0] == "example1":
+        argv = argv + ["--outdir", str(tmp_path)]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_impossible_size_exits_2_with_one_error_line(capsys):
+    # 2^56 cells ask numpy for 512 PiB, more than any 64-bit address space,
+    # so the allocation fails before any memory is touched.
+    assert main(["eval", "--rule", "ctq", "--N", str(2**56)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1

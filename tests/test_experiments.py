@@ -126,6 +126,11 @@ class TestMcLpError:
         error, _ = mc_lp_error(g, make_partition(1.0, 4), 2.0, 10, RngStream(0), reference=1 / 3)
         assert error > 0
 
+    @pytest.mark.parametrize("p", [0.5, float("inf"), float("nan")])
+    def test_rejects_p_outside_one_to_infinity(self, p):
+        with pytest.raises(ValueError, match="p must be finite and at least 1"):
+            mc_lp_error(power_integrand(1.5), make_partition(1.0, 4), p, 10, RngStream(0))
+
     def test_rejects_single_replication(self):
         with pytest.raises(ValueError):
             mc_lp_error(power_integrand(1.5), make_partition(1.0, 4), 2.0, 1, RngStream(0))

@@ -42,6 +42,24 @@ class TestPowerIntegrand:
         assert g.evaluator(np.array([0.25]))[0] == 0.5
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: power_integrand(float("nan")),
+        lambda: power_integrand(1.5, total_time=0.0),
+        lambda: constant_integrand(1.0, total_time=float("inf")),
+        lambda: constant_integrand(1.0, total_time=-1.0),
+        lambda: constant_integrand(float("nan")),
+        lambda: affine_integrand(1.0, 2.0, total_time=float("nan")),
+        lambda: affine_integrand(float("inf"), 2.0),
+        lambda: affine_integrand(1.0, float("-inf")),
+    ],
+)
+def test_non_finite_integrand_parameters_rejected(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
 def _hand_path(grid_values, offsets, mid_values, total_time=1.0):
     grid_values = np.asarray(grid_values, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
@@ -234,10 +252,18 @@ class TestSobolevSeminorm:
         with pytest.raises(ValueError, match="derivative"):
             sobolev_seminorm(bare, 1.5, 2.0, 64)
 
-    @pytest.mark.parametrize("sigma,p,cells", [(0.9, 2.0, 64), (2.0, 2.0, 64), (1.5, 1.0, 64), (1.5, 2.0, 1)])
+    @pytest.mark.parametrize("sigma,p,cells", [
+        (0.9, 2.0, 64), (2.0, 2.0, 64), (1.5, 1.0, 64), (1.5, 2.0, 1),
+        (1.5, float("nan"), 64), (1.5, float("inf"), 64), (float("nan"), 2.0, 64),
+    ])
     def test_parameter_validation(self, sigma, p, cells):
         with pytest.raises(ValueError):
             sobolev_seminorm(power_integrand(1.5), sigma, p, cells)
+
+    @pytest.mark.parametrize("delta", [0.0, -0.1, float("nan"), float("inf")])
+    def test_delta_must_be_positive_and_finite(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            sobolev_seminorm(power_integrand(1.5), 1.5, 2.0, 64, delta)
 
     def test_cells_above_the_cap_rejected_before_allocating(self):
         start = time.perf_counter()
