@@ -358,7 +358,7 @@ def cmd_sobolev(args: argparse.Namespace) -> int:
         raise ValueError(f"--cells must be at least 2, got {args.cells}")
     # Refinement probe: halving the guard band only reveals new near-diagonal
     # mass if the grid resolves it, so cells are doubled along with delta.
-    # Check the finest probe against the cap before any dense estimate runs.
+    # Check the finest probe against the cap before any estimate runs.
     finest = args.cells * _SOBOLEV_DIVISORS[-1]
     if finest > SOBOLEV_MAX_CELLS:
         raise ValueError(

@@ -31,6 +31,7 @@ distorting the typical cost.
 
 from __future__ import annotations
 
+import sys
 import time
 import warnings
 from dataclasses import dataclass
@@ -205,6 +206,11 @@ def mc_lp_error(
     root.  The replications' streams are seeded together and evaluated in
     batches of ``max(1, BATCH_ELEMENTS // N)`` rows; the result is
     bit-for-bit that of one ``rtq`` call per replication.
+
+    Raises ``ValueError`` naming ``p`` when |error|^p leaves the double
+    range: the mean is not finite, or falls below the smallest normal double
+    while some error is non-zero.  A rule that is exact on every replication
+    returns (0, 0).
     """
     if replications < 2:
         raise ValueError("replications must be at least 2 to estimate a standard error")
@@ -214,11 +220,19 @@ def mc_lp_error(
         reference = g.exact_integral
     if reference is None:
         raise ValueError(f"integrand {g.label!r} has no exact integral; pass reference=")
-    powered = []
+    errors = []
     batch = max(1, BATCH_ELEMENTS // part.intervals)
     for tau in sample_tau_batches(stream, replications, part.intervals, batch):
-        powered += [abs(reference - v) ** p for v in rtq(g, part, tau).value.tolist()]
+        errors += [abs(reference - v) for v in rtq(g, part, tau).value.tolist()]
+    powered = [e ** p for e in errors]
     mean = float(np.mean(powered))
+    # Below the smallest normal double the mean has lost precision, and the
+    # standard error's mean ** (1/p - 1) can overflow.
+    if not np.isfinite(mean) or (mean < sys.float_info.min and max(errors) > 0.0):
+        raise ValueError(
+            f"|error|^p leaves the double range at p = {p!r}: the mean of |error|^p is "
+            f"{mean!r} while the largest |error| is {max(errors)!r}; use a smaller p"
+        )
     error = mean ** (1.0 / p)
     se_mean = float(np.sqrt(np.var(powered, ddof=1) / replications))
     if mean == 0.0:

@@ -28,9 +28,16 @@ from .quadrature import CTQ, RTQ, Integrand, Partition, QuadratureValue
 from .random_sources import BrownianPath, CoarseTau
 from .summation import compensated_sum
 
-# Largest ``cells`` accepted by ``sobolev_seminorm``: its dense cells x cells
-# arrays then take over 2 GiB.
+# Largest ``cells`` accepted by ``sobolev_seminorm``, a time bound: memory
+# stays small, but the double integral is O(cells**2) work, and one estimate
+# at 8192 cells takes about 1 s (2-vCPU x86-64 VM, numpy 2.4).
 SOBOLEV_MAX_CELLS = 8192
+
+# Kernel elements built and summed at once by ``sobolev_seminorm``.  Must be
+# at least 128, numpy's pairwise-sum leaf, which it never splits.  2^13 ran
+# fastest of 2^12..2^16 at 1024-8192 cells; from 2^14 up, where each float64
+# temporary reaches 128 KiB, an estimate took about twice as long.
+KERNEL_BLOCK_ELEMENTS = 1 << 13
 
 
 def _finite(name: str, value: float) -> float:
@@ -248,6 +255,37 @@ class SobolevEstimate:
     term_slobodeckij: float
 
 
+def _slobodeckij_sum(mid, dv, delta: float, p: float, exponent: float) -> np.float64:
+    """``np.sum`` of the dense Slobodeckij kernel, built a row block at a time.
+
+    numpy sums a contiguous float64 array pairwise: a range of more than 128
+    values splits at half its length rounded down to a multiple of 8, and
+    smaller ranges are summed directly.  This replays that tree over flat
+    ranges of the C-ordered ``cells x cells`` kernel and hands each range of
+    at most ``KERNEL_BLOCK_ELEMENTS`` values to ``np.sum``, which walks the
+    rest of the same tree.  Every kernel value comes from the dense
+    expressions, so the total is bit-identical to summing the dense array.
+    """
+    cells = mid.size
+
+    def block_sum(lo: int, hi: int) -> np.float64:
+        size = hi - lo
+        if size > KERNEL_BLOCK_ELEMENTS:
+            half = size // 2
+            half -= half % 8
+            return block_sum(lo, lo + half) + block_sum(lo + half, hi)
+        rows = slice(lo // cells, -(-hi // cells))
+        flat = slice(lo - rows.start * cells, hi - rows.start * cells)
+        dist = np.abs(mid[rows, None] - mid[None, :]).ravel()[flat]
+        keep = dist >= delta
+        diff = np.abs(dv[rows, None] - dv[None, :]).ravel()[flat]
+        kernel = np.zeros_like(dist)
+        kernel[keep] = diff[keep] ** p / dist[keep] ** exponent
+        return np.sum(kernel)
+
+    return block_sum(0, cells * cells)
+
+
 def sobolev_seminorm(
     g: Integrand,
     sigma: float,
@@ -267,8 +305,11 @@ def sobolev_seminorm(
     sits at or beyond the membership boundary, which is what makes it
     useful as a (purely heuristic) diagnostic.
 
-    The double integral is computed on dense ``cells x cells`` arrays, so
-    ``cells`` is capped at ``SOBOLEV_MAX_CELLS``.
+    The double integral walks the ``cells x cells`` kernel in row blocks of
+    about ``KERNEL_BLOCK_ELEMENTS`` values, so memory stays bounded, and
+    equals the dense ``np.sum`` bit for bit (see ``_slobodeckij_sum``).
+    The work is O(cells**2), so ``cells`` is capped at ``SOBOLEV_MAX_CELLS``
+    to bound the time (about 1 s per estimate at that size).
 
     Raises:
         ValueError: if ``g`` carries no exact derivative, or sigma/p/cells
@@ -300,13 +341,8 @@ def sobolev_seminorm(
     term_value = float(np.sum(np.abs(gv) ** p) * width)
     term_derivative = float(np.sum(np.abs(dv) ** p) * width)
 
-    dist = np.abs(mid[:, None] - mid[None, :])
-    keep = dist >= delta
-    diff = np.abs(dv[:, None] - dv[None, :])
-    kernel = np.zeros_like(dist)
     exponent = 1.0 + (sigma - 1.0) * p
-    kernel[keep] = diff[keep] ** p / dist[keep] ** exponent
-    term_slobodeckij = float(np.sum(kernel) * width * width)
+    term_slobodeckij = float(_slobodeckij_sum(mid, dv, delta, p, exponent) * width * width)
 
     total = term_value + term_derivative + term_slobodeckij
     return SobolevEstimate(

@@ -131,6 +131,19 @@ class TestMcLpError:
         with pytest.raises(ValueError, match="p must be finite and at least 1"):
             mc_lp_error(power_integrand(1.5), make_partition(1.0, 4), p, 10, RngStream(0))
 
+    @pytest.mark.parametrize("p", [65.0, 400.0])
+    def test_rejects_p_whose_powers_underflow(self, p):
+        # The errors are about 1e-5: the mean of |error|^65 is subnormal (its
+        # standard error overflowed), and that of |error|^400 is 0.0.
+        part = make_partition(1.0, 32)
+        with pytest.raises(ValueError, match=f"p = {p}"):
+            mc_lp_error(power_integrand(1.5), part, p, 5, RngStream(0))
+
+    def test_rejects_p_whose_powers_overflow(self):
+        part = make_partition(1.0, 4)
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(ValueError, match="p = 2.0"):
+            mc_lp_error(power_integrand(1.5), part, 2.0, 4, RngStream(0), reference=1e154)
+
     def test_rejects_single_replication(self):
         with pytest.raises(ValueError):
             mc_lp_error(power_integrand(1.5), make_partition(1.0, 4), 2.0, 1, RngStream(0))

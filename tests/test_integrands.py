@@ -1,10 +1,12 @@
 import dataclasses
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from randquad import integrands
 from randquad.integrands import (
     SOBOLEV_MAX_CELLS,
     affine_integrand,
@@ -207,6 +209,21 @@ class TestRtqBrownian:
             rtq_brownian(bi, part, ctau)
 
 
+def dense_slobodeckij_term(g, sigma, p, cells):
+    """The double-integral term as the dense kernel computed it: the oracle."""
+    width = g.total_time / cells
+    delta = 2.0 * width
+    mid = (np.arange(cells) + 0.5) * width
+    dv = np.asarray(g.exact_derivative(mid), dtype=np.float64)
+    dist = np.abs(mid[:, None] - mid[None, :])
+    keep = dist >= delta
+    diff = np.abs(dv[:, None] - dv[None, :])
+    kernel = np.zeros_like(dist)
+    exponent = 1.0 + (sigma - 1.0) * p
+    kernel[keep] = diff[keep] ** p / dist[keep] ** exponent
+    return float(np.sum(kernel) * width * width)
+
+
 class TestSobolevSeminorm:
     def test_zero_integrand(self):
         est = sobolev_seminorm(constant_integrand(0.0), 1.5, 2.0, 128)
@@ -264,6 +281,35 @@ class TestSobolevSeminorm:
     def test_delta_must_be_positive_and_finite(self, delta):
         with pytest.raises(ValueError, match="delta"):
             sobolev_seminorm(power_integrand(1.5), 1.5, 2.0, 64, delta)
+
+    # The blocked kernel replays numpy's pairwise-sum tree (128-value leaves,
+    # splits rounded down to a multiple of 8); these guard that dependence.
+    @pytest.mark.parametrize("sigma", [1.2, 1.95])
+    @pytest.mark.parametrize("p", [2.0, 2.5, 3.0])
+    @pytest.mark.parametrize("cells", [2, 3, 7, 257, 1000, 1500, 3000, 4096])
+    def test_slobodeckij_term_bitwise_equals_dense_sum(self, cells, p, sigma):
+        g = power_integrand(1.5)
+        est = sobolev_seminorm(g, sigma, p, cells)
+        assert est.term_slobodeckij == dense_slobodeckij_term(g, sigma, p, cells)
+
+    @pytest.mark.parametrize("block", [128, 1000])
+    @pytest.mark.parametrize("cells", [17, 100, 257, 1000])
+    def test_slobodeckij_term_bitwise_across_many_blocks(self, block, cells, monkeypatch):
+        monkeypatch.setattr(integrands, "KERNEL_BLOCK_ELEMENTS", block)
+        g = power_integrand(1.5)
+        for p, sigma in [(2.0, 1.2), (2.5, 1.95), (3.0, 1.2)]:
+            est = sobolev_seminorm(g, sigma, p, cells)
+            assert est.term_slobodeckij == dense_slobodeckij_term(g, sigma, p, cells)
+
+    def test_kernel_memory_is_bounded(self):
+        # The dense 4096 x 4096 kernel held over 400 MiB of arrays.
+        tracemalloc.start()
+        try:
+            sobolev_seminorm(power_integrand(1.5), 1.2, 2.0, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_cells_above_the_cap_rejected_before_allocating(self):
         start = time.perf_counter()
