@@ -15,14 +15,11 @@ replications stay below 2^20; past that a replication would silently reuse
 the next slot's streams, so larger values are rejected with ``ValueError``
 (``run_example1`` checks its replication count before drawing anything).
 
-Batching: ``mc_lp_error`` evaluates its replications in blocks of about
-``BATCH_ELEMENTS`` cells, ``max(1, BATCH_ELEMENTS // N)`` replications at a
-time.  Each row of a block still draws from its own stream, the block is
-one integrand call and one row-wise compensated sum, and every replication's
-value is bit-for-bit the one a separate ``rtq`` call would give.  The
-streams of all M replications are seeded once, in one vectorised pass
-(``random_sources.sample_tau_batches``), rather than by building a numpy
-``SeedSequence`` and ``PCG64`` per replication; the draws are the same.
+Batching: ``mc_lp_error`` evaluates its replications in the blocks that
+``random_sources.sample_tau_batches`` yields.  Each row of a block still
+draws from its own stream, the block is one integrand call and one row-wise
+compensated sum, and every replication's value is bit-for-bit the one a
+separate ``rtq`` call would give.
 
 Timing: each quadrature call is repeated five times and the median of a
 monotonic clock is reported, which resists scheduler noise without
@@ -70,7 +67,6 @@ DEFAULT_REFERENCE_EXP = 14
 
 METRIC_ABSOLUTE = "absolute"
 METRIC_PATHWISE = "pathwise"
-METRIC_PATHWISE_MAX_PREFIX = "pathwise_max_prefix"
 
 # Stream-id packing: lane * 2^40 + slot * 2^20 + replication.  Lanes keep the
 # drivers' random inputs disjoint; slots enumerate (integrand, step) pairs.
@@ -84,8 +80,6 @@ _LANE_PATH = 3
 _LANE_COARSEN = 4
 
 TIMING_REPEATS = 5
-# Cells per batched block of Monte Carlo replications.
-BATCH_ELEMENTS = 1 << 11
 
 
 def mc_metric_name(p: float) -> str:
@@ -204,12 +198,13 @@ def mc_lp_error(
     ``stream.stream_id + m``), averages |reference - RTQ_m|^p and returns
     the p-th root together with the delta-method standard error of that
     root.  The replications' streams are seeded together and evaluated in
-    batches of ``max(1, BATCH_ELEMENTS // N)`` rows; the result is
-    bit-for-bit that of one ``rtq`` call per replication.
+    batches; the result is bit-for-bit that of one ``rtq`` call per
+    replication.
 
     Raises ``ValueError`` naming ``p`` when |error|^p leaves the double
     range: the mean is not finite, or falls below the smallest normal double
-    while some error is non-zero.  A rule that is exact on every replication
+    while some error is non-zero, or the variance of |error|^p falls below
+    it while those powers differ.  A rule that is exact on every replication
     returns (0, 0).
     """
     if replications < 2:
@@ -221,8 +216,7 @@ def mc_lp_error(
     if reference is None:
         raise ValueError(f"integrand {g.label!r} has no exact integral; pass reference=")
     errors = []
-    batch = max(1, BATCH_ELEMENTS // part.intervals)
-    for tau in sample_tau_batches(stream, replications, part.intervals, batch):
+    for tau in sample_tau_batches(stream, replications, part.intervals):
         errors += [abs(reference - v) for v in rtq(g, part, tau).value.tolist()]
     powered = [e ** p for e in errors]
     mean = float(np.mean(powered))
@@ -233,8 +227,16 @@ def mc_lp_error(
             f"|error|^p leaves the double range at p = {p!r}: the mean of |error|^p is "
             f"{mean!r} while the largest |error| is {max(errors)!r}; use a smaller p"
         )
+    # The variance squares deviations of |error|^p, so it underflows at a
+    # smaller p than the mean and would report a standard error of 0.
+    var = float(np.var(powered, ddof=1))
+    if var < sys.float_info.min and min(powered) != max(powered):
+        raise ValueError(
+            f"|error|^p leaves the double range at p = {p!r}: the variance of |error|^p is "
+            f"{var!r} while the powers differ; use a smaller p"
+        )
     error = mean ** (1.0 / p)
-    se_mean = float(np.sqrt(np.var(powered, ddof=1) / replications))
+    se_mean = float(np.sqrt(var / replications))
     if mean == 0.0:
         return 0.0, 0.0
     std_error = (1.0 / p) * mean ** (1.0 / p - 1.0) * se_mean
@@ -265,19 +267,6 @@ class ASRateCheck:
             if all(ok[m:]):
                 return m
         return None
-
-    def ladder(self, label: str = "") -> ErrorLadder:
-        """The max-prefix errors as an error ladder, e.g. for order fitting."""
-        rows = tuple(
-            LadderRow(
-                step=r.step,
-                intervals=r.intervals,
-                error=r.max_prefix_error,
-                wall_time_s=float("nan"),
-            )
-            for r in self.rows
-        )
-        return ErrorLadder(rule=RTQ, metric=METRIC_PATHWISE_MAX_PREFIX, rows=rows, label=label)
 
 
 def as_rate_check(
@@ -422,10 +411,14 @@ def run_example1(
                 LadderRow(step=h, intervals=part.intervals, error=abs(exact - q.value), wall_time_s=t_ctq)
             )
 
-            mc_stream = _lane_stream(seed, _LANE_MC, slot)
-            err, se = mc_lp_error(g, part, p, replications, mc_stream)
-            tau0 = sample_tau_sequence(RngStream(mc_stream.seed, mc_stream.stream_id), part.intervals)
-            _, t_rtq = _timed(lambda: rtq(g, part, tau0))
+            # One RTQ call is timed per rung; both RTQ ladders report it.
+            tau_path = sample_tau_sequence(_lane_stream(seed, _LANE_PATHWISE, slot), part.intervals)
+            qp, t_rtq = _timed(lambda: rtq(g, part, tau_path))
+            path_rows.append(
+                LadderRow(step=h, intervals=part.intervals, error=abs(exact - qp.value), wall_time_s=t_rtq)
+            )
+
+            err, se = mc_lp_error(g, part, p, replications, _lane_stream(seed, _LANE_MC, slot))
             l2_rows.append(
                 LadderRow(
                     step=h,
@@ -435,12 +428,6 @@ def run_example1(
                     replications=replications,
                     std_error=se,
                 )
-            )
-
-            tau_path = sample_tau_sequence(_lane_stream(seed, _LANE_PATHWISE, slot), part.intervals)
-            qp, t_path = _timed(lambda: rtq(g, part, tau_path))
-            path_rows.append(
-                LadderRow(step=h, intervals=part.intervals, error=abs(exact - qp.value), wall_time_s=t_path)
             )
 
         ladders = (

@@ -148,13 +148,6 @@ class BrownianIntegrand:
         left = self.path.grid_times[idx]
         return self.prefix[idx] + self.path.grid_values[idx] * (t - left)
 
-    def as_integrand(self) -> Integrand:
-        return Integrand(
-            evaluator=self.value_at,
-            total_time=self.path.total_time,
-            label="gB",
-        )
-
 
 def brownian_integrand(path: BrownianPath) -> BrownianIntegrand:
     """Accumulate the Euler prefix sums of a path, one fine cell at a time.

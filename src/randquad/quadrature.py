@@ -174,7 +174,7 @@ def ctq(g: Integrand, part: Partition) -> QuadratureValue:
     Every cell evaluates both of its endpoints, 2N evaluations in total.
     """
     cells = _cell_terms(g, part.nodes[:-1], part.nodes[1:])
-    value = 0.5 * part.step * compensated_sum(cells, axis=-1)
+    value = 0.5 * part.step * compensated_sum(cells)
     return QuadratureValue(value=value, rule=CTQ, evaluations=2 * cells.size)
 
 
@@ -186,7 +186,7 @@ def rtq(g: Integrand, part: Partition, tau: TauSequence) -> QuadratureValue:
     rule value per row, each bit-for-bit equal to ``rtq`` on that row alone.
     """
     cells = _cell_terms(g, *_offset_times(part, tau))
-    value = 0.5 * part.step * compensated_sum(cells, axis=-1)
+    value = 0.5 * part.step * compensated_sum(cells)
     return QuadratureValue(value=value, rule=RTQ, evaluations=2 * cells.size)
 
 

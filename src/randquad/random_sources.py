@@ -7,14 +7,15 @@ generators and the same pair always reproduces the same draws.
 
 Batch seeding: a Monte Carlo study draws from thousands of consecutive
 stream ids, and building a ``SeedSequence`` and a ``PCG64`` per stream costs
-far more than the draws.  :func:`sample_tau_batches` therefore derives the
-PCG64 states of a whole range of stream ids in one vectorised pass (numpy's
-SeedSequence hash and mix as uint32 column operations, then PCG64's
-seeding step per row) and draws every row through one reused generator.
-The derived states are bit-for-bit those of
+far more than the draws.  :func:`sample_tau_batches` therefore computes
+the ``SeedSequence`` output words of a whole range of stream ids in one
+vectorised pass (numpy's SeedSequence hash and mix as uint32 column
+operations) and hands each row to numpy's own ``PCG64``, which seeds itself
+from those words.  Only SeedSequence's hash is reproduced here; the
+generators are bit-for-bit those of
 ``default_rng(SeedSequence([seed, stream_id]))``.  That contract rests on
-numpy's seeding algorithms staying as they are; a test compares the two on
-edge seeds and ids, so a numpy release that changed them would fail it.
+numpy's SeedSequence staying as it is; a test compares the two on edge
+seeds and ids, so a numpy release that changed it would fail it.
 ``RngStream.generator()`` stays the single-stream path.
 
 A :class:`BrownianPath` holds a fine-grid Brownian motion together with one
@@ -31,12 +32,14 @@ randomised rule's primary evaluation points are never interpolated.
 from __future__ import annotations
 
 import csv
+import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .quadrature import TauSequence
+from .summation import BLOCK_ELEMENTS
 
 _MAX_UINT64 = 2**64
 
@@ -86,9 +89,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
-_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK128 = (1 << 128) - 1
 
 
 def _hash_constants(init: int, mult: int):
@@ -150,61 +150,68 @@ def _seed_words(seed: int, first: int, rows: int) -> np.ndarray:
     return state.view("<u8").astype(np.uint64)
 
 
-def _pcg64_state(words) -> dict:
-    """The ``PCG64.state`` that seeding with ``generate_state`` output ``words`` sets.
+@functools.cache
+def _seed_row_type() -> type:
+    """An ``ISeedSequence`` holding one row of :func:`_seed_words`, from which
+    numpy's ``PCG64`` seeds itself exactly as from ``SeedSequence([seed, stream_id])``.
 
-    PCG64's srandom: inc = (seq << 1) | 1, state = 0, step, add the initial
-    state, step.  From state 0 the first step yields inc.
+    PCG64 reads the returned C-contiguous buffer directly, so any request
+    other than the row's 4 uint64 words fails loudly.  The class is built on
+    first use because its base lives in ``numpy.random``, an 11 ms import
+    that nothing else needs when this module is imported.
     """
-    s_hi, s_lo, i_hi, i_lo = map(int, words)
-    inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
-    state = (((s_hi << 64) | s_lo) + inc) * _PCG64_MULT + inc
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": state & _MASK128, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+
+    class SeedRow(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            if n_words != len(self.words) or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"a seed row holds {len(self.words)} uint64 words, not {n_words!r} of {dtype!r}")
+            return self.words
+
+    return SeedRow
 
 
-def sample_tau_batches(
-    stream: RngStream, replications: int, count: int, block_rows: int
-) -> Iterator[TauSequence]:
+def _row_generator(words: np.ndarray) -> np.random.Generator:
+    """A generator at the start of the stream whose seed words are ``words``."""
+    return np.random.Generator(np.random.PCG64(_seed_row_type()(words)))
+
+
+def sample_tau_batches(stream: RngStream, replications: int, count: int) -> Iterator[TauSequence]:
     """Offset sequences of ``count`` offsets for ``replications`` streams, in blocks.
 
-    Yields 2-d :class:`TauSequence` blocks of up to ``block_rows`` rows.
-    Replication m comes from its own stream ``(stream.seed,
-    stream.stream_id + m)`` and is bit-for-bit ``sample_tau_sequence`` on
-    that stream, so batching replications changes no draw.  The seeds of all
-    the streams are derived up front in one vectorised pass
-    (:func:`_seed_words`); each row is then drawn through one reused
-    generator set to that stream's start state.  A row holding an exact 0 or
-    1 is redrawn from its start state by the single-stream rule.
+    Yields 2-d :class:`TauSequence` blocks of ``max(1, BLOCK_ELEMENTS // count)``
+    rows, about one summation kernel block of cells.  Replication m comes
+    from its own stream ``(stream.seed, stream.stream_id + m)`` and is
+    bit-for-bit ``sample_tau_sequence`` on that stream, so batching changes
+    no draw.  The seeds of all the streams are derived up front in one
+    vectorised pass (:func:`_seed_words`), and numpy seeds each row's
+    ``PCG64`` from them.  A row holding an exact 0 or 1 is redrawn from its
+    stream's start by the single-stream rule.
 
     Raises:
         ValueError: if a count is not positive or a stream id would leave
             the 64-bit range (before anything is drawn).
     """
-    if count < 1 or block_rows < 1:
-        raise ValueError(f"count and block_rows must be positive integers, got {count!r} and {block_rows!r}")
+    if count < 1:
+        raise ValueError(f"count must be a positive integer, got {count!r}")
     # Seeded here, outside the generator, so a bad range fails at the call.
     words = _seed_words(stream.seed, stream.stream_id, replications)
-    return _draw_blocks(words, int(count), int(block_rows))
+    return _draw_blocks(words, int(count))
 
 
-def _draw_blocks(words: np.ndarray, count: int, block_rows: int) -> Iterator[TauSequence]:
-    # The seed is irrelevant: every row sets its own stream's state first.
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    for start in range(0, len(words), block_rows):
-        states = [_pcg64_state(w) for w in words[start : start + block_rows].tolist()]
-        values = np.empty((len(states), count))
-        for row, state in zip(values, states):
-            bitgen.state = state
-            gen.random(out=row)
+def _draw_blocks(words: np.ndarray, count: int) -> Iterator[TauSequence]:
+    rows_per_block = max(1, BLOCK_ELEMENTS // count)
+    for start in range(0, len(words), rows_per_block):
+        rows = words[start : start + rows_per_block]
+        values = np.empty((len(rows), count))
+        for row, row_words in zip(values, rows):
+            _row_generator(row_words).random(out=row)
         for r in np.flatnonzero(((values <= 0.0) | (values >= 1.0)).any(axis=1)):
-            bitgen.state = states[r]
-            values[r] = _strict_uniform(gen, count)
+            values[r] = _strict_uniform(_row_generator(rows[r]), count)
         yield TauSequence(values=values, complements=1.0 - values)
 
 

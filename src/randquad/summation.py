@@ -81,17 +81,6 @@ def _accumulate(values: np.ndarray, total: np.ndarray, carry: np.ndarray, prefix
         carry[:] = e[:, -1]
 
 
-def _as_rows(values, axis: int | None) -> tuple[np.ndarray, tuple[int, ...]]:
-    """``values`` as a 2-d float64 array with the summed axis last, plus the
-    shape of the result."""
-    arr = np.asarray(values, dtype=np.float64)
-    if axis is None:
-        return arr.reshape(1, -1), ()
-    if axis not in (-1, arr.ndim - 1):
-        arr = np.moveaxis(arr, axis, -1)
-    return arr.reshape(math.prod(arr.shape[:-1]), arr.shape[-1]), arr.shape[:-1]
-
-
 class NeumaierSum:
     """Running compensated sum that can be fed one block of values at a time.
 
@@ -114,19 +103,19 @@ class NeumaierSum:
         return float(self._total[0] + self._carry[0])
 
 
-def compensated_sum(values, axis: int | None = None):
-    """Sum ``values`` with Neumaier compensation.
+def compensated_sum(values):
+    """Sum ``values`` along the last axis with Neumaier compensation.
 
-    With ``axis=None`` every value is summed into one float.  With an integer
-    ``axis`` the sums run along that axis, each one independently, and the
-    result is an array of the remaining shape (a float for 1-d input).
+    Every row sums independently, and the result is an array of the
+    remaining shape (a float for 1-d input).
     """
-    rows, shape = _as_rows(values, axis)
-    total = np.zeros(rows.shape[0])
-    carry = np.zeros(rows.shape[0])
+    arr = np.asarray(values, dtype=np.float64)
+    rows = arr.reshape(math.prod(arr.shape[:-1]), arr.shape[-1])
+    total = np.zeros(len(rows))
+    carry = np.zeros(len(rows))
     _accumulate(rows, total, carry)
     sums = total + carry
-    return float(sums[0]) if not shape else sums.reshape(shape)
+    return float(sums[0]) if arr.ndim == 1 else sums.reshape(arr.shape[:-1])
 
 
 def compensated_cumsum(values) -> np.ndarray:
@@ -135,7 +124,7 @@ def compensated_cumsum(values) -> np.ndarray:
     The k-th entry equals ``compensated_sum(values[:k+1])`` bit for bit:
     both are values of the same recurrence at the same step.
     """
-    rows, _ = _as_rows(values, None)
-    prefixes = np.empty_like(rows)
-    _accumulate(rows, np.zeros(1), np.zeros(1), prefixes)
+    row = np.asarray(values, dtype=np.float64).reshape(1, -1)
+    prefixes = np.empty_like(row)
+    _accumulate(row, np.zeros(1), np.zeros(1), prefixes)
     return prefixes[0]

@@ -244,10 +244,11 @@ class TestSobolevCommand:
         assert "sigma" in capsys.readouterr().err
 
 
-def test_lp_error_underflow_at_large_p_exits_2(tmp_path, capsys):
-    argv = ["example1", "-p", "400", "-M", "5", "--gammas", "1.5", "--min-exp", "5", "--max-exp", "6"]
+@pytest.mark.parametrize("p, replications", [("400", "5"), ("40", "200")], ids=["mean", "variance"])
+def test_lp_error_underflow_at_large_p_exits_2(p, replications, tmp_path, capsys):
+    argv = ["example1", "-p", p, "-M", replications, "--gammas", "1.5", "--min-exp", "5", "--max-exp", "6"]
     assert main(argv + ["--outdir", str(tmp_path)]) == EXIT_USAGE
-    assert "p = 400.0" in capsys.readouterr().err
+    assert f"p = {float(p)}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

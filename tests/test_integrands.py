@@ -17,7 +17,7 @@ from randquad.integrands import (
     rtq_brownian,
     sobolev_seminorm,
 )
-from randquad.quadrature import TauSequence, ctq, make_partition
+from randquad.quadrature import Integrand, TauSequence, ctq, make_partition
 from randquad.random_sources import BrownianPath, RngStream, coarsen_tau, sample_brownian_path
 
 
@@ -131,7 +131,7 @@ class TestCtqBrownian:
         for n in (32, 128, 1024):
             part = make_partition(1.0, n)
             closed = ctq_brownian(bi, part).value
-            generic = ctq(bi.as_integrand(), part).value
+            generic = ctq(Integrand(evaluator=bi.value_at, total_time=1.0), part).value
             assert abs(closed - generic) <= 1e-12 * abs(generic)
 
     def test_two_cell_hand_expansion(self):

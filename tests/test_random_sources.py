@@ -8,7 +8,8 @@ from randquad.quadrature import TauSequence
 from randquad.random_sources import (
     BrownianPath,
     RngStream,
-    _pcg64_state,
+    _row_generator,
+    _seed_row_type,
     _seed_words,
     _strict_uniform,
     coarsen_tau,
@@ -17,8 +18,12 @@ from randquad.random_sources import (
     sample_tau_sequence,
     save_path_csv,
 )
+from randquad.summation import BLOCK_ELEMENTS
 
 EDGE_SEEDS = [0, 1, 2, 2**32 - 1, 2**32, 2**64 - 1]
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
 
 
 class TestRngStream:
@@ -67,8 +72,9 @@ class TestTauSampling:
 
 
 class TestBatchSeeding:
-    """The vectorised seeding must reproduce numpy's SeedSequence/PCG64 bit for
-    bit; a numpy release that changed either would fail here first."""
+    """The vectorised seeding must reproduce numpy's SeedSequence, and numpy's
+    PCG64 seeded from its words must match, bit for bit; a numpy release that
+    changed either would fail here first."""
 
     @pytest.mark.parametrize("seed", EDGE_SEEDS)
     @pytest.mark.parametrize(
@@ -80,42 +86,51 @@ class TestBatchSeeding:
         words = _seed_words(seed, first, rows)
         assert words.shape == (rows, 4) and words.dtype == np.uint64
         for r in range(rows):
-            expected = np.random.PCG64(np.random.SeedSequence([seed, first + r])).state
-            assert _pcg64_state(words[r]) == expected
+            seq = np.random.SeedSequence([seed, first + r])
+            np.testing.assert_array_equal(words[r], seq.generate_state(4, np.uint64))
+            assert np.random.PCG64(_seed_row_type()(words[r])).state == np.random.PCG64(seq).state
 
-    @pytest.mark.parametrize("rows", [1, 2, 64, 1000])
-    def test_rows_equal_single_stream_draws(self, rows):
+    @pytest.mark.parametrize("n_words,dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64), (4, ">u8")])
+    def test_seed_row_rejects_any_other_request(self, n_words, dtype):
+        row = _seed_row_type()(_seed_words(1, 2, 1)[0])
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            row.generate_state(n_words, dtype)
+        assert row.generate_state(4, np.uint64) is row.words
+
+    @pytest.mark.parametrize(
+        "rows,count", [(1, 48), (2, 48), (64, 48), (1000, 48), (3, BLOCK_ELEMENTS + 5)]
+    )
+    def test_rows_equal_single_stream_draws(self, rows, count):
         stream = RngStream(11, (3 << 40) + 5)
-        blocks = list(sample_tau_batches(stream, rows, 48, 64))
-        assert [len(b.values) for b in blocks] == [min(64, rows - s) for s in range(0, rows, 64)]
+        blocks = list(sample_tau_batches(stream, rows, count))
+        block_rows = max(1, BLOCK_ELEMENTS // count)
+        assert [len(b.values) for b in blocks] == [min(block_rows, rows - s) for s in range(0, rows, block_rows)]
         values = np.concatenate([b.values for b in blocks])
-        for m in (range(rows) if rows <= 64 else (0, 1, 63, 64, 500, rows - 1)):
-            expected = sample_tau_sequence(RngStream(stream.seed, stream.stream_id + m), 48)
+        for m in (range(rows) if rows <= 64 else (0, 1, 84, 85, 500, rows - 1)):
+            expected = sample_tau_sequence(RngStream(stream.seed, stream.stream_id + m), count)
             np.testing.assert_array_equal(values[m].view(np.int64), expected.values.view(np.int64))
 
     def test_a_row_drawing_an_exact_zero_is_redrawn_by_the_single_stream_rule(self, monkeypatch):
-        # A state whose next step lands on 0 makes the first output, and so
-        # the first uniform, exactly 0.0.
-        inc = _pcg64_state(_seed_words(4, 2, 1)[0])["state"]["inc"]
-        mult_inverse = pow(random_sources._PCG64_MULT, -1, 1 << 128)
-        zero_next = {
-            "bit_generator": "PCG64",
-            "state": {"state": (-inc * mult_inverse) % (1 << 128), "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        calls = []
+        # Seed words whose seeded state steps to 0 make the first output, and
+        # so the first uniform, exactly 0.0.  PCG64 seeds with inc = 2 seq + 1
+        # and state = (initstate + inc) * mult + inc.
+        words = _seed_words(4, 2, 1)[0]
+        seq = (int(words[2]) << 64) | int(words[3])
+        inc = ((seq << 1) | 1) & _MASK128
+        mult_inverse = pow(_PCG64_MULT, -1, 1 << 128)
+        zero_next = (-inc * mult_inverse) % (1 << 128)
+        initstate = ((zero_next - inc) * mult_inverse - inc) % (1 << 128)
+        zero_words = np.array([initstate >> 64, initstate & ((1 << 64) - 1), words[2], words[3]], dtype=np.uint64)
+        original = random_sources._row_generator
 
-        def patched(words):
-            calls.append(None)
-            return zero_next if len(calls) == 3 else _pcg64_state(words)
+        def patched(row_words):
+            return original(zero_words if np.array_equal(row_words, words) else row_words)
 
-        monkeypatch.setattr(random_sources, "_pcg64_state", patched)
-        (block,) = sample_tau_batches(RngStream(4), 5, 16, 8)
-        rng = np.random.Generator(np.random.PCG64())
-        rng.bit_generator.state = zero_next
+        monkeypatch.setattr(random_sources, "_row_generator", patched)
+        (block,) = sample_tau_batches(RngStream(4), 5, 16)
+        rng = _row_generator(zero_words)
         assert rng.random() == 0.0
-        rng.bit_generator.state = zero_next
+        rng = _row_generator(zero_words)
         np.testing.assert_array_equal(block.values[2], _strict_uniform(rng, 16))
         assert np.all(block.values > 0.0)
         for m in (0, 1, 3, 4):
@@ -125,8 +140,8 @@ class TestBatchSeeding:
         # Like RngStream, the batch refuses ids of 2^64 and more; the check is
         # made when the batch is requested, not when its first block is drawn.
         with pytest.raises(ValueError, match="64-bit"):
-            sample_tau_batches(RngStream(0, 2**64 - 5), 6, 4, 2)
-        (block,) = sample_tau_batches(RngStream(1, 2**64 - 2), 2, 4, 2)
+            sample_tau_batches(RngStream(0, 2**64 - 5), 6, 4)
+        (block,) = sample_tau_batches(RngStream(1, 2**64 - 2), 2, 4)
         np.testing.assert_array_equal(block.values[1], sample_tau_sequence(RngStream(1, 2**64 - 1), 4).values)
 
 
