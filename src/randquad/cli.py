@@ -365,13 +365,11 @@ def cmd_sobolev(args: argparse.Namespace) -> int:
             f"--cells {args.cells} probes {finest} cells, above the cap of {SOBOLEV_MAX_CELLS}; "
             f"use --cells {SOBOLEV_MAX_CELLS // _SOBOLEV_DIVISORS[-1]} or fewer"
         )
-    estimates = []
-    base_delta = args.delta if args.delta is not None else 2.0 * g.total_time / args.cells
-    for divisor in _SOBOLEV_DIVISORS:
-        estimates.append(
-            sobolev_seminorm(g, args.sigma, args.p, args.cells * divisor, base_delta / divisor)
-        )
-    est = estimates[0]
+    est = sobolev_seminorm(g, args.sigma, args.p, args.cells, args.delta)
+    estimates = [est] + [
+        sobolev_seminorm(g, args.sigma, args.p, args.cells * divisor, est.delta / divisor)
+        for divisor in _SOBOLEV_DIVISORS[1:]
+    ]
     print(f"integrand: {g.label} on [0, {_fmt(g.total_time)}]")
     print(f"sigma: {_fmt(est.sigma)}  p: {_fmt(est.p)}  cells: {est.cells}  delta: {_fmt(est.delta)}")
     print(f"term |g|^p:          {_fmt(est.term_value)}")

@@ -190,12 +190,11 @@ def mc_lp_error(
     p: float,
     replications: int,
     stream: RngStream,
-    reference: float | None = None,
 ) -> tuple[float, float]:
     """Monte Carlo L^p error of the randomised rule, with its standard error.
 
     Runs ``replications`` independent offset sequences (stream ids
-    ``stream.stream_id + m``), averages |reference - RTQ_m|^p and returns
+    ``stream.stream_id + m``), averages |exact - RTQ_m|^p and returns
     the p-th root together with the delta-method standard error of that
     root.  The replications' streams are seeded together and evaluated in
     batches; the result is bit-for-bit that of one ``rtq`` call per
@@ -211,13 +210,12 @@ def mc_lp_error(
         raise ValueError("replications must be at least 2 to estimate a standard error")
     if not 1.0 <= p < np.inf:
         raise ValueError(f"p must be finite and at least 1, got {p!r}")
-    if reference is None:
-        reference = g.exact_integral
-    if reference is None:
-        raise ValueError(f"integrand {g.label!r} has no exact integral; pass reference=")
+    exact = g.exact_integral
+    if exact is None:
+        raise ValueError(f"integrand {g.label!r} has no exact integral")
     errors = []
     for tau in sample_tau_batches(stream, replications, part.intervals):
-        errors += [abs(reference - v) for v in rtq(g, part, tau).value.tolist()]
+        errors += [abs(exact - v) for v in rtq(g, part, tau).value.tolist()]
     powered = [e ** p for e in errors]
     mean = float(np.mean(powered))
     # Below the smallest normal double the mean has lost precision, and the
@@ -383,9 +381,8 @@ def run_example1(
     replications: int = DEFAULT_REPLICATIONS,
     p: float = DEFAULT_P,
     seed: int = DEFAULT_SEED,
-    total_time: float = 1.0,
 ) -> ExperimentResult:
-    """Power-function convergence study: CTQ absolute, RTQ L^p, RTQ pathwise.
+    """Power-function convergence study on [0, 1]: CTQ absolute, RTQ L^p, RTQ pathwise.
 
     Deterministic given ``seed``; wall times are measured, everything else
     is reproducible bit for bit.
@@ -398,12 +395,12 @@ def run_example1(
     steps = _dyadic_steps(step_exponents)
     reports = []
     for gi, gamma in enumerate(gammas):
-        g = power_integrand(gamma, total_time)
+        g = power_integrand(gamma)
         exact = g.exact_integral
         label = f"{gamma:g}"
         ctq_rows, l2_rows, path_rows = [], [], []
         for hj, h in enumerate(steps):
-            part = make_partition(total_time, round(total_time / h))
+            part = make_partition(1.0, round(1.0 / h))
             slot = gi * len(steps) + hj
 
             q, t_ctq = _timed(lambda: ctq(g, part))
@@ -460,8 +457,8 @@ def union_grid_reference(bi: BrownianIntegrand) -> float:
     for start in range(0, path.cells, block):
         stop = min(start + block, path.cells)
         times = np.empty(2 * (stop - start) + 1)
-        times[0::2] = path.grid_times[start : stop + 1]
-        times[1::2] = path.mid_times[start:stop]
+        times[0::2] = np.arange(start, stop + 1) * path.step
+        times[1::2] = path.mid_times(np.arange(start, stop))
         widths = np.diff(times)
         if np.any(widths <= 0.0):
             raise ValueError("union grid is not strictly increasing")
@@ -474,29 +471,23 @@ def run_example2(
     step_exponents=DEFAULT_STEP_EXPONENTS,
     reference_step: float = 2.0**-DEFAULT_REFERENCE_EXP,
     seed: int = DEFAULT_SEED,
-    total_time: float = 1.0,
-    path: BrownianPath | None = None,
 ) -> Example2Result:
-    """Brownian-target convergence study against a union-grid reference.
+    """Brownian-target convergence study on [0, 1] against a union-grid reference.
 
-    One path per run; coarse offsets reuse the path's interior samples
-    exactly; errors are pathwise (one realisation) by construction.  A
-    pre-built ``path`` (consistent with ``reference_step``) can be injected
-    for controlled studies; by default one is sampled from the seed.
+    One path per run, sampled from the seed on the dyadic grid of step
+    ``reference_step``; coarse offsets reuse the path's interior samples
+    exactly; errors are pathwise (one realisation) by construction.
     """
     steps = _dyadic_steps(step_exponents)
     if min(steps) < reference_step:
         raise ValueError("coarse steps must not be finer than the reference step")
-    if path is None:
-        path = sample_brownian_path(_lane_stream(seed, _LANE_PATH), total_time, reference_step)
-    elif path.step != reference_step or path.total_time != total_time:
-        raise ValueError("injected path does not match reference_step / total_time")
+    path = sample_brownian_path(_lane_stream(seed, _LANE_PATH), reference_step)
     bi = brownian_integrand(path)
     reference = union_grid_reference(bi)
 
     ctq_rows, rtq_rows = [], []
     for hj, h in enumerate(steps):
-        part = make_partition(total_time, round(total_time / h))
+        part = make_partition(1.0, round(1.0 / h))
         ctau = coarsen_tau(path, h, _lane_stream(seed, _LANE_COARSEN, hj))
 
         qc, t_ctq = _timed(lambda: ctq_brownian(bi, part))

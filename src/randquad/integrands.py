@@ -127,7 +127,8 @@ def affine_integrand(a: float, b: float, total_time: float = 1.0) -> Integrand:
 
 @dataclass(frozen=True, eq=False)
 class BrownianIntegrand:
-    """Euler approximation of t -> integral of B over [0, t] on the fine grid.
+    """Euler approximation of t -> integral of B over [0, t] on the path's
+    fine grid of [0, 1].
 
     ``prefix[n]`` approximates the integral up to the n-th fine node, with
     prefix[0] = 0 and prefix[n] - prefix[n-1] = step * B(t_{n-1}).  Between
@@ -141,12 +142,11 @@ class BrownianIntegrand:
 
     def value_at(self, times) -> np.ndarray:
         t = np.asarray(times, dtype=np.float64)
-        if np.any(t < 0.0) or np.any(t > self.path.total_time):
-            bad = t[(t < 0.0) | (t > self.path.total_time)][0]
-            raise ValueError(f"evaluation time {bad!r} outside [0, {self.path.total_time!r}]")
+        if np.any(t < 0.0) or np.any(t > 1.0):
+            bad = t[(t < 0.0) | (t > 1.0)][0]
+            raise ValueError(f"evaluation time {bad!r} outside [0, 1]")
         idx = np.minimum(np.floor(t / self.path.step).astype(np.int64), self.path.cells - 1)
-        left = self.path.grid_times[idx]
-        return self.prefix[idx] + self.path.grid_values[idx] * (t - left)
+        return self.prefix[idx] + self.path.grid_values[idx] * (t - idx * self.path.step)
 
 
 def brownian_integrand(path: BrownianPath) -> BrownianIntegrand:
@@ -168,7 +168,7 @@ def _coarse_factor(bi: BrownianIntegrand, part: Partition) -> int:
     if (
         factor < 1
         or factor * part.intervals != bi.path.cells
-        or not np.array_equal(part.nodes, bi.path.grid_times[::factor])
+        or not np.array_equal(part.nodes, np.arange(0, bi.path.cells + 1, factor) * bi.path.step)
     ):
         raise ValueError(
             "partition nodes are not a subset of the path's fine grid "

@@ -18,21 +18,23 @@ numpy's SeedSequence staying as it is; a test compares the two on edge
 seeds and ids, so a numpy release that changed it would fail it.
 ``RngStream.generator()`` stays the single-stream path.
 
-A :class:`BrownianPath` holds a fine-grid Brownian motion together with one
-extra sample strictly inside every fine cell, drawn from the Brownian
-bridge conditional on the cell endpoints: at time ``(j + tau) * h`` the
-bridge law is Normal with mean ``(1 - tau) * B_j + tau * B_{j+1}`` and
-variance ``tau * (1 - tau) * h``.  Those interior samples exist so that a
-coarser grid can reuse them exactly: :func:`coarsen_tau` picks, uniformly
-at random, one of the k interior samples inside each coarse cell and
-solves for the coarse offset that lands on its time bit for bit, so the
-randomised rule's primary evaluation points are never interpolated.
+A :class:`BrownianPath` holds a Brownian motion on the dyadic grid of
+[0, 1] (step h = 2^-k) with one extra sample strictly inside every cell,
+drawn from the Brownian bridge conditional on the cell endpoints: at time
+``(j + tau) * h`` the bridge law is Normal with mean
+``(1 - tau) * B_j + tau * B_{j+1}`` and variance ``tau * (1 - tau) * h``.
+It stores only what it samples; the times ``j * h`` and ``(j + tau) * h``
+are exact on this grid and are computed where they are used.  A coarser
+dyadic grid reuses the interior samples exactly: :func:`coarsen_tau` picks,
+uniformly at random, one of the k samples inside each coarse cell and
+solves for the coarse offset that lands on its time bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -64,13 +66,20 @@ class RngStream:
         return np.random.default_rng(np.random.SeedSequence([self.seed, self.stream_id]))
 
 
-def _strict_uniform(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Uniform(0,1) draws with exact endpoints redrawn."""
+def _strict_uniform(rng: np.random.Generator, count: int, base=0) -> np.ndarray:
+    """Uniform(0,1) draws u, each redrawn while ``base + u`` rounds to base or
+    base + 1: 0 for plain offsets, the cell indices j for a path's offsets
+    (near j = 2^24 an offset below about 2^-30 would put j + u on a node)."""
+
+    def off_ends() -> np.ndarray:
+        t = base + values
+        return (t <= base) | (t >= base + 1)
+
     values = rng.random(count)
-    bad = (values <= 0.0) | (values >= 1.0)
+    bad = off_ends()
     while bad.any():
         values[bad] = rng.random(int(bad.sum()))
-        bad = (values <= 0.0) | (values >= 1.0)
+        bad = off_ends()
     return values
 
 
@@ -215,75 +224,76 @@ def _draw_blocks(words: np.ndarray, count: int) -> Iterator[TauSequence]:
         yield TauSequence(values=values, complements=1.0 - values)
 
 
+def _dyadic_cells(step: float) -> int:
+    """The number of cells of a grid of [0, 1] with step 2^-k, k >= 0.
+
+    Raises:
+        ValueError: if ``step`` is not such a power of two.
+    """
+    h = float(step)
+    mantissa, exponent = math.frexp(h)
+    if not 0.0 < h <= 1.0 or mantissa != 0.5:
+        raise ValueError(f"step must be 2^-k for an integer k >= 0, got {step!r}")
+    return 2 ** (1 - exponent)
+
+
 @dataclass(frozen=True, eq=False)
 class BrownianPath:
-    """Fine-grid Brownian motion plus one bridge sample inside every cell.
+    """Brownian motion on the dyadic grid of [0, 1] plus one bridge sample
+    inside every cell.
 
-    grid_values[j] is B(j * step) with B(0) = 0; mid_times[j] is the time
-    ``(j + offsets.values[j]) * step`` strictly inside cell j and
-    mid_values[j] the bridge-sampled B at that time.
+    ``step`` is 2^-k.  ``grid_values[j]`` is B at the node ``j * step``, with
+    B(0) = 0; ``mid_values[j]`` is the bridge-sampled B at the interior time
+    ``(j + offsets[j]) * step`` (:meth:`mid_times`), strictly inside cell j.
     """
 
     step: float
-    total_time: float
-    grid_times: np.ndarray
     grid_values: np.ndarray
-    offsets: TauSequence
-    mid_times: np.ndarray
+    offsets: np.ndarray
     mid_values: np.ndarray
 
     @property
     def cells(self) -> int:
         return int(self.grid_values.size - 1)
 
+    def mid_times(self, cells: np.ndarray) -> np.ndarray:
+        """The interior sample times of the cells with the given indices."""
+        return (cells + self.offsets[cells]) * self.step
 
-def sample_brownian_path(stream: RngStream, total_time: float, step: float) -> BrownianPath:
-    """Sample a Brownian path on the fine grid and its interior bridge points.
+
+def sample_brownian_path(stream: RngStream, step: float) -> BrownianPath:
+    """Sample a Brownian path on the grid of [0, 1] with step 2^-k and its
+    interior bridge points.
 
     Draw order is fixed (increments, then offsets, then bridge residuals) so
-    a (seed, stream_id) pair pins the whole path.
+    a (seed, stream_id) pair pins the whole path.  An offset whose interior
+    time would round onto a node is redrawn within the offset section.
 
     Raises:
-        ValueError: if ``step`` is not in (0, total_time] or does not divide
-            ``total_time`` to within rounding.
+        ValueError: if ``step`` is not 2^-k for an integer k >= 0.
     """
-    T = float(total_time)
+    cells = _dyadic_cells(step)
     h = float(step)
-    if not np.isfinite(T) or T <= 0.0:
-        raise ValueError(f"total_time must be positive and finite, got {total_time!r}")
-    if not np.isfinite(h) or h <= 0.0 or h > T:
-        raise ValueError(f"step must lie in (0, total_time], got {step!r}")
-    cells = round(T / h)
-    if cells < 1 or abs(cells * h - T) > 4.0 * np.spacing(T):
-        raise ValueError(f"step {step!r} does not divide total_time {total_time!r}")
-
     rng = stream.generator()
-    increments = rng.standard_normal(cells) * np.sqrt(h)
-    offsets = _strict_uniform(rng, cells)
-    residuals = rng.standard_normal(cells)
+    grid_values = np.zeros(cells + 1)
+    np.cumsum(rng.standard_normal(cells) * np.sqrt(h), out=grid_values[1:])
+    offsets = _strict_uniform(rng, cells, base=np.arange(cells))
 
-    grid_values = np.empty(cells + 1)
-    grid_values[0] = 0.0
-    np.cumsum(increments, out=grid_values[1:])
-    grid_times = np.linspace(0.0, T, cells + 1)
-
+    # ((1 - tau) * B_j + tau * B_{j+1}) + sqrt(tau * (1 - tau) * h) * Z, in
+    # three work arrays; the residuals Z overwrite the complements.
     complements = 1.0 - offsets
-    mid_times = (np.arange(cells) + offsets) * h
-    bridge_mean = complements * grid_values[:-1] + offsets * grid_values[1:]
-    bridge_sd = np.sqrt(offsets * complements * h)
-    mid_values = bridge_mean + bridge_sd * residuals
+    mid_values = complements * grid_values[:-1]
+    work = offsets * grid_values[1:]
+    mid_values += work
+    np.multiply(offsets, complements, out=work)
+    work *= h
+    np.sqrt(work, out=work)
+    work *= rng.standard_normal(out=complements)
+    mid_values += work
 
-    for arr in (grid_times, grid_values, mid_times, mid_values):
+    for arr in (grid_values, offsets, mid_values):
         arr.setflags(write=False)
-    return BrownianPath(
-        step=h,
-        total_time=T,
-        grid_times=grid_times,
-        grid_values=grid_values,
-        offsets=TauSequence(values=offsets, complements=complements),
-        mid_times=mid_times,
-        mid_values=mid_values,
-    )
+    return BrownianPath(step=h, grid_values=grid_values, offsets=offsets, mid_values=mid_values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,52 +333,43 @@ class CoarseTau:
 def coarsen_tau(path: BrownianPath, coarse_step: float, stream: RngStream) -> CoarseTau:
     """Derive coarse-grid offsets that reuse the path's interior samples.
 
-    Each coarse cell of width ``coarse_step = k * path.step`` contains k
-    fine interior samples; one is selected uniformly at random (from
-    ``stream``), which keeps the coarse offsets Uniform(0,1).
+    Each coarse cell of width ``coarse_step = k * path.step``, itself 2^-m,
+    contains k fine interior samples; one is selected uniformly at random
+    (from ``stream``), which keeps the coarse offsets Uniform(0,1).
     Complementary points are resolved as described on :class:`CoarseTau`.
 
     Raises:
-        ValueError: if ``coarse_step`` is not an integer multiple of the
-            path step, or the grids are not exactly representable (use
-            dyadic step sizes for the bit-for-bit reuse guarantee).
+        ValueError: if ``coarse_step`` is not a power of two at least the
+            path step, or a derived offset does not reproduce its fine
+            sample time exactly.
     """
     h_fine = path.step
     hc = float(coarse_step)
-    if not np.isfinite(hc) or hc <= 0.0:
-        raise ValueError(f"coarse_step must be positive, got {coarse_step!r}")
-    factor = round(hc / h_fine)
-    if factor < 1 or abs(factor * h_fine - hc) > 4.0 * np.spacing(hc):
+    fine_cells = path.cells
+    cells = _dyadic_cells(hc)
+    if cells > fine_cells:
         raise ValueError(
             f"coarse_step {coarse_step!r} is not an integer multiple of the path step {h_fine!r}"
         )
-    fine_cells = path.cells
-    cells, rem = divmod(fine_cells, factor)
-    if rem != 0:
-        raise ValueError(
-            f"coarsening factor {factor} does not divide the {fine_cells} fine cells"
-        )
+    factor = fine_cells // cells
 
     rng = stream.generator()
     slots = rng.integers(0, factor, size=cells)
     selected = np.arange(cells) * factor + slots
-    coarse_nodes = path.grid_times[:: factor]
+    starts = np.arange(cells) * hc
 
-    mid_times = path.mid_times[selected]
-    values = (mid_times - coarse_nodes[:-1]) / hc
+    mid_times = path.mid_times(selected)
+    values = (mid_times - starts) / hc
     if np.any(values <= 0.0) or np.any(values >= 1.0):
-        raise ValueError("derived coarse offsets left (0, 1); is the path grid dyadic?")
-    if not np.array_equal(coarse_nodes[:-1] + values * hc, mid_times):
-        raise ValueError(
-            "coarse offsets do not reproduce the fine sample times exactly; "
-            "use dyadic step sizes"
-        )
+        raise ValueError("derived coarse offsets left (0, 1)")
+    if not np.array_equal(starts + values * hc, mid_times):
+        raise ValueError("coarse offsets do not reproduce the fine sample times exactly")
 
     complements = 1.0 - values
-    comp_times = coarse_nodes[:-1] + complements * hc
+    comp_times = starts + complements * hc
 
     mirror = selected - slots + (factor - 1 - slots)
-    comp_is_mirror = path.mid_times[mirror] == comp_times
+    comp_is_mirror = path.mid_times(mirror) == comp_times
     comp_values = np.where(comp_is_mirror, path.mid_values[mirror], 0.0)
 
     fresh = ~comp_is_mirror
@@ -376,8 +377,7 @@ def coarsen_tau(path: BrownianPath, coarse_step: float, stream: RngStream) -> Co
         cell_idx = np.minimum(
             np.floor(comp_times[fresh] / h_fine).astype(np.int64), fine_cells - 1
         )
-        left = path.grid_times[cell_idx]
-        frac = (comp_times[fresh] - left) / h_fine
+        frac = (comp_times[fresh] - cell_idx * h_fine) / h_fine
         if np.any(frac <= 0.0) or np.any(frac >= 1.0):
             raise ValueError("complementary times fell on fine grid nodes; grids misaligned")
         comp_values[fresh] = (
@@ -411,15 +411,15 @@ def save_path_csv(path: BrownianPath, destination) -> None:
         writer = csv.writer(fh)
         writer.writerow(["j", "t", "B_grid", "tau", "t_mid", "B_mid"])
         J = path.cells
+        mid_times = path.mid_times(np.arange(J))
         for j in range(J + 1):
-            row = [str(j), repr(float(path.grid_times[j])), repr(float(path.grid_values[j]))]
+            row = [str(j), repr(j * path.step), repr(float(path.grid_values[j]))]
             if j < J:
                 row += [
-                    repr(float(path.offsets.values[j])),
-                    repr(float(path.mid_times[j])),
+                    repr(float(path.offsets[j])),
+                    repr(float(mid_times[j])),
                     repr(float(path.mid_values[j])),
                 ]
             else:
                 row += ["", "", ""]
             writer.writerow(row)
-

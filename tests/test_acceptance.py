@@ -148,14 +148,14 @@ def test_criterion_07_brownian_machinery():
     def check():
         terminal = np.array(
             [
-                sample_brownian_path(RngStream(DEFAULT_SEED, i), 1.0, 2.0**-6).grid_values[-1]
+                sample_brownian_path(RngStream(DEFAULT_SEED, i), 2.0**-6).grid_values[-1]
                 for i in range(10**4)
             ]
         )
         assert abs(terminal.var() - 1.0) < 0.05, f"terminal variance {terminal.var()}"
 
-        path = sample_brownian_path(RngStream(DEFAULT_SEED, 10**5), 1.0, 2.0**-14)
-        tau = path.offsets.values
+        path = sample_brownian_path(RngStream(DEFAULT_SEED, 10**5), 2.0**-14)
+        tau = path.offsets
         mean = (1.0 - tau) * path.grid_values[:-1] + tau * path.grid_values[1:]
         sd = np.sqrt(tau * (1.0 - tau) * path.step)
         residuals = ((path.mid_values - mean) / sd)[: 10**4]
@@ -165,8 +165,8 @@ def test_criterion_07_brownian_machinery():
         for k in (2, 4, 8, 16, 32, 64, 128, 256, 512):
             hc = k * path.step
             ctau = coarsen_tau(path, hc, RngStream(DEFAULT_SEED, 10**5 + k))
-            nodes = path.grid_times[::k]
-            assert np.array_equal(nodes[:-1] + ctau.values * hc, ctau.mid_times), f"k={k}"
+            starts = np.arange(path.cells // k) * hc
+            assert np.array_equal(starts + ctau.values * hc, ctau.mid_times), f"k={k}"
 
     _verdict(7, "Brownian variance and bridge checks pass; coarsening reuse bit-for-bit for k=2..512", check)
 
@@ -203,7 +203,7 @@ def test_criterion_09_almost_sure_rate():
 
 def test_criterion_10_double_sum_identity():
     def check():
-        path = sample_brownian_path(RngStream(DEFAULT_SEED, 424242), 1.0, 2.0**-10)
+        path = sample_brownian_path(RngStream(DEFAULT_SEED, 424242), 2.0**-10)
         bi = brownian_integrand(path)
 
         def brute_force(intervals):

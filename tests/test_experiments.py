@@ -18,9 +18,15 @@ from randquad.experiments import (
     union_grid_reference,
     warn_if_nonmonotone,
 )
-from randquad.integrands import affine_integrand, brownian_integrand, ctq_brownian, power_integrand
-from randquad.quadrature import ctq, make_partition, rtq, rtq_prefix
-from randquad.random_sources import RngStream, sample_tau_sequence
+from randquad.integrands import (
+    affine_integrand,
+    brownian_integrand,
+    ctq_brownian,
+    power_integrand,
+    rtq_brownian,
+)
+from randquad.quadrature import Integrand, ctq, make_partition, rtq, rtq_prefix
+from randquad.random_sources import BrownianPath, RngStream, coarsen_tau, sample_tau_sequence
 
 
 def synthetic_ladder(constant, order, exponents=(5, 6, 7, 8, 9, 10)):
@@ -118,13 +124,9 @@ class TestMcLpError:
             assert abs(e1 - e2) < 3.0 * max(s1, s2)
 
     def test_requires_reference(self):
-        from randquad.quadrature import Integrand
-
         g = Integrand(evaluator=lambda t: np.asarray(t) ** 2, total_time=1.0, label="bare")
         with pytest.raises(ValueError, match="exact integral"):
             mc_lp_error(g, make_partition(1.0, 4), 2.0, 10, RngStream(0))
-        error, _ = mc_lp_error(g, make_partition(1.0, 4), 2.0, 10, RngStream(0), reference=1 / 3)
-        assert error > 0
 
     @pytest.mark.parametrize("p", [0.5, float("inf"), float("nan")])
     def test_rejects_p_outside_one_to_infinity(self, p):
@@ -149,9 +151,10 @@ class TestMcLpError:
             mc_lp_error(power_integrand(1.5), part, p, 200, RngStream(0))
 
     def test_rejects_p_whose_powers_overflow(self):
+        g = Integrand(evaluator=lambda t: np.asarray(t) ** 1.5, total_time=1.0, exact_integral=1e154)
         part = make_partition(1.0, 4)
         with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(ValueError, match="p = 2.0"):
-            mc_lp_error(power_integrand(1.5), part, 2.0, 4, RngStream(0), reference=1e154)
+            mc_lp_error(g, part, 2.0, 4, RngStream(0))
 
     def test_rejects_single_replication(self):
         with pytest.raises(ValueError):
@@ -324,27 +327,18 @@ class TestRunExample2:
         with pytest.raises(ValueError):
             run_example2(step_exponents=range(5, 12), reference_step=2.0**-10, seed=8)
 
-    def test_injected_zero_path_gives_zero_errors(self):
-        from randquad.quadrature import TauSequence
-        from randquad.random_sources import BrownianPath
-
+    def test_zero_path_gives_zero_reference_and_rule_values(self):
         cells = 2**8
-        step = 2.0**-8
         zero = BrownianPath(
-            step=step,
-            total_time=1.0,
-            grid_times=np.linspace(0.0, 1.0, cells + 1),
+            step=2.0**-8,
             grid_values=np.zeros(cells + 1),
-            offsets=TauSequence.from_values(np.full(cells, 0.4)),
-            mid_times=(np.arange(cells) + 0.4) * step,
+            offsets=np.full(cells, 0.4),
             mid_values=np.zeros(cells),
         )
-        result = run_example2(step_exponents=range(5, 8), reference_step=step, seed=8, path=zero)
-        for report in result.reports:
-            assert np.all(report.ladder.errors == 0.0)
-            assert np.isnan(report.fitted_order)
-
-    def test_injected_path_must_match_reference_step(self):
-        path = run_example2(step_exponents=range(5, 7), reference_step=2.0**-9, seed=8).path
-        with pytest.raises(ValueError, match="injected path"):
-            run_example2(step_exponents=range(5, 7), reference_step=2.0**-10, seed=8, path=path)
+        bi = brownian_integrand(zero)
+        assert union_grid_reference(bi) == 0.0
+        for n in (32, 64, 128):
+            part = make_partition(1.0, n)
+            assert ctq_brownian(bi, part).value == 0.0
+            ctau = coarsen_tau(zero, part.step, RngStream(8, n))
+            assert rtq_brownian(bi, part, ctau).value == 0.0

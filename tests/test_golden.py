@@ -8,8 +8,9 @@ whitespace and commas.  The three workloads cover both generic rules
 (``example2 --h-ref-exp 20 --max-exp 15``) and the Sobolev diagnostic
 (``sobolev --sigma 1.2 --cells 1024``).  Any change that moves one of their
 values by one ulp fails here.  Every workload runs at the default seed 2;
-``example1 -M 1000``, which exercises the batched stream seeding, runs at
-the held-out seed 7 as well.  The tests only read the golden files.
+``example1 -M 1000``, which exercises the batched stream seeding, and
+``example2 --h-ref-exp 20``, which exercises the Brownian path, run at the
+held-out seed 7 as well.  The tests only read the golden files.
 """
 
 import csv
@@ -68,12 +69,20 @@ def test_example1_mc1000_matches_golden_on_the_held_out_seed(tmp_path, capsys):
     check_example1_mc1000(tmp_path, capsys, HELD_OUT_SEED)
 
 
-def test_example2_fine_reference_matches_golden_bit_for_bit(tmp_path, capsys):
-    argv, records, expected = run_workload("ex2_ref20", tmp_path, capsys)
+def check_example2_ref20(tmp_path, capsys, seed):
+    argv, records, expected = run_workload("ex2_ref20", tmp_path, capsys, seed)
     assert argv[:5] == ["example2", "--h-ref-exp", "20", "--max-exp", "15"]
     assert set(expected) == {"errors.csv", "orders.csv"}
     for name in expected:
         assert records[name] == expected[name], name
+
+
+def test_example2_fine_reference_matches_golden_bit_for_bit(tmp_path, capsys):
+    check_example2_ref20(tmp_path, capsys, DEFAULT_SEED)
+
+
+def test_example2_fine_reference_matches_golden_on_the_held_out_seed(tmp_path, capsys):
+    check_example2_ref20(tmp_path, capsys, HELD_OUT_SEED)
 
 
 def test_sobolev_1024_matches_golden_bit_for_bit(tmp_path, capsys):

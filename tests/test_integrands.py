@@ -17,7 +17,7 @@ from randquad.integrands import (
     rtq_brownian,
     sobolev_seminorm,
 )
-from randquad.quadrature import Integrand, TauSequence, ctq, make_partition
+from randquad.quadrature import Integrand, ctq, make_partition
 from randquad.random_sources import BrownianPath, RngStream, coarsen_tau, sample_brownian_path
 
 
@@ -62,31 +62,23 @@ def test_non_finite_integrand_parameters_rejected(build):
         build()
 
 
-def _hand_path(grid_values, offsets, mid_values, total_time=1.0):
+def _hand_path(grid_values, offsets, mid_values):
     grid_values = np.asarray(grid_values, dtype=float)
-    offsets = np.asarray(offsets, dtype=float)
-    cells = grid_values.size - 1
-    step = total_time / cells
     return BrownianPath(
-        step=step,
-        total_time=total_time,
-        grid_times=np.linspace(0.0, total_time, cells + 1),
+        step=1.0 / (grid_values.size - 1),
         grid_values=grid_values,
-        offsets=TauSequence.from_values(offsets),
-        mid_times=(np.arange(cells) + offsets) * step,
+        offsets=np.asarray(offsets, dtype=float),
         mid_values=np.asarray(mid_values, dtype=float),
     )
 
 
-def _zero_path(cells=8, total_time=1.0):
-    return _hand_path(
-        np.zeros(cells + 1), np.full(cells, 0.375), np.zeros(cells), total_time=total_time
-    )
+def _zero_path(cells=8):
+    return _hand_path(np.zeros(cells + 1), np.full(cells, 0.375), np.zeros(cells))
 
 
 class TestBrownianIntegrand:
     def test_prefix_starts_at_zero(self):
-        bi = brownian_integrand(sample_brownian_path(RngStream(1), 1.0, 2.0**-6))
+        bi = brownian_integrand(sample_brownian_path(RngStream(1), 2.0**-6))
         assert bi.prefix[0] == 0.0
 
     def test_linear_path_hand_value(self):
@@ -100,12 +92,12 @@ class TestBrownianIntegrand:
         np.testing.assert_allclose(bi.prefix, h * h * n * (n - 1) / 2.0, rtol=1e-14, atol=1e-18)
 
     def test_node_evaluation_is_prefix(self):
-        path = sample_brownian_path(RngStream(2), 1.0, 2.0**-8)
+        path = sample_brownian_path(RngStream(2), 2.0**-8)
         bi = brownian_integrand(path)
-        np.testing.assert_array_equal(bi.value_at(path.grid_times), bi.prefix)
+        np.testing.assert_array_equal(bi.value_at(np.arange(path.cells + 1) * path.step), bi.prefix)
 
     def test_euler_recurrence(self):
-        path = sample_brownian_path(RngStream(3), 1.0, 2.0**-8)
+        path = sample_brownian_path(RngStream(3), 2.0**-8)
         bi = brownian_integrand(path)
         steps = np.diff(bi.prefix)
         # Differences of stored prefixes are exact only up to the rounding of
@@ -114,7 +106,7 @@ class TestBrownianIntegrand:
         np.testing.assert_allclose(steps, path.step * path.grid_values[:-1], rtol=0, atol=atol)
 
     def test_out_of_range_rejected(self):
-        bi = brownian_integrand(sample_brownian_path(RngStream(4), 1.0, 2.0**-4))
+        bi = brownian_integrand(sample_brownian_path(RngStream(4), 2.0**-4))
         with pytest.raises(ValueError):
             bi.value_at(np.array([1.5]))
         with pytest.raises(ValueError):
@@ -127,7 +119,7 @@ class TestCtqBrownian:
         assert ctq_brownian(bi, make_partition(1.0, 4)).value == 0.0
 
     def test_matches_generic_rule_on_same_nodes(self):
-        bi = brownian_integrand(sample_brownian_path(RngStream(11), 1.0, 2.0**-10))
+        bi = brownian_integrand(sample_brownian_path(RngStream(11), 2.0**-10))
         for n in (32, 128, 1024):
             part = make_partition(1.0, n)
             closed = ctq_brownian(bi, part).value
@@ -151,7 +143,7 @@ class TestCtqBrownian:
         assert abs(value - expected) <= 2 * np.spacing(abs(expected))
 
     def test_misaligned_nodes_rejected(self):
-        bi = brownian_integrand(sample_brownian_path(RngStream(5), 1.0, 2.0**-3))
+        bi = brownian_integrand(sample_brownian_path(RngStream(5), 2.0**-3))
         with pytest.raises(ValueError):
             ctq_brownian(bi, make_partition(1.0, 3))
 
@@ -175,7 +167,7 @@ class TestRtqBrownian:
         assert rtq_brownian(bi, part, ctau).value == pytest.approx(expected, rel=1e-15)
 
     def test_swap_invariance_is_exact(self):
-        path = sample_brownian_path(RngStream(14), 1.0, 2.0**-10)
+        path = sample_brownian_path(RngStream(14), 2.0**-10)
         bi = brownian_integrand(path)
         part = make_partition(1.0, 64)
         ctau = coarsen_tau(path, part.step, RngStream(14, 1))
@@ -191,14 +183,14 @@ class TestRtqBrownian:
         assert rtq_brownian(bi, part, ctau).value == rtq_brownian(bi, part, swapped).value
 
     def test_wrong_coarse_step_rejected(self):
-        path = sample_brownian_path(RngStream(15), 1.0, 2.0**-8)
+        path = sample_brownian_path(RngStream(15), 2.0**-8)
         bi = brownian_integrand(path)
         ctau = coarsen_tau(path, 2.0**-5, RngStream(15, 1))
         with pytest.raises(ValueError):
             rtq_brownian(bi, make_partition(1.0, 64), ctau)
 
     def test_missing_sample_names_cell(self):
-        path = sample_brownian_path(RngStream(16), 1.0, 2.0**-8)
+        path = sample_brownian_path(RngStream(16), 2.0**-8)
         bi = brownian_integrand(path)
         part = make_partition(1.0, 32)
         ctau = coarsen_tau(path, part.step, RngStream(16, 1))

@@ -1,10 +1,11 @@
 import csv
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from randquad import random_sources
-from randquad.quadrature import TauSequence
 from randquad.random_sources import (
     BrownianPath,
     RngStream,
@@ -148,18 +149,18 @@ class TestBatchSeeding:
 class TestBrownianPath:
     def test_starts_at_zero_every_seed(self):
         for seed in range(5):
-            path = sample_brownian_path(RngStream(seed), 1.0, 2.0**-4)
+            path = sample_brownian_path(RngStream(seed), 2.0**-4)
             assert path.grid_values[0] == 0.0
 
     def test_terminal_variance(self):
         terminal = np.array(
-            [sample_brownian_path(RngStream(9, i), 1.0, 2.0**-6).grid_values[-1] for i in range(10**4)]
+            [sample_brownian_path(RngStream(9, i), 2.0**-6).grid_values[-1] for i in range(10**4)]
         )
         assert abs(terminal.var() - 1.0) < 0.05
 
     def test_bridge_residuals_standard_normal(self):
-        path = sample_brownian_path(RngStream(23), 1.0, 2.0**-14)
-        tau = path.offsets.values
+        path = sample_brownian_path(RngStream(23), 2.0**-14)
+        tau = path.offsets
         mean = (1.0 - tau) * path.grid_values[:-1] + tau * path.grid_values[1:]
         sd = np.sqrt(tau * (1.0 - tau) * path.step)
         residuals = ((path.mid_values - mean) / sd)[: 10**4]
@@ -170,8 +171,8 @@ class TestBrownianPath:
         """Grid plus interior samples must still look like one Brownian path:
         each union-grid increment has variance equal to its interval length.
         This pins the orientation of the bridge mean."""
-        path = sample_brownian_path(RngStream(31), 1.0, 2.0**-12)
-        tau = path.offsets.values
+        path = sample_brownian_path(RngStream(31), 2.0**-12)
+        tau = path.offsets
         left = path.mid_values - path.grid_values[:-1]
         right = path.grid_values[1:] - path.mid_values
         ratios = np.concatenate(
@@ -180,38 +181,75 @@ class TestBrownianPath:
         assert abs(ratios.mean() - 1.0) < 0.06
 
     def test_interior_times_strictly_inside(self):
-        path = sample_brownian_path(RngStream(3), 1.0, 2.0**-8)
-        assert np.all(path.mid_times > path.grid_times[:-1])
-        assert np.all(path.mid_times < path.grid_times[1:])
+        path = sample_brownian_path(RngStream(3), 2.0**-8)
+        cells = np.arange(path.cells)
+        assert np.all(path.mid_times(cells) > cells * path.step)
+        assert np.all(path.mid_times(cells) < (cells + 1) * path.step)
 
-    @pytest.mark.parametrize("step", [0.0, -0.5, 2.0, 0.3])
+    def test_offset_whose_time_rounds_onto_a_node_is_redrawn(self):
+        # 1 + 1e-300 rounds to 1, so the first offset drawn for cell 1 would
+        # put its interior time on node 1; the next draw replaces it.
+        class Planted:
+            def __init__(self):
+                self.rng = np.random.default_rng(0)
+                self.offset_draws = []
+
+            def random(self, size):
+                values = self.rng.random(size)
+                if not self.offset_draws:
+                    values[1] = 1e-300
+                self.offset_draws.append(values.copy())
+                return values
+
+            def standard_normal(self, *args, **kwargs):
+                return self.rng.standard_normal(*args, **kwargs)
+
+        rng = Planted()
+        path = sample_brownian_path(SimpleNamespace(generator=lambda: rng), 2.0**-4)
+        first, redraw = rng.offset_draws
+        assert first[1] == 1e-300 and redraw.shape == (1,)
+        assert path.offsets[1] == redraw[0]
+        np.testing.assert_array_equal(np.delete(path.offsets, 1), np.delete(first, 1))
+        cells = np.arange(path.cells)
+        assert np.all(path.mid_times(cells) > cells * path.step)
+        assert np.all(path.mid_times(cells) < (cells + 1) * path.step)
+
+    def test_keeps_only_the_sampled_arrays(self):
+        # Node values, offsets and interior values: three arrays of 2^16
+        # float64, and nothing else of that size.  A first small path keeps
+        # the lazy imports behind numpy's generators out of the count.
+        sample_brownian_path(RngStream(0), 2.0**-4)
+        tracemalloc.start()
+        try:
+            path = sample_brownian_path(RngStream(0), 2.0**-16)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.cells == 2**16
+        assert kept <= 3 * 2**16 * 8 + 64 * 1024
+
+    @pytest.mark.parametrize("step", [0.0, -0.5, 2.0, 0.3, 3 * 2**-4, float("nan"), float("inf")])
     def test_rejects_bad_steps(self, step):
         with pytest.raises(ValueError):
-            sample_brownian_path(RngStream(1), 1.0, step)
+            sample_brownian_path(RngStream(1), step)
 
 
-def _hand_path(grid_values, offsets, mid_values, total_time=1.0):
+def _hand_path(grid_values, offsets, mid_values):
     grid_values = np.asarray(grid_values, dtype=float)
-    offsets = np.asarray(offsets, dtype=float)
-    cells = grid_values.size - 1
-    step = total_time / cells
     return BrownianPath(
-        step=step,
-        total_time=total_time,
-        grid_times=np.linspace(0.0, total_time, cells + 1),
+        step=1.0 / (grid_values.size - 1),
         grid_values=grid_values,
-        offsets=TauSequence.from_values(offsets),
-        mid_times=(np.arange(cells) + offsets) * step,
+        offsets=np.asarray(offsets, dtype=float),
         mid_values=np.asarray(mid_values, dtype=float),
     )
 
 
 class TestCoarsenTau:
     def test_identity_at_factor_one(self):
-        path = sample_brownian_path(RngStream(4), 1.0, 2.0**-6)
+        path = sample_brownian_path(RngStream(4), 2.0**-6)
         ctau = coarsen_tau(path, 2.0**-6, RngStream(4, 1))
         assert ctau.factor == 1
-        np.testing.assert_allclose(ctau.values, path.offsets.values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ctau.values, path.offsets, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(ctau.selected_indices, np.arange(path.cells))
 
     def test_slot_one_formula(self):
@@ -228,12 +266,12 @@ class TestCoarsenTau:
 
     @pytest.mark.parametrize("k", [2**i for i in range(1, 10)])
     def test_reuse_is_bitwise_exact(self, k):
-        path = sample_brownian_path(RngStream(77), 1.0, 2.0**-14)
+        path = sample_brownian_path(RngStream(77), 2.0**-14)
         hc = k * path.step
         ctau = coarsen_tau(path, hc, RngStream(77, k))
-        nodes = path.grid_times[::k]
-        np.testing.assert_array_equal(nodes[:-1] + ctau.values * hc, ctau.mid_times)
-        np.testing.assert_array_equal(path.mid_times[ctau.selected_indices], ctau.mid_times)
+        starts = np.arange(path.cells // k) * hc
+        np.testing.assert_array_equal(starts + ctau.values * hc, ctau.mid_times)
+        np.testing.assert_array_equal(path.mid_times(ctau.selected_indices), ctau.mid_times)
         np.testing.assert_array_equal(path.mid_values[ctau.selected_indices], ctau.mid_values)
         assert np.all(ctau.values > 0.0) and np.all(ctau.values < 1.0)
         lo = np.arange(len(ctau)) * k
@@ -243,7 +281,7 @@ class TestCoarsenTau:
     def test_coarse_offsets_still_uniform(self):
         # Uniform slot choice over per-slot uniforms keeps the marginal U(0,1):
         # Kolmogorov-Smirnov at the 1% level.
-        path = sample_brownian_path(RngStream(13), 1.0, 2.0**-19)
+        path = sample_brownian_path(RngStream(13), 2.0**-19)
         ctau = coarsen_tau(path, 4 * path.step, RngStream(13, 1))
         u = np.sort(ctau.values)
         n = u.size
@@ -262,24 +300,25 @@ class TestCoarsenTau:
         assert ctau.comp_values[0] == path.mid_values[1 - s]
 
     def test_interpolated_complement_on_generic_path(self):
-        path = sample_brownian_path(RngStream(19), 1.0, 2.0**-10)
+        path = sample_brownian_path(RngStream(19), 2.0**-10)
         ctau = coarsen_tau(path, 2.0**-7, RngStream(19, 1))
         fresh = ~ctau.comp_is_mirror
         assert fresh.any()
         idx = np.floor(ctau.comp_times[fresh] / path.step).astype(int)
-        frac = (ctau.comp_times[fresh] - path.grid_times[idx]) / path.step
+        frac = (ctau.comp_times[fresh] - idx * path.step) / path.step
         expected = (1 - frac) * path.grid_values[idx] + frac * path.grid_values[idx + 1]
         np.testing.assert_allclose(ctau.comp_values[fresh], expected, rtol=1e-12)
 
-    def test_rejects_non_multiple(self):
-        path = sample_brownian_path(RngStream(1), 1.0, 2.0**-4)
+    @pytest.mark.parametrize("coarse_step", [0.3, 3 * 2**-3, 2.0**-5])
+    def test_rejects_non_multiple(self, coarse_step):
+        path = sample_brownian_path(RngStream(1), 2.0**-4)
         with pytest.raises(ValueError):
-            coarsen_tau(path, 0.3, RngStream(1, 1))
+            coarsen_tau(path, coarse_step, RngStream(1, 1))
 
 
 class TestPathCsv:
     def test_round_trip_bitwise(self, tmp_path):
-        path = sample_brownian_path(RngStream(88), 1.0, 2.0**-7)
+        path = sample_brownian_path(RngStream(88), 2.0**-7)
         dest = tmp_path / "path.csv"
         save_path_csv(path, dest)
         with open(dest, newline="") as fh:
@@ -292,10 +331,10 @@ class TestPathCsv:
             return np.array([float(r[index]) for r in rows[:count]]).view(np.uint64)
 
         for index, expected in (
-            (1, path.grid_times),
+            (1, np.arange(path.cells + 1) * path.step),
             (2, path.grid_values),
-            (3, path.offsets.values),
-            (4, path.mid_times),
+            (3, path.offsets),
+            (4, path.mid_times(np.arange(path.cells))),
             (5, path.mid_values),
         ):
             np.testing.assert_array_equal(column(index, len(expected)), expected.view(np.uint64))
