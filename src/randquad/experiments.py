@@ -310,21 +310,26 @@ def as_rate_check(
 
 
 def _dyadic_steps(step_exponents) -> list[float]:
-    """The steps 2^-i of a driver's ladder.
+    """The steps 2^-i of a driver's ladder on [0, 1].
 
     A ladder needs two rungs to fit an order, so an empty or one-exponent
-    range is an error, raised before anything is sampled or written.
+    range is an error, and so is an exponent below 0, whose step is longer
+    than [0, 1]; all are raised before anything is sampled or written.
     """
-    steps = [2.0**-i for i in step_exponents]
-    if not steps:
+    exponents = list(step_exponents)
+    if not exponents:
         raise ValueError(
             f"the step exponent range {step_exponents!r} is empty; the minimum must not exceed the maximum"
         )
-    if len(steps) < 2:
+    if len(exponents) < 2:
         raise ValueError(
             f"the step exponent range {step_exponents!r} has one exponent; fitting an order needs at least two"
         )
-    return steps
+    if min(exponents) < 0:
+        raise ValueError(
+            f"the step exponent range {step_exponents!r} holds {min(exponents)!r}; exponents must be at least 0"
+        )
+    return [2.0**-i for i in exponents]
 
 
 def _timed(fn, repeats: int = TIMING_REPEATS):

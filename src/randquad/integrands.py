@@ -80,13 +80,19 @@ def power_integrand(gamma: float, total_time: float = 1.0) -> Integrand:
     def prefix(t: np.ndarray) -> np.ndarray:
         return np.asarray(t, dtype=np.float64) ** (gamma + 1.0) / (gamma + 1.0)
 
+    # Python's float power, not numpy's: the two can differ by an ulp, and
+    # every error ladder is measured against this value.
+    try:
+        exact = T ** (gamma + 1.0) / (gamma + 1.0)
+    except OverflowError:
+        raise ValueError(
+            f"the exact integral total_time**(gamma + 1) overflows at gamma = {gamma!r}, total_time = {T!r}"
+        ) from None
     return Integrand(
         evaluator=value,
         total_time=T,
         label=f"power(gamma={gamma:g})",
-        # Python's float power, not numpy's: the two can differ by an ulp,
-        # and every error ladder is measured against this value.
-        exact_integral=T ** (gamma + 1.0) / (gamma + 1.0),
+        exact_integral=exact,
         exact_derivative=derivative,
         exact_prefix_integral=prefix,
     )
@@ -305,8 +311,9 @@ def sobolev_seminorm(
     to bound the time (about 1 s per estimate at that size).
 
     Raises:
-        ValueError: if ``g`` carries no exact derivative, or sigma/p/cells
-            are out of range (``cells`` above ``SOBOLEV_MAX_CELLS`` included).
+        ValueError: if ``g`` carries no exact derivative, sigma/p/cells
+            are out of range (``cells`` above ``SOBOLEV_MAX_CELLS`` included),
+            or a term or the total is not finite.
     """
     if g.exact_derivative is None:
         raise ValueError(f"sobolev_seminorm requires an exact derivative; {g.label!r} has none")
@@ -338,6 +345,15 @@ def sobolev_seminorm(
     term_slobodeckij = float(_slobodeckij_sum(mid, dv, delta, p, exponent) * width * width)
 
     total = term_value + term_derivative + term_slobodeckij
+    terms = {
+        "term |g|^p": term_value,
+        "term |dg|^p": term_derivative,
+        "term slobodeckij": term_slobodeckij,
+        "total": total,
+    }
+    for name, term in terms.items():
+        if not np.isfinite(term):
+            raise ValueError(f"{name} is {term!r} at p = {p!r}: a power in it left the double range; use a smaller p")
     return SobolevEstimate(
         sigma=sigma,
         p=p,

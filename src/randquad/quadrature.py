@@ -11,10 +11,12 @@ points a, b of every cell, one compensated sum of them along the last
 axis, scaled by h/2.  Each rule makes 2N integrand evaluations per
 partition, so their cost accounting stays symmetric.
 
-``rtq`` also takes a batch of offset sequences, one per row of a 2-d
-:class:`TauSequence`.  A single sequence is the one-row case of the same
-path: one integrand call on all the offset times, then one compensated sum
-per row.
+Offsets are plain float64 arrays: 1-d for one sequence, 2-d with one
+sequence per row.  ``rtq`` takes a batch of offset sequences as the rows of
+a 2-d array; a single sequence is the one-row case of the same path: one
+integrand call on all the offset times, then one compensated sum per row.
+The rules form ``1 - tau`` themselves and check both offsets once, in
+``_offset_times``.
 """
 
 from __future__ import annotations
@@ -36,9 +38,8 @@ class EvaluationError(ArithmeticError):
 
 @dataclass(frozen=True, eq=False)
 class Partition:
-    """Equidistant grid over [0, T] with N cells of width h = T/N."""
+    """Equidistant grid over [0, T] with N cells of width h = T/N; ``nodes[-1]`` is T."""
 
-    total_time: float
     intervals: int
     step: float
     nodes: np.ndarray
@@ -59,51 +60,7 @@ def make_partition(total_time: float, intervals: int) -> Partition:
         raise ValueError(f"intervals must be a positive integer, got {intervals!r}")
     nodes = np.linspace(0.0, T, N + 1)
     nodes.setflags(write=False)
-    return Partition(total_time=T, intervals=N, step=T / N, nodes=nodes)
-
-
-@dataclass(frozen=True, eq=False)
-class TauSequence:
-    """I.i.d. Uniform(0,1) offsets and their complements 1 - tau.
-
-    Complements are stored rather than recomputed: ``complement()`` is then
-    an exact swap of the two arrays, so the rule's invariance under
-    complementing offsets holds bit for bit (float addition is commutative).
-
-    ``values`` is 1-d for one sequence, or 2-d with one sequence per row for
-    a batch; ``len`` is the number of offsets in each sequence.
-    """
-
-    values: np.ndarray
-    complements: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
-        c = np.asarray(self.complements, dtype=np.float64)
-        if v.ndim not in (1, 2) or v.shape != c.shape:
-            raise ValueError("values and complements must be 1-d or 2-d arrays of equal shape")
-        if v.size == 0:
-            raise ValueError("TauSequence must contain at least one offset")
-        for name, arr in (("values", v), ("complements", c)):
-            # Written so that a NaN offset fails both comparisons and is rejected.
-            if not (arr.min() > 0.0 and arr.max() < 1.0):
-                raise ValueError(f"TauSequence {name} must lie strictly inside (0, 1)")
-        v.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "complements", c)
-
-    @classmethod
-    def from_values(cls, values) -> "TauSequence":
-        v = np.asarray(values, dtype=np.float64)
-        return cls(values=v, complements=1.0 - v)
-
-    def complement(self) -> "TauSequence":
-        """The sequence with every tau replaced by 1 - tau."""
-        return TauSequence(values=self.complements, complements=self.values)
-
-    def __len__(self) -> int:
-        return int(self.values.shape[-1])
+    return Partition(intervals=N, step=T / N, nodes=nodes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,13 +116,24 @@ def _cell_terms(g: Integrand, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _evaluate(g, a) + _evaluate(g, b)
 
 
-def _offset_times(part: Partition, tau: TauSequence) -> tuple[np.ndarray, np.ndarray]:
-    """The times t_n + tau_n h and t_n + (1 - tau_n) h, one row per offset sequence."""
+def _offset_times(part: Partition, tau) -> tuple[np.ndarray, np.ndarray]:
+    """The times t_n + tau_n h and t_n + (1 - tau_n) h, one row per offset sequence.
+
+    Raises:
+        ValueError: unless ``tau`` is 1-d or 2-d with at least N offsets per
+            row, and every offset and its complement lie strictly inside (0, 1).
+    """
     n = part.intervals
-    if len(tau) < n:
-        raise ValueError(f"TauSequence has {len(tau)} offsets but the partition has {n} cells")
+    tau = np.asarray(tau, dtype=np.float64)
+    if tau.ndim not in (1, 2) or tau.size == 0 or tau.shape[-1] < n:
+        raise ValueError(f"tau must be 1-d or 2-d with at least {n} offsets per row, got shape {tau.shape}")
+    comp = 1.0 - tau
+    # comp > 0 rejects tau >= 1; comp < 1 rejects tau <= 0 and any tau whose
+    # complement rounds to 1.  Written so that NaN fails both comparisons.
+    if not (comp.min() > 0.0 and comp.max() < 1.0):
+        raise ValueError("offsets tau and 1 - tau must lie strictly inside (0, 1)")
     lefts = part.nodes[:-1]
-    return lefts + tau.values[..., :n] * part.step, lefts + tau.complements[..., :n] * part.step
+    return lefts + tau[..., :n] * part.step, lefts + comp[..., :n] * part.step
 
 
 def ctq(g: Integrand, part: Partition) -> QuadratureValue:
@@ -178,27 +146,31 @@ def ctq(g: Integrand, part: Partition) -> QuadratureValue:
     return QuadratureValue(value=value, rule=CTQ, evaluations=2 * cells.size)
 
 
-def rtq(g: Integrand, part: Partition, tau: TauSequence) -> QuadratureValue:
+def rtq(g: Integrand, part: Partition, tau) -> QuadratureValue:
     """Randomised trapezoidal quadrature: per-cell evaluation at tau and 1 - tau.
 
-    Deterministic given ``tau``; extra offsets beyond the partition's cell
-    count are ignored.  For a 2-d ``tau`` the value is an array with one
-    rule value per row, each bit-for-bit equal to ``rtq`` on that row alone.
+    ``tau`` is array_like: 1-d for one offset sequence, 2-d with one per
+    row, each offset strictly inside (0, 1).  Deterministic given ``tau``;
+    extra offsets beyond the partition's cell count are ignored.  For a 2-d
+    ``tau`` the value is an array with one rule value per row, each
+    bit-for-bit equal to ``rtq`` on that row alone.
     """
     cells = _cell_terms(g, *_offset_times(part, tau))
     value = 0.5 * part.step * compensated_sum(cells)
     return QuadratureValue(value=value, rule=RTQ, evaluations=2 * cells.size)
 
 
-def rtq_prefix(g: Integrand, part: Partition, tau: TauSequence) -> QuadratureValue:
+def rtq_prefix(g: Integrand, part: Partition, tau) -> QuadratureValue:
     """Partial sums of the randomised rule over the first n cells, n = 1..N.
 
+    ``tau`` is one offset sequence, a 1-d array_like checked as by ``rtq``.
     ``value`` is an array whose element n - 1 approximates the integral over
     [0, t_n]; its last element is bit-for-bit equal to ``rtq(g, part, tau)``
     because both run the same compensated accumulation.
     """
-    if tau.values.ndim != 1:
+    times = _offset_times(part, tau)
+    if times[0].ndim != 1:
         raise ValueError("rtq_prefix supports single offset sequences only")
-    cells = _cell_terms(g, *_offset_times(part, tau))
+    cells = _cell_terms(g, *times)
     value = 0.5 * part.step * compensated_cumsum(cells)
     return QuadratureValue(value=value, rule=RTQ, evaluations=2 * cells.size)

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import TauSequence
 from .summation import BLOCK_ELEMENTS
 
 _MAX_UINT64 = 2**64
@@ -83,12 +82,14 @@ def _strict_uniform(rng: np.random.Generator, count: int, base=0) -> np.ndarray:
     return values
 
 
-def sample_tau_sequence(stream: RngStream, count: int) -> TauSequence:
-    """Draw ``count`` i.i.d. Uniform(0,1) offsets, strictly inside (0,1)."""
+def sample_tau_sequence(stream: RngStream, count: int) -> np.ndarray:
+    """Draw ``count`` i.i.d. Uniform(0,1) offsets, strictly inside (0,1).
+
+    A 1-d float64 array; the rules form the complements 1 - tau themselves.
+    """
     if count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
-    values = _strict_uniform(stream.generator(), int(count))
-    return TauSequence(values=values, complements=1.0 - values)
+    return _strict_uniform(stream.generator(), int(count))
 
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx): pool size, hash and
@@ -189,16 +190,17 @@ def _row_generator(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_seed_row_type()(words)))
 
 
-def sample_tau_batches(stream: RngStream, replications: int, count: int) -> Iterator[TauSequence]:
+def sample_tau_batches(stream: RngStream, replications: int, count: int) -> Iterator[np.ndarray]:
     """Offset sequences of ``count`` offsets for ``replications`` streams, in blocks.
 
-    Yields 2-d :class:`TauSequence` blocks of ``max(1, BLOCK_ELEMENTS // count)``
-    rows, about one summation kernel block of cells.  Replication m comes
-    from its own stream ``(stream.seed, stream.stream_id + m)`` and is
-    bit-for-bit ``sample_tau_sequence`` on that stream, so batching changes
-    no draw.  The seeds of all the streams are derived up front in one
-    vectorised pass (:func:`_seed_words`), and numpy seeds each row's
-    ``PCG64`` from them.  A row holding an exact 0 or 1 is redrawn from its
+    Yields 2-d float64 arrays of ``max(1, BLOCK_ELEMENTS // count)`` rows,
+    about one summation kernel block of cells, with one offset sequence per
+    row.  Replication m comes from its own stream
+    ``(stream.seed, stream.stream_id + m)`` and is bit-for-bit
+    ``sample_tau_sequence`` on that stream, so batching changes no draw.
+    The seeds of all the streams are derived up front in one vectorised
+    pass (:func:`_seed_words`), and numpy seeds each row's ``PCG64`` from
+    them.  A row holding an exact 0 or 1 is redrawn from its
     stream's start by the single-stream rule.
 
     Raises:
@@ -212,7 +214,7 @@ def sample_tau_batches(stream: RngStream, replications: int, count: int) -> Iter
     return _draw_blocks(words, int(count))
 
 
-def _draw_blocks(words: np.ndarray, count: int) -> Iterator[TauSequence]:
+def _draw_blocks(words: np.ndarray, count: int) -> Iterator[np.ndarray]:
     rows_per_block = max(1, BLOCK_ELEMENTS // count)
     for start in range(0, len(words), rows_per_block):
         rows = words[start : start + rows_per_block]
@@ -221,7 +223,7 @@ def _draw_blocks(words: np.ndarray, count: int) -> Iterator[TauSequence]:
             _row_generator(row_words).random(out=row)
         for r in np.flatnonzero(((values <= 0.0) | (values >= 1.0)).any(axis=1)):
             values[r] = _strict_uniform(_row_generator(rows[r]), count)
-        yield TauSequence(values=values, complements=1.0 - values)
+        yield values
 
 
 def _dyadic_cells(step: float) -> int:

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import inspect
 import os
@@ -196,6 +197,16 @@ def test_empty_step_ladder_exits_2_before_writing(subcommand, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("subcommand", ["example1", "example2"])
+def test_negative_step_exponent_exits_2_before_writing(subcommand, tmp_path, capsys):
+    # Once failed only at the first partition, after example2 had sampled its
+    # path, with "intervals must be a positive integer, got 0".
+    argv = [subcommand, "--min-exp", "-1", "--max-exp", "3", "--outdir", str(tmp_path)]
+    assert main(argv) == EXIT_USAGE
+    assert "step exponent range range(-1, 4) holds -1; exponents must be at least 0" in capsys.readouterr().err
+    assert not (tmp_path / "errors.csv").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["example1", "example2"])
 def test_one_rung_ladder_exits_2_before_writing(subcommand, tmp_path, capsys):
     # One rung cannot be fitted; before this was rejected, example1 exited 0
     # with NaN orders.
@@ -252,24 +263,31 @@ def test_lp_error_underflow_at_large_p_exits_2(p, replications, tmp_path, capsys
 
 
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, message, numpy_warns",
     [
-        (["example1", "-p", "inf", "-M", "5", "--gammas", "1.5", "--min-exp", "5", "--max-exp", "6"], "p must be"),
-        (["example1", "-p", "nan", "-M", "5", "--gammas", "1.5", "--min-exp", "5", "--max-exp", "6"], "p must be"),
-        (["sobolev", "--sigma", "1.2", "-p", "nan"], "p must be"),
-        (["sobolev", "--sigma", "1.2", "-p", "inf"], "p must be"),
-        (["sobolev", "--sigma", "1.2", "--delta", "nan"], "delta must be"),
-        (["sobolev", "--sigma", "1.2", "--delta", "inf"], "delta must be"),
-        (["sobolev", "--sigma", "1.2", "--integrand", "constant", "--c0", "1", "--T", "inf"], "total_time"),
-        (["sobolev", "--sigma", "1.2", "--integrand", "affine", "--c0", "nan"], "must be finite"),
+        (["example1", "-p", "inf", "-M", "5", "--gammas", "1.5", "--min-exp", "5", "--max-exp", "6"], "p must be", False),
+        (["example1", "-p", "nan", "-M", "5", "--gammas", "1.5", "--min-exp", "5", "--max-exp", "6"], "p must be", False),
+        (["sobolev", "--sigma", "1.2", "-p", "nan"], "p must be", False),
+        (["sobolev", "--sigma", "1.2", "-p", "inf"], "p must be", False),
+        (["sobolev", "--sigma", "1.2", "--delta", "nan"], "delta must be", False),
+        (["sobolev", "--sigma", "1.2", "--delta", "inf"], "delta must be", False),
+        (["sobolev", "--sigma", "1.2", "--integrand", "constant", "--c0", "1", "--T", "inf"], "total_time", False),
+        (["sobolev", "--sigma", "1.2", "--integrand", "affine", "--c0", "nan"], "must be finite", False),
+        (["sobolev", "--sigma", "1.2", "--gamma", "300", "--T", "10", "--cells", "8"], "term |g|^p is inf", True),
+        (["sobolev", "--sigma", "1.9", "-p", "400", "--cells", "16"], "term slobodeckij is nan", True),
+        (["sobolev", "--sigma", "1.2", "--T", "1e200", "--cells", "8"], "overflows at gamma = 1.5", False),
+        (["eval", "--rule", "ctq", "--N", "2", "--T", "1e308"], "overflows at gamma = 1.5", False),
     ],
 )
-def test_non_finite_study_parameters_exit_2(argv, message, tmp_path, capsys):
-    # Each of these once exited 0 with a zero error, a NaN order or a NaN
-    # total reported as "stable".
+def test_non_finite_study_parameters_exit_2(argv, message, numpy_warns, tmp_path, capsys):
+    # Each of these once exited 0 with a zero error, a NaN order or a NaN or
+    # infinite total reported as "stable", or exited 2 with a bare
+    # "(34, 'Numerical result out of range')".
     if argv[0] == "example1":
         argv = argv + ["--outdir", str(tmp_path)]
-    assert main(argv) == EXIT_USAGE
+    # numpy warns of the overflow (or of 0/0 in the kernel) before the check.
+    with pytest.warns(RuntimeWarning) if numpy_warns else contextlib.nullcontext():
+        assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import time
 import tracemalloc
 
@@ -60,6 +61,13 @@ class TestPowerIntegrand:
 def test_non_finite_integrand_parameters_rejected(build):
     with pytest.raises(ValueError, match="finite"):
         build()
+
+
+@pytest.mark.parametrize("gamma, total_time", [(1.5, 1e308), (1.5, 1e200), (300.0, 1e10)])
+def test_exact_integral_overflow_names_gamma_and_total_time(gamma, total_time):
+    # Python's float power raised a bare OverflowError: (34, 'Numerical result out of range').
+    with pytest.raises(ValueError, match=re.escape(f"overflows at gamma = {gamma!r}, total_time = {total_time!r}")):
+        power_integrand(gamma, total_time)
 
 
 def _hand_path(grid_values, offsets, mid_values):
@@ -268,6 +276,15 @@ class TestSobolevSeminorm:
     def test_parameter_validation(self, sigma, p, cells):
         with pytest.raises(ValueError):
             sobolev_seminorm(power_integrand(1.5), sigma, p, cells)
+
+    @pytest.mark.parametrize("gamma, total_time, sigma, p, cells, term", [
+        (300.0, 10.0, 1.2, 2.0, 8, "term |g|^p is inf at p = 2.0"),
+        (1.5, 1.0, 1.9, 400.0, 16, "term slobodeckij is nan at p = 400.0"),
+    ])
+    def test_non_finite_terms_rejected(self, gamma, total_time, sigma, p, cells, term):
+        g = power_integrand(gamma, total_time)
+        with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match=re.escape(term)):
+            sobolev_seminorm(g, sigma, p, cells)
 
     @pytest.mark.parametrize("delta", [0.0, -0.1, float("nan"), float("inf")])
     def test_delta_must_be_positive_and_finite(self, delta):

@@ -7,7 +7,6 @@ from randquad.integrands import affine_integrand, constant_integrand, power_inte
 from randquad.quadrature import (
     EvaluationError,
     Integrand,
-    TauSequence,
     ctq,
     make_partition,
     rtq,
@@ -47,26 +46,6 @@ class TestMakePartition:
     def test_rejects_bad_arguments(self, T, N):
         with pytest.raises(ValueError):
             make_partition(T, N)
-
-
-class TestTauSequence:
-    def test_rejects_endpoints(self):
-        with pytest.raises(ValueError):
-            TauSequence.from_values([0.5, 0.0])
-        with pytest.raises(ValueError):
-            TauSequence.from_values([1.0])
-        with pytest.raises(ValueError):
-            TauSequence.from_values([0.5, float("nan")])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            TauSequence.from_values([])
-
-    def test_complement_swaps_arrays_exactly(self):
-        tau = TauSequence.from_values([0.1, 0.5, 0.93])
-        bar = tau.complement()
-        np.testing.assert_array_equal(bar.values, tau.complements)
-        np.testing.assert_array_equal(bar.complements, tau.values)
 
 
 class TestCtq:
@@ -113,7 +92,7 @@ class TestCtq:
             return np.where(t == 0.0625, np.nan, t)
 
         g = Integrand(evaluator=evil, total_time=1.0, label="evil")
-        tau = TauSequence.from_values([[0.5, 0.5, 0.5, 0.5], [0.25, 0.5, 0.5, 0.5]])
+        tau = [[0.5, 0.5, 0.5, 0.5], [0.25, 0.5, 0.5, 0.5]]
         with pytest.raises(EvaluationError) as info:
             rtq(g, make_partition(1.0, 4), tau)
         message = str(info.value)
@@ -122,9 +101,30 @@ class TestCtq:
 
 
 class TestRtq:
+    @pytest.mark.parametrize("rule", [rtq, rtq_prefix])
+    @pytest.mark.parametrize(
+        "tau",
+        [
+            [0.5, 0.0], [1.0], [0.5, float("nan")], [0.5, 1e-20], [2.0**-54],
+            [-0.25], [1.5], [0.5, float("inf")], [float("-inf")],
+        ],
+    )
+    def test_rejects_endpoints(self, rule, tau):
+        # 1e-20 and 2^-54 lie inside (0, 1), but their complements round to 1.0.
+        with pytest.raises(ValueError, match="strictly inside"):
+            rule(square_integrand(), make_partition(1.0, len(tau)), tau)
+
+    @pytest.mark.parametrize("rule", [rtq, rtq_prefix])
+    @pytest.mark.parametrize(
+        "tau", [[], np.empty((0, 4)), 0.5, np.full((1, 1, 4), 0.5), [0.5] * 3, np.full((2, 3), 0.5)]
+    )
+    def test_rejects_empty(self, rule, tau):
+        with pytest.raises(ValueError, match="1-d or 2-d with at least 4 offsets per row"):
+            rule(square_integrand(), make_partition(1.0, 4), tau)
+
     def test_constant_exact_for_any_tau(self):
         g = constant_integrand(2.0)
-        tau = TauSequence.from_values([0.123, 0.9, 0.5, 0.0001 + 0.3])
+        tau = [0.123, 0.9, 0.5, 0.0001 + 0.3]
         assert rtq(g, make_partition(1.0, 4), tau).value == 2.0
 
     def test_affine_exact_because_offsets_reflect(self):
@@ -132,13 +132,13 @@ class TestRtq:
         exact = g.exact_integral
         rng = np.random.default_rng(11)
         for n in (1, 2, 32):
-            tau = TauSequence.from_values(rng.uniform(0.01, 0.99, size=n))
+            tau = rng.uniform(0.01, 0.99, size=n)
             value = rtq(g, make_partition(1.0, n), tau).value
             # rounding unit: the accumulated magnitude |a|T + |b|T^2/2
             assert abs(value - exact) <= 8 * np.spacing(2.0)
 
     def test_square_single_cell_hand_value(self):
-        tau = TauSequence.from_values([0.25])
+        tau = [0.25]
         q = rtq(square_integrand(), make_partition(1.0, 1), tau)
         assert q.value == 0.3125
         assert q.rule == "RTQ"
@@ -148,16 +148,16 @@ class TestRtq:
         g = square_integrand()
         part = make_partition(1.0, 4)
         with pytest.raises(ValueError):
-            rtq(g, part, TauSequence.from_values([0.5, 0.5]))
-        long_tau = TauSequence.from_values([0.3] * 10)
-        short_tau = TauSequence.from_values([0.3] * 4)
+            rtq(g, part, [0.5, 0.5])
+        long_tau = [0.3] * 10
+        short_tau = [0.3] * 4
         assert rtq(g, part, long_tau).value == rtq(g, part, short_tau).value
 
     def test_complement_symmetry_is_bitwise(self):
         g = power_integrand(1.5)
         part = make_partition(1.0, 64)
         tau = sample_tau_sequence(RngStream(99), 64)
-        assert rtq(g, part, tau).value == rtq(g, part, tau.complement()).value
+        assert rtq(g, part, tau).value == rtq(g, part, 1.0 - tau).value
 
     def test_determinism_across_regeneration(self):
         g = power_integrand(1.25)
@@ -171,14 +171,14 @@ class TestRtqBatch:
     def test_each_row_equals_its_own_rule_bitwise(self):
         g = power_integrand(1.5)
         part = make_partition(1.0, 64)
-        rows = [sample_tau_sequence(RngStream(3, i), 64).values for i in range(5)]
-        batch = rtq(g, part, TauSequence.from_values(np.stack(rows)))
+        rows = [sample_tau_sequence(RngStream(3, i), 64) for i in range(5)]
+        batch = rtq(g, part, np.stack(rows))
         assert batch.evaluations == 5 * 2 * 64
-        singles = [rtq(g, part, TauSequence.from_values(row)).value for row in rows]
+        singles = [rtq(g, part, row).value for row in rows]
         np.testing.assert_array_equal(batch.value.view(np.int64), np.array(singles).view(np.int64))
 
     def test_prefix_rejects_a_batch(self):
-        tau = TauSequence.from_values(np.full((2, 4), 0.5))
+        tau = np.full((2, 4), 0.5)
         with pytest.raises(ValueError, match="single offset sequences"):
             rtq_prefix(power_integrand(1.5), make_partition(1.0, 4), tau)
 
@@ -186,7 +186,7 @@ class TestRtqBatch:
 class TestRtqPrefix:
     def test_constant_prefix_values(self):
         g = constant_integrand(1.0)
-        tau = TauSequence.from_values([0.2, 0.4, 0.6, 0.8])
+        tau = [0.2, 0.4, 0.6, 0.8]
         values = rtq_prefix(g, make_partition(1.0, 4), tau).value.tolist()
         assert values == [0.25, 0.5, 0.75, 1.0]
 
@@ -213,14 +213,14 @@ class TestRtqPrefix:
         for n, q in enumerate(prefix.value):
             t = part.nodes[n]
             cell = half * (
-                g.evaluator(np.array([t + tau.values[n] * part.step]))[0]
-                + g.evaluator(np.array([t + tau.complements[n] * part.step]))[0]
+                g.evaluator(np.array([t + tau[n] * part.step]))[0]
+                + g.evaluator(np.array([t + (1.0 - tau[n]) * part.step]))[0]
             )
             assert q - prev == pytest.approx(cell, rel=1e-12, abs=1e-15)
             prev = q
 
     def test_evaluation_counts(self):
         g = square_integrand()
-        tau = TauSequence.from_values([0.5] * 3)
+        tau = [0.5] * 3
         assert rtq_prefix(g, make_partition(1.0, 3), tau).evaluations == 6
 
