@@ -390,7 +390,8 @@ def run_example1(
     """Power-function convergence study on [0, 1]: CTQ absolute, RTQ L^p, RTQ pathwise.
 
     Deterministic given ``seed``; wall times are measured, everything else
-    is reproducible bit for bit.
+    is reproducible bit for bit.  Each gamma's ``:g`` form labels its
+    ladders and files, so gammas whose labels collide raise ValueError.
     """
     if replications > MAX_REPLICATIONS:
         raise ValueError(
@@ -398,11 +399,14 @@ def run_example1(
             "more would reuse the next slot's random streams"
         )
     steps = _dyadic_steps(step_exponents)
+    labels = [f"{gamma:g}" for gamma in gammas]
+    shared = sorted({label for label in labels if labels.count(label) > 1})
+    if shared:
+        raise ValueError(f"gammas {list(gammas)!r} share the labels {shared}; each gamma needs its own")
     reports = []
-    for gi, gamma in enumerate(gammas):
+    for gi, (gamma, label) in enumerate(zip(gammas, labels)):
         g = power_integrand(gamma)
         exact = g.exact_integral
-        label = f"{gamma:g}"
         ctq_rows, l2_rows, path_rows = [], [], []
         for hj, h in enumerate(steps):
             part = make_partition(1.0, round(1.0 / h))

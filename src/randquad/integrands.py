@@ -60,9 +60,12 @@ def power_integrand(gamma: float, total_time: float = 1.0) -> Integrand:
     Exact integral: total_time**(gamma+1) / (gamma+1).  Exponents at or
     below 1 are accepted (the rules still evaluate) but warn, because the
     regularity statements behind the convergence orders no longer apply.
+    At or below -1 the integral diverges, and they raise ValueError.
     """
     T = _horizon(total_time)
     gamma = _finite("gamma", gamma)
+    if gamma <= -1.0:
+        raise ValueError(f"gamma must be above -1, got {gamma!r}: the integral of t**gamma over [0, T] diverges")
     if gamma <= 1.0:
         warnings.warn(
             f"gamma={gamma!r} is at or below 1; the rule is still evaluable but the "
@@ -210,24 +213,18 @@ def rtq_brownian(bi: BrownianIntegrand, part: Partition, ctau: CoarseTau) -> Qua
                         +  (h^2/4) * sum (tau_n * B_tau + (1-tau_n) * B_comp)
 
     with all sums over n = 0..N-1.  B_tau values are reused fine-grid
-    samples, exact by construction of ``ctau``; B_comp values were resolved
-    when ``ctau`` was built.
+    samples and B_comp values linear interpolants of the path, both fixed
+    when ``coarsen_tau`` built ``ctau`` on this path and step.
+
+    Raises:
+        ValueError: if the partition is not on the path's grid, or ``ctau``
+            was built for another factor or cell count.
     """
     factor = _coarse_factor(bi, part)
-    n_cells = part.intervals
-    if len(ctau) != n_cells:
-        raise ValueError(f"CoarseTau has {len(ctau)} cells but the partition has {n_cells}")
-    if ctau.factor != factor or ctau.coarse_step != part.step:
+    if ctau.factor != factor or len(ctau) != part.intervals:
         raise ValueError(
-            f"CoarseTau was built for step {ctau.coarse_step!r}, partition has {part.step!r}"
-        )
-    expected = part.nodes[:-1] + ctau.values * part.step
-    aligned = expected == ctau.mid_times
-    if not aligned.all():
-        cell = int(np.nonzero(~aligned)[0][0])
-        raise ValueError(
-            f"no intermediate sample available at cell {cell}: "
-            f"t={expected[cell]!r} is not a stored fine sample time"
+            f"CoarseTau has {len(ctau)} cells of {ctau.factor} fine cells each, "
+            f"but the partition has {part.intervals} cells of {factor}"
         )
 
     h = part.step

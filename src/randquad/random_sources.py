@@ -302,31 +302,26 @@ def sample_brownian_path(stream: RngStream, step: float) -> BrownianPath:
 class CoarseTau:
     """Coarse-grid offsets derived from a fine path's interior samples.
 
-    For every coarse cell n the time ``t_n + values[n] * coarse_step`` is
-    bit-for-bit one of the path's ``mid_times`` (its index is recorded in
-    ``selected_indices``), so the randomised rule on the coarse grid reuses
-    fine-grid samples with zero interpolation error.
+    For every coarse cell n, starting at t_n on the grid of step h, the
+    time ``t_n + values[n] * h`` is bit-for-bit the path's interior sample
+    time of fine cell ``selected_indices[n]``, so ``mid_values`` are reused
+    fine-grid samples with zero interpolation error.  ``factor`` is the
+    number of fine cells per coarse cell.
 
-    The complementary evaluation point ``t_n + complements[n] * coarse_step``
-    has no pre-sampled value in general.  When the mirrored fine slot
-    (slot k-1-s for selected slot s) happens to sit exactly on it, that
-    sample is reused and ``comp_is_mirror[n]`` is True; otherwise the value
-    is the conditional mean given the two fine grid values around it (their
-    linear interpolant).  The interpolant keeps the construction free of
-    randomness beyond the path's own, so a degenerate all-zero path yields
-    exactly zero quadrature values.
+    The complementary point ``t_n + complements[n] * h`` has no sample of
+    its own; ``comp_values`` holds the conditional mean of B there given the
+    two fine grid values around it (their linear interpolant).  That keeps
+    the construction free of randomness beyond the path's own, so a
+    degenerate all-zero path yields exactly zero quadrature values.
+    ``complements`` is stored, not recomputed: 1 - (1 - tau) need not be tau.
     """
 
     factor: int
-    coarse_step: float
     values: np.ndarray
     complements: np.ndarray
     selected_indices: np.ndarray
-    mid_times: np.ndarray
     mid_values: np.ndarray
-    comp_times: np.ndarray
     comp_values: np.ndarray
-    comp_is_mirror: np.ndarray
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -337,13 +332,14 @@ def coarsen_tau(path: BrownianPath, coarse_step: float, stream: RngStream) -> Co
 
     Each coarse cell of width ``coarse_step = k * path.step``, itself 2^-m,
     contains k fine interior samples; one is selected uniformly at random
-    (from ``stream``), which keeps the coarse offsets Uniform(0,1).
-    Complementary points are resolved as described on :class:`CoarseTau`.
+    (from ``stream``), which keeps the coarse offsets Uniform(0,1).  Every
+    complementary value is the linear interpolant described on
+    :class:`CoarseTau`.
 
     Raises:
         ValueError: if ``coarse_step`` is not a power of two at least the
-            path step, or a derived offset does not reproduce its fine
-            sample time exactly.
+            path step, a derived offset does not reproduce its fine sample
+            time exactly, or a complementary time falls on a fine node.
     """
     h_fine = path.step
     hc = float(coarse_step)
@@ -356,8 +352,7 @@ def coarsen_tau(path: BrownianPath, coarse_step: float, stream: RngStream) -> Co
     factor = fine_cells // cells
 
     rng = stream.generator()
-    slots = rng.integers(0, factor, size=cells)
-    selected = np.arange(cells) * factor + slots
+    selected = np.arange(cells) * factor + rng.integers(0, factor, size=cells)
     starts = np.arange(cells) * hc
 
     mid_times = path.mid_times(selected)
@@ -368,37 +363,22 @@ def coarsen_tau(path: BrownianPath, coarse_step: float, stream: RngStream) -> Co
         raise ValueError("coarse offsets do not reproduce the fine sample times exactly")
 
     complements = 1.0 - values
-    comp_times = starts + complements * hc
+    complement_times = starts + complements * hc
+    cell_idx = np.minimum(np.floor(complement_times / h_fine).astype(np.int64), fine_cells - 1)
+    frac = (complement_times - cell_idx * h_fine) / h_fine
+    if np.any(frac <= 0.0) or np.any(frac >= 1.0):
+        raise ValueError("complementary times fell on fine grid nodes; grids misaligned")
+    comp_values = (1.0 - frac) * path.grid_values[cell_idx] + frac * path.grid_values[cell_idx + 1]
 
-    mirror = selected - slots + (factor - 1 - slots)
-    comp_is_mirror = path.mid_times(mirror) == comp_times
-    comp_values = np.where(comp_is_mirror, path.mid_values[mirror], 0.0)
-
-    fresh = ~comp_is_mirror
-    if fresh.any():
-        cell_idx = np.minimum(
-            np.floor(comp_times[fresh] / h_fine).astype(np.int64), fine_cells - 1
-        )
-        frac = (comp_times[fresh] - cell_idx * h_fine) / h_fine
-        if np.any(frac <= 0.0) or np.any(frac >= 1.0):
-            raise ValueError("complementary times fell on fine grid nodes; grids misaligned")
-        comp_values[fresh] = (
-            (1.0 - frac) * path.grid_values[cell_idx] + frac * path.grid_values[cell_idx + 1]
-        )
-
-    for arr in (values, complements, selected, mid_times, comp_times, comp_values, comp_is_mirror):
+    for arr in (values, complements, selected, comp_values):
         arr.setflags(write=False)
     return CoarseTau(
         factor=factor,
-        coarse_step=hc,
         values=values,
         complements=complements,
         selected_indices=selected,
-        mid_times=mid_times,
         mid_values=path.mid_values[selected],
-        comp_times=comp_times,
         comp_values=comp_values,
-        comp_is_mirror=comp_is_mirror,
     )
 
 

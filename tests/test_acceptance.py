@@ -166,7 +166,7 @@ def test_criterion_07_brownian_machinery():
             hc = k * path.step
             ctau = coarsen_tau(path, hc, RngStream(DEFAULT_SEED, 10**5 + k))
             starts = np.arange(path.cells // k) * hc
-            assert np.array_equal(starts + ctau.values * hc, ctau.mid_times), f"k={k}"
+            assert np.array_equal(starts + ctau.values * hc, path.mid_times(ctau.selected_indices)), f"k={k}"
 
     _verdict(7, "Brownian variance and bridge checks pass; coarsening reuse bit-for-bit for k=2..512", check)
 

@@ -196,6 +196,16 @@ def test_empty_step_ladder_exits_2_before_writing(subcommand, tmp_path, capsys):
     assert not (tmp_path / "errors.csv").exists()
 
 
+@pytest.mark.parametrize("gammas", [["1.5", "1.5"], ["1.5", "1.5000001"]])
+def test_colliding_gamma_labels_exit_2_before_writing(gammas, tmp_path, capsys):
+    # Both once exited 0 with two gamma-1.5 rows per ladder in orders.csv
+    # and a single gamma-1.5 .dat file.
+    argv = ["example1", "--gammas", *gammas, "-M", "10", "--min-exp", "3", "--max-exp", "4", "--outdir", str(tmp_path)]
+    assert main(argv) == EXIT_USAGE
+    assert "share the labels ['1.5']" in capsys.readouterr().err
+    assert not (tmp_path / "errors.csv").exists()
+
+
 @pytest.mark.parametrize("subcommand", ["example1", "example2"])
 def test_negative_step_exponent_exits_2_before_writing(subcommand, tmp_path, capsys):
     # Once failed only at the first partition, after example2 had sampled its
@@ -277,6 +287,8 @@ def test_lp_error_underflow_at_large_p_exits_2(p, replications, tmp_path, capsys
         (["sobolev", "--sigma", "1.9", "-p", "400", "--cells", "16"], "term slobodeckij is nan", True),
         (["sobolev", "--sigma", "1.2", "--T", "1e200", "--cells", "8"], "overflows at gamma = 1.5", False),
         (["eval", "--rule", "ctq", "--N", "2", "--T", "1e308"], "overflows at gamma = 1.5", False),
+        (["eval", "--rule", "rtq", "--gamma", "-1.5", "--N", "4"], "got -1.5: the integral of t**gamma", False),
+        (["eval", "--rule", "ctq", "--gamma", "-1", "--N", "4"], "got -1.0: the integral of t**gamma", False),
     ],
 )
 def test_non_finite_study_parameters_exit_2(argv, message, numpy_warns, tmp_path, capsys):

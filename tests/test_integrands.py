@@ -70,6 +70,13 @@ def test_exact_integral_overflow_names_gamma_and_total_time(gamma, total_time):
         power_integrand(gamma, total_time)
 
 
+@pytest.mark.parametrize("gamma", [-1.0, -1.5, -3.0])
+def test_divergent_exponent_rejected(gamma):
+    # -1.5 once returned exact_integral -2.0, and -1 a bare ZeroDivisionError.
+    with pytest.raises(ValueError, match=re.escape(f"got {gamma!r}: the integral of t**gamma over [0, T] diverges")):
+        power_integrand(gamma)
+
+
 def _hand_path(grid_values, offsets, mid_values):
     grid_values = np.asarray(grid_values, dtype=float)
     return BrownianPath(
@@ -169,9 +176,13 @@ class TestRtqBrownian:
         bi = brownian_integrand(path)
         part = make_partition(1.0, 1)
         ctau = coarsen_tau(path, 1.0, RngStream(9))
-        # Mirrored offsets: whichever slot is selected, the evaluation pair is
-        # (0.125 -> 2.0, 0.875 -> -3.0); G(0) = 0 and B(0) = 0 kill the rest.
-        expected = 0.25 * (0.125 * 2.0 + 0.875 * (-3.0))
+        # The selected slot s puts tau at (s + offset_s) / 2 with sample
+        # mid_values[s]; the complement takes B's interpolant through
+        # (0, 0.7, -0.4) at 1 - tau.  G(0) = 0 and B(0) = 0 kill the rest.
+        s = int(ctau.selected_indices[0])
+        tau = (s + path.offsets[s]) / 2.0
+        b_comp = np.interp(1.0 - tau, [0.0, 0.5, 1.0], path.grid_values)
+        expected = 0.25 * (tau * path.mid_values[s] + (1.0 - tau) * b_comp)
         assert rtq_brownian(bi, part, ctau).value == pytest.approx(expected, rel=1e-15)
 
     def test_swap_invariance_is_exact(self):
@@ -183,9 +194,7 @@ class TestRtqBrownian:
             ctau,
             values=ctau.complements,
             complements=ctau.values,
-            mid_times=ctau.comp_times,
             mid_values=ctau.comp_values,
-            comp_times=ctau.mid_times,
             comp_values=ctau.mid_values,
         )
         assert rtq_brownian(bi, part, ctau).value == rtq_brownian(bi, part, swapped).value
@@ -197,16 +206,13 @@ class TestRtqBrownian:
         with pytest.raises(ValueError):
             rtq_brownian(bi, make_partition(1.0, 64), ctau)
 
-    def test_missing_sample_names_cell(self):
-        path = sample_brownian_path(RngStream(16), 2.0**-8)
-        bi = brownian_integrand(path)
-        part = make_partition(1.0, 32)
-        ctau = coarsen_tau(path, part.step, RngStream(16, 1))
-        tampered = np.array(ctau.mid_times)
-        tampered[5] += 1e-9
-        object.__setattr__(ctau, "mid_times", tampered)
-        with pytest.raises(ValueError, match="cell 5"):
-            rtq_brownian(bi, part, ctau)
+    def test_wrong_cell_count_rejected(self):
+        # Coarse 2^-5 on a 2^-8 path has factor 8, as N = 64 on a 2^-9 path
+        # does, but 32 cells instead of 64.
+        ctau = coarsen_tau(sample_brownian_path(RngStream(16), 2.0**-8), 2.0**-5, RngStream(16, 1))
+        bi = brownian_integrand(sample_brownian_path(RngStream(16), 2.0**-9))
+        with pytest.raises(ValueError, match="32 cells of 8 fine cells each, but the partition has 64 cells of 8"):
+            rtq_brownian(bi, make_partition(1.0, 64), ctau)
 
 
 def dense_slobodeckij_term(g, sigma, p, cells):

@@ -269,8 +269,7 @@ class TestCoarsenTau:
         hc = k * path.step
         ctau = coarsen_tau(path, hc, RngStream(77, k))
         starts = np.arange(path.cells // k) * hc
-        np.testing.assert_array_equal(starts + ctau.values * hc, ctau.mid_times)
-        np.testing.assert_array_equal(path.mid_times(ctau.selected_indices), ctau.mid_times)
+        np.testing.assert_array_equal(starts + ctau.values * hc, path.mid_times(ctau.selected_indices))
         np.testing.assert_array_equal(path.mid_values[ctau.selected_indices], ctau.mid_values)
         assert np.all(ctau.values > 0.0) and np.all(ctau.values < 1.0)
         lo = np.arange(len(ctau)) * k
@@ -288,25 +287,16 @@ class TestCoarsenTau:
         d_stat = max(np.max(grid - u), np.max(u - (grid - 1.0 / n)))
         assert d_stat < 1.628 / np.sqrt(n)
 
-    def test_mirrored_offsets_reuse_samples(self):
-        # Offsets 0.25/0.75 mirror each other exactly, so the complementary
-        # point coincides with the stored sample of the mirrored slot.
-        path = _hand_path([0.0, 0.3, -0.1], [0.25, 0.75], [5.0, 7.0])
-        ctau = coarsen_tau(path, 1.0, RngStream(2))
-        assert ctau.comp_is_mirror.all()
-        assert ctau.comp_is_mirror.sum() == 1
-        s = int(ctau.selected_indices[0])
-        assert ctau.comp_values[0] == path.mid_values[1 - s]
-
     def test_interpolated_complement_on_generic_path(self):
         path = sample_brownian_path(RngStream(19), 2.0**-10)
-        ctau = coarsen_tau(path, 2.0**-7, RngStream(19, 1))
-        fresh = ~ctau.comp_is_mirror
-        assert fresh.any()
-        idx = np.floor(ctau.comp_times[fresh] / path.step).astype(int)
-        frac = (ctau.comp_times[fresh] - idx * path.step) / path.step
+        hc = 2.0**-7
+        ctau = coarsen_tau(path, hc, RngStream(19, 1))
+        comp_times = np.arange(len(ctau)) * hc + ctau.complements * hc
+        idx = np.floor(comp_times / path.step).astype(int)
+        frac = (comp_times - idx * path.step) / path.step
+        assert np.all(frac > 0.0) and np.all(frac < 1.0)
         expected = (1 - frac) * path.grid_values[idx] + frac * path.grid_values[idx + 1]
-        np.testing.assert_allclose(ctau.comp_values[fresh], expected, rtol=1e-12)
+        np.testing.assert_allclose(ctau.comp_values, expected, rtol=1e-12)
 
     @pytest.mark.parametrize("coarse_step", [0.3, 3 * 2**-3, 2.0**-5])
     def test_rejects_non_multiple(self, coarse_step):
