@@ -76,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma", type=float, default=1.5, help="exponent for the power integrand")
         p.add_argument("--c0", type=float, default=0.0, help="constant value / affine intercept")
         p.add_argument("--c1", type=float, default=1.0, help="affine slope")
-        p.add_argument("--T", dest="total_time", type=float, default=1.0, help="integration horizon")
 
     def add_outdir(p):
         p.add_argument(
@@ -116,17 +115,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sob.add_argument("-p", dest="p", type=float, default=DEFAULT_P)
     p_sob.add_argument("--cells", type=int, default=512)
     p_sob.add_argument("--delta", type=float, default=None, help="diagonal guard band (default: 2 cell widths)")
-    add_seed(p_sob)
+    # perfbench/run.py appends --seed to every workload's command line.
+    p_sob.add_argument("--seed", type=int, default=DEFAULT_SEED, help="accepted and ignored: sobolev draws nothing")
 
     return parser
 
 
 def _build_integrand(args: argparse.Namespace) -> Integrand:
     if args.integrand == "power":
-        return power_integrand(args.gamma, args.total_time)
+        return power_integrand(args.gamma)
     if args.integrand == "constant":
-        return constant_integrand(args.c0, args.total_time)
-    return affine_integrand(args.c0, args.c1, args.total_time)
+        return constant_integrand(args.c0)
+    return affine_integrand(args.c0, args.c1)
 
 
 def _fmt(value) -> str:
@@ -140,14 +140,14 @@ def _fmt(value) -> str:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     g = _build_integrand(args)
-    part = make_partition(args.total_time, args.intervals)
+    part = make_partition(args.intervals)
     if args.rule == "ctq":
         q = ctq(g, part)
     else:
         tau = sample_tau_sequence(RngStream(args.seed), part.intervals)
         q = rtq(g, part, tau)
     print(f"rule: {q.rule}")
-    print(f"integrand: {g.label} on [0, {_fmt(g.total_time)}]")
+    print(f"integrand: {g.label} on [0, 1.0]")
     print(f"N: {part.intervals}")
     print(f"h: {_fmt(part.step)}")
     print(f"value: {_fmt(q.value)}")
@@ -370,7 +370,7 @@ def cmd_sobolev(args: argparse.Namespace) -> int:
         sobolev_seminorm(g, args.sigma, args.p, args.cells * divisor, est.delta / divisor)
         for divisor in _SOBOLEV_DIVISORS[1:]
     ]
-    print(f"integrand: {g.label} on [0, {_fmt(g.total_time)}]")
+    print(f"integrand: {g.label} on [0, 1.0]")
     print(f"sigma: {_fmt(est.sigma)}  p: {_fmt(est.p)}  cells: {est.cells}  delta: {_fmt(est.delta)}")
     print(f"term |g|^p:          {_fmt(est.term_value)}")
     print(f"term |dg|^p:         {_fmt(est.term_derivative)}")

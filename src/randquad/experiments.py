@@ -289,7 +289,7 @@ def as_rate_check(
     target = 0.5 + float(sigma) - float(eps)
     rows = []
     for m, h in enumerate(steps):
-        part = make_partition(g.total_time, round(g.total_time / h))
+        part = make_partition(round(1.0 / h))
         tau = sample_tau_sequence(
             _lane_stream(master_stream.seed, _LANE_AS_RATE, master_stream.stream_id, m),
             part.intervals,
@@ -332,11 +332,11 @@ def _dyadic_steps(step_exponents) -> list[float]:
     return [2.0**-i for i in exponents]
 
 
-def _timed(fn, repeats: int = TIMING_REPEATS):
-    """Median wall time of ``fn()`` over ``repeats`` calls, plus its value."""
+def _timed(fn):
+    """Median wall time of ``fn()`` over ``TIMING_REPEATS`` calls, plus its value."""
     times = []
     value = None
-    for _ in range(repeats):
+    for _ in range(TIMING_REPEATS):
         t0 = time.perf_counter()
         value = fn()
         times.append(time.perf_counter() - t0)
@@ -409,7 +409,7 @@ def run_example1(
         exact = g.exact_integral
         ctq_rows, l2_rows, path_rows = [], [], []
         for hj, h in enumerate(steps):
-            part = make_partition(1.0, round(1.0 / h))
+            part = make_partition(round(1.0 / h))
             slot = gi * len(steps) + hj
 
             q, t_ctq = _timed(lambda: ctq(g, part))
@@ -496,7 +496,7 @@ def run_example2(
 
     ctq_rows, rtq_rows = [], []
     for hj, h in enumerate(steps):
-        part = make_partition(1.0, round(1.0 / h))
+        part = make_partition(round(1.0 / h))
         ctau = coarsen_tau(path, h, _lane_stream(seed, _LANE_COARSEN, hj))
 
         qc, t_ctq = _timed(lambda: ctq_brownian(bi, part))

@@ -1,4 +1,4 @@
-"""The integrand corpus: power functions and a Brownian-driven integral.
+"""The integrand corpus on [0, 1]: power functions and a Brownian-driven integral.
 
 ``power_integrand`` builds t**gamma with its closed-form integral and
 derivative.  For gamma between 1 and 2 the derivative is only Holder
@@ -47,25 +47,17 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
-def _horizon(total_time: float) -> float:
-    T = float(total_time)
-    if not 0.0 < T < np.inf:
-        raise ValueError(f"total_time must be positive and finite, got {total_time!r}")
-    return T
+def power_integrand(gamma: float) -> Integrand:
+    """The power function t**gamma on [0, 1].
 
-
-def power_integrand(gamma: float, total_time: float = 1.0) -> Integrand:
-    """The power function t**gamma on [0, total_time].
-
-    Exact integral: total_time**(gamma+1) / (gamma+1).  Exponents at or
-    below 1 are accepted (the rules still evaluate) but warn, because the
-    regularity statements behind the convergence orders no longer apply.
-    At or below -1 the integral diverges, and they raise ValueError.
+    Exact integral: 1 / (gamma+1).  Exponents at or below 1 are accepted
+    (the rules still evaluate) but warn, because the regularity statements
+    behind the convergence orders no longer apply.  At or below -1 the
+    integral diverges, and they raise ValueError.
     """
-    T = _horizon(total_time)
     gamma = _finite("gamma", gamma)
     if gamma <= -1.0:
-        raise ValueError(f"gamma must be above -1, got {gamma!r}: the integral of t**gamma over [0, T] diverges")
+        raise ValueError(f"gamma must be above -1, got {gamma!r}: the integral of t**gamma over [0, 1] diverges")
     if gamma <= 1.0:
         warnings.warn(
             f"gamma={gamma!r} is at or below 1; the rule is still evaluable but the "
@@ -83,41 +75,29 @@ def power_integrand(gamma: float, total_time: float = 1.0) -> Integrand:
     def prefix(t: np.ndarray) -> np.ndarray:
         return np.asarray(t, dtype=np.float64) ** (gamma + 1.0) / (gamma + 1.0)
 
-    # Python's float power, not numpy's: the two can differ by an ulp, and
-    # every error ladder is measured against this value.
-    try:
-        exact = T ** (gamma + 1.0) / (gamma + 1.0)
-    except OverflowError:
-        raise ValueError(
-            f"the exact integral total_time**(gamma + 1) overflows at gamma = {gamma!r}, total_time = {T!r}"
-        ) from None
     return Integrand(
         evaluator=value,
-        total_time=T,
         label=f"power(gamma={gamma:g})",
-        exact_integral=exact,
+        exact_integral=1.0 / (gamma + 1.0),
         exact_derivative=derivative,
         exact_prefix_integral=prefix,
     )
 
 
-def constant_integrand(c: float, total_time: float = 1.0) -> Integrand:
+def constant_integrand(c: float) -> Integrand:
     """The constant function c, exact on any partition for both rules."""
-    T = _horizon(total_time)
     c = _finite("c", c)
     return Integrand(
         evaluator=lambda t: np.full_like(np.asarray(t, dtype=np.float64), c),
-        total_time=T,
         label=f"constant({c:g})",
-        exact_integral=c * T,
+        exact_integral=c,
         exact_derivative=lambda t: np.zeros_like(np.asarray(t, dtype=np.float64)),
         exact_prefix_integral=lambda t: c * np.asarray(t, dtype=np.float64),
     )
 
 
-def affine_integrand(a: float, b: float, total_time: float = 1.0) -> Integrand:
+def affine_integrand(a: float, b: float) -> Integrand:
     """The affine function a + b*t; both rules integrate it exactly."""
-    T = _horizon(total_time)
     a, b = _finite("a", a), _finite("b", b)
 
     def prefix(t: np.ndarray) -> np.ndarray:
@@ -126,9 +106,8 @@ def affine_integrand(a: float, b: float, total_time: float = 1.0) -> Integrand:
 
     return Integrand(
         evaluator=lambda t: a + b * np.asarray(t, dtype=np.float64),
-        total_time=T,
         label=f"affine({a:g},{b:g})",
-        exact_integral=a * T + b * T * T / 2.0,
+        exact_integral=a + b / 2.0,
         exact_derivative=lambda t: np.full_like(np.asarray(t, dtype=np.float64), b),
         exact_prefix_integral=prefix,
     )
@@ -323,8 +302,7 @@ def sobolev_seminorm(
     cells = int(cells)
     if not 2 <= cells <= SOBOLEV_MAX_CELLS:
         raise ValueError(f"cells must lie in [2, {SOBOLEV_MAX_CELLS}], got {cells!r}")
-    T = g.total_time
-    width = T / cells
+    width = 1.0 / cells
     if delta is None:
         delta = 2.0 * width
     delta = float(delta)

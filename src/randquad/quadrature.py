@@ -1,4 +1,4 @@
-"""Equidistant partitions and the two trapezoidal quadrature rules.
+"""Equidistant partitions of [0, 1] and the two trapezoidal quadrature rules.
 
 The classical rule (CTQ) evaluates the integrand at both endpoints of every
 cell.  The randomised rule (RTQ) instead evaluates at a uniformly drawn
@@ -6,10 +6,15 @@ interior offset ``tau`` and at its reflection ``1 - tau`` about the cell
 midpoint; averaging the two keeps the rule exact on affine functions while
 the randomness averages out the cell-level error of rough integrands.
 
+Every integrand and partition lives on [0, 1]; the integral of g over
+[0, T] is T times the integral of g(T s) over [0, 1], and both rules
+commute with that rescaling node for node.
+
 Both rules run one path: the cell terms g(a) + g(b) at the two evaluation
 points a, b of every cell, one compensated sum of them along the last
-axis, scaled by h/2.  Each rule makes 2N integrand evaluations per
-partition, so their cost accounting stays symmetric.
+axis, scaled by h/2, and one finiteness check of the result.  Each rule
+makes 2N integrand evaluations per partition, so their cost accounting
+stays symmetric.
 
 Offsets are plain float64 arrays: 1-d for one sequence, 2-d with one
 sequence per row.  ``rtq`` takes a batch of offset sequences as the rows of
@@ -33,51 +38,47 @@ RTQ = "RTQ"
 
 
 class EvaluationError(ArithmeticError):
-    """An integrand returned a non-finite value; the message names the node."""
+    """An integrand returned a non-finite value, or finite values whose rule
+    value overflows; the message names the node or the overflow."""
 
 
 @dataclass(frozen=True, eq=False)
 class Partition:
-    """Equidistant grid over [0, T] with N cells of width h = T/N; ``nodes[-1]`` is T."""
+    """Equidistant grid over [0, 1] with N cells of width h = 1/N; ``nodes[-1]`` is 1."""
 
     intervals: int
     step: float
     nodes: np.ndarray
 
 
-def make_partition(total_time: float, intervals: int) -> Partition:
-    """Build the equidistant partition of [0, total_time] with ``intervals`` cells.
+def make_partition(intervals: int) -> Partition:
+    """Build the equidistant partition of [0, 1] with ``intervals`` cells.
 
     Raises:
-        ValueError: if ``total_time`` is not a positive finite number or
-            ``intervals`` is not a positive integer.
+        ValueError: if ``intervals`` is not a positive integer.
     """
-    T = float(total_time)
-    if not np.isfinite(T) or T <= 0.0:
-        raise ValueError(f"total_time must be positive and finite, got {total_time!r}")
     N = int(intervals)
     if N != intervals or N < 1:
         raise ValueError(f"intervals must be a positive integer, got {intervals!r}")
-    nodes = np.linspace(0.0, T, N + 1)
+    nodes = np.linspace(0.0, 1.0, N + 1)
     nodes.setflags(write=False)
-    return Partition(intervals=N, step=T / N, nodes=nodes)
+    return Partition(intervals=N, step=1.0 / N, nodes=nodes)
 
 
 @dataclass(frozen=True, eq=False)
 class Integrand:
-    """A real-valued evaluable function on [0, total_time].
+    """A real-valued evaluable function on [0, 1].
 
     ``evaluator`` must accept a float64 array of times and return the values
     as an array of the same shape.  Evaluation must be pure: same times,
     same values.
 
     ``exact_prefix_integral`` maps an array of times t to the integrals over
-    [0, t]; when set, ``exact_integral`` should equal its value at
-    ``total_time`` up to rounding.
+    [0, t]; when set, ``exact_integral`` should equal its value at 1 up to
+    rounding.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
-    total_time: float
     label: str = ""
     exact_integral: float | None = None
     exact_derivative: Callable[[np.ndarray], np.ndarray] | None = None
@@ -111,9 +112,15 @@ def _evaluate(g: Integrand, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cell_terms(g: Integrand, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """g(a) + g(b): each cell's two evaluations, before the h/2 weight."""
-    return _evaluate(g, a) + _evaluate(g, b)
+def _rule_value(g: Integrand, part: Partition, a, b, rule: str, accumulate) -> QuadratureValue:
+    """h/2 times ``accumulate`` of the cell terms g(a) + g(b), checked finite."""
+    cells = _evaluate(g, a) + _evaluate(g, b)
+    value = 0.5 * part.step * accumulate(cells)
+    if not np.isfinite(value).all():
+        raise EvaluationError(
+            f"integrand {g.label!r} has finite values whose {rule} cell terms or their sum overflow the double range"
+        )
+    return QuadratureValue(value=value, rule=rule, evaluations=2 * cells.size)
 
 
 def _offset_times(part: Partition, tau) -> tuple[np.ndarray, np.ndarray]:
@@ -141,9 +148,7 @@ def ctq(g: Integrand, part: Partition) -> QuadratureValue:
 
     Every cell evaluates both of its endpoints, 2N evaluations in total.
     """
-    cells = _cell_terms(g, part.nodes[:-1], part.nodes[1:])
-    value = 0.5 * part.step * compensated_sum(cells)
-    return QuadratureValue(value=value, rule=CTQ, evaluations=2 * cells.size)
+    return _rule_value(g, part, part.nodes[:-1], part.nodes[1:], CTQ, compensated_sum)
 
 
 def rtq(g: Integrand, part: Partition, tau) -> QuadratureValue:
@@ -155,9 +160,7 @@ def rtq(g: Integrand, part: Partition, tau) -> QuadratureValue:
     ``tau`` the value is an array with one rule value per row, each
     bit-for-bit equal to ``rtq`` on that row alone.
     """
-    cells = _cell_terms(g, *_offset_times(part, tau))
-    value = 0.5 * part.step * compensated_sum(cells)
-    return QuadratureValue(value=value, rule=RTQ, evaluations=2 * cells.size)
+    return _rule_value(g, part, *_offset_times(part, tau), RTQ, compensated_sum)
 
 
 def rtq_prefix(g: Integrand, part: Partition, tau) -> QuadratureValue:
@@ -171,6 +174,4 @@ def rtq_prefix(g: Integrand, part: Partition, tau) -> QuadratureValue:
     times = _offset_times(part, tau)
     if times[0].ndim != 1:
         raise ValueError("rtq_prefix supports single offset sequences only")
-    cells = _cell_terms(g, *times)
-    value = 0.5 * part.step * compensated_cumsum(cells)
-    return QuadratureValue(value=value, rule=RTQ, evaluations=2 * cells.size)
+    return _rule_value(g, part, *times, RTQ, compensated_cumsum)

@@ -54,7 +54,7 @@ def test_criterion_01_ctq_orders():
             g = power_integrand(gamma)
             rows = []
             for i in range(5, 11):
-                part = make_partition(1.0, 2**i)
+                part = make_partition(2**i)
                 error = abs(g.exact_integral - ctq(g, part).value)
                 rows.append(LadderRow(step=2.0**-i, intervals=2**i, error=error, wall_time_s=0.0))
             order = fit_order(ErrorLadder(rule="CTQ", metric="absolute", rows=tuple(rows))).fitted_order
@@ -93,7 +93,7 @@ def test_criterion_04_unbiasedness():
     def check():
         start = time.perf_counter()
         g = power_integrand(1.5)
-        part = make_partition(1.0, 32)
+        part = make_partition(32)
         replications = 10**4
         values = np.empty(replications)
         base = 7 << 40  # clear of the stream-id lanes the drivers use
@@ -118,7 +118,7 @@ def test_criterion_05_affine_exactness():
         ]
         rng = np.random.default_rng(DEFAULT_SEED)
         for n in (1, 2, 32, 1024):
-            part = make_partition(1.0, n)
+            part = make_partition(n)
             for g, magnitude in cases:
                 exact = g.exact_integral
                 tol = 8 * np.spacing(magnitude)
@@ -221,11 +221,11 @@ def test_criterion_10_double_sum_identity():
             return math.fsum(terms)
 
         for n in (8, 16, 32, 64):
-            part = make_partition(1.0, n)
+            part = make_partition(n)
             fast = ctq_brownian(bi, part).value
             direct = brute_force(n)
             assert abs(fast - direct) <= 2 * np.spacing(abs(direct)), f"N={n}"
-            generic = ctq(Integrand(evaluator=bi.value_at, total_time=1.0), part).value
+            generic = ctq(Integrand(evaluator=bi.value_at), part).value
             assert abs(fast - generic) <= 1e-12 * abs(generic), f"N={n}"
 
     _verdict(10, "prefix-sum quadrature equals the direct nested expansion (2 ulp) and generic CTQ (1e-12)", check)

@@ -76,6 +76,59 @@ class TestEval:
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                "--rule ctq --integrand power --gamma 1.5 --N 32",
+                [
+                    "rule: CTQ",
+                    "integrand: power(gamma=1.5) on [0, 1.0]",
+                    "N: 32",
+                    "h: 0.03125",
+                    "value: 0.4001176712097782",
+                    "evaluations: 64",
+                    "exact: 0.4",
+                    "abs_error: 0.00011767120977818069",
+                ],
+            ),
+            (
+                "--rule rtq --integrand power --gamma 1.5 --N 32 --seed 7",
+                [
+                    "rule: RTQ",
+                    "integrand: power(gamma=1.5) on [0, 1.0]",
+                    "N: 32",
+                    "h: 0.03125",
+                    "value: 0.39999659100151724",
+                    "evaluations: 64",
+                    "seed: 7",
+                    "exact: 0.4",
+                    "abs_error: 3.40899848277898e-06",
+                ],
+            ),
+            (
+                "--rule rtq --integrand affine --c0 0.3 --c1 -2.5 --N 7 --seed 3",
+                [
+                    "rule: RTQ",
+                    "integrand: affine(0.3,-2.5) on [0, 1.0]",
+                    "N: 7",
+                    "h: 0.14285714285714285",
+                    "value: -0.9499999999999998",
+                    "evaluations: 14",
+                    "seed: 3",
+                    "exact: -0.95",
+                    "abs_error: 1.1102230246251565e-16",
+                ],
+            ),
+        ],
+        ids=["ctq-power", "rtq-power", "rtq-affine"],
+    )
+    def test_output_is_pinned_byte_for_byte(self, argv, expected, capsys):
+        assert main(["eval", *argv.split()]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == "".join(line + "\n" for line in expected)
+        assert captured.err == ""
+
     def test_zero_intervals_exits_2(self, capsys):
         assert main(["eval", "--rule", "ctq", "--N", "0"]) == EXIT_USAGE
         assert "error" in capsys.readouterr().err
@@ -281,20 +334,20 @@ def test_lp_error_underflow_at_large_p_exits_2(p, replications, tmp_path, capsys
         (["sobolev", "--sigma", "1.2", "-p", "inf"], "p must be", False),
         (["sobolev", "--sigma", "1.2", "--delta", "nan"], "delta must be", False),
         (["sobolev", "--sigma", "1.2", "--delta", "inf"], "delta must be", False),
-        (["sobolev", "--sigma", "1.2", "--integrand", "constant", "--c0", "1", "--T", "inf"], "total_time", False),
         (["sobolev", "--sigma", "1.2", "--integrand", "affine", "--c0", "nan"], "must be finite", False),
-        (["sobolev", "--sigma", "1.2", "--gamma", "300", "--T", "10", "--cells", "8"], "term |g|^p is inf", True),
+        (["sobolev", "--sigma", "1.2", "--integrand", "constant", "--c0", "1e200", "--cells", "8"], "term |g|^p is inf", True),
         (["sobolev", "--sigma", "1.9", "-p", "400", "--cells", "16"], "term slobodeckij is nan", True),
-        (["sobolev", "--sigma", "1.2", "--T", "1e200", "--cells", "8"], "overflows at gamma = 1.5", False),
-        (["eval", "--rule", "ctq", "--N", "2", "--T", "1e308"], "overflows at gamma = 1.5", False),
+        (["eval", "--rule", "ctq", "--integrand", "constant", "--c0", "1e308", "--N", "4"], "CTQ cell terms or their sum overflow", True),
+        (["eval", "--rule", "rtq", "--integrand", "constant", "--c0", "1e308", "--N", "4"], "RTQ cell terms or their sum overflow", True),
+        (["eval", "--rule", "ctq", "--integrand", "constant", "--c0", "6e307", "--N", "4"], "CTQ cell terms or their sum overflow", True),
         (["eval", "--rule", "rtq", "--gamma", "-1.5", "--N", "4"], "got -1.5: the integral of t**gamma", False),
         (["eval", "--rule", "ctq", "--gamma", "-1", "--N", "4"], "got -1.0: the integral of t**gamma", False),
     ],
 )
 def test_non_finite_study_parameters_exit_2(argv, message, numpy_warns, tmp_path, capsys):
-    # Each of these once exited 0 with a zero error, a NaN order or a NaN or
-    # infinite total reported as "stable", or exited 2 with a bare
-    # "(34, 'Numerical result out of range')".
+    # Each of these once exited 0 with a zero error, a NaN rule value, a NaN
+    # order or a NaN or infinite total reported as "stable", or exited 2 with
+    # a bare "float division by zero".
     if argv[0] == "example1":
         argv = argv + ["--outdir", str(tmp_path)]
     # numpy warns of the overflow (or of 0/0 in the kernel) before the check.
@@ -302,7 +355,14 @@ def test_non_finite_study_parameters_exit_2(argv, message, numpy_warns, tmp_path
         assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert message in captured.err
+    assert captured.err.count("error: ") == 1
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("subcommand", [["eval", "--rule", "ctq", "--N", "4"], ["sobolev", "--sigma", "1.2"]])
+def test_horizon_flag_is_gone(subcommand, capsys):
+    assert main(subcommand + ["--T", "2"]) == EXIT_USAGE
+    assert "unrecognized arguments: --T 2" in capsys.readouterr().err
 
 
 def test_impossible_size_exits_2_with_one_error_line(capsys):

@@ -104,40 +104,40 @@ class TestFitOrder:
 class TestMcLpError:
     def test_affine_is_exact_for_every_replication(self):
         g = affine_integrand(2.0, -1.0)
-        error, se = mc_lp_error(g, make_partition(1.0, 8), 2.0, 50, RngStream(1, 0))
+        error, se = mc_lp_error(g, make_partition(8), 2.0, 50, RngStream(1, 0))
         assert error <= 1e-15
         assert se <= 1e-15
 
     def test_beats_ctq_absolute_error(self):
         g = power_integrand(1.5)
-        part = make_partition(1.0, 32)
+        part = make_partition(32)
         error, _ = mc_lp_error(g, part, 2.0, 1000, RngStream(3, 0))
         ctq_error = abs(g.exact_integral - ctq(g, part).value)
         assert error < ctq_error
 
     def test_doubling_replications_self_consistent(self):
         g = power_integrand(1.5)
-        part = make_partition(1.0, 32)
+        part = make_partition(32)
         for seed in (3, 4, 5):
             e1, s1 = mc_lp_error(g, part, 2.0, 500, RngStream(seed, 0))
             e2, s2 = mc_lp_error(g, part, 2.0, 1000, RngStream(seed, 0))
             assert abs(e1 - e2) < 3.0 * max(s1, s2)
 
     def test_requires_reference(self):
-        g = Integrand(evaluator=lambda t: np.asarray(t) ** 2, total_time=1.0, label="bare")
+        g = Integrand(evaluator=lambda t: np.asarray(t) ** 2, label="bare")
         with pytest.raises(ValueError, match="exact integral"):
-            mc_lp_error(g, make_partition(1.0, 4), 2.0, 10, RngStream(0))
+            mc_lp_error(g, make_partition(4), 2.0, 10, RngStream(0))
 
     @pytest.mark.parametrize("p", [0.5, float("inf"), float("nan")])
     def test_rejects_p_outside_one_to_infinity(self, p):
         with pytest.raises(ValueError, match="p must be finite and at least 1"):
-            mc_lp_error(power_integrand(1.5), make_partition(1.0, 4), p, 10, RngStream(0))
+            mc_lp_error(power_integrand(1.5), make_partition(4), p, 10, RngStream(0))
 
     @pytest.mark.parametrize("p", [65.0, 400.0])
     def test_rejects_p_whose_powers_underflow(self, p):
         # The errors are about 1e-5: the mean of |error|^65 is subnormal (its
         # standard error overflowed), and that of |error|^400 is 0.0.
-        part = make_partition(1.0, 32)
+        part = make_partition(32)
         with pytest.raises(ValueError, match=f"p = {p}"):
             mc_lp_error(power_integrand(1.5), part, p, 5, RngStream(0))
 
@@ -146,19 +146,19 @@ class TestMcLpError:
         # The mean of |error|^p is a normal double here, but the squared
         # deviations behind its variance underflow, which read as a standard
         # error of 0.0.
-        part = make_partition(1.0, 32)
+        part = make_partition(32)
         with pytest.raises(ValueError, match=f"p = {p}: the variance"):
             mc_lp_error(power_integrand(1.5), part, p, 200, RngStream(0))
 
     def test_rejects_p_whose_powers_overflow(self):
-        g = Integrand(evaluator=lambda t: np.asarray(t) ** 1.5, total_time=1.0, exact_integral=1e154)
-        part = make_partition(1.0, 4)
+        g = Integrand(evaluator=lambda t: np.asarray(t) ** 1.5, exact_integral=1e154)
+        part = make_partition(4)
         with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(ValueError, match="p = 2.0"):
             mc_lp_error(g, part, 2.0, 4, RngStream(0))
 
     def test_rejects_single_replication(self):
         with pytest.raises(ValueError):
-            mc_lp_error(power_integrand(1.5), make_partition(1.0, 4), 2.0, 1, RngStream(0))
+            mc_lp_error(power_integrand(1.5), make_partition(4), 2.0, 1, RngStream(0))
 
     @pytest.mark.parametrize(
         "intervals,replications,p",
@@ -170,7 +170,7 @@ class TestMcLpError:
     )
     def test_batched_equals_per_replication_loop(self, intervals, replications, p):
         g = power_integrand(1.25)
-        part = make_partition(1.0, intervals)
+        part = make_partition(intervals)
         stream = RngStream(9, 5 << 20)
         powered = np.empty(replications)
         for m in range(replications):
@@ -203,7 +203,7 @@ def per_node_max_prefix_errors(gamma, steps, master):
     them, with the running integral of t**gamma in Python float arithmetic."""
     maxima = []
     for m, h in enumerate(steps):
-        part = make_partition(1.0, round(1.0 / h))
+        part = make_partition(round(1.0 / h))
         stream = _lane_stream(master.seed, _LANE_AS_RATE, master.stream_id, m)
         partials = rtq_prefix(power_integrand(gamma), part, sample_tau_sequence(stream, part.intervals)).value
         max_err = 0.0
@@ -320,7 +320,7 @@ class TestRunExample2:
     def test_reference_matches_finest_partition_quadrature(self):
         result = run_example2(step_exponents=range(5, 7), reference_step=2.0**-9, seed=8)
         bi = brownian_integrand(result.path)
-        fine = ctq_brownian(bi, make_partition(1.0, 2**9)).value
+        fine = ctq_brownian(bi, make_partition(2**9)).value
         assert result.reference == pytest.approx(fine, rel=1e-13)
 
     def test_rejects_steps_finer_than_reference(self):
@@ -338,7 +338,7 @@ class TestRunExample2:
         bi = brownian_integrand(zero)
         assert union_grid_reference(bi) == 0.0
         for n in (32, 64, 128):
-            part = make_partition(1.0, n)
+            part = make_partition(n)
             assert ctq_brownian(bi, part).value == 0.0
             ctau = coarsen_tau(zero, part.step, RngStream(8, n))
             assert rtq_brownian(bi, part, ctau).value == 0.0

@@ -15,65 +15,65 @@ from randquad.quadrature import (
 from randquad.random_sources import RngStream, sample_tau_sequence
 
 
-def square_integrand(T=1.0):
-    return Integrand(evaluator=lambda t: np.asarray(t, dtype=float) ** 2, total_time=T, label="t^2")
+def square_integrand():
+    return Integrand(evaluator=lambda t: np.asarray(t, dtype=float) ** 2, label="t^2")
 
 
 class TestMakePartition:
     def test_quarter_grid(self):
-        part = make_partition(1.0, 4)
+        part = make_partition(4)
         assert part.step == 0.25
         np.testing.assert_array_equal(part.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_dyadic_step(self):
-        assert make_partition(1.0, 2**5).step == 2.0**-5
+        assert make_partition(2**5).step == 2.0**-5
 
     def test_single_interval(self):
-        part = make_partition(2.0, 1)
-        assert part.step == 2.0
-        np.testing.assert_array_equal(part.nodes, [0.0, 2.0])
+        part = make_partition(1)
+        assert part.step == 1.0
+        np.testing.assert_array_equal(part.nodes, [0.0, 1.0])
 
-    @pytest.mark.parametrize("T,N", [(1.0, 3), (0.7, 11), (3.25, 97), (1e-3, 1000)])
-    def test_invariants(self, T, N):
-        part = make_partition(T, N)
-        assert abs(part.step * N - T) <= 4 * np.spacing(T)
+    @pytest.mark.parametrize("N", [3, 11, 97, 1000])
+    def test_invariants(self, N):
+        part = make_partition(N)
+        assert abs(part.step * N - 1.0) <= 4 * np.spacing(1.0)
         assert part.nodes[0] == 0.0
-        assert part.nodes[-1] == T
+        assert part.nodes[-1] == 1.0
         assert np.all(np.diff(part.nodes) > 0)
         assert part.nodes.size == N + 1
 
-    @pytest.mark.parametrize("T,N", [(0.0, 4), (-1.0, 4), (1.0, 0), (1.0, -3), (float("nan"), 4)])
-    def test_rejects_bad_arguments(self, T, N):
+    @pytest.mark.parametrize("N", [0, -3])
+    def test_rejects_bad_arguments(self, N):
         with pytest.raises(ValueError):
-            make_partition(T, N)
+            make_partition(N)
 
 
 class TestCtq:
     def test_constant_exact(self):
-        g = constant_integrand(3.5, total_time=2.0)
+        g = constant_integrand(3.5)
         for n in (1, 2, 7, 64):
-            q = ctq(g, make_partition(2.0, n))
-            assert q.value == 7.0
+            q = ctq(g, make_partition(n))
+            assert q.value == 3.5
 
     def test_affine_exact(self):
         g = affine_integrand(0.0, 1.0)
-        q = ctq(g, make_partition(1.0, 4))
+        q = ctq(g, make_partition(4))
         assert q.value == 0.5
 
     def test_square_hand_value(self):
-        q = ctq(square_integrand(), make_partition(1.0, 2))
+        q = ctq(square_integrand(), make_partition(2))
         assert q.value == 0.375
         assert q.rule == "CTQ"
 
     def test_evaluation_count_literal_and_shared(self):
         g = square_integrand()
-        part = make_partition(1.0, 8)
+        part = make_partition(8)
         assert ctq(g, part).evaluations == 16
 
     def test_integrands_are_scalar_valued(self):
-        pair = Integrand(evaluator=lambda t: np.stack([t, 3.0 - 2.0 * t], axis=-1), total_time=1.0, label="pair")
+        pair = Integrand(evaluator=lambda t: np.stack([t, 3.0 - 2.0 * t], axis=-1), label="pair")
         with pytest.raises(ValueError, match="returned shape"):
-            ctq(pair, make_partition(1.0, 4))
+            ctq(pair, make_partition(4))
 
     def test_nonfinite_names_node(self):
         def evil(t):
@@ -82,22 +82,41 @@ class TestCtq:
             out[t == 0.5] = np.inf
             return out
 
-        g = Integrand(evaluator=evil, total_time=1.0, label="evil")
+        g = Integrand(evaluator=evil, label="evil")
         with pytest.raises(EvaluationError, match="0.5"):
-            ctq(g, make_partition(1.0, 2))
+            ctq(g, make_partition(2))
 
     def test_nonfinite_in_a_batch_names_the_single_node(self):
         def evil(t):
             t = np.asarray(t, dtype=float)
             return np.where(t == 0.0625, np.nan, t)
 
-        g = Integrand(evaluator=evil, total_time=1.0, label="evil")
+        g = Integrand(evaluator=evil, label="evil")
         tau = [[0.5, 0.5, 0.5, 0.5], [0.25, 0.5, 0.5, 0.5]]
         with pytest.raises(EvaluationError) as info:
-            rtq(g, make_partition(1.0, 4), tau)
+            rtq(g, make_partition(4), tau)
         message = str(info.value)
         assert "t=" in message and "0.0625" in message
         assert "[" not in message  # one node, not a whole row of times
+
+    @pytest.mark.parametrize("c", [1e308, 6e307], ids=["cell-term", "sum"])
+    def test_finite_values_whose_rule_overflows_raise(self, c):
+        # Both once returned NaN: g(a) + g(b) overflows at 1e308, and the sum
+        # of four finite cell terms at 6e307.
+        with pytest.warns(RuntimeWarning), pytest.raises(EvaluationError, match="CTQ cell terms or their sum overflow"):
+            ctq(constant_integrand(c), make_partition(4))
+
+    def test_overflow_in_one_row_of_a_batch_raises(self):
+        def spiky(t):
+            t = np.asarray(t, dtype=float)
+            return np.where((t == 0.0625) | (t == 0.1875), 1.7e308, t)
+
+        g = Integrand(evaluator=spiky, label="spiky")
+        tau = [[0.5, 0.5, 0.5, 0.5], [0.25, 0.5, 0.5, 0.5]]
+        assert math.isfinite(rtq(g, make_partition(4), tau[0]).value)
+        for rule, offsets in ((rtq, tau), (rtq_prefix, tau[1])):
+            with pytest.warns(RuntimeWarning), pytest.raises(EvaluationError, match="'spiky' has finite values"):
+                rule(g, make_partition(4), offsets)
 
 
 class TestRtq:
@@ -112,7 +131,7 @@ class TestRtq:
     def test_rejects_endpoints(self, rule, tau):
         # 1e-20 and 2^-54 lie inside (0, 1), but their complements round to 1.0.
         with pytest.raises(ValueError, match="strictly inside"):
-            rule(square_integrand(), make_partition(1.0, len(tau)), tau)
+            rule(square_integrand(), make_partition(len(tau)), tau)
 
     @pytest.mark.parametrize("rule", [rtq, rtq_prefix])
     @pytest.mark.parametrize(
@@ -120,12 +139,12 @@ class TestRtq:
     )
     def test_rejects_empty(self, rule, tau):
         with pytest.raises(ValueError, match="1-d or 2-d with at least 4 offsets per row"):
-            rule(square_integrand(), make_partition(1.0, 4), tau)
+            rule(square_integrand(), make_partition(4), tau)
 
     def test_constant_exact_for_any_tau(self):
         g = constant_integrand(2.0)
         tau = [0.123, 0.9, 0.5, 0.0001 + 0.3]
-        assert rtq(g, make_partition(1.0, 4), tau).value == 2.0
+        assert rtq(g, make_partition(4), tau).value == 2.0
 
     def test_affine_exact_because_offsets_reflect(self):
         g = affine_integrand(1.0, -2.0)
@@ -133,20 +152,20 @@ class TestRtq:
         rng = np.random.default_rng(11)
         for n in (1, 2, 32):
             tau = rng.uniform(0.01, 0.99, size=n)
-            value = rtq(g, make_partition(1.0, n), tau).value
+            value = rtq(g, make_partition(n), tau).value
             # rounding unit: the accumulated magnitude |a|T + |b|T^2/2
             assert abs(value - exact) <= 8 * np.spacing(2.0)
 
     def test_square_single_cell_hand_value(self):
         tau = [0.25]
-        q = rtq(square_integrand(), make_partition(1.0, 1), tau)
+        q = rtq(square_integrand(), make_partition(1), tau)
         assert q.value == 0.3125
         assert q.rule == "RTQ"
         assert q.evaluations == 2
 
     def test_short_tau_rejected_extra_ignored(self):
         g = square_integrand()
-        part = make_partition(1.0, 4)
+        part = make_partition(4)
         with pytest.raises(ValueError):
             rtq(g, part, [0.5, 0.5])
         long_tau = [0.3] * 10
@@ -155,13 +174,13 @@ class TestRtq:
 
     def test_complement_symmetry_is_bitwise(self):
         g = power_integrand(1.5)
-        part = make_partition(1.0, 64)
+        part = make_partition(64)
         tau = sample_tau_sequence(RngStream(99), 64)
         assert rtq(g, part, tau).value == rtq(g, part, 1.0 - tau).value
 
     def test_determinism_across_regeneration(self):
         g = power_integrand(1.25)
-        part = make_partition(1.0, 32)
+        part = make_partition(32)
         a = rtq(g, part, sample_tau_sequence(RngStream(5, 17), 32)).value
         b = rtq(g, part, sample_tau_sequence(RngStream(5, 17), 32)).value
         assert a == b
@@ -170,7 +189,7 @@ class TestRtq:
 class TestRtqBatch:
     def test_each_row_equals_its_own_rule_bitwise(self):
         g = power_integrand(1.5)
-        part = make_partition(1.0, 64)
+        part = make_partition(64)
         rows = [sample_tau_sequence(RngStream(3, i), 64) for i in range(5)]
         batch = rtq(g, part, np.stack(rows))
         assert batch.evaluations == 5 * 2 * 64
@@ -180,19 +199,19 @@ class TestRtqBatch:
     def test_prefix_rejects_a_batch(self):
         tau = np.full((2, 4), 0.5)
         with pytest.raises(ValueError, match="single offset sequences"):
-            rtq_prefix(power_integrand(1.5), make_partition(1.0, 4), tau)
+            rtq_prefix(power_integrand(1.5), make_partition(4), tau)
 
 
 class TestRtqPrefix:
     def test_constant_prefix_values(self):
         g = constant_integrand(1.0)
         tau = [0.2, 0.4, 0.6, 0.8]
-        values = rtq_prefix(g, make_partition(1.0, 4), tau).value.tolist()
+        values = rtq_prefix(g, make_partition(4), tau).value.tolist()
         assert values == [0.25, 0.5, 0.75, 1.0]
 
     def test_last_element_bitwise_equals_rtq(self):
         g = power_integrand(1.75)
-        part = make_partition(1.0, 128)
+        part = make_partition(128)
         tau = sample_tau_sequence(RngStream(421), 128)
         assert rtq_prefix(g, part, tau).value[-1] == rtq(g, part, tau).value
 
@@ -200,12 +219,12 @@ class TestRtqPrefix:
         g = affine_integrand(0.0, 1.0)
         for seed in (1, 2, 3):
             tau = sample_tau_sequence(RngStream(seed), 2)
-            values = rtq_prefix(g, make_partition(1.0, 2), tau).value.tolist()
+            values = rtq_prefix(g, make_partition(2), tau).value.tolist()
             assert values == pytest.approx([0.125, 0.5], rel=1e-14)
 
     def test_prefix_increment_is_cell_contribution(self):
         g = power_integrand(1.5)
-        part = make_partition(1.0, 50)
+        part = make_partition(50)
         tau = sample_tau_sequence(RngStream(8), 50)
         prefix = rtq_prefix(g, part, tau)
         half = 0.5 * part.step
@@ -222,5 +241,5 @@ class TestRtqPrefix:
     def test_evaluation_counts(self):
         g = square_integrand()
         tau = [0.5] * 3
-        assert rtq_prefix(g, make_partition(1.0, 3), tau).evaluations == 6
+        assert rtq_prefix(g, make_partition(3), tau).evaluations == 6
 
