@@ -57,7 +57,10 @@ def make_partition(intervals: int) -> Partition:
     Raises:
         ValueError: if ``intervals`` is not a positive integer.
     """
-    N = int(intervals)
+    try:
+        N = int(intervals)
+    except (OverflowError, ValueError):  # inf, nan
+        N = 0
     if N != intervals or N < 1:
         raise ValueError(f"intervals must be a positive integer, got {intervals!r}")
     nodes = np.linspace(0.0, 1.0, N + 1)

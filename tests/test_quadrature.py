@@ -42,9 +42,11 @@ class TestMakePartition:
         assert np.all(np.diff(part.nodes) > 0)
         assert part.nodes.size == N + 1
 
-    @pytest.mark.parametrize("N", [0, -3])
+    @pytest.mark.parametrize("N", [0, -3, 2.5, float("nan"), float("inf")])
     def test_rejects_bad_arguments(self, N):
-        with pytest.raises(ValueError):
+        # inf once raised a bare OverflowError from int(), nan a bare
+        # "cannot convert float NaN to integer".
+        with pytest.raises(ValueError, match="intervals must be a positive integer"):
             make_partition(N)
 
 
