@@ -61,8 +61,21 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """No option starts with a digit or a dot, so a token that parses as a
+    float is a value; argparse's own negative-number test misses exponents
+    (``--c1 -1e3``).  Subparsers are built with the parent's class."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="randquad",
         description="Classical and randomised trapezoidal quadrature experiments.",
     )

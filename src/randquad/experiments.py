@@ -47,6 +47,7 @@ from .quadrature import CTQ, RTQ, Partition, ctq, make_partition, rtq, rtq_prefi
 from .random_sources import (
     BrownianPath,
     RngStream,
+    _dyadic_cells,
     coarsen_tau,
     sample_brownian_path,
     sample_tau_batches,
@@ -456,22 +457,45 @@ def union_grid_reference(bi: BrownianIntegrand) -> float:
     best trapezoidal value of the very function they integrate rather than
     against an inconsistent rebuild of it.
 
+    The terms are built from slices of the path and the prefix sums, and
+    they are bit for bit those of ``bi.value_at`` on the union grid.  The
+    step h is 2^-k, so the node j * h and the interior time
+    m_j = fl(j + tau_j) * h are exact, m_j / h = fl(j + tau_j) lies strictly
+    between j and j + 1 (sampling redraws any other offset, and a width
+    check below rejects it), and ``value_at``'s floor lands on j.  Its
+    value there is prefix[j] + B_j * (m_j - j * h), the same expression on
+    the same operands as the left width (which Sterbenz's lemma makes
+    exact); at a node it is prefix[j] + B_j * 0 = prefix[j], and at t = 1,
+    clamped to the last cell, prefix[cells - 1] + B_{cells-1} * h, which is
+    how ``brownian_integrand`` formed prefix[cells].
+
     The union grid is built and summed a block of fine cells at a time, so
     memory stays bounded however fine the path; the carried compensated
     state makes the value bit-for-bit that of one sum over the whole grid.
+
+    Raises:
+        ValueError: if the path's step is not 2^-k for its cell count
+            (before anything is summed), or the union grid is not strictly
+            increasing.
     """
     path = bi.path
+    if _dyadic_cells(path.step) != path.cells:
+        raise ValueError(f"a path of {path.cells} cells needs step 1/{path.cells}, got {path.step!r}")
     acc = NeumaierSum()
-    block = BLOCK_ELEMENTS // 2
+    block = 2 * BLOCK_ELEMENTS
     for start in range(0, path.cells, block):
         stop = min(start + block, path.cells)
-        times = np.empty(2 * (stop - start) + 1)
-        times[0::2] = np.arange(start, stop + 1) * path.step
-        times[1::2] = path.mid_times(np.arange(start, stop))
-        widths = np.diff(times)
-        if np.any(widths <= 0.0):
+        j = np.arange(start, stop + 1, dtype=np.float64)
+        nodes = j * path.step
+        mids = (j[:-1] + path.offsets[start:stop]) * path.step
+        widths = np.empty(2 * (stop - start))
+        widths[0::2] = mids - nodes[:-1]
+        widths[1::2] = nodes[1:] - mids
+        if not np.all(widths > 0.0):
             raise ValueError("union grid is not strictly increasing")
-        g = bi.value_at(times)
+        g = np.empty(widths.size + 1)
+        g[0::2] = bi.prefix[start : stop + 1]
+        g[1::2] = bi.prefix[start:stop] + path.grid_values[start:stop] * widths[0::2]
         acc.extend(0.5 * widths * (g[:-1] + g[1:]))
     return acc.value
 

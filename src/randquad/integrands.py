@@ -130,9 +130,9 @@ class BrownianIntegrand:
 
     def value_at(self, times) -> np.ndarray:
         t = np.asarray(times, dtype=np.float64)
-        if np.any(t < 0.0) or np.any(t > 1.0):
-            bad = t[(t < 0.0) | (t > 1.0)][0]
-            raise ValueError(f"evaluation time {bad!r} outside [0, 1]")
+        if t.size and not (t.min() >= 0.0 and t.max() <= 1.0):
+            bad = t[~((t >= 0.0) & (t <= 1.0))][0]
+            raise ValueError(f"evaluation time {float(bad)!r} outside [0, 1]")
         idx = np.minimum(np.floor(t / self.path.step).astype(np.int64), self.path.cells - 1)
         return self.prefix[idx] + self.path.grid_values[idx] * (t - idx * self.path.step)
 

@@ -65,20 +65,27 @@ class RngStream:
         return np.random.default_rng(np.random.SeedSequence([self.seed, self.stream_id]))
 
 
-def _strict_uniform(rng: np.random.Generator, count: int, base=0) -> np.ndarray:
-    """Uniform(0,1) draws u, each redrawn while ``base + u`` rounds to base or
-    base + 1: 0 for plain offsets, the cell indices j for a path's offsets
-    (near j = 2^24 an offset below about 2^-30 would put j + u on a node)."""
+def _strict_uniform(rng: np.random.Generator, count: int, per_cell: bool = False) -> np.ndarray:
+    """Uniform(0,1) draws u, each redrawn while ``j + u`` rounds to j or
+    j + 1: j = 0 for plain offsets, and j is u's index for a path's offsets
+    (``per_cell``; near j = 2^24 an offset below about 2^-30 would put
+    j + u on a node).  The check runs a block at a time, and the flagged
+    draws are redrawn together in index order until none is left."""
 
-    def off_ends() -> np.ndarray:
-        t = base + values
-        return (t <= base) | (t >= base + 1)
+    def off_ends(u: np.ndarray, j) -> np.ndarray:
+        t = j + u
+        return (t <= j) | (t >= j + 1)
 
     values = rng.random(count)
-    bad = off_ends()
-    while bad.any():
-        values[bad] = rng.random(int(bad.sum()))
-        bad = off_ends()
+    flagged = []
+    for start in range(0, count, BLOCK_ELEMENTS):
+        block = values[start : start + BLOCK_ELEMENTS]
+        cells = np.arange(start, start + block.size, dtype=np.float64) if per_cell else 0
+        flagged.append(start + np.flatnonzero(off_ends(block, cells)))
+    flagged = np.concatenate(flagged)
+    while flagged.size:
+        values[flagged] = rng.random(flagged.size)
+        flagged = flagged[off_ends(values[flagged], flagged if per_cell else 0)]
     return values
 
 
@@ -271,6 +278,16 @@ def sample_brownian_path(stream: RngStream, step: float) -> BrownianPath:
     a (seed, stream_id) pair pins the whole path.  An offset whose interior
     time would round onto a node is redrawn within the offset section.
 
+    The bridge value at ``(j + tau) * h`` is
+    ``((1 - tau) * B_j + tau * B_{j+1}) + sqrt(tau * (1 - tau) * h) * Z``.
+
+    Only the three returned arrays are full size.  The increments are drawn
+    into ``grid_values[1:]`` and summed there; the node check and the bridge
+    run a block of ``BLOCK_ELEMENTS`` cells at a time.  numpy's generator
+    keeps no normal between calls, so the residuals Z drawn block by block
+    are bit for bit one draw of them all, and every element is computed by
+    the same operations in the same order as over whole arrays.
+
     Raises:
         ValueError: if ``step`` is not 2^-k for an integer k >= 0.
     """
@@ -278,20 +295,16 @@ def sample_brownian_path(stream: RngStream, step: float) -> BrownianPath:
     h = float(step)
     rng = stream.generator()
     grid_values = np.zeros(cells + 1)
-    np.cumsum(rng.standard_normal(cells) * np.sqrt(h), out=grid_values[1:])
-    offsets = _strict_uniform(rng, cells, base=np.arange(cells))
-
-    # ((1 - tau) * B_j + tau * B_{j+1}) + sqrt(tau * (1 - tau) * h) * Z, in
-    # three work arrays; the residuals Z overwrite the complements.
-    complements = 1.0 - offsets
-    mid_values = complements * grid_values[:-1]
-    work = offsets * grid_values[1:]
-    mid_values += work
-    np.multiply(offsets, complements, out=work)
-    work *= h
-    np.sqrt(work, out=work)
-    work *= rng.standard_normal(out=complements)
-    mid_values += work
+    increments = rng.standard_normal(out=grid_values[1:])
+    increments *= np.sqrt(h)
+    np.cumsum(increments, out=increments)
+    offsets = _strict_uniform(rng, cells, per_cell=True)
+    mid_values = np.empty(cells)
+    for start in range(0, cells, BLOCK_ELEMENTS):
+        block = slice(start, start + BLOCK_ELEMENTS)
+        tau = offsets[block]
+        mean = (1.0 - tau) * grid_values[:-1][block] + tau * grid_values[1:][block]
+        mid_values[block] = mean + np.sqrt(tau * (1.0 - tau) * h) * rng.standard_normal(tau.size)
 
     for arr in (grid_values, offsets, mid_values):
         arr.setflags(write=False)

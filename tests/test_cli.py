@@ -359,6 +359,27 @@ def test_non_finite_study_parameters_exit_2(argv, message, numpy_warns, tmp_path
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, split, joined, warns",
+    [
+        (["eval", "--rule", "ctq", "--integrand", "affine", "--c0", "1", "--N", "4"], ["--c1", "-1e3"], ["--c1=-1e3"], False),
+        (["eval", "--rule", "ctq", "--N", "4"], ["--gamma", "-5e-1"], ["--gamma=-5e-1"], True),
+    ],
+)
+def test_negative_values_with_an_exponent_are_values(argv, split, joined, warns, capsys):
+    # argparse took "-1e3" and "-5e-1" for options, so the split forms exited
+    # 2 with "expected one argument".
+    results = []
+    for flags in (split, joined):
+        # gamma = -0.5 warns that it is below 1, and t**-0.5 divides by zero at 0.
+        with pytest.warns(RuntimeWarning) if warns else contextlib.nullcontext():
+            code = main(argv + flags)
+        results.append((code, *capsys.readouterr()))
+    assert results[0] == results[1]
+    assert "expected one argument" not in results[0][2]
+    assert results[0][0] == (EXIT_USAGE if warns else EXIT_OK)
+
+
 @pytest.mark.parametrize("subcommand", [["eval", "--rule", "ctq", "--N", "4"], ["sobolev", "--sigma", "1.2"]])
 def test_horizon_flag_is_gone(subcommand, capsys):
     assert main(subcommand + ["--T", "2"]) == EXIT_USAGE

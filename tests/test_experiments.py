@@ -1,8 +1,10 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from randquad import experiments
 from randquad.experiments import (
     _LANE_AS_RATE,
     DEFAULT_SEED,
@@ -26,7 +28,14 @@ from randquad.integrands import (
     rtq_brownian,
 )
 from randquad.quadrature import Integrand, ctq, make_partition, rtq, rtq_prefix
-from randquad.random_sources import BrownianPath, RngStream, coarsen_tau, sample_tau_sequence
+from randquad.random_sources import (
+    BrownianPath,
+    RngStream,
+    coarsen_tau,
+    sample_brownian_path,
+    sample_tau_sequence,
+)
+from randquad.summation import BLOCK_ELEMENTS, NeumaierSum
 
 
 def synthetic_ladder(constant, order, exponents=(5, 6, 7, 8, 9, 10)):
@@ -342,3 +351,99 @@ class TestRunExample2:
             assert ctq_brownian(bi, part).value == 0.0
             ctau = coarsen_tau(zero, part.step, RngStream(8, n))
             assert rtq_brownian(bi, part, ctau).value == 0.0
+
+
+def value_at_union_grid_reference(bi):
+    """``union_grid_reference`` as first written, through ``bi.value_at``: the oracle."""
+    path = bi.path
+    acc = NeumaierSum()
+    block = BLOCK_ELEMENTS // 2
+    for start in range(0, path.cells, block):
+        stop = min(start + block, path.cells)
+        times = np.empty(2 * (stop - start) + 1)
+        times[0::2] = np.arange(start, stop + 1) * path.step
+        times[1::2] = path.mid_times(np.arange(start, stop))
+        widths = np.diff(times)
+        if np.any(widths <= 0.0):
+            raise ValueError("union grid is not strictly increasing")
+        g = bi.value_at(times)
+        acc.extend(0.5 * widths * (g[:-1] + g[1:]))
+    return acc.value
+
+
+def _path(grid_values, offsets):
+    grid_values = np.asarray(grid_values, dtype=float)
+    cells = grid_values.size - 1
+    return BrownianPath(
+        step=1.0 / cells,
+        grid_values=grid_values,
+        offsets=np.asarray(offsets, dtype=float),
+        mid_values=np.zeros(cells),
+    )
+
+
+def _edge_offsets(cells):
+    """Offsets one ulp of j inside cell j, alternately at its left and right end."""
+    j = np.arange(cells, dtype=float)
+    left = np.nextafter(j, np.inf) - j
+    right = np.nextafter(j + 1.0, 0.0) - j
+    offsets = np.where(j % 2 == 1, left, right)
+    offsets[0] = 0.5
+    return offsets
+
+
+class TestUnionGridReference:
+    @pytest.mark.parametrize("seed", [0, 2, 7, 11])
+    def test_bitwise_equals_the_value_at_oracle(self, seed):
+        for k in range(17):
+            bi = brownian_integrand(sample_brownian_path(RngStream(seed, k), 2.0**-k))
+            new, old = union_grid_reference(bi), value_at_union_grid_reference(bi)
+            assert np.float64(new).tobytes() == np.float64(old).tobytes(), k
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            _path(np.zeros(2**8 + 1), np.full(2**8, 0.4)),
+            _path(np.linspace(0.0, 1.0, 9), np.full(8, 0.5)),
+            _path([0.0, 1.0, -2.0, 0.5, 3.0], [0.5] * 4),
+            _path(np.random.default_rng(5).standard_normal(2**12 + 1), _edge_offsets(2**12)),
+        ],
+        ids=["zero", "linear", "hand", "edge-offsets"],
+    )
+    def test_hand_built_paths_bitwise_equal_the_oracle(self, path):
+        bi = brownian_integrand(path)
+        new, old = union_grid_reference(bi), value_at_union_grid_reference(bi)
+        assert np.float64(new).tobytes() == np.float64(old).tobytes()
+
+    @pytest.mark.parametrize("step, cells", [(1.0 / 3.0, 3), (0.25, 8)], ids=["step-1/3", "step-too-long"])
+    def test_path_off_the_dyadic_grid_rejected_before_summing(self, step, cells, monkeypatch):
+        class NoSum:
+            def extend(self, values):
+                raise AssertionError("summed before the step was checked")
+
+        monkeypatch.setattr(experiments, "NeumaierSum", NoSum)
+        path = BrownianPath(
+            step=step,
+            grid_values=np.linspace(0.0, 1.0, cells + 1),
+            offsets=np.full(cells, 0.5),
+            mid_values=np.zeros(cells),
+        )
+        with pytest.raises(ValueError, match="step"):
+            union_grid_reference(brownian_integrand(path))
+
+    def test_offset_off_its_cell_rejected(self):
+        for offsets in ([0.5, 1.0, 0.5, 0.5], [0.5, 0.5, np.nan, 0.5], [0.5, 0.5, 0.5, -0.25]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                union_grid_reference(brownian_integrand(_path(np.zeros(5), offsets)))
+
+    def test_peak_memory_does_not_grow_with_the_cells(self):
+        peaks = []
+        for k in (14, 18):
+            bi = brownian_integrand(sample_brownian_path(RngStream(3), 2.0**-k))
+            tracemalloc.start()
+            try:
+                union_grid_reference(bi)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 16 * 1024

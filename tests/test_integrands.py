@@ -115,6 +115,12 @@ class TestBrownianIntegrand:
             bi.value_at(np.array([1.5]))
         with pytest.raises(ValueError):
             bi.value_at(np.array([-0.01]))
+        # NaN once fell through to the gather as an IndexError.
+        with pytest.raises(ValueError, match=r"evaluation time nan outside \[0, 1\]"):
+            bi.value_at(np.array([0.5, np.nan]))
+        with pytest.raises(ValueError, match="evaluation time nan"):
+            bi.value_at(np.nan)
+        assert bi.value_at(np.array([])).shape == (0,)
 
 
 class TestCtqBrownian:

@@ -145,6 +145,69 @@ class TestBatchSeeding:
         np.testing.assert_array_equal(block[1], sample_tau_sequence(RngStream(1, 2**64 - 1), 4))
 
 
+class PlantedGenerator:
+    """numpy's generator for seed 0, except that the n-th ``random`` call
+    returns the values in ``plants[n]`` at their indices; every ``random``
+    result is kept in ``offset_draws``."""
+
+    def __init__(self, plants):
+        self.rng = np.random.default_rng(0)
+        self.plants = plants
+        self.offset_draws = []
+
+    def random(self, size):
+        values = self.rng.random(size)
+        for index, value in self.plants.get(len(self.offset_draws), {}).items():
+            values[index] = value
+        self.offset_draws.append(values.copy())
+        return values
+
+    def standard_normal(self, *args, **kwargs):
+        return self.rng.standard_normal(*args, **kwargs)
+
+    def stream(self):
+        return SimpleNamespace(generator=lambda: self)
+
+
+def _whole_array_strict_uniform(rng, count, base):
+    def off_ends():
+        t = base + values
+        return (t <= base) | (t >= base + 1)
+
+    values = rng.random(count)
+    bad = off_ends()
+    while bad.any():
+        values[bad] = rng.random(int(bad.sum()))
+        bad = off_ends()
+    return values
+
+
+def whole_array_brownian_path(stream, step):
+    """``sample_brownian_path`` as first written, over whole arrays: the oracle."""
+    h = float(step)
+    cells = round(1.0 / h)
+    rng = stream.generator()
+    grid_values = np.zeros(cells + 1)
+    np.cumsum(rng.standard_normal(cells) * np.sqrt(h), out=grid_values[1:])
+    offsets = _whole_array_strict_uniform(rng, cells, base=np.arange(cells))
+    complements = 1.0 - offsets
+    mid_values = complements * grid_values[:-1]
+    work = offsets * grid_values[1:]
+    mid_values += work
+    np.multiply(offsets, complements, out=work)
+    work *= h
+    np.sqrt(work, out=work)
+    work *= rng.standard_normal(out=complements)
+    mid_values += work
+    return BrownianPath(step=h, grid_values=grid_values, offsets=offsets, mid_values=mid_values)
+
+
+def assert_paths_bitwise_equal(a, b):
+    assert a.step == b.step
+    for name in ("grid_values", "offsets", "mid_values"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
 class TestBrownianPath:
     def test_starts_at_zero_every_seed(self):
         for seed in range(5):
@@ -188,23 +251,8 @@ class TestBrownianPath:
     def test_offset_whose_time_rounds_onto_a_node_is_redrawn(self):
         # 1 + 1e-300 rounds to 1, so the first offset drawn for cell 1 would
         # put its interior time on node 1; the next draw replaces it.
-        class Planted:
-            def __init__(self):
-                self.rng = np.random.default_rng(0)
-                self.offset_draws = []
-
-            def random(self, size):
-                values = self.rng.random(size)
-                if not self.offset_draws:
-                    values[1] = 1e-300
-                self.offset_draws.append(values.copy())
-                return values
-
-            def standard_normal(self, *args, **kwargs):
-                return self.rng.standard_normal(*args, **kwargs)
-
-        rng = Planted()
-        path = sample_brownian_path(SimpleNamespace(generator=lambda: rng), 2.0**-4)
+        rng = PlantedGenerator({0: {1: 1e-300}})
+        path = sample_brownian_path(rng.stream(), 2.0**-4)
         first, redraw = rng.offset_draws
         assert first[1] == 1e-300 and redraw.shape == (1,)
         assert path.offsets[1] == redraw[0]
@@ -212,6 +260,40 @@ class TestBrownianPath:
         cells = np.arange(path.cells)
         assert np.all(path.mid_times(cells) > cells * path.step)
         assert np.all(path.mid_times(cells) < (cells + 1) * path.step)
+
+    @pytest.mark.parametrize("seed", [0, 2, 7, 11])
+    def test_bitwise_equals_the_whole_array_oracle(self, seed):
+        for k in range(17):
+            stream = RngStream(seed, k)
+            assert_paths_bitwise_equal(
+                sample_brownian_path(stream, 2.0**-k), whole_array_brownian_path(stream, 2.0**-k)
+            )
+
+    def test_redraws_across_blocks_and_rounds_equal_the_oracle(self):
+        # Cells 1 and 4097 (in the second check block) would land on their
+        # left node and cell 8191 on its right one; the first redraw of cell
+        # 1 lands on the node again, so a second round redraws it.
+        plants = {0: {1: 1e-300, 4097: 1e-300, 8191: 1.0 - 2.0**-53}, 1: {0: 1e-300}}
+        rng = PlantedGenerator(plants)
+        path = sample_brownian_path(rng.stream(), 2.0**-13)
+        first, redraw, second = rng.offset_draws
+        assert [first.size, redraw.size, second.size] == [2**13, 3, 1]
+        assert path.offsets[1] == second[0]
+        assert path.offsets[4097] == redraw[1] and path.offsets[8191] == redraw[2]
+        oracle = whole_array_brownian_path(PlantedGenerator(plants).stream(), 2.0**-13)
+        assert_paths_bitwise_equal(path, oracle)
+
+    def test_peak_holds_the_sampled_arrays_and_a_few_blocks(self):
+        # Whole-array sampling peaked about 1.2 MiB above the three kept
+        # arrays here; a block's temporaries are a few BLOCK_ELEMENTS values.
+        sample_brownian_path(RngStream(0), 2.0**-4)
+        tracemalloc.start()
+        try:
+            sample_brownian_path(RngStream(0), 2.0**-16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**16 * 8 + 8 * BLOCK_ELEMENTS * 8
 
     def test_keeps_only_the_sampled_arrays(self):
         # Node values, offsets and interior values: three arrays of 2^16
