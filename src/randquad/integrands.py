@@ -30,14 +30,15 @@ from .summation import compensated_sum
 
 # Largest ``cells`` accepted by ``sobolev_seminorm``, a time bound: memory
 # stays small, but the double integral is O(cells**2) work, and one estimate
-# at 8192 cells takes about 1 s (2-vCPU x86-64 VM, numpy 2.4).
+# at 8192 cells takes about 0.25 s (2-vCPU x86-64 VM, 2 MiB L2, numpy 2.4).
 SOBOLEV_MAX_CELLS = 8192
 
 # Kernel elements built and summed at once by ``sobolev_seminorm``.  Must be
-# at least 128, numpy's pairwise-sum leaf, which it never splits.  2^13 ran
-# fastest of 2^12..2^16 at 1024-8192 cells; from 2^14 up, where each float64
-# temporary reaches 128 KiB, an estimate took about twice as long.
-KERNEL_BLOCK_ELEMENTS = 1 << 13
+# at least 128, numpy's pairwise-sum leaf, which it never splits.  2^14 ran
+# fastest of 2^12..2^15 at 1024-8192 cells, about 15% ahead of 2^13; at 2^15,
+# where each float64 temporary reaches 256 KiB, an estimate took up to twice
+# as long.
+KERNEL_BLOCK_ELEMENTS = 1 << 14
 
 
 def _finite(name: str, value: float) -> float:
@@ -230,8 +231,16 @@ class SobolevEstimate:
     term_slobodeckij: float
 
 
-def _slobodeckij_sum(mid, dv, delta: float, p: float, exponent: float) -> np.float64:
+def _slobodeckij_sum(dv, delta: float, p: float, exponent: float) -> np.float64:
     """``np.sum`` of the dense Slobodeckij kernel, built a row block at a time.
+
+    Midpoints i and j are k = |i - j| cells apart, and the kernel takes
+    their distance as d_k = k / cells, correctly rounded, not as the rounded
+    difference of the two midpoints: whether a pair is excluded (d_k <
+    delta, adding exactly 0.0) then depends on k alone.  A kept pair adds
+    |dv_i - dv_j| ** p / d_k ** exponent.  The mask and the powers of d_k
+    are tabulated once per k, and row i of each is the contiguous slice
+    ``[cells-1-i : 2*cells-1-i]`` of the table mirrored about k = 0.
 
     numpy sums a contiguous float64 array pairwise: a range of more than 128
     values splits at half its length rounded down to a multiple of 8, and
@@ -241,7 +250,14 @@ def _slobodeckij_sum(mid, dv, delta: float, p: float, exponent: float) -> np.flo
     rest of the same tree.  Every kernel value comes from the dense
     expressions, so the total is bit-identical to summing the dense array.
     """
-    cells = mid.size
+    cells = dv.size
+    dist = np.arange(cells) / cells
+    band = dist < delta
+    # Excluded pairs divide by a placeholder 1.0 and are then set to 0.0.
+    den = np.where(band, 1.0, dist ** exponent)
+    window = np.lib.stride_tricks.sliding_window_view
+    den_rows = window(np.concatenate((den[:0:-1], den)), cells)[::-1]
+    band_rows = window(np.concatenate((band[:0:-1], band)), cells)[::-1]
 
     def block_sum(lo: int, hi: int) -> np.float64:
         size = hi - lo
@@ -251,11 +267,10 @@ def _slobodeckij_sum(mid, dv, delta: float, p: float, exponent: float) -> np.flo
             return block_sum(lo, lo + half) + block_sum(lo + half, hi)
         rows = slice(lo // cells, -(-hi // cells))
         flat = slice(lo - rows.start * cells, hi - rows.start * cells)
-        dist = np.abs(mid[rows, None] - mid[None, :]).ravel()[flat]
-        keep = dist >= delta
         diff = np.abs(dv[rows, None] - dv[None, :]).ravel()[flat]
-        kernel = np.zeros_like(dist)
-        kernel[keep] = diff[keep] ** p / dist[keep] ** exponent
+        kernel = diff ** p
+        kernel /= den_rows[rows].ravel()[flat]
+        np.copyto(kernel, 0.0, where=band_rows[rows].ravel()[flat])
         return np.sum(kernel)
 
     return block_sum(0, cells * cells)
@@ -272,9 +287,11 @@ def sobolev_seminorm(
 
     The three terms (p-th powers of the function, of its derivative, and
     the double-integral difference quotient of the derivative) are each
-    discretised on a midpoint grid of ``cells`` points; double-integral
-    cells closer to the diagonal than ``delta`` are excluded, since the
-    kernel is singular there.  Default guard band: two cell widths.
+    discretised on a midpoint grid of ``cells`` points.  Two midpoints k
+    cells apart are taken to lie k / cells apart (correctly rounded), and
+    double-integral cells closer to the diagonal than ``delta`` are
+    excluded, since the kernel is singular there.  Default guard band: two
+    cell widths, which keeps exactly the pairs with k >= 2.
 
     The estimate keeps growing under delta-refinement when the integrand
     sits at or beyond the membership boundary, which is what makes it
@@ -284,7 +301,7 @@ def sobolev_seminorm(
     about ``KERNEL_BLOCK_ELEMENTS`` values, so memory stays bounded, and
     equals the dense ``np.sum`` bit for bit (see ``_slobodeckij_sum``).
     The work is O(cells**2), so ``cells`` is capped at ``SOBOLEV_MAX_CELLS``
-    to bound the time (about 1 s per estimate at that size).
+    to bound the time (about 0.25 s per estimate at that size).
 
     Raises:
         ValueError: if ``g`` carries no exact derivative, sigma/p/cells
@@ -317,7 +334,7 @@ def sobolev_seminorm(
     term_derivative = float(np.sum(np.abs(dv) ** p) * width)
 
     exponent = 1.0 + (sigma - 1.0) * p
-    term_slobodeckij = float(_slobodeckij_sum(mid, dv, delta, p, exponent) * width * width)
+    term_slobodeckij = float(_slobodeckij_sum(dv, delta, p, exponent) * width * width)
 
     total = term_value + term_derivative + term_slobodeckij
     terms = {

@@ -110,7 +110,7 @@ def _evaluate(g: Integrand, times: np.ndarray) -> np.ndarray:
     if not finite.all():
         bad = tuple(np.argwhere(~finite)[0])
         raise EvaluationError(
-            f"integrand {g.label!r} returned a non-finite value at node t={times[bad]!r}"
+            f"integrand {g.label!r} returned a non-finite value at node t={float(times[bad])!r}"
         )
     return out
 

@@ -393,3 +393,13 @@ def test_impossible_size_exits_2_with_one_error_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+def test_non_finite_evaluation_error_prints_a_plain_float(capsys):
+    # The node was printed as a numpy repr, "t=np.float64(0.0)".
+    # gamma = -0.5 warns that it is below 1, and t**-0.5 divides by zero at 0.
+    with pytest.warns(RuntimeWarning):
+        assert main(["eval", "--rule", "ctq", "--gamma", "-5e-1", "--N", "4"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "error: integrand 'power(gamma=-0.5)' returned a non-finite value at node t=0.0\n"
+    assert captured.out == ""

@@ -210,13 +210,21 @@ class TestRtqBrownian:
             rtq_brownian(bi, make_partition(64), ctau)
 
 
-def dense_slobodeckij_term(g, sigma, p, cells):
-    """The double-integral term as the dense kernel computed it: the oracle."""
+def dense_slobodeckij_term(g, sigma, p, cells, midpoint_difference=False):
+    """The double-integral term as the dense kernel computes it: the oracle.
+
+    With ``midpoint_difference`` each distance is the difference of two
+    rounded midpoints instead of |i - j| / cells; on dyadic grids they agree.
+    """
     width = 1.0 / cells
     delta = 2.0 * width
     mid = (np.arange(cells) + 0.5) * width
     dv = np.asarray(g.exact_derivative(mid), dtype=np.float64)
-    dist = np.abs(mid[:, None] - mid[None, :])
+    if midpoint_difference:
+        dist = np.abs(mid[:, None] - mid[None, :])
+    else:
+        i = np.arange(cells)
+        dist = np.abs(i[:, None] - i[None, :]) / cells
     keep = dist >= delta
     diff = np.abs(dv[:, None] - dv[None, :])
     kernel = np.zeros_like(dist)
@@ -301,8 +309,17 @@ class TestSobolevSeminorm:
         est = sobolev_seminorm(g, sigma, p, cells)
         assert est.term_slobodeckij == dense_slobodeckij_term(g, sigma, p, cells)
 
+    @pytest.mark.parametrize("cells", [2, 16, 1024, 4096])
+    def test_dyadic_term_bitwise_equals_midpoint_difference_oracle(self, cells):
+        # 1/cells is a power of two, so mid_i - mid_j is exact and equals
+        # |i - j| / cells: the grid distance changes no bit there.
+        g = power_integrand(1.5)
+        for p, sigma in [(2.0, 1.2), (2.5, 1.95), (3.0, 1.2)]:
+            est = sobolev_seminorm(g, sigma, p, cells)
+            assert est.term_slobodeckij == dense_slobodeckij_term(g, sigma, p, cells, midpoint_difference=True)
+
     @pytest.mark.parametrize("block", [128, 1000])
-    @pytest.mark.parametrize("cells", [17, 100, 257, 1000])
+    @pytest.mark.parametrize("cells", [16, 17, 100, 128, 257, 1000, 1024])
     def test_slobodeckij_term_bitwise_across_many_blocks(self, block, cells, monkeypatch):
         monkeypatch.setattr(integrands, "KERNEL_BLOCK_ELEMENTS", block)
         g = power_integrand(1.5)
@@ -310,11 +327,47 @@ class TestSobolevSeminorm:
             est = sobolev_seminorm(g, sigma, p, cells)
             assert est.term_slobodeckij == dense_slobodeckij_term(g, sigma, p, cells)
 
-    def test_kernel_memory_is_bounded(self):
+    # The midpoint difference once dropped 258 of the 510 pairs at |i - j| = 2
+    # for 257 cells, 1760 of 2996 for 1500 and 2778 of 5996 for 3000.
+    @pytest.mark.parametrize("cells", [257, 1500, 3000])
+    @pytest.mark.parametrize("delta_of", [
+        None,
+        lambda cells: 3 / cells,
+        lambda cells: np.nextafter(3 / cells, 0.0),
+        lambda cells: np.nextafter(3 / cells, 1.0),
+        lambda cells: 2.5 / cells,
+        lambda cells: 0.1,
+    ], ids=["default", "3/cells", "below-3/cells", "above-3/cells", "2.5/cells", "0.1"])
+    def test_guard_band_keeps_exactly_the_pairs_at_grid_distance_delta(self, cells, delta_of):
+        # The derivative at midpoint i is i.  With sigma = 1 and p = 2 a pair
+        # |i - j| = k apart adds k^2 / (k / cells), and 2 (cells - k) pairs lie
+        # k apart.  A pair more or less at k >= 2 moves the sum by over 1e-7
+        # of it, far above its rounding.
+        delta = None if delta_of is None else float(delta_of(cells))
+        index = Integrand(evaluator=np.zeros_like, exact_derivative=lambda t: np.floor(t * cells))
+        est = sobolev_seminorm(index, 1.0, 2.0, cells, delta)
+        k = np.arange(1, cells)
+        dist = k / cells
+        kept = k >= 2 if delta is None else dist >= delta
+        expected = math.fsum(2.0 * (cells - k[kept]) * (k[kept] ** 2.0 / dist[kept])) / cells**2
+        assert est.term_slobodeckij == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_excluded_pairs_add_exactly_zero(self):
+        # |dv_i - dv_j| ** 2 overflows for the two pairs at |i - j| = 1, which
+        # are computed before they are zeroed; the one kept pair (0, 2) adds 0.
+        a = 2.0**511
+        g = Integrand(evaluator=np.zeros_like, exact_derivative=lambda t: np.array([a, -a, a]))
+        with np.errstate(over="ignore"):
+            est = sobolev_seminorm(g, 1.5, 2.0, 3)
+        assert est.term_slobodeckij == 0.0
+        assert np.isfinite(est.value)
+
+    @pytest.mark.parametrize("cells", [4096, SOBOLEV_MAX_CELLS])
+    def test_kernel_memory_is_bounded(self, cells):
         # The dense 4096 x 4096 kernel held over 400 MiB of arrays.
         tracemalloc.start()
         try:
-            sobolev_seminorm(power_integrand(1.5), 1.2, 2.0, 4096)
+            sobolev_seminorm(power_integrand(1.5), 1.2, 2.0, cells)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
