@@ -3,17 +3,17 @@
 Subcommands:
 
     eval      one quadrature evaluation of a builtin integrand
-    example1  power-function convergence study (errors.csv, orders.csv,
-              gnuplot data and a script that renders it)
-    example2  Brownian-target convergence study (errors.csv, orders.csv,
-              timing.csv, optional path.csv dump)
+    example1  power-function convergence study
+    example2  Brownian-target convergence study (--dump-path adds path.csv)
     sobolev   fractional Sobolev norm diagnostic with a delta-refinement probe
 
 Exit codes: 0 success, 2 usage or validation error (a size too large to
 allocate included), 3 output I/O error.
 All randomness flows from --seed; without the flag a fixed documented
-default is used, never wall-clock entropy.  CSV numbers are written in
-shortest round-trip decimal form.
+default is used, never wall-clock entropy.
+
+This is the one module that writes files: CSV tables, .dat plot data and
+gnuplot scripts, every number in shortest round-trip decimal form.
 
 ``main`` hands the parsed ``argparse.Namespace`` straight to the
 subcommand's ``cmd_*`` function; every default is stated once, as the
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
 
@@ -37,6 +36,8 @@ from .experiments import (
     DEFAULT_REPLICATIONS,
     DEFAULT_SEED,
     DEFAULT_STEP_EXPONENTS,
+    METRIC_ABSOLUTE,
+    METRIC_PATHWISE,
     ErrorLadder,
     ExperimentResult,
     mc_metric_name,
@@ -50,8 +51,8 @@ from .integrands import (
     power_integrand,
     sobolev_seminorm,
 )
-from .quadrature import Integrand, ctq, make_partition, rtq
-from .random_sources import RngStream, sample_tau_sequence, save_path_csv
+from .quadrature import CTQ, RTQ, Integrand, ctq, make_partition, rtq
+from .random_sources import BrownianPath, RngStream, sample_tau_sequence
 
 OUTPUT_DIR_ENV = "RANDQUAD_OUTDIR"
 _DEFAULT_OUTPUT_DIR = "randquad-output"
@@ -143,9 +144,11 @@ def _build_integrand(args: argparse.Namespace) -> Integrand:
 
 
 def _fmt(value) -> str:
-    """Shortest decimal form that parses back to the same value."""
+    """Shortest round-trip decimal form; strings pass through, None is empty."""
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
@@ -173,85 +176,91 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_errors_csv(path: str, ladders: list[ErrorLadder]) -> None:
+def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["gamma", "rule", "metric", "h", "N", "M", "error", "std_error", "wall_time_s"])
-        for lad in ladders:
-            for row in lad.rows:
-                writer.writerow(
-                    [
-                        lad.label,
-                        lad.rule,
-                        lad.metric,
-                        _fmt(row.step),
-                        row.intervals,
-                        row.replications,
-                        _fmt(row.error),
-                        _fmt(row.std_error),
-                        _fmt(row.wall_time_s),
-                    ]
-                )
+        writer.writerow(header)
+        writer.writerows(map(_fmt, row) for row in rows)
 
 
-def _write_orders_csv(path: str, result: ExperimentResult) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["gamma", "rule", "metric", "fitted_order", "intercept", "residual"])
-        for rep in result.reports:
-            lad = rep.ladder
-            writer.writerow(
-                [
-                    lad.label,
-                    lad.rule,
-                    lad.metric,
-                    _fmt(rep.fitted_order),
-                    _fmt(rep.intercept),
-                    _fmt(rep.residual),
-                ]
-            )
+def _write_tables(outdir: str, result: ExperimentResult) -> None:
+    """errors.csv (one row per ladder rung) and orders.csv (one row per ladder)."""
+    _write_csv(
+        os.path.join(outdir, "errors.csv"),
+        ["gamma", "rule", "metric", "h", "N", "M", "error", "std_error", "wall_time_s"],
+        (
+            (lad.label, lad.rule, lad.metric, r.step, r.intervals, r.replications, r.error, r.std_error, r.wall_time_s)
+            for lad in (rep.ladder for rep in result.reports)
+            for r in lad.rows
+        ),
+    )
+    _write_csv(
+        os.path.join(outdir, "orders.csv"),
+        ["gamma", "rule", "metric", "fitted_order", "intercept", "residual"],
+        (
+            (rep.ladder.label, rep.ladder.rule, rep.ladder.metric, rep.fitted_order, rep.intercept, rep.residual)
+            for rep in result.reports
+        ),
+    )
 
 
-def _write_timing_csv(path: str, ladders: list[ErrorLadder]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rule", "h_exponent", "h", "N", "wall_time_s"])
-        for lad in ladders:
-            for row in lad.rows:
-                exponent = int(round(-math.log2(row.step)))
-                writer.writerow([lad.rule, exponent, _fmt(row.step), row.intervals, _fmt(row.wall_time_s)])
+def _path_rows(path: BrownianPath):
+    """One path.csv row per grid index j; the last (j = J) has no interior
+    sample, so its tau, t_mid and B_mid fields are empty."""
+    J = path.cells
+    mid_times = path.mid_times(np.arange(J))
+    for j in range(J):
+        yield j, j * path.step, path.grid_values[j], path.offsets[j], mid_times[j], path.mid_values[j]
+    yield J, J * path.step, path.grid_values[J], None, None, None
 
 
-def _guide(h: np.ndarray, anchor_err: float, order: float) -> np.ndarray:
-    return anchor_err * (h / h[0]) ** order
+def _error_panel(dat: str, title: str, series, orders):
+    """Error ladders ``[(column header, series title, ladder)]`` plus one
+    guide h^order through the coarsest error of each of the first ladders."""
+    h = series[0][2].steps
+    columns = [(head, name, lad.errors) for head, name, lad in series]
+    columns += [
+        (f"guide_order{order:g}", f"h^{order:g}", lad.errors[0] * (h / h[0]) ** order)
+        for (_, _, lad), order in zip(series, orders)
+    ]
+    return dat, title, "error", h, columns
 
 
-def _write_dat(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    with open(path, "w") as fh:
-        fh.write("# " + " ".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(" ".join(_fmt(v) for v in row) + "\n")
+def _timing_panel(dat: str, title: str, ladders: list[ErrorLadder]):
+    """Each ladder's measured ``wall_time_s`` against h."""
+    columns = [
+        (f"{lad.rule.lower()}_time_s", lad.rule, [row.wall_time_s for row in lad.rows])
+        for lad in ladders
+    ]
+    return dat, title, "wall time (s)", ladders[0].steps, columns
 
 
-def _gnuplot_script(path: str, panels: list[tuple[str, str, list[tuple[str, int]]]]) -> None:
-    """Emit a gnuplot script; panels are (dat_file, title, [(series, column)])."""
+def _write_plots(outdir: str, script: str, panels) -> None:
+    """Write each panel's .dat file and one gnuplot script that plots them all.
+
+    A panel is ``(dat name, title, y label, h, [(column header, series
+    title, values)])``; column 1 of the .dat file is h and column i + 2 is
+    series i.
+    """
     lines = [
         "set terminal svg size 900,700",
         'set output "plots.svg"',
         "set logscale xy 2",
         'set xlabel "h"',
-        'set ylabel "error"',
         "set key left top",
         f"set multiplot layout {max(1, (len(panels) + 1) // 2)},2",
     ]
-    for dat, title, cols in panels:
+    for dat, title, ylabel, h, columns in panels:
+        with open(os.path.join(outdir, dat), "w") as fh:
+            fh.write(" ".join(["#", "h", *(head for head, _, _ in columns)]) + "\n")
+            for row in zip(h, *(values for _, _, values in columns)):
+                fh.write(" ".join(map(_fmt, row)) + "\n")
         plot = ", ".join(
-            f'"{dat}" using 1:{col} with linespoints title "{name}"' for name, col in cols
+            f'"{dat}" using 1:{i + 2} with linespoints title "{name}"' for i, (_, name, _) in enumerate(columns)
         )
-        lines.append(f'set title "{title}"')
-        lines.append(f"plot {plot}")
+        lines += [f'set title "{title}"', f'set ylabel "{ylabel}"', f"plot {plot}"]
     lines.append("unset multiplot")
-    with open(path, "w") as fh:
+    with open(os.path.join(outdir, script), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -274,51 +283,31 @@ def cmd_example1(args: argparse.Namespace) -> int:
         p=args.p,
         seed=args.seed,
     )
-    ladders = [rep.ladder for rep in result.reports]
-    _write_errors_csv(os.path.join(outdir, "errors.csv"), ladders)
-    _write_orders_csv(os.path.join(outdir, "orders.csv"), result)
+    _write_tables(outdir, result)
 
-    panels = []
-    metric_l2 = mc_metric_name(args.p)
-    for gamma in args.gammas:
-        label = f"{gamma:g}"
-        lad_ctq = result.report(label, "CTQ", "absolute").ladder
-        lad_l2 = result.report(label, "RTQ", metric_l2).ladder
-        lad_pw = result.report(label, "RTQ", "pathwise").ladder
-        h = lad_ctq.steps
-        cols = [
-            h,
-            lad_ctq.errors,
-            lad_l2.errors,
-            lad_pw.errors,
-            _guide(h, lad_ctq.errors[0], 2.0),
-            _guide(h, lad_l2.errors[0], 2.5),
-        ]
-        dat = f"example1_errors_gamma{label}.dat"
-        _write_dat(
-            os.path.join(outdir, dat),
-            ["h", "ctq_abs", "rtq_l2", "rtq_pathwise", "guide_order2", "guide_order2.5"],
-            cols,
+    metric_lp = mc_metric_name(args.p)
+    panels = [
+        _error_panel(
+            f"example1_errors_gamma{label}.dat",
+            f"gamma={label}",
+            [
+                ("ctq_abs", CTQ, result.report(label, CTQ, METRIC_ABSOLUTE).ladder),
+                (f"rtq_l{args.p:g}", f"{RTQ} L{args.p:g}", result.report(label, RTQ, metric_lp).ladder),
+                ("rtq_pathwise", f"{RTQ} {METRIC_PATHWISE}", result.report(label, RTQ, METRIC_PATHWISE).ladder),
+            ],
+            (2.0, 2.5),
         )
-        panels.append(
-            (
-                dat,
-                f"gamma={label}",
-                [("CTQ", 2), ("RTQ L2", 3), ("RTQ pathwise", 4), ("h^2", 5), ("h^2.5", 6)],
-            )
-        )
-
+        for label in (f"{gamma:g}" for gamma in args.gammas)
+    ]
     timing_label = "1.5" if 1.5 in args.gammas else f"{args.gammas[0]:g}"
-    lad_ctq = result.report(timing_label, "CTQ", "absolute").ladder
-    lad_rtq = result.report(timing_label, "RTQ", metric_l2).ladder
-    dat = f"example1_timing_gamma{timing_label}.dat"
-    _write_dat(
-        os.path.join(outdir, dat),
-        ["h", "ctq_time_s", "rtq_time_s"],
-        [lad_ctq.steps, np.array([r.wall_time_s for r in lad_ctq.rows]), np.array([r.wall_time_s for r in lad_rtq.rows])],
+    panels.append(
+        _timing_panel(
+            f"example1_timing_gamma{timing_label}.dat",
+            f"time cost, gamma={timing_label}",
+            [result.report(timing_label, CTQ, METRIC_ABSOLUTE).ladder, result.report(timing_label, RTQ, metric_lp).ladder],
+        )
     )
-    panels.append((dat, f"time cost, gamma={timing_label}", [("CTQ", 2), ("RTQ", 3)]))
-    _gnuplot_script(os.path.join(outdir, "example1.gp"), panels)
+    _write_plots(outdir, "example1.gp", panels)
     print(f"example1: wrote errors.csv, orders.csv, {len(panels)} plot panel(s) to {outdir}")
     return EXIT_OK
 
@@ -332,33 +321,17 @@ def cmd_example2(args: argparse.Namespace) -> int:
         reference_step=2.0**-args.h_ref_exp,
         seed=args.seed,
     )
-    ladders = [rep.ladder for rep in result.reports]
-    _write_errors_csv(os.path.join(outdir, "errors.csv"), ladders)
-    _write_orders_csv(os.path.join(outdir, "orders.csv"), result)
-    _write_timing_csv(os.path.join(outdir, "timing.csv"), ladders)
+    _write_tables(outdir, result)
     if args.dump_path:
-        save_path_csv(result.path, os.path.join(outdir, "path.csv"))
+        _write_csv(os.path.join(outdir, "path.csv"), ["j", "t", "B_grid", "tau", "t_mid", "B_mid"], _path_rows(result.path))
 
-    lad_ctq, lad_rtq = ladders
-    h = lad_ctq.steps
-    _write_dat(
-        os.path.join(outdir, "example2_errors.dat"),
-        ["h", "ctq", "rtq", "guide_order1.5", "guide_order2"],
-        [h, lad_ctq.errors, lad_rtq.errors, _guide(h, lad_ctq.errors[0], 1.5), _guide(h, lad_rtq.errors[0], 2.0)],
-    )
-    _write_dat(
-        os.path.join(outdir, "example2_timing.dat"),
-        ["h", "ctq_time_s", "rtq_time_s"],
-        [h, np.array([r.wall_time_s for r in lad_ctq.rows]), np.array([r.wall_time_s for r in lad_rtq.rows])],
-    )
-    _gnuplot_script(
-        os.path.join(outdir, "example2.gp"),
-        [
-            ("example2_errors.dat", "errors vs reference", [("CTQ", 2), ("RTQ", 3), ("h^1.5", 4), ("h^2", 5)]),
-            ("example2_timing.dat", "time cost", [("CTQ", 2), ("RTQ", 3)]),
-        ],
-    )
-    print(f"example2: wrote errors.csv, orders.csv, timing.csv to {outdir} (reference={_fmt(result.reference)})")
+    lad_ctq, lad_rtq = (rep.ladder for rep in result.reports)
+    panels = [
+        _error_panel("example2_errors.dat", "errors vs reference", [("ctq", CTQ, lad_ctq), ("rtq", RTQ, lad_rtq)], (1.5, 2.0)),
+        _timing_panel("example2_timing.dat", "time cost", [lad_ctq, lad_rtq]),
+    ]
+    _write_plots(outdir, "example2.gp", panels)
+    print(f"example2: wrote errors.csv, orders.csv, {len(panels)} plot panel(s) to {outdir} (reference={_fmt(result.reference)})")
     return EXIT_OK
 
 

@@ -32,7 +32,6 @@ solves for the coarse offset that lands on its time bit for bit.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from collections.abc import Iterator
@@ -393,28 +392,3 @@ def coarsen_tau(path: BrownianPath, coarse_step: float, stream: RngStream) -> Co
         mid_values=path.mid_values[selected],
         comp_values=comp_values,
     )
-
-
-def save_path_csv(path: BrownianPath, destination) -> None:
-    """Dump a path as CSV for cross-implementation comparison.
-
-    One row per grid index j; the final row (j = J) has no interior sample
-    and leaves the tau, t_mid and B_mid fields empty.  Floats are written
-    in shortest round-trip form, so every field parses back to the same float.
-    """
-    with open(destination, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "t", "B_grid", "tau", "t_mid", "B_mid"])
-        J = path.cells
-        mid_times = path.mid_times(np.arange(J))
-        for j in range(J + 1):
-            row = [str(j), repr(j * path.step), repr(float(path.grid_values[j]))]
-            if j < J:
-                row += [
-                    repr(float(path.offsets[j])),
-                    repr(float(mid_times[j])),
-                    repr(float(path.mid_values[j])),
-                ]
-            else:
-                row += ["", "", ""]
-            writer.writerow(row)

@@ -1,13 +1,17 @@
 import contextlib
 import csv
 import inspect
+import math
 import os
+import re
 import time
 
+import numpy as np
 import pytest
 
 from randquad import cli
 from randquad.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from randquad.experiments import run_example2
 
 
 def read_csv(path):
@@ -215,15 +219,37 @@ class TestExample2Command:
         assert len(errors) == 1 + 2 * 5  # two rules, five steps
         assert {row[1] for row in errors[1:]} == {"CTQ", "RTQ"}
 
-        timing = read_csv(tmp_path / "timing.csv")
-        assert timing[0] == ["rule", "h_exponent", "h", "N", "wall_time_s"]
-        assert [row[1] for row in timing[1:6]] == ["5", "6", "7", "8", "9"]
+        wall_times = [float(row[errors[0].index("wall_time_s")]) for row in errors[1:]]
+        assert all(math.isfinite(t) and t > 0.0 for t in wall_times)
+        assert not (tmp_path / "timing.csv").exists()
 
         orders = {(row[1]): float(row[3]) for row in read_csv(tmp_path / "orders.csv")[1:]}
         assert orders["RTQ"] > orders["CTQ"]
 
         assert (tmp_path / "path.csv").exists()
         assert (tmp_path / "example2.gp").exists()
+
+    def test_dump_path_round_trip_bitwise(self, tmp_path, capsys):
+        argv = ["example2", "--h-ref-exp", "7", "--min-exp", "4", "--max-exp", "6", "--seed", "88", "--dump-path"]
+        assert main(argv + ["--outdir", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        path = run_example2(step_exponents=range(4, 7), reference_step=2.0**-7, seed=88).path
+        header, *rows = read_csv(tmp_path / "path.csv")
+        assert header == ["j", "t", "B_grid", "tau", "t_mid", "B_mid"]
+        assert [int(r[0]) for r in rows] == list(range(path.cells + 1))
+        assert rows[-1][3:] == ["", "", ""]
+
+        def column(index, count):
+            return np.array([float(r[index]) for r in rows[:count]]).view(np.uint64)
+
+        for index, expected in (
+            (1, np.arange(path.cells + 1) * path.step),
+            (2, path.grid_values),
+            (3, path.offsets),
+            (4, path.mid_times(np.arange(path.cells))),
+            (5, path.mid_values),
+        ):
+            np.testing.assert_array_equal(column(index, len(expected)), expected.view(np.uint64))
 
     def test_default_run_has_six_rows_per_rule(self, tmp_path, capsys):
         argv = ["example2", "--outdir", str(tmp_path)]
@@ -239,6 +265,60 @@ class TestExample2Command:
         argv = ["example2", "--h-ref-exp", "8", "--max-exp", "10"]
         assert main(argv) == EXIT_USAGE
         assert "error" in capsys.readouterr().err
+
+
+def _plot_clauses(script):
+    """(title, ylabel, [(dat file, column, series title)]) per plot line of a gnuplot script."""
+    panels, title, ylabel = [], None, None
+    for line in script.read_text().splitlines():
+        if line.startswith("set title "):
+            title = line[len("set title "):].strip('"')
+        elif line.startswith("set ylabel "):
+            ylabel = line[len("set ylabel "):].strip('"')
+        elif line.startswith("plot "):
+            clauses = re.findall(r'"([^"]+)" using 1:(\d+) with linespoints title "([^"]*)"', line)
+            assert len(clauses) == line.count(" using ")
+            panels.append((title, ylabel, [(dat, int(col), name) for dat, col, name in clauses]))
+    return panels
+
+
+@pytest.mark.parametrize(
+    "argv, script",
+    [
+        (["example1", "--gammas", "1.25", "1.75", "-M", "5", "--min-exp", "4", "--max-exp", "6"], "example1.gp"),
+        (["example2", "--h-ref-exp", "10", "--min-exp", "5", "--max-exp", "9"], "example2.gp"),
+    ],
+    ids=["example1", "example2"],
+)
+def test_plot_script_matches_its_data(argv, script, tmp_path, capsys):
+    assert main(argv + ["--outdir", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    panels = _plot_clauses(tmp_path / script)
+    assert panels
+    for _, _, clauses in panels:
+        for dat, col, _ in clauses:
+            lines = (tmp_path / dat).read_text().splitlines()
+            assert lines[0].startswith("# ")
+            names = lines[0][2:].split()
+            assert 2 <= col <= len(names)
+            assert len(lines) > 1
+            assert all(len(line.split()) == len(names) for line in lines[1:])
+
+
+def test_plot_labels_name_the_error_exponent_and_the_axis(tmp_path, capsys):
+    # At -p 4 the L4 series was titled "RTQ L2" with a .dat column "rtq_l2",
+    # and the timing panel inherited the y label "error".
+    argv = ["example1", "-p", "4", "-M", "20", "--gammas", "1.5", "--min-exp", "4", "--max-exp", "6"]
+    assert main(argv + ["--outdir", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    script = (tmp_path / "example1.gp").read_text()
+    assert '"RTQ L4"' in script and "RTQ L2" not in script
+    header = (tmp_path / "example1_errors_gamma1.5.dat").read_text().splitlines()[0]
+    assert header.split()[1:4] == ["h", "ctq_abs", "rtq_l4"]
+    assert [(title, ylabel) for title, ylabel, _ in _plot_clauses(tmp_path / "example1.gp")] == [
+        ("gamma=1.5", "error"),
+        ("time cost, gamma=1.5", "wall time (s)"),
+    ]
 
 
 @pytest.mark.parametrize("subcommand", ["example1", "example2"])

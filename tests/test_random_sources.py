@@ -1,4 +1,3 @@
-import csv
 import tracemalloc
 from types import SimpleNamespace
 
@@ -17,7 +16,6 @@ from randquad.random_sources import (
     sample_brownian_path,
     sample_tau_batches,
     sample_tau_sequence,
-    save_path_csv,
 )
 from randquad.summation import BLOCK_ELEMENTS
 
@@ -386,26 +384,3 @@ class TestCoarsenTau:
         with pytest.raises(ValueError):
             coarsen_tau(path, coarse_step, RngStream(1, 1))
 
-
-class TestPathCsv:
-    def test_round_trip_bitwise(self, tmp_path):
-        path = sample_brownian_path(RngStream(88), 2.0**-7)
-        dest = tmp_path / "path.csv"
-        save_path_csv(path, dest)
-        with open(dest, newline="") as fh:
-            header, *rows = csv.reader(fh)
-        assert header == ["j", "t", "B_grid", "tau", "t_mid", "B_mid"]
-        assert [int(r[0]) for r in rows] == list(range(path.cells + 1))
-        assert rows[-1][3:] == ["", "", ""]
-
-        def column(index, count):
-            return np.array([float(r[index]) for r in rows[:count]]).view(np.uint64)
-
-        for index, expected in (
-            (1, np.arange(path.cells + 1) * path.step),
-            (2, path.grid_values),
-            (3, path.offsets),
-            (4, path.mid_times(np.arange(path.cells))),
-            (5, path.mid_values),
-        ):
-            np.testing.assert_array_equal(column(index, len(expected)), expected.view(np.uint64))
