@@ -40,6 +40,7 @@ from .experiments import (
     METRIC_PATHWISE,
     ErrorLadder,
     ExperimentResult,
+    example2_path,
     mc_metric_name,
     run_example1,
     run_example2,
@@ -52,7 +53,7 @@ from .integrands import (
     sobolev_seminorm,
 )
 from .quadrature import CTQ, RTQ, Integrand, ctq, make_partition, rtq
-from .random_sources import BrownianPath, RngStream, sample_tau_sequence
+from .random_sources import BrownianGrid, RngStream, sample_tau_sequence
 
 OUTPUT_DIR_ENV = "RANDQUAD_OUTDIR"
 _DEFAULT_OUTPUT_DIR = "randquad-output"
@@ -204,14 +205,14 @@ def _write_tables(outdir: str, result: ExperimentResult) -> None:
     )
 
 
-def _path_rows(path: BrownianPath):
-    """One path.csv row per grid index j; the last (j = J) has no interior
-    sample, so its tau, t_mid and B_mid fields are empty."""
-    J = path.cells
-    mid_times = path.mid_times(np.arange(J))
-    for j in range(J):
-        yield j, j * path.step, path.grid_values[j], path.offsets[j], mid_times[j], path.mid_values[j]
-    yield J, J * path.step, path.grid_values[J], None, None, None
+def _path_rows(grid: BrownianGrid, bridge):
+    """One path.csv row per grid index j, a bridge block at a time; the last
+    (j = J) has no interior sample, so its tau, t_mid and B_mid fields are
+    empty."""
+    for start, mid_values in bridge:
+        j = np.arange(start, start + mid_values.size)
+        yield from zip(j, j * grid.step, grid.grid_values[j], grid.offsets[j], grid.mid_times(j), mid_values)
+    yield grid.cells, grid.cells * grid.step, grid.grid_values[-1], None, None, None
 
 
 def _error_panel(dat: str, title: str, series, orders):
@@ -295,9 +296,11 @@ def cmd_example1(args: argparse.Namespace) -> int:
                 (f"rtq_l{args.p:g}", f"{RTQ} L{args.p:g}", result.report(label, RTQ, metric_lp).ladder),
                 ("rtq_pathwise", f"{RTQ} {METRIC_PATHWISE}", result.report(label, RTQ, METRIC_PATHWISE).ladder),
             ],
-            (2.0, 2.5),
+            # The orders on t**gamma: min(gamma + 1, 2) for CTQ and
+            # min(gamma + 1, 2.5) for RTQ in L^p, one guide if they agree.
+            sorted({min(gamma + 1.0, 2.0), min(gamma + 1.0, 2.5)}),
         )
-        for label in (f"{gamma:g}" for gamma in args.gammas)
+        for gamma, label in ((gamma, f"{gamma:g}") for gamma in args.gammas)
     ]
     timing_label = "1.5" if 1.5 in args.gammas else f"{args.gammas[0]:g}"
     panels.append(
@@ -323,7 +326,8 @@ def cmd_example2(args: argparse.Namespace) -> int:
     )
     _write_tables(outdir, result)
     if args.dump_path:
-        _write_csv(os.path.join(outdir, "path.csv"), ["j", "t", "B_grid", "tau", "t_mid", "B_mid"], _path_rows(result.path))
+        path = example2_path(args.seed, 2.0**-args.h_ref_exp)
+        _write_csv(os.path.join(outdir, "path.csv"), ["j", "t", "B_grid", "tau", "t_mid", "B_mid"], _path_rows(*path))
 
     lad_ctq, lad_rtq = (rep.ladder for rep in result.reports)
     panels = [

@@ -21,6 +21,14 @@ draws from its own stream, the block is one integrand call and one row-wise
 compensated sum, and every replication's value is bit-for-bit the one a
 separate ``rtq`` call would give.
 
+Example 2 in one pass: ``run_example2`` keeps only the path's node values
+and offsets whole.  It draws every rung's fine-cell selection first, then
+walks the bridge blocks once, carrying the Euler prefix sums, summing the
+union-grid trapezoids and keeping the selected bridge samples and the prefix
+sums at the finest rung's nodes, which is all the rungs read.  Every value
+is bit for bit that of ``sample_brownian_path``, ``brownian_integrand``,
+``union_grid_reference``, ``coarsen_tau`` and the two rules composed.
+
 Timing: each quadrature call is repeated five times and the median of a
 monotonic clock is reported, which resists scheduler noise without
 distorting the typical cost.
@@ -31,27 +39,30 @@ from __future__ import annotations
 import sys
 import time
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .integrands import (
     BrownianIntegrand,
+    EulerNodes,
     Integrand,
-    brownian_integrand,
     ctq_brownian,
+    euler_prefix,
     power_integrand,
     rtq_brownian,
 )
 from .quadrature import CTQ, RTQ, Partition, ctq, make_partition, rtq, rtq_prefix
 from .random_sources import (
-    BrownianPath,
+    BrownianGrid,
     RngStream,
     _dyadic_cells,
-    coarsen_tau,
-    sample_brownian_path,
+    coarse_tau_from,
+    sample_path_grid,
     sample_tau_batches,
     sample_tau_sequence,
+    select_fine_cells,
 )
 from .summation import BLOCK_ELEMENTS, NeumaierSum
 
@@ -377,7 +388,6 @@ class ExperimentResult:
 
 @dataclass(frozen=True, eq=False)
 class Example2Result(ExperimentResult):
-    path: BrownianPath | None = None
     reference: float = float("nan")
 
 
@@ -469,9 +479,10 @@ def union_grid_reference(bi: BrownianIntegrand) -> float:
     clamped to the last cell, prefix[cells - 1] + B_{cells-1} * h, which is
     how ``brownian_integrand`` formed prefix[cells].
 
-    The union grid is built and summed a block of fine cells at a time, so
-    memory stays bounded however fine the path; the carried compensated
-    state makes the value bit-for-bit that of one sum over the whole grid.
+    The union grid is built and summed a block of fine cells at a time
+    (``_union_terms``, which ``run_example2`` shares), so memory stays
+    bounded however fine the path; the carried compensated state makes the
+    value bit-for-bit that of one sum over the whole grid.
 
     Raises:
         ValueError: if the path's step is not 2^-k for its cell count
@@ -482,22 +493,54 @@ def union_grid_reference(bi: BrownianIntegrand) -> float:
     if _dyadic_cells(path.step) != path.cells:
         raise ValueError(f"a path of {path.cells} cells needs step 1/{path.cells}, got {path.step!r}")
     acc = NeumaierSum()
-    block = 2 * BLOCK_ELEMENTS
-    for start in range(0, path.cells, block):
-        stop = min(start + block, path.cells)
-        j = np.arange(start, stop + 1, dtype=np.float64)
-        nodes = j * path.step
-        mids = (j[:-1] + path.offsets[start:stop]) * path.step
-        widths = np.empty(2 * (stop - start))
-        widths[0::2] = mids - nodes[:-1]
-        widths[1::2] = nodes[1:] - mids
-        if not np.all(widths > 0.0):
-            raise ValueError("union grid is not strictly increasing")
-        g = np.empty(widths.size + 1)
-        g[0::2] = bi.prefix[start : stop + 1]
-        g[1::2] = bi.prefix[start:stop] + path.grid_values[start:stop] * widths[0::2]
-        acc.extend(0.5 * widths * (g[:-1] + g[1:]))
+    for start in range(0, path.cells, BLOCK_ELEMENTS):
+        acc.extend(_union_terms(path, bi.prefix[start : start + BLOCK_ELEMENTS + 1], start))
     return acc.value
+
+
+def _union_terms(grid: BrownianGrid, prefix: np.ndarray, start: int) -> np.ndarray:
+    """The union-grid trapezoids of the fine cells from ``start`` on whose
+    Euler prefix sums, at the cells' nodes, are ``prefix``."""
+    stop = start + prefix.size - 1
+    j = np.arange(start, stop + 1, dtype=np.float64)
+    nodes = j * grid.step
+    mids = (j[:-1] + grid.offsets[start:stop]) * grid.step
+    widths = np.empty(2 * (stop - start))
+    widths[0::2] = mids - nodes[:-1]
+    widths[1::2] = nodes[1:] - mids
+    if not np.all(widths > 0.0):
+        raise ValueError("union grid is not strictly increasing")
+    g = np.empty(widths.size + 1)
+    g[0::2] = prefix
+    g[1::2] = prefix[:-1] + grid.grid_values[start:stop] * widths[0::2]
+    return 0.5 * widths * (g[:-1] + g[1:])
+
+
+def example2_path(seed: int, reference_step: float) -> tuple[BrownianGrid, Iterator[tuple[int, np.ndarray]]]:
+    """Example 2's path for ``seed``, as :func:`sample_path_grid` returns it:
+    its nodes and offsets, and an iterator that draws its bridge samples."""
+    return sample_path_grid(_lane_stream(seed, _LANE_PATH), reference_step)
+
+
+def _stream_path(grid: BrownianGrid, bridge, selected: list[np.ndarray], stride: int):
+    """One pass over the bridge blocks: the union-grid reference, the Euler
+    prefix sums at every ``stride``-th node, and the bridge samples of each
+    selection of fine cells (gathered through one sorted list of them all)."""
+    acc = NeumaierSum()
+    node_prefix = np.empty(grid.cells // stride + 1)
+    cells = np.concatenate(selected)
+    cells.sort()
+    cell_mids = np.empty(cells.size)
+    prefix = np.zeros(1)
+    for start, mids in bridge:
+        stop = start + mids.size
+        prefix = euler_prefix(grid.grid_values[start:stop], grid.step, prefix[-1])
+        acc.extend(_union_terms(grid, prefix, start))
+        first_node = -(-start // stride)
+        node_prefix[first_node : stop // stride + 1] = prefix[first_node * stride - start :: stride]
+        lo, hi = np.searchsorted(cells, (start, stop))
+        cell_mids[lo:hi] = mids[cells[lo:hi] - start]
+    return acc.value, node_prefix, [cell_mids[np.searchsorted(cells, picked)] for picked in selected]
 
 
 def run_example2(
@@ -514,20 +557,22 @@ def run_example2(
     steps = _dyadic_steps(step_exponents)
     if min(steps) < reference_step:
         raise ValueError("coarse steps must not be finer than the reference step")
-    path = sample_brownian_path(_lane_stream(seed, _LANE_PATH), reference_step)
-    bi = brownian_integrand(path)
-    reference = union_grid_reference(bi)
+    grid, bridge = example2_path(seed, reference_step)
+    selected = [select_fine_cells(grid, h, _lane_stream(seed, _LANE_COARSEN, hj)) for hj, h in enumerate(steps)]
+    stride = round(min(steps) / grid.step)
+    reference, node_prefix, mid_values = _stream_path(grid, bridge, selected, stride)
+    nodes = EulerNodes(step=min(steps), grid_values=grid.grid_values[::stride], prefix=node_prefix, stride=stride)
 
     ctq_rows, rtq_rows = [], []
-    for hj, h in enumerate(steps):
+    for h, picked, mids in zip(steps, selected, mid_values):
         part = make_partition(round(1.0 / h))
-        ctau = coarsen_tau(path, h, _lane_stream(seed, _LANE_COARSEN, hj))
+        ctau = coarse_tau_from(grid, h, picked, mids)
 
-        qc, t_ctq = _timed(lambda: ctq_brownian(bi, part))
+        qc, t_ctq = _timed(lambda: ctq_brownian(nodes, part))
         ctq_rows.append(
             LadderRow(step=h, intervals=part.intervals, error=abs(reference - qc.value), wall_time_s=t_ctq)
         )
-        qr, t_rtq = _timed(lambda: rtq_brownian(bi, part, ctau))
+        qr, t_rtq = _timed(lambda: rtq_brownian(nodes, part, ctau))
         rtq_rows.append(
             LadderRow(step=h, intervals=part.intervals, error=abs(reference - qr.value), wall_time_s=t_rtq)
         )
@@ -536,8 +581,4 @@ def run_example2(
         ErrorLadder(rule=CTQ, metric=METRIC_PATHWISE, rows=tuple(ctq_rows), label="gB"),
         ErrorLadder(rule=RTQ, metric=METRIC_PATHWISE, rows=tuple(rtq_rows), label="gB"),
     )
-    return Example2Result(
-        reports=tuple(_fit_or_degenerate(lad) for lad in ladders),
-        path=path,
-        reference=reference,
-    )
+    return Example2Result(reports=tuple(_fit_or_degenerate(lad) for lad in ladders), reference=reference)

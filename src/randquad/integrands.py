@@ -115,9 +115,26 @@ def affine_integrand(a: float, b: float) -> Integrand:
 
 
 @dataclass(frozen=True, eq=False)
-class BrownianIntegrand:
+class EulerNodes:
+    """B (``grid_values``) and its Euler integral (``prefix``) at the nodes
+    ``n * step`` of a dyadic grid of [0, 1], all that ``ctq_brownian`` and
+    ``rtq_brownian`` read.  The prefix sums run over the path's fine grid,
+    which has ``stride`` cells per cell of this one."""
+
+    step: float
+    grid_values: np.ndarray
+    prefix: np.ndarray
+    stride: int
+
+    @property
+    def cells(self) -> int:
+        return int(self.grid_values.size - 1)
+
+
+@dataclass(frozen=True, eq=False)
+class BrownianIntegrand(EulerNodes):
     """Euler approximation of t -> integral of B over [0, t] on the path's
-    fine grid of [0, 1].
+    fine grid of [0, 1] (the nodes are the path's own).
 
     ``prefix[n]`` approximates the integral up to the n-th fine node, with
     prefix[0] = 0 and prefix[n] - prefix[n-1] = step * B(t_{n-1}).  Between
@@ -127,46 +144,48 @@ class BrownianIntegrand:
     """
 
     path: BrownianPath
-    prefix: np.ndarray
 
     def value_at(self, times) -> np.ndarray:
         t = np.asarray(times, dtype=np.float64)
         if t.size and not (t.min() >= 0.0 and t.max() <= 1.0):
             bad = t[~((t >= 0.0) & (t <= 1.0))][0]
             raise ValueError(f"evaluation time {float(bad)!r} outside [0, 1]")
-        idx = np.minimum(np.floor(t / self.path.step).astype(np.int64), self.path.cells - 1)
-        return self.prefix[idx] + self.path.grid_values[idx] * (t - idx * self.path.step)
+        idx = np.minimum(np.floor(t / self.step).astype(np.int64), self.cells - 1)
+        return self.prefix[idx] + self.grid_values[idx] * (t - idx * self.step)
+
+
+def euler_prefix(left_values: np.ndarray, step: float, first: float = 0.0) -> np.ndarray:
+    """Euler prefix sums from ``first``, adding ``step * B`` for each cell's
+    left node value of B.  ``np.cumsum`` adds sequentially, so blocks each
+    started from the last sum of the one before give one call's sums."""
+    prefix = np.empty(left_values.size + 1)
+    prefix[0] = first
+    np.multiply(left_values, step, out=prefix[1:])
+    return np.cumsum(prefix, out=prefix)
 
 
 def brownian_integrand(path: BrownianPath) -> BrownianIntegrand:
-    """Accumulate the Euler prefix sums of a path, one fine cell at a time.
-
-    ``np.cumsum`` adds sequentially from prefix[0] = 0.0, so every prefix is
-    the left-to-right running sum of the products step * B(t_j).
-    """
-    prefix = np.empty(path.cells + 1)
-    prefix[0] = 0.0
-    np.multiply(path.grid_values[:-1], path.step, out=prefix[1:])
-    np.cumsum(prefix, out=prefix)
+    """The Euler prefix sums of a path over all its cells, as one block."""
+    prefix = euler_prefix(path.grid_values[:-1], path.step)
     prefix.setflags(write=False)
-    return BrownianIntegrand(path=path, prefix=prefix)
+    return BrownianIntegrand(step=path.step, grid_values=path.grid_values, prefix=prefix, stride=1, path=path)
 
 
-def _coarse_factor(bi: BrownianIntegrand, part: Partition) -> int:
-    factor = round(part.step / bi.path.step)
+def _coarse_factor(nodes: EulerNodes, part: Partition) -> int:
+    factor = round(part.step / nodes.step)
     if (
         factor < 1
-        or factor * part.intervals != bi.path.cells
-        or not np.array_equal(part.nodes, np.arange(0, bi.path.cells + 1, factor) * bi.path.step)
+        or factor * part.intervals != nodes.cells
+        or not np.array_equal(part.nodes, np.arange(0, nodes.cells + 1, factor) * nodes.step)
     ):
         raise ValueError(
-            "partition nodes are not a subset of the path's fine grid "
-            f"(coarse step {part.step!r}, fine step {bi.path.step!r})"
+            "partition nodes are not a subset of the path's grid "
+            f"(coarse step {part.step!r}, grid step {nodes.step!r})"
         )
     return factor
 
 
-def ctq_brownian(bi: BrownianIntegrand, part: Partition) -> QuadratureValue:
+def ctq_brownian(bi: EulerNodes, part: Partition) -> QuadratureValue:
     """Classical trapezoidal quadrature of the Brownian target, expanded form.
 
     Because the integrand vanishes at 0, the trapezoid sum telescopes to
@@ -182,7 +201,7 @@ def ctq_brownian(bi: BrownianIntegrand, part: Partition) -> QuadratureValue:
     return QuadratureValue(value=value, rule=CTQ, evaluations=2 * part.intervals)
 
 
-def rtq_brownian(bi: BrownianIntegrand, part: Partition, ctau: CoarseTau) -> QuadratureValue:
+def rtq_brownian(bi: EulerNodes, part: Partition, ctau: CoarseTau) -> QuadratureValue:
     """Randomised trapezoidal quadrature of the Brownian target, expanded form.
 
     Every cell's two interior integrals are approximated by the cell-level
@@ -201,16 +220,16 @@ def rtq_brownian(bi: BrownianIntegrand, part: Partition, ctau: CoarseTau) -> Qua
             was built for another factor or cell count.
     """
     factor = _coarse_factor(bi, part)
-    if ctau.factor != factor or len(ctau) != part.intervals:
+    if ctau.factor != factor * bi.stride or len(ctau) != part.intervals:
         raise ValueError(
             f"CoarseTau has {len(ctau)} cells of {ctau.factor} fine cells each, "
-            f"but the partition has {part.intervals} cells of {factor}"
+            f"but the partition has {part.intervals} cells of {factor * bi.stride}"
         )
 
     h = part.step
     quarter = 0.25 * h * h
     g_nodes = bi.prefix[::factor]
-    b_nodes = bi.path.grid_values[::factor]
+    b_nodes = bi.grid_values[::factor]
     random_part = ctau.values * ctau.mid_values + ctau.complements * ctau.comp_values
     cells = h * g_nodes[:-1] + quarter * (b_nodes[:-1] + random_part)
     value = compensated_sum(cells)

@@ -28,6 +28,14 @@ are exact on this grid and are computed where they are used.  A coarser
 dyadic grid reuses the interior samples exactly: :func:`coarsen_tau` picks,
 uniformly at random, one of the k samples inside each coarse cell and
 solves for the coarse offset that lands on its time bit for bit.
+
+One stream draws a path in a fixed order: the increments and the offsets
+whole (a :class:`BrownianGrid`), then the bridge residuals a block at a
+time, which numpy's generator (it keeps no normal between calls) makes bit
+for bit one draw.  :func:`sample_path_grid` hands the blocks out one by one
+and :func:`sample_brownian_path` collects them; coarsening splits into
+:func:`select_fine_cells` and :func:`coarse_tau_from`, so a caller that
+consumes the blocks as they come keeps only the samples it selected.
 """
 
 from __future__ import annotations
@@ -246,19 +254,17 @@ def _dyadic_cells(step: float) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class BrownianPath:
-    """Brownian motion on the dyadic grid of [0, 1] plus one bridge sample
-    inside every cell.
+class BrownianGrid:
+    """Brownian motion on the dyadic grid of [0, 1] and one offset per cell.
 
     ``step`` is 2^-k.  ``grid_values[j]`` is B at the node ``j * step``, with
-    B(0) = 0; ``mid_values[j]`` is the bridge-sampled B at the interior time
-    ``(j + offsets[j]) * step`` (:meth:`mid_times`), strictly inside cell j.
+    B(0) = 0, and cell j's interior time ``(j + offsets[j]) * step``
+    (:meth:`mid_times`) lies strictly inside the cell.
     """
 
     step: float
     grid_values: np.ndarray
     offsets: np.ndarray
-    mid_values: np.ndarray
 
     @property
     def cells(self) -> int:
@@ -269,23 +275,22 @@ class BrownianPath:
         return (cells + self.offsets[cells]) * self.step
 
 
-def sample_brownian_path(stream: RngStream, step: float) -> BrownianPath:
-    """Sample a Brownian path on the grid of [0, 1] with step 2^-k and its
-    interior bridge points.
+@dataclass(frozen=True, eq=False)
+class BrownianPath(BrownianGrid):
+    """A grid with its bridge samples: ``mid_values[j]`` is B at cell j's
+    interior time."""
 
-    Draw order is fixed (increments, then offsets, then bridge residuals) so
-    a (seed, stream_id) pair pins the whole path.  An offset whose interior
-    time would round onto a node is redrawn within the offset section.
+    mid_values: np.ndarray
 
-    The bridge value at ``(j + tau) * h`` is
+
+def sample_path_grid(stream: RngStream, step: float) -> tuple[BrownianGrid, Iterator[tuple[int, np.ndarray]]]:
+    """Sample a Brownian path's nodes and offsets on the grid of [0, 1] with
+    step 2^-k, with an iterator that then draws the bridge samples and
+    yields ``(first cell, values)`` per block of ``BLOCK_ELEMENTS`` cells.
+
+    An offset whose interior time would round onto a node is redrawn within
+    the offset section.  The bridge value at ``(j + tau) * h`` is
     ``((1 - tau) * B_j + tau * B_{j+1}) + sqrt(tau * (1 - tau) * h) * Z``.
-
-    Only the three returned arrays are full size.  The increments are drawn
-    into ``grid_values[1:]`` and summed there; the node check and the bridge
-    run a block of ``BLOCK_ELEMENTS`` cells at a time.  numpy's generator
-    keeps no normal between calls, so the residuals Z drawn block by block
-    are bit for bit one draw of them all, and every element is computed by
-    the same operations in the same order as over whole arrays.
 
     Raises:
         ValueError: if ``step`` is not 2^-k for an integer k >= 0.
@@ -298,16 +303,28 @@ def sample_brownian_path(stream: RngStream, step: float) -> BrownianPath:
     increments *= np.sqrt(h)
     np.cumsum(increments, out=increments)
     offsets = _strict_uniform(rng, cells, per_cell=True)
-    mid_values = np.empty(cells)
-    for start in range(0, cells, BLOCK_ELEMENTS):
-        block = slice(start, start + BLOCK_ELEMENTS)
-        tau = offsets[block]
-        mean = (1.0 - tau) * grid_values[:-1][block] + tau * grid_values[1:][block]
-        mid_values[block] = mean + np.sqrt(tau * (1.0 - tau) * h) * rng.standard_normal(tau.size)
-
-    for arr in (grid_values, offsets, mid_values):
+    for arr in (grid_values, offsets):
         arr.setflags(write=False)
-    return BrownianPath(step=h, grid_values=grid_values, offsets=offsets, mid_values=mid_values)
+    grid = BrownianGrid(step=h, grid_values=grid_values, offsets=offsets)
+    return grid, _bridge_blocks(grid, rng)
+
+
+def _bridge_blocks(grid: BrownianGrid, rng: np.random.Generator) -> Iterator[tuple[int, np.ndarray]]:
+    for start in range(0, grid.cells, BLOCK_ELEMENTS):
+        tau = grid.offsets[start : start + BLOCK_ELEMENTS]
+        left = grid.grid_values[start : start + tau.size + 1]
+        mean = (1.0 - tau) * left[:-1] + tau * left[1:]
+        yield start, mean + np.sqrt(tau * (1.0 - tau) * grid.step) * rng.standard_normal(tau.size)
+
+
+def sample_brownian_path(stream: RngStream, step: float) -> BrownianPath:
+    """:func:`sample_path_grid` with the bridge samples collected."""
+    grid, bridge = sample_path_grid(stream, step)
+    mid_values = np.empty(grid.cells)
+    for start, values in bridge:
+        mid_values[start : start + values.size] = values
+    mid_values.setflags(write=False)
+    return BrownianPath(step=grid.step, grid_values=grid.grid_values, offsets=grid.offsets, mid_values=mid_values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,42 +370,56 @@ def coarsen_tau(path: BrownianPath, coarse_step: float, stream: RngStream) -> Co
             path step, a derived offset does not reproduce its fine sample
             time exactly, or a complementary time falls on a fine node.
     """
-    h_fine = path.step
-    hc = float(coarse_step)
-    fine_cells = path.cells
-    cells = _dyadic_cells(hc)
-    if cells > fine_cells:
+    selected = select_fine_cells(path, coarse_step, stream)
+    return coarse_tau_from(path, coarse_step, selected, path.mid_values[selected])
+
+
+def select_fine_cells(grid: BrownianGrid, coarse_step: float, stream: RngStream) -> np.ndarray:
+    """The fine cell :func:`coarsen_tau` selects in each coarse cell, in
+    increasing order; ValueError unless ``coarse_step`` is a power of two at
+    least the grid step."""
+    cells = _dyadic_cells(coarse_step)
+    if cells > grid.cells:
         raise ValueError(
-            f"coarse_step {coarse_step!r} is not an integer multiple of the path step {h_fine!r}"
+            f"coarse_step {coarse_step!r} is not an integer multiple of the path step {grid.step!r}"
         )
-    factor = fine_cells // cells
+    factor = grid.cells // cells
+    return np.arange(cells) * factor + stream.generator().integers(0, factor, size=cells)
 
-    rng = stream.generator()
-    selected = np.arange(cells) * factor + rng.integers(0, factor, size=cells)
-    starts = np.arange(cells) * hc
 
-    mid_times = path.mid_times(selected)
+def coarse_tau_from(grid: BrownianGrid, coarse_step: float, selected: np.ndarray, mid_values: np.ndarray) -> CoarseTau:
+    """The :class:`CoarseTau` of a :func:`select_fine_cells` selection whose
+    bridge samples are ``mid_values`` (raising as :func:`coarsen_tau` does)."""
+    h_fine = grid.step
+    hc = float(coarse_step)
+    starts = np.arange(selected.size) * hc
+    mid_times = grid.mid_times(selected)
     values = (mid_times - starts) / hc
     if np.any(values <= 0.0) or np.any(values >= 1.0):
         raise ValueError("derived coarse offsets left (0, 1)")
     if not np.array_equal(starts + values * hc, mid_times):
         raise ValueError("coarse offsets do not reproduce the fine sample times exactly")
 
+    # Drop each array once dead: on the finest rung these set Example 2's peak.
+    del mid_times
     complements = 1.0 - values
     complement_times = starts + complements * hc
-    cell_idx = np.minimum(np.floor(complement_times / h_fine).astype(np.int64), fine_cells - 1)
+    del starts
+    cell_idx = np.minimum(np.floor(complement_times / h_fine).astype(np.int64), grid.cells - 1)
     frac = (complement_times - cell_idx * h_fine) / h_fine
+    del complement_times
     if np.any(frac <= 0.0) or np.any(frac >= 1.0):
         raise ValueError("complementary times fell on fine grid nodes; grids misaligned")
-    comp_values = (1.0 - frac) * path.grid_values[cell_idx] + frac * path.grid_values[cell_idx + 1]
+    comp_values = (1.0 - frac) * grid.grid_values[cell_idx]
+    comp_values += frac * grid.grid_values[cell_idx + 1]
 
     for arr in (values, complements, selected, comp_values):
         arr.setflags(write=False)
     return CoarseTau(
-        factor=factor,
+        factor=grid.cells // selected.size,
         values=values,
         complements=complements,
         selected_indices=selected,
-        mid_values=path.mid_values[selected],
+        mid_values=mid_values,
         comp_values=comp_values,
     )

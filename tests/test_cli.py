@@ -11,7 +11,8 @@ import pytest
 
 from randquad import cli
 from randquad.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from randquad.experiments import run_example2
+from randquad.experiments import _LANE_PATH, _lane_stream, example2_path
+from randquad.random_sources import BrownianPath, sample_brownian_path
 
 
 def read_csv(path):
@@ -233,7 +234,9 @@ class TestExample2Command:
         argv = ["example2", "--h-ref-exp", "7", "--min-exp", "4", "--max-exp", "6", "--seed", "88", "--dump-path"]
         assert main(argv + ["--outdir", str(tmp_path)]) == EXIT_OK
         capsys.readouterr()
-        path = run_example2(step_exponents=range(4, 7), reference_step=2.0**-7, seed=88).path
+        grid, bridge = example2_path(88, 2.0**-7)
+        mid_values = np.concatenate([values for _, values in bridge])
+        path = BrownianPath(step=grid.step, grid_values=grid.grid_values, offsets=grid.offsets, mid_values=mid_values)
         header, *rows = read_csv(tmp_path / "path.csv")
         assert header == ["j", "t", "B_grid", "tau", "t_mid", "B_mid"]
         assert [int(r[0]) for r in rows] == list(range(path.cells + 1))
@@ -250,6 +253,17 @@ class TestExample2Command:
             (5, path.mid_values),
         ):
             np.testing.assert_array_equal(column(index, len(expected)), expected.view(np.uint64))
+
+    def test_dump_path_spans_bridge_blocks_in_order(self, tmp_path, capsys):
+        # 2^13 cells are two bridge blocks; path.csv streams them one by one.
+        argv = ["example2", "--h-ref-exp", "13", "--min-exp", "4", "--max-exp", "6", "--seed", "5", "--dump-path"]
+        assert main(argv + ["--outdir", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        path = sample_brownian_path(_lane_stream(5, _LANE_PATH), 2.0**-13)
+        rows = read_csv(tmp_path / "path.csv")[1:]
+        assert [int(r[0]) for r in rows] == list(range(path.cells + 1))
+        for index, expected in ((2, path.grid_values[:-1]), (3, path.offsets), (5, path.mid_values)):
+            np.testing.assert_array_equal(np.array([float(r[index]) for r in rows[:-1]]), expected)
 
     def test_default_run_has_six_rows_per_rule(self, tmp_path, capsys):
         argv = ["example2", "--outdir", str(tmp_path)]
@@ -319,6 +333,24 @@ def test_plot_labels_name_the_error_exponent_and_the_axis(tmp_path, capsys):
         ("gamma=1.5", "error"),
         ("time cost, gamma=1.5", "wall time (s)"),
     ]
+
+
+def test_example1_guides_follow_the_orders_on_t_gamma(tmp_path, capsys):
+    # The guides were drawn at h^2 and h^2.5 for every gamma, so at gamma =
+    # 1.25 the plot showed a half-order RTQ gain that t^1.25 does not have.
+    # At or below gamma = 1 the two orders agree and one guide is drawn.
+    argv = ["example1", "--gammas", "0.75", "1.25", "1.5", "2", "-M", "5", "--min-exp", "4", "--max-exp", "7"]
+    with pytest.warns(RuntimeWarning, match="regularity"):
+        assert main(argv + ["--outdir", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    for gamma, orders in ((0.75, [1.75]), (1.25, [2.0, 2.25]), (1.5, [2.0, 2.5]), (2.0, [2.0, 2.5])):
+        header, *lines = (tmp_path / f"example1_errors_gamma{gamma:g}.dat").read_text().splitlines()
+        names = header.split()[1:]
+        assert names[4:] == [f"guide_order{order:g}" for order in orders]
+        table = np.array([[float(v) for v in line.split()] for line in lines])
+        log_h = np.log2(table[:, 0])
+        for column, order in zip(table[:, 4:].T, orders):
+            np.testing.assert_allclose(np.diff(np.log2(column)) / np.diff(log_h), order, rtol=1e-12)
 
 
 @pytest.mark.parametrize("subcommand", ["example1", "example2"])

@@ -7,12 +7,15 @@ import pytest
 from randquad import experiments
 from randquad.experiments import (
     _LANE_AS_RATE,
+    _LANE_COARSEN,
+    _LANE_PATH,
     DEFAULT_SEED,
     MAX_REPLICATIONS,
     ErrorLadder,
     LadderRow,
     _lane_stream,
     as_rate_check,
+    example2_path,
     fit_order,
     mc_lp_error,
     run_example1,
@@ -27,7 +30,7 @@ from randquad.integrands import (
     power_integrand,
     rtq_brownian,
 )
-from randquad.quadrature import Integrand, ctq, make_partition, rtq, rtq_prefix
+from randquad.quadrature import Integrand, QuadratureValue, ctq, make_partition, rtq, rtq_prefix
 from randquad.random_sources import (
     BrownianPath,
     RngStream,
@@ -312,6 +315,13 @@ class TestRunExample1:
             assert np.isnan(report.fitted_order)
 
 
+def collected_example2_path(seed, reference_step):
+    """Example 2's path for ``seed`` as one :class:`BrownianPath`."""
+    grid, bridge = example2_path(seed, reference_step)
+    mid_values = np.concatenate([values for _, values in bridge])
+    return BrownianPath(step=grid.step, grid_values=grid.grid_values, offsets=grid.offsets, mid_values=mid_values)
+
+
 class TestRunExample2:
     def test_structure_and_determinism(self):
         kwargs = dict(step_exponents=range(5, 8), reference_step=2.0**-10, seed=8)
@@ -324,17 +334,62 @@ class TestRunExample2:
 
     def test_reference_is_union_trapezoid_of_the_integrand(self):
         result = run_example2(step_exponents=range(5, 7), reference_step=2.0**-9, seed=8)
-        assert result.reference == union_grid_reference(brownian_integrand(result.path))
+        assert result.reference == union_grid_reference(brownian_integrand(collected_example2_path(8, 2.0**-9)))
 
     def test_reference_matches_finest_partition_quadrature(self):
         result = run_example2(step_exponents=range(5, 7), reference_step=2.0**-9, seed=8)
-        bi = brownian_integrand(result.path)
+        bi = brownian_integrand(collected_example2_path(8, 2.0**-9))
         fine = ctq_brownian(bi, make_partition(2**9)).value
         assert result.reference == pytest.approx(fine, rel=1e-13)
 
     def test_rejects_steps_finer_than_reference(self):
         with pytest.raises(ValueError):
             run_example2(step_exponents=range(5, 12), reference_step=2.0**-10, seed=8)
+
+    # On the reference grid itself CTQ can equal the reference exactly.
+    @pytest.mark.filterwarnings("ignore:fit_order. excluded")
+    @pytest.mark.parametrize("seed", [0, 2, 7, 11])
+    def test_streamed_run_bitwise_equals_the_whole_array_composition(self, seed, monkeypatch):
+        # References below, at and above one bridge block (BLOCK_ELEMENTS
+        # cells), a coarse cell spanning every block (min-exp 0) and a
+        # finest rung on the reference grid (max-exp = reference exponent).
+        values = []
+
+        def recording(rule):
+            def record(*args):
+                value = rule(*args).value
+                values.append(value)
+                return QuadratureValue(value=value, rule="", evaluations=0)
+
+            return record
+
+        monkeypatch.setattr(experiments, "ctq_brownian", recording(ctq_brownian))
+        monkeypatch.setattr(experiments, "rtq_brownian", recording(rtq_brownian))
+        for ref_exp, lo, hi in ((3, 0, 3), (11, 2, 6), (12, 0, 12), (13, 5, 13), (14, 0, 9), (17, 14, 17)):
+            values.clear()
+            result = run_example2(step_exponents=range(lo, hi + 1), reference_step=2.0**-ref_exp, seed=seed)
+            streamed = [result.reference] + values[experiments.TIMING_REPEATS - 1 :: experiments.TIMING_REPEATS]
+
+            path = sample_brownian_path(_lane_stream(seed, _LANE_PATH), 2.0**-ref_exp)
+            bi = brownian_integrand(path)
+            whole = [union_grid_reference(bi)]
+            for hj, e in enumerate(range(lo, hi + 1)):
+                part = make_partition(2**e)
+                ctau = coarsen_tau(path, part.step, _lane_stream(seed, _LANE_COARSEN, hj))
+                whole += [ctq_brownian(bi, part).value, rtq_brownian(bi, part, ctau).value]
+            assert np.array(streamed).tobytes() == np.array(whole).tobytes(), (ref_exp, lo, hi)
+
+    def test_peak_memory_holds_two_path_arrays(self):
+        # The node values and the offsets are the only whole arrays; the
+        # bridge samples and the Euler prefix sums stream a block at a time.
+        run_example2(step_exponents=range(5, 7), reference_step=2.0**-8, seed=2)
+        tracemalloc.start()
+        try:
+            run_example2(step_exponents=range(5, 11), reference_step=2.0**-18, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * 2**18
 
     def test_zero_path_gives_zero_reference_and_rule_values(self):
         cells = 2**8
