@@ -292,7 +292,8 @@ def as_rate_check(
     exact running integral at every node; the max error must fall below
     h ** (1/2 + sigma - eps).  The theory guarantees this from some random
     index onward, so callers should inspect ``first_passing_index`` rather
-    than expect every rung to pass.
+    than expect every rung to pass.  Each h must be 1/N for a whole N, so
+    that the rung runs at the step it reports.
     """
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps!r}")
@@ -302,6 +303,8 @@ def as_rate_check(
     rows = []
     for m, h in enumerate(steps):
         part = make_partition(round(1.0 / h))
+        if part.step != h:
+            raise ValueError(f"step h = {h!r} is not 1/N for a whole N; the nearest partition's step is {part.step!r}")
         tau = sample_tau_sequence(
             _lane_stream(master_stream.seed, _LANE_AS_RATE, master_stream.stream_id, m),
             part.intervals,

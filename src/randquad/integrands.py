@@ -30,15 +30,9 @@ from .summation import compensated_sum
 
 # Largest ``cells`` accepted by ``sobolev_seminorm``, a time bound: memory
 # stays small, but the double integral is O(cells**2) work, and one estimate
-# at 8192 cells takes about 0.25 s (2-vCPU x86-64 VM, 2 MiB L2, numpy 2.4).
+# at 8192 cells takes about 0.16 s at p = 2 and 0.25 s at p = 2.5 (2-vCPU
+# x86-64 VM, 2 MiB L2 per core, numpy 2.4).
 SOBOLEV_MAX_CELLS = 8192
-
-# Kernel elements built and summed at once by ``sobolev_seminorm``.  Must be
-# at least 128, numpy's pairwise-sum leaf, which it never splits.  2^14 ran
-# fastest of 2^12..2^15 at 1024-8192 cells, about 15% ahead of 2^13; at 2^15,
-# where each float64 temporary reaches 256 KiB, an estimate took up to twice
-# as long.
-KERNEL_BLOCK_ELEMENTS = 1 << 14
 
 
 def _finite(name: str, value: float) -> float:
@@ -250,49 +244,24 @@ class SobolevEstimate:
     term_slobodeckij: float
 
 
-def _slobodeckij_sum(dv, delta: float, p: float, exponent: float) -> np.float64:
-    """``np.sum`` of the dense Slobodeckij kernel, built a row block at a time.
+def _slobodeckij_sum(dv, delta: float, p: float, exponent: float) -> float:
+    """Sum of the Slobodeckij kernel over the kept pairs, one diagonal at a time.
 
     Midpoints i and j are k = |i - j| cells apart, and the kernel takes
     their distance as d_k = k / cells, correctly rounded, not as the rounded
-    difference of the two midpoints: whether a pair is excluded (d_k <
-    delta, adding exactly 0.0) then depends on k alone.  A kept pair adds
-    |dv_i - dv_j| ** p / d_k ** exponent.  The mask and the powers of d_k
-    are tabulated once per k, and row i of each is the contiguous slice
-    ``[cells-1-i : 2*cells-1-i]`` of the table mirrored about k = 0.
-
-    numpy sums a contiguous float64 array pairwise: a range of more than 128
-    values splits at half its length rounded down to a multiple of 8, and
-    smaller ranges are summed directly.  This replays that tree over flat
-    ranges of the C-ordered ``cells x cells`` kernel and hands each range of
-    at most ``KERNEL_BLOCK_ELEMENTS`` values to ``np.sum``, which walks the
-    rest of the same tree.  Every kernel value comes from the dense
-    expressions, so the total is bit-identical to summing the dense array.
+    difference of the two midpoints: whether a pair is kept (d_k >= delta)
+    then depends on k alone.  A kept pair adds |dv_i - dv_j| ** p / d_k **
+    exponent.  The kernel is symmetric, so each kept diagonal k >= 1 is
+    summed once, divided once by d_k ** exponent and counted twice; the
+    diagonals are combined by ``compensated_sum``.
     """
     cells = dv.size
-    dist = np.arange(cells) / cells
-    band = dist < delta
-    # Excluded pairs divide by a placeholder 1.0 and are then set to 0.0.
-    den = np.where(band, 1.0, dist ** exponent)
-    window = np.lib.stride_tricks.sliding_window_view
-    den_rows = window(np.concatenate((den[:0:-1], den)), cells)[::-1]
-    band_rows = window(np.concatenate((band[:0:-1], band)), cells)[::-1]
-
-    def block_sum(lo: int, hi: int) -> np.float64:
-        size = hi - lo
-        if size > KERNEL_BLOCK_ELEMENTS:
-            half = size // 2
-            half -= half % 8
-            return block_sum(lo, lo + half) + block_sum(lo + half, hi)
-        rows = slice(lo // cells, -(-hi // cells))
-        flat = slice(lo - rows.start * cells, hi - rows.start * cells)
-        diff = np.abs(dv[rows, None] - dv[None, :]).ravel()[flat]
-        kernel = diff ** p
-        kernel /= den_rows[rows].ravel()[flat]
-        np.copyto(kernel, 0.0, where=band_rows[rows].ravel()[flat])
-        return np.sum(kernel)
-
-    return block_sum(0, cells * cells)
+    diagonals = [
+        np.sum(np.abs(dv[k:] - dv[:-k]) ** p) / (k / cells) ** exponent
+        for k in range(1, cells)
+        if k / cells >= delta
+    ]
+    return 2.0 * compensated_sum(diagonals)
 
 
 def sobolev_seminorm(
@@ -316,16 +285,15 @@ def sobolev_seminorm(
     sits at or beyond the membership boundary, which is what makes it
     useful as a (purely heuristic) diagnostic.
 
-    The double integral walks the ``cells x cells`` kernel in row blocks of
-    about ``KERNEL_BLOCK_ELEMENTS`` values, so memory stays bounded, and
-    equals the dense ``np.sum`` bit for bit (see ``_slobodeckij_sum``).
+    The double integral is summed one diagonal of the ``cells x cells``
+    kernel at a time (see ``_slobodeckij_sum``), so memory stays O(cells).
     The work is O(cells**2), so ``cells`` is capped at ``SOBOLEV_MAX_CELLS``
-    to bound the time (about 0.25 s per estimate at that size).
+    to bound the time (about 0.16 s per estimate at that size and p = 2).
 
     Raises:
         ValueError: if ``g`` carries no exact derivative, sigma/p/cells
-            are out of range (``cells`` above ``SOBOLEV_MAX_CELLS`` included),
-            or a term or the total is not finite.
+            are out of range (``cells`` above ``SOBOLEV_MAX_CELLS`` or not a
+            whole number included), or a term or the total is not finite.
     """
     if g.exact_derivative is None:
         raise ValueError(f"sobolev_seminorm requires an exact derivative; {g.label!r} has none")
@@ -335,9 +303,9 @@ def sobolev_seminorm(
         raise ValueError(f"sigma must lie in [1, 2), got {sigma!r}")
     if not 2.0 <= p < np.inf:
         raise ValueError(f"p must be finite and at least 2, got {p!r}")
+    if not (2 <= cells <= SOBOLEV_MAX_CELLS and cells == int(cells)):
+        raise ValueError(f"cells must be an integer in [2, {SOBOLEV_MAX_CELLS}], got {cells!r}")
     cells = int(cells)
-    if not 2 <= cells <= SOBOLEV_MAX_CELLS:
-        raise ValueError(f"cells must lie in [2, {SOBOLEV_MAX_CELLS}], got {cells!r}")
     width = 1.0 / cells
     if delta is None:
         delta = 2.0 * width
@@ -353,7 +321,7 @@ def sobolev_seminorm(
     term_derivative = float(np.sum(np.abs(dv) ** p) * width)
 
     exponent = 1.0 + (sigma - 1.0) * p
-    term_slobodeckij = float(_slobodeckij_sum(dv, delta, p, exponent) * width * width)
+    term_slobodeckij = _slobodeckij_sum(dv, delta, p, exponent) * width * width
 
     total = term_value + term_derivative + term_slobodeckij
     terms = {

@@ -271,6 +271,11 @@ class TestAsRateCheck:
             if row_t.passed:
                 assert row_l.passed
 
+    def test_step_off_the_partition_grid_rejected(self):
+        # round(1 / 0.3) = 3 cells would run at h = 1/3 while reporting 0.3.
+        with pytest.raises(ValueError, match=r"step h = 0\.3 is not 1/N"):
+            as_rate_check(power_integrand(1.75), 2.0, 0.25, [0.3], RngStream(0))
+
     @pytest.mark.parametrize("eps", [0.0, 0.5, -0.1, 0.7])
     def test_eps_validation(self, eps):
         with pytest.raises(ValueError):
