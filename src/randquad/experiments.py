@@ -25,9 +25,10 @@ Example 2 in one pass: ``run_example2`` keeps only the path's node values
 and offsets whole.  It draws every rung's fine-cell selection first, then
 walks the bridge blocks once, carrying the Euler prefix sums, summing the
 union-grid trapezoids and keeping the selected bridge samples and the prefix
-sums at the finest rung's nodes, which is all the rungs read.  Every value
-is bit for bit that of ``sample_brownian_path``, ``brownian_integrand``,
-``union_grid_reference``, ``coarsen_tau`` and the two rules composed.
+sums at the finest rung's nodes, which is all the rungs read.  Every rule
+value is bit for bit that of ``sample_brownian_path``, ``brownian_integrand``,
+``coarsen_tau`` and the two rules composed, and the reference that of the
+trapezoidal rule on the union grid through ``BrownianIntegrand.value_at``.
 
 Timing: each quadrature call is repeated five times and the median of a
 monotonic clock is reported, which resists scheduler noise without
@@ -45,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrands import (
-    BrownianIntegrand,
     EulerNodes,
     Integrand,
     ctq_brownian,
@@ -57,14 +57,13 @@ from .quadrature import CTQ, RTQ, Partition, ctq, make_partition, rtq, rtq_prefi
 from .random_sources import (
     BrownianGrid,
     RngStream,
-    _dyadic_cells,
     coarse_tau_from,
     sample_path_grid,
     sample_tau_batches,
     sample_tau_sequence,
     select_fine_cells,
 )
-from .summation import BLOCK_ELEMENTS, NeumaierSum
+from .summation import NeumaierSum
 
 # Fixed default so every run is reproducible without flags; chosen because
 # its single-realisation (pathwise) ladders show the typical behaviour
@@ -293,18 +292,22 @@ def as_rate_check(
     h ** (1/2 + sigma - eps).  The theory guarantees this from some random
     index onward, so callers should inspect ``first_passing_index`` rather
     than expect every rung to pass.  Each h must be 1/N for a whole N, so
-    that the rung runs at the step it reports.
+    that the rung runs at the step it reports; every h is checked before
+    anything is drawn.
     """
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps!r}")
     if g.exact_prefix_integral is None:
         raise ValueError(f"integrand {g.label!r} has no exact running integral")
+    steps = list(steps)
+    for h in steps:
+        # make_partition(N)'s step is 1.0 / N.
+        if not (0.0 < h <= 1.0 and np.isfinite(1.0 / h) and 1.0 / round(1.0 / h) == h):
+            raise ValueError(f"step h = {h!r} is not 1/N for a whole N >= 1")
     target = 0.5 + float(sigma) - float(eps)
     rows = []
     for m, h in enumerate(steps):
         part = make_partition(round(1.0 / h))
-        if part.step != h:
-            raise ValueError(f"step h = {h!r} is not 1/N for a whole N; the nearest partition's step is {part.step!r}")
         tau = sample_tau_sequence(
             _lane_stream(master_stream.seed, _LANE_AS_RATE, master_stream.stream_id, m),
             part.intervals,
@@ -329,7 +332,8 @@ def _dyadic_steps(step_exponents) -> list[float]:
 
     A ladder needs two rungs to fit an order, so an empty or one-exponent
     range is an error, and so is an exponent below 0, whose step is longer
-    than [0, 1]; all are raised before anything is sampled or written.
+    than [0, 1], and so is a list that does not strictly increase; all are
+    raised before anything is sampled or written.
     """
     exponents = list(step_exponents)
     if not exponents:
@@ -344,6 +348,8 @@ def _dyadic_steps(step_exponents) -> list[float]:
         raise ValueError(
             f"the step exponent range {step_exponents!r} holds {min(exponents)!r}; exponents must be at least 0"
         )
+    if any(b <= a for a, b in zip(exponents, exponents[1:])):
+        raise ValueError(f"the step exponents {exponents!r} must strictly increase, one rung per exponent")
     return [2.0**-i for i in exponents]
 
 
@@ -460,50 +466,19 @@ def run_example1(
     return ExperimentResult(reports=tuple(reports))
 
 
-def union_grid_reference(bi: BrownianIntegrand) -> float:
-    """Trapezoidal value of the Brownian target on the union grid, by fiat
-    the exact value for example-2 error ladders.
-
-    The union grid interleaves the fine nodes with the bridge-sampled
-    interior points, and the integrand values on it follow the integrand's
-    own evaluation convention, so the coarse rules are measured against the
-    best trapezoidal value of the very function they integrate rather than
-    against an inconsistent rebuild of it.
-
-    The terms are built from slices of the path and the prefix sums, and
-    they are bit for bit those of ``bi.value_at`` on the union grid.  The
-    step h is 2^-k, so the node j * h and the interior time
-    m_j = fl(j + tau_j) * h are exact, m_j / h = fl(j + tau_j) lies strictly
-    between j and j + 1 (sampling redraws any other offset, and a width
-    check below rejects it), and ``value_at``'s floor lands on j.  Its
-    value there is prefix[j] + B_j * (m_j - j * h), the same expression on
-    the same operands as the left width (which Sterbenz's lemma makes
-    exact); at a node it is prefix[j] + B_j * 0 = prefix[j], and at t = 1,
-    clamped to the last cell, prefix[cells - 1] + B_{cells-1} * h, which is
-    how ``brownian_integrand`` formed prefix[cells].
-
-    The union grid is built and summed a block of fine cells at a time
-    (``_union_terms``, which ``run_example2`` shares), so memory stays
-    bounded however fine the path; the carried compensated state makes the
-    value bit-for-bit that of one sum over the whole grid.
-
-    Raises:
-        ValueError: if the path's step is not 2^-k for its cell count
-            (before anything is summed), or the union grid is not strictly
-            increasing.
-    """
-    path = bi.path
-    if _dyadic_cells(path.step) != path.cells:
-        raise ValueError(f"a path of {path.cells} cells needs step 1/{path.cells}, got {path.step!r}")
-    acc = NeumaierSum()
-    for start in range(0, path.cells, BLOCK_ELEMENTS):
-        acc.extend(_union_terms(path, bi.prefix[start : start + BLOCK_ELEMENTS + 1], start))
-    return acc.value
-
-
 def _union_terms(grid: BrownianGrid, prefix: np.ndarray, start: int) -> np.ndarray:
     """The union-grid trapezoids of the fine cells from ``start`` on whose
-    Euler prefix sums, at the cells' nodes, are ``prefix``."""
+    Euler prefix sums, at the cells' nodes, are ``prefix``.
+
+    Each term is bit for bit that of ``BrownianIntegrand.value_at`` on the
+    union grid.  The step h is 2^-k, so the node j * h and the interior time
+    m_j = fl(j + tau_j) * h are exact, m_j / h lies strictly between j and
+    j + 1 (the width check rejects any other offset), and ``value_at``'s
+    floor lands on j.  Its value there, prefix[j] + B_j * (m_j - j * h), is
+    the same expression on the same operands as the left width, which
+    Sterbenz's lemma makes exact; at t = 1, clamped to the last cell, it is
+    how the last prefix sum was formed.
+    """
     stop = start + prefix.size - 1
     j = np.arange(start, stop + 1, dtype=np.float64)
     nodes = j * grid.step
@@ -555,7 +530,11 @@ def run_example2(
 
     One path per run, sampled from the seed on the dyadic grid of step
     ``reference_step``; coarse offsets reuse the path's interior samples
-    exactly; errors are pathwise (one realisation) by construction.
+    exactly; errors are pathwise (one realisation) by construction.  The
+    reference, by fiat the exact value, is the trapezoidal value of the
+    Euler-extended integral on the union grid of fine nodes and bridge
+    samples, so the coarse rules are measured against the best trapezoidal
+    value of the very function they integrate.
     """
     steps = _dyadic_steps(step_exponents)
     if min(steps) < reference_step:

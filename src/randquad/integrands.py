@@ -134,10 +134,9 @@ class BrownianIntegrand(EulerNodes):
     prefix[0] = 0 and prefix[n] - prefix[n-1] = step * B(t_{n-1}).  Between
     nodes the value is extended with the same left-point convention,
     G(t) = prefix[n] + B(t_n) * (t - t_n), which makes the extension the
-    continuous piecewise-linear interpolant of the prefix sums.
+    continuous piecewise-linear interpolant of the prefix sums.  Example 2's
+    reference is the trapezoidal rule on the union grid through ``value_at``.
     """
-
-    path: BrownianPath
 
     def value_at(self, times) -> np.ndarray:
         t = np.asarray(times, dtype=np.float64)
@@ -162,7 +161,7 @@ def brownian_integrand(path: BrownianPath) -> BrownianIntegrand:
     """The Euler prefix sums of a path over all its cells, as one block."""
     prefix = euler_prefix(path.grid_values[:-1], path.step)
     prefix.setflags(write=False)
-    return BrownianIntegrand(step=path.step, grid_values=path.grid_values, prefix=prefix, stride=1, path=path)
+    return BrownianIntegrand(step=path.step, grid_values=path.grid_values, prefix=prefix, stride=1)
 
 
 def _coarse_factor(nodes: EulerNodes, part: Partition) -> int:

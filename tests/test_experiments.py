@@ -20,7 +20,6 @@ from randquad.experiments import (
     mc_lp_error,
     run_example1,
     run_example2,
-    union_grid_reference,
     warn_if_nonmonotone,
 )
 from randquad.integrands import (
@@ -38,7 +37,7 @@ from randquad.random_sources import (
     sample_brownian_path,
     sample_tau_sequence,
 )
-from randquad.summation import BLOCK_ELEMENTS, NeumaierSum
+from randquad.summation import BLOCK_ELEMENTS, NeumaierSum, compensated_sum
 
 
 def synthetic_ladder(constant, order, exponents=(5, 6, 7, 8, 9, 10)):
@@ -276,10 +275,43 @@ class TestAsRateCheck:
         with pytest.raises(ValueError, match=r"step h = 0\.3 is not 1/N"):
             as_rate_check(power_integrand(1.75), 2.0, 0.25, [0.3], RngStream(0))
 
+    @pytest.mark.parametrize(
+        "steps",
+        [[0.0], [np.nan], [np.inf], [-0.5], [5e-324], [2.0**-5, 0.0]],
+        ids=["zero", "nan", "inf", "negative", "subnormal", "later"],
+    )
+    def test_bad_step_rejected_naming_h_before_drawing(self, steps, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew offsets before every step was checked")
+
+        monkeypatch.setattr(experiments, "sample_tau_sequence", no_draw)
+        with pytest.raises(ValueError, match=r"step h = .* is not 1/N"):
+            as_rate_check(power_integrand(1.75), 2.0, 0.25, steps, RngStream(0))
+
     @pytest.mark.parametrize("eps", [0.0, 0.5, -0.1, 0.7])
     def test_eps_validation(self, eps):
         with pytest.raises(ValueError):
             as_rate_check(affine_integrand(0, 1), 2.0, eps, [0.5], RngStream(0))
+
+
+@pytest.mark.parametrize(
+    "driver, kwargs",
+    [
+        (run_example1, dict(step_exponents=[10, 10], replications=1000)),
+        (run_example1, dict(step_exponents=[11, 5], replications=1000)),
+        (run_example2, dict(step_exponents=[15, 5], reference_step=2.0**-18)),
+    ],
+    ids=["example1-repeated", "example1-decreasing", "example2-decreasing"],
+)
+def test_exponents_not_strictly_increasing_rejected_before_sampling(driver, kwargs, monkeypatch):
+    # ErrorLadder rejects these too, but only after every rung has run.
+    def no_work(*args):
+        raise AssertionError("sampled before the step exponents were checked")
+
+    monkeypatch.setattr(experiments, "mc_lp_error", no_work)
+    monkeypatch.setattr(experiments, "sample_path_grid", no_work)
+    with pytest.raises(ValueError, match=r"step exponents \[.*\] must strictly increase"):
+        driver(**kwargs)
 
 
 class TestRunExample1:
@@ -339,7 +371,9 @@ class TestRunExample2:
 
     def test_reference_is_union_trapezoid_of_the_integrand(self):
         result = run_example2(step_exponents=range(5, 7), reference_step=2.0**-9, seed=8)
-        assert result.reference == union_grid_reference(brownian_integrand(collected_example2_path(8, 2.0**-9)))
+        path = collected_example2_path(8, 2.0**-9)
+        oracle = value_at_union_grid_reference(path, brownian_integrand(path))
+        assert np.float64(result.reference).tobytes() == np.float64(oracle).tobytes()
 
     def test_reference_matches_finest_partition_quadrature(self):
         result = run_example2(step_exponents=range(5, 7), reference_step=2.0**-9, seed=8)
@@ -377,7 +411,7 @@ class TestRunExample2:
 
             path = sample_brownian_path(_lane_stream(seed, _LANE_PATH), 2.0**-ref_exp)
             bi = brownian_integrand(path)
-            whole = [union_grid_reference(bi)]
+            whole = [value_at_union_grid_reference(path, bi)]
             for hj, e in enumerate(range(lo, hi + 1)):
                 part = make_partition(2**e)
                 ctau = coarsen_tau(path, part.step, _lane_stream(seed, _LANE_COARSEN, hj))
@@ -404,8 +438,8 @@ class TestRunExample2:
             offsets=np.full(cells, 0.4),
             mid_values=np.zeros(cells),
         )
+        assert union_terms_sum(zero) == 0.0
         bi = brownian_integrand(zero)
-        assert union_grid_reference(bi) == 0.0
         for n in (32, 64, 128):
             part = make_partition(n)
             assert ctq_brownian(bi, part).value == 0.0
@@ -413,9 +447,9 @@ class TestRunExample2:
             assert rtq_brownian(bi, part, ctau).value == 0.0
 
 
-def value_at_union_grid_reference(bi):
-    """``union_grid_reference`` as first written, through ``bi.value_at``: the oracle."""
-    path = bi.path
+def value_at_union_grid_reference(path, bi):
+    """Example 2's reference for ``path``, the trapezoidal rule on the union
+    grid through ``bi.value_at``: the oracle."""
     acc = NeumaierSum()
     block = BLOCK_ELEMENTS // 2
     for start in range(0, path.cells, block):
@@ -452,12 +486,18 @@ def _edge_offsets(cells):
     return offsets
 
 
+def union_terms_sum(path):
+    """The compensated sum of ``_union_terms`` over the path as one block,
+    bit for bit the blocked sum ``run_example2`` carries."""
+    return compensated_sum(experiments._union_terms(path, brownian_integrand(path).prefix, 0))
+
+
 class TestUnionGridReference:
     @pytest.mark.parametrize("seed", [0, 2, 7, 11])
     def test_bitwise_equals_the_value_at_oracle(self, seed):
         for k in range(17):
-            bi = brownian_integrand(sample_brownian_path(RngStream(seed, k), 2.0**-k))
-            new, old = union_grid_reference(bi), value_at_union_grid_reference(bi)
+            path = sample_brownian_path(RngStream(seed, k), 2.0**-k)
+            new, old = union_terms_sum(path), value_at_union_grid_reference(path, brownian_integrand(path))
             assert np.float64(new).tobytes() == np.float64(old).tobytes(), k
 
     @pytest.mark.parametrize(
@@ -471,39 +511,10 @@ class TestUnionGridReference:
         ids=["zero", "linear", "hand", "edge-offsets"],
     )
     def test_hand_built_paths_bitwise_equal_the_oracle(self, path):
-        bi = brownian_integrand(path)
-        new, old = union_grid_reference(bi), value_at_union_grid_reference(bi)
+        new, old = union_terms_sum(path), value_at_union_grid_reference(path, brownian_integrand(path))
         assert np.float64(new).tobytes() == np.float64(old).tobytes()
-
-    @pytest.mark.parametrize("step, cells", [(1.0 / 3.0, 3), (0.25, 8)], ids=["step-1/3", "step-too-long"])
-    def test_path_off_the_dyadic_grid_rejected_before_summing(self, step, cells, monkeypatch):
-        class NoSum:
-            def extend(self, values):
-                raise AssertionError("summed before the step was checked")
-
-        monkeypatch.setattr(experiments, "NeumaierSum", NoSum)
-        path = BrownianPath(
-            step=step,
-            grid_values=np.linspace(0.0, 1.0, cells + 1),
-            offsets=np.full(cells, 0.5),
-            mid_values=np.zeros(cells),
-        )
-        with pytest.raises(ValueError, match="step"):
-            union_grid_reference(brownian_integrand(path))
 
     def test_offset_off_its_cell_rejected(self):
         for offsets in ([0.5, 1.0, 0.5, 0.5], [0.5, 0.5, np.nan, 0.5], [0.5, 0.5, 0.5, -0.25]):
             with pytest.raises(ValueError, match="strictly increasing"):
-                union_grid_reference(brownian_integrand(_path(np.zeros(5), offsets)))
-
-    def test_peak_memory_does_not_grow_with_the_cells(self):
-        peaks = []
-        for k in (14, 18):
-            bi = brownian_integrand(sample_brownian_path(RngStream(3), 2.0**-k))
-            tracemalloc.start()
-            try:
-                union_grid_reference(bi)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] <= peaks[0] + 16 * 1024
+                union_terms_sum(_path(np.zeros(5), offsets))

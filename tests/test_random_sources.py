@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -141,6 +145,20 @@ class TestBatchSeeding:
             sample_tau_batches(RngStream(0, 2**64 - 5), 6, 4)
         (block,) = sample_tau_batches(RngStream(1, 2**64 - 2), 2, 4)
         np.testing.assert_array_equal(block[1], sample_tau_sequence(RngStream(1, 2**64 - 1), 4))
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy.random is about a tenth of the package's import time, and
+    # _seed_row_type defers it to the first draw; numpy 1.x loads it with
+    # numpy itself, so there the check has nothing to guard.
+    code = (
+        "import sys, numpy; eager = 'numpy.random' in sys.modules; import randquad.cli; "
+        "print(eager or 'numpy.random' not in sys.modules)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "True"
 
 
 class PlantedGenerator:
