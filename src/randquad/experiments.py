@@ -332,8 +332,9 @@ def _dyadic_steps(step_exponents) -> list[float]:
 
     A ladder needs two rungs to fit an order, so an empty or one-exponent
     range is an error, and so is an exponent below 0, whose step is longer
-    than [0, 1], and so is a list that does not strictly increase; all are
-    raised before anything is sampled or written.
+    than [0, 1], one whose step 2^-i is not a normal double (i > 1022), and
+    a list that does not strictly increase; all are raised before anything
+    is sampled or written.
     """
     exponents = list(step_exponents)
     if not exponents:
@@ -350,7 +351,14 @@ def _dyadic_steps(step_exponents) -> list[float]:
         )
     if any(b <= a for a, b in zip(exponents, exponents[1:])):
         raise ValueError(f"the step exponents {exponents!r} must strictly increase, one rung per exponent")
-    return [2.0**-i for i in exponents]
+    steps = [2.0**-i for i in exponents]
+    for i, h in zip(exponents, steps):
+        if h < sys.float_info.min:
+            raise ValueError(
+                f"the step exponent {i!r} gives the step 2^-{i} = {h!r}, not a normal double; "
+                "exponents must be at most 1022"
+            )
+    return steps
 
 
 def _timed(fn):

@@ -314,6 +314,27 @@ def test_exponents_not_strictly_increasing_rejected_before_sampling(driver, kwar
         driver(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "driver, kwargs",
+    [
+        (run_example1, dict(gammas=(1.5,), step_exponents=[5, 1100], replications=5)),
+        (run_example2, dict(step_exponents=[5, 1023], reference_step=2.0**-18)),
+    ],
+    ids=["example1", "example2"],
+)
+def test_step_below_the_normal_range_rejected_before_sampling(driver, kwargs, monkeypatch):
+    # 2^-1100 is 0.0, which once failed late as a bare ZeroDivisionError
+    # after the 2^-5 rung had run; 2^-1023 is subnormal.
+    def no_work(*args):
+        raise AssertionError("sampled before the step exponents were checked")
+
+    monkeypatch.setattr(experiments, "mc_lp_error", no_work)
+    monkeypatch.setattr(experiments, "sample_path_grid", no_work)
+    bad = kwargs["step_exponents"][-1]
+    with pytest.raises(ValueError, match=rf"step exponent {bad} gives the step 2\^-{bad} = .*not a normal double"):
+        driver(**kwargs)
+
+
 class TestRunExample1:
     def test_report_layout_and_determinism(self):
         kwargs = dict(gammas=(1.5,), step_exponents=range(5, 9), replications=20, seed=77)

@@ -11,12 +11,19 @@ values by one ulp fails here.  Every workload runs at the default seed 2;
 ``example1 -M 1000``, which exercises the batched stream seeding, and
 ``example2 --h-ref-exp 20``, which exercises the Brownian path, run at the
 held-out seed 7 as well.  The tests only read the golden files.
+
+The Sobolev workload runs at p = 2, where the Slobodeckij kernel squares
+its differences; the stdout of ``sobolev --sigma 1.2 --cells 256`` at
+p = 2.5 and p = 3, pinned below, covers its ``abs`` and ``np.power``
+branch at 0 ulps.
 """
 
 import csv
 import json
 import re
 from pathlib import Path
+
+import pytest
 
 from randquad.cli import EXIT_OK, main
 
@@ -89,3 +96,35 @@ def test_sobolev_1024_matches_golden_bit_for_bit(tmp_path, capsys):
     argv, records, expected = run_workload("sobolev_1024", tmp_path, capsys)
     assert argv == ["sobolev", "--sigma", "1.2", "--cells", "1024"]
     assert records == expected
+
+
+SOBOLEV_256_STDOUT = {
+    "2.5": """\
+integrand: power(gamma=1.5) on [0, 1.0]
+sigma: 1.2  p: 2.5  cells: 256  delta: 0.0078125
+term |g|^p:          0.21052393160878188
+term |dg|^p:         1.2247429793438602
+term slobodeckij:    0.5960772794078312
+total (p-th root):   1.3277411231493352
+delta refinement (delta, delta/2, delta/4): 1.3277411231493352, 1.3278707779175873, 1.3279172388312972
+relative growth per halving: 0.0001, 0.0000
+indicator: stable under delta refinement
+""",
+    "3": """\
+integrand: power(gamma=1.5) on [0, 1.0]
+sigma: 1.2  p: 3.0  cells: 256  delta: 0.0078125
+term |g|^p:          0.1818153208063741
+term |dg|^p:         1.3499968343755244
+term slobodeckij:    0.5000188345200565
+total (p-th root):   1.266569988942889
+delta refinement (delta, delta/2, delta/4): 1.266569988942889, 1.2666527721781078, 1.2666830887888423
+relative growth per halving: 0.0001, 0.0000
+indicator: stable under delta refinement
+""",
+}
+
+
+@pytest.mark.parametrize("p", sorted(SOBOLEV_256_STDOUT))
+def test_sobolev_non_square_power_matches_pinned_stdout(p, capsys):
+    assert main(["sobolev", "--sigma", "1.2", "--cells", "256", "-p", p]) == EXIT_OK
+    assert capsys.readouterr().out == SOBOLEV_256_STDOUT[p]
