@@ -23,9 +23,11 @@ flag's ``default=``, and the study defaults are read from ``experiments``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -265,52 +267,67 @@ def _write_plots(outdir: str, script: str, panels) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _ensure_outdir(outdir: str | None) -> str:
+@contextlib.contextmanager
+def _output_dir(outdir: str | None) -> Iterator[str]:
+    """The output directory, made and probed for writing before the study
+    runs.  If the run then fails, each directory made here is removed again
+    while it is empty; a directory that existed before is never touched."""
     outdir = outdir or os.environ.get(OUTPUT_DIR_ENV, _DEFAULT_OUTPUT_DIR)
-    os.makedirs(outdir, exist_ok=True)
-    probe = os.path.join(outdir, ".write-probe")
-    with open(probe, "w") as fh:
-        fh.write("")
-    os.remove(probe)
-    return outdir
+    made = []
+    missing = os.path.abspath(outdir)
+    while not os.path.lexists(missing):
+        made.append(missing)
+        missing = os.path.dirname(missing)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        probe = os.path.join(outdir, ".write-probe")
+        with open(probe, "w") as fh:
+            fh.write("")
+        os.remove(probe)
+        yield outdir
+    except BaseException:
+        for path in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
 
 
 def cmd_example1(args: argparse.Namespace) -> int:
-    outdir = _ensure_outdir(args.outdir)
-    result = run_example1(
-        gammas=args.gammas,
-        step_exponents=range(args.min_exp, args.max_exp + 1),
-        replications=args.replications,
-        p=args.p,
-        seed=args.seed,
-    )
-    _write_tables(outdir, result)
+    with _output_dir(args.outdir) as outdir:
+        result = run_example1(
+            gammas=args.gammas,
+            step_exponents=range(args.min_exp, args.max_exp + 1),
+            replications=args.replications,
+            p=args.p,
+            seed=args.seed,
+        )
+        _write_tables(outdir, result)
 
-    metric_lp = mc_metric_name(args.p)
-    panels = [
-        _error_panel(
-            f"example1_errors_gamma{label}.dat",
-            f"gamma={label}",
-            [
-                ("ctq_abs", CTQ, result.report(label, CTQ, METRIC_ABSOLUTE).ladder),
-                (f"rtq_l{args.p:g}", f"{RTQ} L{args.p:g}", result.report(label, RTQ, metric_lp).ladder),
-                ("rtq_pathwise", f"{RTQ} {METRIC_PATHWISE}", result.report(label, RTQ, METRIC_PATHWISE).ladder),
-            ],
-            # The orders on t**gamma: min(gamma + 1, 2) for CTQ and
-            # min(gamma + 1, 2.5) for RTQ in L^p, one guide if they agree.
-            sorted({min(gamma + 1.0, 2.0), min(gamma + 1.0, 2.5)}),
+        metric_lp = mc_metric_name(args.p)
+        panels = [
+            _error_panel(
+                f"example1_errors_gamma{label}.dat",
+                f"gamma={label}",
+                [
+                    ("ctq_abs", CTQ, result.report(label, CTQ, METRIC_ABSOLUTE).ladder),
+                    (f"rtq_l{args.p:g}", f"{RTQ} L{args.p:g}", result.report(label, RTQ, metric_lp).ladder),
+                    ("rtq_pathwise", f"{RTQ} {METRIC_PATHWISE}", result.report(label, RTQ, METRIC_PATHWISE).ladder),
+                ],
+                # The orders on t**gamma: min(gamma + 1, 2) for CTQ and
+                # min(gamma + 1, 2.5) for RTQ in L^p, one guide if they agree.
+                sorted({min(gamma + 1.0, 2.0), min(gamma + 1.0, 2.5)}),
+            )
+            for gamma, label in ((gamma, f"{gamma:g}") for gamma in args.gammas)
+        ]
+        timing_label = "1.5" if 1.5 in args.gammas else f"{args.gammas[0]:g}"
+        panels.append(
+            _timing_panel(
+                f"example1_timing_gamma{timing_label}.dat",
+                f"time cost, gamma={timing_label}",
+                [result.report(timing_label, CTQ, METRIC_ABSOLUTE).ladder, result.report(timing_label, RTQ, metric_lp).ladder],
+            )
         )
-        for gamma, label in ((gamma, f"{gamma:g}") for gamma in args.gammas)
-    ]
-    timing_label = "1.5" if 1.5 in args.gammas else f"{args.gammas[0]:g}"
-    panels.append(
-        _timing_panel(
-            f"example1_timing_gamma{timing_label}.dat",
-            f"time cost, gamma={timing_label}",
-            [result.report(timing_label, CTQ, METRIC_ABSOLUTE).ladder, result.report(timing_label, RTQ, metric_lp).ladder],
-        )
-    )
-    _write_plots(outdir, "example1.gp", panels)
+        _write_plots(outdir, "example1.gp", panels)
     print(f"example1: wrote errors.csv, orders.csv, {len(panels)} plot panel(s) to {outdir}")
     return EXIT_OK
 
@@ -318,23 +335,23 @@ def cmd_example1(args: argparse.Namespace) -> int:
 def cmd_example2(args: argparse.Namespace) -> int:
     if args.h_ref_exp < args.max_exp:
         raise ValueError("h-ref-exp must be at least max-exp (reference finer than coarse grids)")
-    outdir = _ensure_outdir(args.outdir)
-    result = run_example2(
-        step_exponents=range(args.min_exp, args.max_exp + 1),
-        reference_step=2.0**-args.h_ref_exp,
-        seed=args.seed,
-    )
-    _write_tables(outdir, result)
-    if args.dump_path:
-        path = example2_path(args.seed, 2.0**-args.h_ref_exp)
-        _write_csv(os.path.join(outdir, "path.csv"), ["j", "t", "B_grid", "tau", "t_mid", "B_mid"], _path_rows(*path))
+    with _output_dir(args.outdir) as outdir:
+        result = run_example2(
+            step_exponents=range(args.min_exp, args.max_exp + 1),
+            reference_step=2.0**-args.h_ref_exp,
+            seed=args.seed,
+        )
+        _write_tables(outdir, result)
+        if args.dump_path:
+            path = example2_path(args.seed, 2.0**-args.h_ref_exp)
+            _write_csv(os.path.join(outdir, "path.csv"), ["j", "t", "B_grid", "tau", "t_mid", "B_mid"], _path_rows(*path))
 
-    lad_ctq, lad_rtq = (rep.ladder for rep in result.reports)
-    panels = [
-        _error_panel("example2_errors.dat", "errors vs reference", [("ctq", CTQ, lad_ctq), ("rtq", RTQ, lad_rtq)], (1.5, 2.0)),
-        _timing_panel("example2_timing.dat", "time cost", [lad_ctq, lad_rtq]),
-    ]
-    _write_plots(outdir, "example2.gp", panels)
+        lad_ctq, lad_rtq = (rep.ladder for rep in result.reports)
+        panels = [
+            _error_panel("example2_errors.dat", "errors vs reference", [("ctq", CTQ, lad_ctq), ("rtq", RTQ, lad_rtq)], (1.5, 2.0)),
+            _timing_panel("example2_timing.dat", "time cost", [lad_ctq, lad_rtq]),
+        ]
+        _write_plots(outdir, "example2.gp", panels)
     print(f"example2: wrote errors.csv, orders.csv, {len(panels)} plot panel(s) to {outdir} (reference={_fmt(result.reference)})")
     return EXIT_OK
 

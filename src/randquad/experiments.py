@@ -22,13 +22,14 @@ compensated sum, and every replication's value is bit-for-bit the one a
 separate ``rtq`` call would give.
 
 Example 2 in one pass: ``run_example2`` keeps only the path's node values
-and offsets whole.  It draws every rung's fine-cell selection first, then
-walks the bridge blocks once, carrying the Euler prefix sums, summing the
-union-grid trapezoids and keeping the selected bridge samples and the prefix
-sums at the finest rung's nodes, which is all the rungs read.  Every rule
-value is bit for bit that of ``sample_brownian_path``, ``brownian_integrand``,
-``coarsen_tau`` and the two rules composed, and the reference that of the
-trapezoidal rule on the union grid through ``BrownianIntegrand.value_at``.
+and offsets whole (``random_sources.sample_path_grid``).  It draws every
+rung's fine-cell selection first (``select_fine_cells``), then walks the
+bridge blocks once, carrying the Euler prefix sums (``euler_prefix``),
+summing the union-grid trapezoids and keeping the selected bridge samples
+and the prefix sums at the finest rung's nodes, which is all the rungs read;
+``coarse_tau_from`` turns each rung's samples into its offsets.  The
+reference is bit for bit the trapezoidal rule on the union grid through
+``BrownianIntegrand.value_at``.
 
 Timing: each quadrature call is repeated five times and the median of a
 monotonic clock is reported, which resists scheduler noise without
@@ -431,9 +432,10 @@ def run_example1(
     shared = sorted({label for label in labels if labels.count(label) > 1})
     if shared:
         raise ValueError(f"gammas {list(gammas)!r} share the labels {shared}; each gamma needs its own")
+    # Every gamma is checked before the first rung runs.
+    integrands = [power_integrand(gamma) for gamma in gammas]
     reports = []
-    for gi, (gamma, label) in enumerate(zip(gammas, labels)):
-        g = power_integrand(gamma)
+    for gi, (g, label) in enumerate(zip(integrands, labels)):
         exact = g.exact_integral
         ctq_rows, l2_rows, path_rows = [], [], []
         for hj, h in enumerate(steps):

@@ -7,10 +7,10 @@ randomised rule is designed for.
 
 The Brownian target is g(t) = integral of a Brownian path B over [0, t].
 It has no closed form, so it is approximated once on the path's fine grid
-by the left-point Euler rule (``brownian_integrand``) and the two
-quadrature rules are then evaluated on coarser grids through their
-algebraically expanded forms (``ctq_brownian``, ``rtq_brownian``), which
-collapse to running prefix sums instead of nested double sums.
+by the left-point Euler rule (``euler_prefix``, a block of cells at a time)
+and the two quadrature rules are then evaluated on coarser grids through
+their algebraically expanded forms (``ctq_brownian``, ``rtq_brownian``),
+which collapse to running prefix sums instead of nested double sums.
 
 ``sobolev_seminorm`` is a purely diagnostic discretisation of the
 fractional Sobolev (Sobolev-Slobodeckij) norm used to check which
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import CTQ, RTQ, Integrand, Partition, QuadratureValue
-from .random_sources import BrownianPath, CoarseTau
+from .random_sources import CoarseTau
 from .summation import compensated_sum
 
 # Largest ``cells`` accepted by ``sobolev_seminorm``, a time bound: memory
@@ -157,13 +157,6 @@ def euler_prefix(left_values: np.ndarray, step: float, first: float = 0.0) -> np
     return np.cumsum(prefix, out=prefix)
 
 
-def brownian_integrand(path: BrownianPath) -> BrownianIntegrand:
-    """The Euler prefix sums of a path over all its cells, as one block."""
-    prefix = euler_prefix(path.grid_values[:-1], path.step)
-    prefix.setflags(write=False)
-    return BrownianIntegrand(step=path.step, grid_values=path.grid_values, prefix=prefix, stride=1)
-
-
 def _coarse_factor(nodes: EulerNodes, part: Partition) -> int:
     factor = round(part.step / nodes.step)
     if (
@@ -206,7 +199,8 @@ def rtq_brownian(bi: EulerNodes, part: Partition, ctau: CoarseTau) -> Quadrature
 
     with all sums over n = 0..N-1.  B_tau values are reused fine-grid
     samples and B_comp values linear interpolants of the path, both fixed
-    when ``coarsen_tau`` built ``ctau`` on this path and step.
+    when ``coarse_tau_from`` built ``ctau`` on this path and step from the
+    cells ``select_fine_cells`` picked.
 
     Raises:
         ValueError: if the partition is not on the path's grid, or ``ctau``

@@ -18,24 +18,23 @@ numpy's SeedSequence staying as it is; a test compares the two on edge
 seeds and ids, so a numpy release that changed it would fail it.
 ``RngStream.generator()`` stays the single-stream path.
 
-A :class:`BrownianPath` holds a Brownian motion on the dyadic grid of
+:func:`sample_path_grid` samples a Brownian motion on the dyadic grid of
 [0, 1] (step h = 2^-k) with one extra sample strictly inside every cell,
 drawn from the Brownian bridge conditional on the cell endpoints: at time
 ``(j + tau) * h`` the bridge law is Normal with mean
 ``(1 - tau) * B_j + tau * B_{j+1}`` and variance ``tau * (1 - tau) * h``.
-It stores only what it samples; the times ``j * h`` and ``(j + tau) * h``
-are exact on this grid and are computed where they are used.  A coarser
-dyadic grid reuses the interior samples exactly: :func:`coarsen_tau` picks,
-uniformly at random, one of the k samples inside each coarse cell and
-solves for the coarse offset that lands on its time bit for bit.
-
-One stream draws a path in a fixed order: the increments and the offsets
-whole (a :class:`BrownianGrid`), then the bridge residuals a block at a
-time, which numpy's generator (it keeps no normal between calls) makes bit
-for bit one draw.  :func:`sample_path_grid` hands the blocks out one by one
-and :func:`sample_brownian_path` collects them; coarsening splits into
-:func:`select_fine_cells` and :func:`coarse_tau_from`, so a caller that
-consumes the blocks as they come keeps only the samples it selected.
+One stream draws the node values and the offsets whole (a
+:class:`BrownianGrid`), then the bridge residuals a block at a time, which
+numpy's generator (it keeps no normal between calls) makes bit for bit one
+draw; the bridge samples are handed out block by block and never held
+whole.  The times ``j * h`` and ``(j + tau) * h`` are exact on this grid
+and are computed where they are used.  A coarser dyadic grid reuses the
+interior samples exactly: :func:`select_fine_cells` picks, uniformly at
+random, one of the k fine cells inside each coarse cell, which keeps the
+coarse offsets Uniform(0, 1), and :func:`coarse_tau_from` solves for the
+offsets that land on the picked samples' times bit for bit.  The picks are
+drawn before the bridge, so a caller that consumes the blocks keeps only
+the samples it picked.
 """
 
 from __future__ import annotations
@@ -275,14 +274,6 @@ class BrownianGrid:
         return (cells + self.offsets[cells]) * self.step
 
 
-@dataclass(frozen=True, eq=False)
-class BrownianPath(BrownianGrid):
-    """A grid with its bridge samples: ``mid_values[j]`` is B at cell j's
-    interior time."""
-
-    mid_values: np.ndarray
-
-
 def sample_path_grid(stream: RngStream, step: float) -> tuple[BrownianGrid, Iterator[tuple[int, np.ndarray]]]:
     """Sample a Brownian path's nodes and offsets on the grid of [0, 1] with
     step 2^-k, with an iterator that then draws the bridge samples and
@@ -317,38 +308,27 @@ def _bridge_blocks(grid: BrownianGrid, rng: np.random.Generator) -> Iterator[tup
         yield start, mean + np.sqrt(tau * (1.0 - tau) * grid.step) * rng.standard_normal(tau.size)
 
 
-def sample_brownian_path(stream: RngStream, step: float) -> BrownianPath:
-    """:func:`sample_path_grid` with the bridge samples collected."""
-    grid, bridge = sample_path_grid(stream, step)
-    mid_values = np.empty(grid.cells)
-    for start, values in bridge:
-        mid_values[start : start + values.size] = values
-    mid_values.setflags(write=False)
-    return BrownianPath(step=grid.step, grid_values=grid.grid_values, offsets=grid.offsets, mid_values=mid_values)
-
-
 @dataclass(frozen=True, eq=False)
 class CoarseTau:
     """Coarse-grid offsets derived from a fine path's interior samples.
 
     For every coarse cell n, starting at t_n on the grid of step h, the
     time ``t_n + values[n] * h`` is bit-for-bit the path's interior sample
-    time of fine cell ``selected_indices[n]``, so ``mid_values`` are reused
-    fine-grid samples with zero interpolation error.  ``factor`` is the
-    number of fine cells per coarse cell.
+    time of the fine cell :func:`select_fine_cells` picked in it, so
+    ``mid_values`` are reused fine-grid samples with zero interpolation
+    error.  ``factor`` is the number of fine cells per coarse cell.
 
     The complementary point ``t_n + complements[n] * h`` has no sample of
     its own; ``comp_values`` holds the conditional mean of B there given the
     two fine grid values around it (their linear interpolant).  That keeps
     the construction free of randomness beyond the path's own, so a
     degenerate all-zero path yields exactly zero quadrature values.
-    ``complements`` is stored, not recomputed: 1 - (1 - tau) need not be tau.
+    ``complements`` holds the offsets ``1 - values`` of those points.
     """
 
     factor: int
     values: np.ndarray
     complements: np.ndarray
-    selected_indices: np.ndarray
     mid_values: np.ndarray
     comp_values: np.ndarray
 
@@ -356,26 +336,8 @@ class CoarseTau:
         return int(self.values.size)
 
 
-def coarsen_tau(path: BrownianPath, coarse_step: float, stream: RngStream) -> CoarseTau:
-    """Derive coarse-grid offsets that reuse the path's interior samples.
-
-    Each coarse cell of width ``coarse_step = k * path.step``, itself 2^-m,
-    contains k fine interior samples; one is selected uniformly at random
-    (from ``stream``), which keeps the coarse offsets Uniform(0,1).  Every
-    complementary value is the linear interpolant described on
-    :class:`CoarseTau`.
-
-    Raises:
-        ValueError: if ``coarse_step`` is not a power of two at least the
-            path step, a derived offset does not reproduce its fine sample
-            time exactly, or a complementary time falls on a fine node.
-    """
-    selected = select_fine_cells(path, coarse_step, stream)
-    return coarse_tau_from(path, coarse_step, selected, path.mid_values[selected])
-
-
 def select_fine_cells(grid: BrownianGrid, coarse_step: float, stream: RngStream) -> np.ndarray:
-    """The fine cell :func:`coarsen_tau` selects in each coarse cell, in
+    """One fine cell drawn uniformly from ``stream`` in each coarse cell, in
     increasing order; ValueError unless ``coarse_step`` is a power of two at
     least the grid step."""
     cells = _dyadic_cells(coarse_step)
@@ -389,7 +351,13 @@ def select_fine_cells(grid: BrownianGrid, coarse_step: float, stream: RngStream)
 
 def coarse_tau_from(grid: BrownianGrid, coarse_step: float, selected: np.ndarray, mid_values: np.ndarray) -> CoarseTau:
     """The :class:`CoarseTau` of a :func:`select_fine_cells` selection whose
-    bridge samples are ``mid_values`` (raising as :func:`coarsen_tau` does)."""
+    bridge samples are ``mid_values``.
+
+    Raises:
+        ValueError: if a derived offset leaves (0, 1) or does not reproduce
+            its fine sample time exactly, or a complementary time falls on a
+            fine node.
+    """
     h_fine = grid.step
     hc = float(coarse_step)
     starts = np.arange(selected.size) * hc
@@ -413,13 +381,12 @@ def coarse_tau_from(grid: BrownianGrid, coarse_step: float, selected: np.ndarray
     comp_values = (1.0 - frac) * grid.grid_values[cell_idx]
     comp_values += frac * grid.grid_values[cell_idx + 1]
 
-    for arr in (values, complements, selected, comp_values):
+    for arr in (values, complements, comp_values):
         arr.setflags(write=False)
     return CoarseTau(
         factor=grid.cells // selected.size,
         values=values,
         complements=complements,
-        selected_indices=selected,
         mid_values=mid_values,
         comp_values=comp_values,
     )

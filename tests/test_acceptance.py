@@ -24,13 +24,14 @@ from randquad.experiments import (
 )
 from randquad.integrands import (
     affine_integrand,
-    brownian_integrand,
     constant_integrand,
     ctq_brownian,
     power_integrand,
 )
 from randquad.quadrature import Integrand, ctq, make_partition, rtq
-from randquad.random_sources import RngStream, coarsen_tau, sample_brownian_path, sample_tau_sequence
+from randquad.random_sources import RngStream, sample_path_grid, sample_tau_sequence
+
+from brownian_paths import coarsened, euler_integrand, sampled_path
 
 GAMMAS = (1.25, 1.5, 1.75)
 GAMMA_LABELS = ("1.25", "1.5", "1.75")
@@ -148,25 +149,25 @@ def test_criterion_07_brownian_machinery():
     def check():
         terminal = np.array(
             [
-                sample_brownian_path(RngStream(DEFAULT_SEED, i), 2.0**-6).grid_values[-1]
+                sample_path_grid(RngStream(DEFAULT_SEED, i), 2.0**-6)[0].grid_values[-1]
                 for i in range(10**4)
             ]
         )
         assert abs(terminal.var() - 1.0) < 0.05, f"terminal variance {terminal.var()}"
 
-        path = sample_brownian_path(RngStream(DEFAULT_SEED, 10**5), 2.0**-14)
+        path, mid_values = sampled_path(RngStream(DEFAULT_SEED, 10**5), 2.0**-14)
         tau = path.offsets
         mean = (1.0 - tau) * path.grid_values[:-1] + tau * path.grid_values[1:]
         sd = np.sqrt(tau * (1.0 - tau) * path.step)
-        residuals = ((path.mid_values - mean) / sd)[: 10**4]
+        residuals = ((mid_values - mean) / sd)[: 10**4]
         assert abs(residuals.mean()) < 0.05, f"residual mean {residuals.mean()}"
         assert abs(residuals.var() - 1.0) < 0.07, f"residual variance {residuals.var()}"
 
         for k in (2, 4, 8, 16, 32, 64, 128, 256, 512):
             hc = k * path.step
-            ctau = coarsen_tau(path, hc, RngStream(DEFAULT_SEED, 10**5 + k))
+            selected, ctau = coarsened(path, mid_values, hc, RngStream(DEFAULT_SEED, 10**5 + k))
             starts = np.arange(path.cells // k) * hc
-            assert np.array_equal(starts + ctau.values * hc, path.mid_times(ctau.selected_indices)), f"k={k}"
+            assert np.array_equal(starts + ctau.values * hc, path.mid_times(selected)), f"k={k}"
 
     _verdict(7, "Brownian variance and bridge checks pass; coarsening reuse bit-for-bit for k=2..512", check)
 
@@ -203,8 +204,8 @@ def test_criterion_09_almost_sure_rate():
 
 def test_criterion_10_double_sum_identity():
     def check():
-        path = sample_brownian_path(RngStream(DEFAULT_SEED, 424242), 2.0**-10)
-        bi = brownian_integrand(path)
+        path, _ = sampled_path(RngStream(DEFAULT_SEED, 424242), 2.0**-10)
+        bi = euler_integrand(path)
 
         def brute_force(intervals):
             k = path.cells // intervals

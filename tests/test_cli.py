@@ -12,7 +12,8 @@ import pytest
 from randquad import cli
 from randquad.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from randquad.experiments import _LANE_PATH, _lane_stream, example2_path
-from randquad.random_sources import BrownianPath, sample_brownian_path
+
+from brownian_paths import collect_path, sampled_path
 
 
 def read_csv(path):
@@ -234,9 +235,7 @@ class TestExample2Command:
         argv = ["example2", "--h-ref-exp", "7", "--min-exp", "4", "--max-exp", "6", "--seed", "88", "--dump-path"]
         assert main(argv + ["--outdir", str(tmp_path)]) == EXIT_OK
         capsys.readouterr()
-        grid, bridge = example2_path(88, 2.0**-7)
-        mid_values = np.concatenate([values for _, values in bridge])
-        path = BrownianPath(step=grid.step, grid_values=grid.grid_values, offsets=grid.offsets, mid_values=mid_values)
+        path, mid_values = collect_path(*example2_path(88, 2.0**-7))
         header, *rows = read_csv(tmp_path / "path.csv")
         assert header == ["j", "t", "B_grid", "tau", "t_mid", "B_mid"]
         assert [int(r[0]) for r in rows] == list(range(path.cells + 1))
@@ -250,7 +249,7 @@ class TestExample2Command:
             (2, path.grid_values),
             (3, path.offsets),
             (4, path.mid_times(np.arange(path.cells))),
-            (5, path.mid_values),
+            (5, mid_values),
         ):
             np.testing.assert_array_equal(column(index, len(expected)), expected.view(np.uint64))
 
@@ -259,10 +258,10 @@ class TestExample2Command:
         argv = ["example2", "--h-ref-exp", "13", "--min-exp", "4", "--max-exp", "6", "--seed", "5", "--dump-path"]
         assert main(argv + ["--outdir", str(tmp_path)]) == EXIT_OK
         capsys.readouterr()
-        path = sample_brownian_path(_lane_stream(5, _LANE_PATH), 2.0**-13)
+        path, mid_values = sampled_path(_lane_stream(5, _LANE_PATH), 2.0**-13)
         rows = read_csv(tmp_path / "path.csv")[1:]
         assert [int(r[0]) for r in rows] == list(range(path.cells + 1))
-        for index, expected in ((2, path.grid_values[:-1]), (3, path.offsets), (5, path.mid_values)):
+        for index, expected in ((2, path.grid_values[:-1]), (3, path.offsets), (5, mid_values)):
             np.testing.assert_array_equal(np.array([float(r[index]) for r in rows[:-1]]), expected)
 
     def test_default_run_has_six_rows_per_rule(self, tmp_path, capsys):
@@ -389,6 +388,35 @@ def test_one_rung_ladder_exits_2_before_writing(subcommand, tmp_path, capsys):
     assert main(argv) == EXIT_USAGE
     assert "range(5, 6) has one exponent" in capsys.readouterr().err
     assert not (tmp_path / "errors.csv").exists()
+
+
+REJECTED_RUNS = {
+    "example1-divergent-gamma": ["example1", "--gammas", "1.5", "-2", "-M", "5", "--min-exp", "3", "--max-exp", "4"],
+    "example1-nan-gamma": ["example1", "--gammas", "1.5", "nan", "-M", "5", "--min-exp", "3", "--max-exp", "4"],
+    "example2-one-rung": ["example2", "--min-exp", "5", "--max-exp", "5"],
+}
+
+
+@pytest.mark.parametrize("argv", REJECTED_RUNS.values(), ids=REJECTED_RUNS.keys())
+def test_rejected_run_removes_the_directories_it_made(argv, tmp_path, capsys):
+    # Each once exited 2 and left an empty a/b behind.
+    assert main(argv + ["--outdir", str(tmp_path / "a" / "b")]) == EXIT_USAGE
+    assert "error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", REJECTED_RUNS.values(), ids=REJECTED_RUNS.keys())
+def test_rejected_run_leaves_an_existing_directory_in_place(argv, tmp_path, capsys):
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "full").mkdir()
+    (tmp_path / "full" / "notes.txt").write_text("kept")
+    for outdir in ("empty", "full"):
+        assert main(argv + ["--outdir", str(tmp_path / outdir)]) == EXIT_USAGE
+    capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty", "full"]
+    assert list((tmp_path / "empty").iterdir()) == []
+    assert [p.name for p in (tmp_path / "full").iterdir()] == ["notes.txt"]
+    assert (tmp_path / "full" / "notes.txt").read_text() == "kept"
 
 
 class TestSobolevCommand:

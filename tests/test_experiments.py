@@ -24,20 +24,15 @@ from randquad.experiments import (
 )
 from randquad.integrands import (
     affine_integrand,
-    brownian_integrand,
     ctq_brownian,
     power_integrand,
     rtq_brownian,
 )
 from randquad.quadrature import Integrand, QuadratureValue, ctq, make_partition, rtq, rtq_prefix
-from randquad.random_sources import (
-    BrownianPath,
-    RngStream,
-    coarsen_tau,
-    sample_brownian_path,
-    sample_tau_sequence,
-)
+from randquad.random_sources import RngStream, sample_tau_sequence
 from randquad.summation import BLOCK_ELEMENTS, NeumaierSum, compensated_sum
+
+from brownian_paths import coarsened, collect_path, euler_integrand, hand_grid, sampled_path
 
 
 def synthetic_ladder(constant, order, exponents=(5, 6, 7, 8, 9, 10)):
@@ -335,6 +330,17 @@ def test_step_below_the_normal_range_rejected_before_sampling(driver, kwargs, mo
         driver(**kwargs)
 
 
+@pytest.mark.parametrize("gammas", [(1.5, -2.0), (1.5, float("nan"))], ids=["divergent", "nan"])
+def test_every_gamma_checked_before_the_first_rung(gammas, monkeypatch):
+    # Both once ran the whole gamma = 1.5 ladder before the second was rejected.
+    def no_work(*args):
+        raise AssertionError("a rung ran before every gamma was checked")
+
+    monkeypatch.setattr(experiments, "ctq", no_work)
+    with pytest.raises(ValueError, match="gamma must be"):
+        run_example1(gammas=gammas, step_exponents=range(5, 7), replications=5)
+
+
 class TestRunExample1:
     def test_report_layout_and_determinism(self):
         kwargs = dict(gammas=(1.5,), step_exponents=range(5, 9), replications=20, seed=77)
@@ -373,13 +379,6 @@ class TestRunExample1:
             assert np.isnan(report.fitted_order)
 
 
-def collected_example2_path(seed, reference_step):
-    """Example 2's path for ``seed`` as one :class:`BrownianPath`."""
-    grid, bridge = example2_path(seed, reference_step)
-    mid_values = np.concatenate([values for _, values in bridge])
-    return BrownianPath(step=grid.step, grid_values=grid.grid_values, offsets=grid.offsets, mid_values=mid_values)
-
-
 class TestRunExample2:
     def test_structure_and_determinism(self):
         kwargs = dict(step_exponents=range(5, 8), reference_step=2.0**-10, seed=8)
@@ -392,13 +391,13 @@ class TestRunExample2:
 
     def test_reference_is_union_trapezoid_of_the_integrand(self):
         result = run_example2(step_exponents=range(5, 7), reference_step=2.0**-9, seed=8)
-        path = collected_example2_path(8, 2.0**-9)
-        oracle = value_at_union_grid_reference(path, brownian_integrand(path))
+        path, _ = collect_path(*example2_path(8, 2.0**-9))
+        oracle = value_at_union_grid_reference(path, euler_integrand(path))
         assert np.float64(result.reference).tobytes() == np.float64(oracle).tobytes()
 
     def test_reference_matches_finest_partition_quadrature(self):
         result = run_example2(step_exponents=range(5, 7), reference_step=2.0**-9, seed=8)
-        bi = brownian_integrand(collected_example2_path(8, 2.0**-9))
+        bi = euler_integrand(collect_path(*example2_path(8, 2.0**-9))[0])
         fine = ctq_brownian(bi, make_partition(2**9)).value
         assert result.reference == pytest.approx(fine, rel=1e-13)
 
@@ -430,12 +429,12 @@ class TestRunExample2:
             result = run_example2(step_exponents=range(lo, hi + 1), reference_step=2.0**-ref_exp, seed=seed)
             streamed = [result.reference] + values[experiments.TIMING_REPEATS - 1 :: experiments.TIMING_REPEATS]
 
-            path = sample_brownian_path(_lane_stream(seed, _LANE_PATH), 2.0**-ref_exp)
-            bi = brownian_integrand(path)
+            path, mid_values = sampled_path(_lane_stream(seed, _LANE_PATH), 2.0**-ref_exp)
+            bi = euler_integrand(path)
             whole = [value_at_union_grid_reference(path, bi)]
             for hj, e in enumerate(range(lo, hi + 1)):
                 part = make_partition(2**e)
-                ctau = coarsen_tau(path, part.step, _lane_stream(seed, _LANE_COARSEN, hj))
+                _, ctau = coarsened(path, mid_values, part.step, _lane_stream(seed, _LANE_COARSEN, hj))
                 whole += [ctq_brownian(bi, part).value, rtq_brownian(bi, part, ctau).value]
             assert np.array(streamed).tobytes() == np.array(whole).tobytes(), (ref_exp, lo, hi)
 
@@ -453,18 +452,13 @@ class TestRunExample2:
 
     def test_zero_path_gives_zero_reference_and_rule_values(self):
         cells = 2**8
-        zero = BrownianPath(
-            step=2.0**-8,
-            grid_values=np.zeros(cells + 1),
-            offsets=np.full(cells, 0.4),
-            mid_values=np.zeros(cells),
-        )
+        zero = hand_grid(np.zeros(cells + 1), np.full(cells, 0.4))
         assert union_terms_sum(zero) == 0.0
-        bi = brownian_integrand(zero)
+        bi = euler_integrand(zero)
         for n in (32, 64, 128):
             part = make_partition(n)
             assert ctq_brownian(bi, part).value == 0.0
-            ctau = coarsen_tau(zero, part.step, RngStream(8, n))
+            _, ctau = coarsened(zero, np.zeros(cells), part.step, RngStream(8, n))
             assert rtq_brownian(bi, part, ctau).value == 0.0
 
 
@@ -486,17 +480,6 @@ def value_at_union_grid_reference(path, bi):
     return acc.value
 
 
-def _path(grid_values, offsets):
-    grid_values = np.asarray(grid_values, dtype=float)
-    cells = grid_values.size - 1
-    return BrownianPath(
-        step=1.0 / cells,
-        grid_values=grid_values,
-        offsets=np.asarray(offsets, dtype=float),
-        mid_values=np.zeros(cells),
-    )
-
-
 def _edge_offsets(cells):
     """Offsets one ulp of j inside cell j, alternately at its left and right end."""
     j = np.arange(cells, dtype=float)
@@ -510,32 +493,32 @@ def _edge_offsets(cells):
 def union_terms_sum(path):
     """The compensated sum of ``_union_terms`` over the path as one block,
     bit for bit the blocked sum ``run_example2`` carries."""
-    return compensated_sum(experiments._union_terms(path, brownian_integrand(path).prefix, 0))
+    return compensated_sum(experiments._union_terms(path, euler_integrand(path).prefix, 0))
 
 
 class TestUnionGridReference:
     @pytest.mark.parametrize("seed", [0, 2, 7, 11])
     def test_bitwise_equals_the_value_at_oracle(self, seed):
         for k in range(17):
-            path = sample_brownian_path(RngStream(seed, k), 2.0**-k)
-            new, old = union_terms_sum(path), value_at_union_grid_reference(path, brownian_integrand(path))
+            path, _ = sampled_path(RngStream(seed, k), 2.0**-k)
+            new, old = union_terms_sum(path), value_at_union_grid_reference(path, euler_integrand(path))
             assert np.float64(new).tobytes() == np.float64(old).tobytes(), k
 
     @pytest.mark.parametrize(
         "path",
         [
-            _path(np.zeros(2**8 + 1), np.full(2**8, 0.4)),
-            _path(np.linspace(0.0, 1.0, 9), np.full(8, 0.5)),
-            _path([0.0, 1.0, -2.0, 0.5, 3.0], [0.5] * 4),
-            _path(np.random.default_rng(5).standard_normal(2**12 + 1), _edge_offsets(2**12)),
+            hand_grid(np.zeros(2**8 + 1), np.full(2**8, 0.4)),
+            hand_grid(np.linspace(0.0, 1.0, 9), np.full(8, 0.5)),
+            hand_grid([0.0, 1.0, -2.0, 0.5, 3.0], [0.5] * 4),
+            hand_grid(np.random.default_rng(5).standard_normal(2**12 + 1), _edge_offsets(2**12)),
         ],
         ids=["zero", "linear", "hand", "edge-offsets"],
     )
     def test_hand_built_paths_bitwise_equal_the_oracle(self, path):
-        new, old = union_terms_sum(path), value_at_union_grid_reference(path, brownian_integrand(path))
+        new, old = union_terms_sum(path), value_at_union_grid_reference(path, euler_integrand(path))
         assert np.float64(new).tobytes() == np.float64(old).tobytes()
 
     def test_offset_off_its_cell_rejected(self):
         for offsets in ([0.5, 1.0, 0.5, 0.5], [0.5, 0.5, np.nan, 0.5], [0.5, 0.5, 0.5, -0.25]):
             with pytest.raises(ValueError, match="strictly increasing"):
-                union_terms_sum(_path(np.zeros(5), offsets))
+                union_terms_sum(hand_grid(np.zeros(5), offsets))

@@ -12,7 +12,6 @@ from randquad.integrands import (
     SOBOLEV_MAX_CELLS,
     _slobodeckij_sum,
     affine_integrand,
-    brownian_integrand,
     constant_integrand,
     ctq_brownian,
     power_integrand,
@@ -20,8 +19,10 @@ from randquad.integrands import (
     sobolev_seminorm,
 )
 from randquad.quadrature import Integrand, ctq, make_partition
-from randquad.random_sources import BrownianPath, RngStream, coarsen_tau, sample_brownian_path
+from randquad.random_sources import RngStream
 from randquad.summation import compensated_sum
+
+from brownian_paths import coarsened, euler_integrand, hand_grid, sampled_path
 
 
 class TestPowerIntegrand:
@@ -68,43 +69,33 @@ def test_divergent_exponent_rejected(gamma):
         power_integrand(gamma)
 
 
-def _hand_path(grid_values, offsets, mid_values):
-    grid_values = np.asarray(grid_values, dtype=float)
-    return BrownianPath(
-        step=1.0 / (grid_values.size - 1),
-        grid_values=grid_values,
-        offsets=np.asarray(offsets, dtype=float),
-        mid_values=np.asarray(mid_values, dtype=float),
-    )
-
-
 def _zero_path(cells=8):
-    return _hand_path(np.zeros(cells + 1), np.full(cells, 0.375), np.zeros(cells))
+    return hand_grid(np.zeros(cells + 1), np.full(cells, 0.375)), np.zeros(cells)
 
 
 class TestBrownianIntegrand:
     def test_prefix_starts_at_zero(self):
-        bi = brownian_integrand(sample_brownian_path(RngStream(1), 2.0**-6))
+        bi = euler_integrand(sampled_path(RngStream(1), 2.0**-6)[0])
         assert bi.prefix[0] == 0.0
 
     def test_linear_path_hand_value(self):
         # B(t_i) = t_i gives Euler sums h^2 * n(n-1)/2.
         cells = 8
         grid = np.linspace(0.0, 1.0, cells + 1)
-        path = _hand_path(grid, np.full(cells, 0.5), grid[:-1] + 0.5 / cells)
-        bi = brownian_integrand(path)
+        path = hand_grid(grid, np.full(cells, 0.5))
+        bi = euler_integrand(path)
         h = path.step
         n = np.arange(cells + 1)
         np.testing.assert_allclose(bi.prefix, h * h * n * (n - 1) / 2.0, rtol=1e-14, atol=1e-18)
 
     def test_node_evaluation_is_prefix(self):
-        path = sample_brownian_path(RngStream(2), 2.0**-8)
-        bi = brownian_integrand(path)
+        path, _ = sampled_path(RngStream(2), 2.0**-8)
+        bi = euler_integrand(path)
         np.testing.assert_array_equal(bi.value_at(np.arange(path.cells + 1) * path.step), bi.prefix)
 
     def test_euler_recurrence(self):
-        path = sample_brownian_path(RngStream(3), 2.0**-8)
-        bi = brownian_integrand(path)
+        path, _ = sampled_path(RngStream(3), 2.0**-8)
+        bi = euler_integrand(path)
         steps = np.diff(bi.prefix)
         # Differences of stored prefixes are exact only up to the rounding of
         # the prefix representation itself.
@@ -112,7 +103,7 @@ class TestBrownianIntegrand:
         np.testing.assert_allclose(steps, path.step * path.grid_values[:-1], rtol=0, atol=atol)
 
     def test_out_of_range_rejected(self):
-        bi = brownian_integrand(sample_brownian_path(RngStream(4), 2.0**-4))
+        bi = euler_integrand(sampled_path(RngStream(4), 2.0**-4)[0])
         with pytest.raises(ValueError):
             bi.value_at(np.array([1.5]))
         with pytest.raises(ValueError):
@@ -127,11 +118,11 @@ class TestBrownianIntegrand:
 
 class TestCtqBrownian:
     def test_zero_path(self):
-        bi = brownian_integrand(_zero_path())
+        bi = euler_integrand(_zero_path()[0])
         assert ctq_brownian(bi, make_partition(4)).value == 0.0
 
     def test_matches_generic_rule_on_same_nodes(self):
-        bi = brownian_integrand(sample_brownian_path(RngStream(11), 2.0**-10))
+        bi = euler_integrand(sampled_path(RngStream(11), 2.0**-10)[0])
         for n in (32, 128, 1024):
             part = make_partition(n)
             closed = ctq_brownian(bi, part).value
@@ -141,8 +132,8 @@ class TestCtqBrownian:
     def test_two_cell_hand_expansion(self):
         # Direct expansion: h * (G(t_1) + G(t_2)) - (h/2) * G(t_2) with
         # G the running Euler sums, all recomputed by brute force.
-        path = _hand_path([0.0, 1.0, -2.0, 0.5, 3.0], [0.5] * 4, [0.1] * 4)
-        bi = brownian_integrand(path)
+        path = hand_grid([0.0, 1.0, -2.0, 0.5, 3.0], [0.5] * 4)
+        bi = euler_integrand(path)
         part = make_partition(2)
         k, h = 2, 0.5
         def brute_prefix(n):
@@ -155,38 +146,38 @@ class TestCtqBrownian:
         assert abs(value - expected) <= 2 * np.spacing(abs(expected))
 
     def test_misaligned_nodes_rejected(self):
-        bi = brownian_integrand(sample_brownian_path(RngStream(5), 2.0**-3))
+        bi = euler_integrand(sampled_path(RngStream(5), 2.0**-3)[0])
         with pytest.raises(ValueError):
             ctq_brownian(bi, make_partition(3))
 
 
 class TestRtqBrownian:
     def test_zero_path(self):
-        path = _zero_path()
-        bi = brownian_integrand(path)
+        path, mid_values = _zero_path()
+        bi = euler_integrand(path)
         part = make_partition(4)
-        ctau = coarsen_tau(path, part.step, RngStream(21))
+        _, ctau = coarsened(path, mid_values, part.step, RngStream(21))
         assert rtq_brownian(bi, part, ctau).value == 0.0
 
     def test_single_cell_hand_expansion(self):
-        path = _hand_path([0.0, 0.7, -0.4], [0.25, 0.75], [2.0, -3.0])
-        bi = brownian_integrand(path)
+        path, mid_values = hand_grid([0.0, 0.7, -0.4], [0.25, 0.75]), np.array([2.0, -3.0])
+        bi = euler_integrand(path)
         part = make_partition(1)
-        ctau = coarsen_tau(path, 1.0, RngStream(9))
+        selected, ctau = coarsened(path, mid_values, 1.0, RngStream(9))
         # The selected slot s puts tau at (s + offset_s) / 2 with sample
         # mid_values[s]; the complement takes B's interpolant through
         # (0, 0.7, -0.4) at 1 - tau.  G(0) = 0 and B(0) = 0 kill the rest.
-        s = int(ctau.selected_indices[0])
+        s = int(selected[0])
         tau = (s + path.offsets[s]) / 2.0
         b_comp = np.interp(1.0 - tau, [0.0, 0.5, 1.0], path.grid_values)
-        expected = 0.25 * (tau * path.mid_values[s] + (1.0 - tau) * b_comp)
+        expected = 0.25 * (tau * mid_values[s] + (1.0 - tau) * b_comp)
         assert rtq_brownian(bi, part, ctau).value == pytest.approx(expected, rel=1e-15)
 
     def test_swap_invariance_is_exact(self):
-        path = sample_brownian_path(RngStream(14), 2.0**-10)
-        bi = brownian_integrand(path)
+        path, mid_values = sampled_path(RngStream(14), 2.0**-10)
+        bi = euler_integrand(path)
         part = make_partition(64)
-        ctau = coarsen_tau(path, part.step, RngStream(14, 1))
+        _, ctau = coarsened(path, mid_values, part.step, RngStream(14, 1))
         swapped = dataclasses.replace(
             ctau,
             values=ctau.complements,
@@ -197,17 +188,17 @@ class TestRtqBrownian:
         assert rtq_brownian(bi, part, ctau).value == rtq_brownian(bi, part, swapped).value
 
     def test_wrong_coarse_step_rejected(self):
-        path = sample_brownian_path(RngStream(15), 2.0**-8)
-        bi = brownian_integrand(path)
-        ctau = coarsen_tau(path, 2.0**-5, RngStream(15, 1))
+        path, mid_values = sampled_path(RngStream(15), 2.0**-8)
+        bi = euler_integrand(path)
+        _, ctau = coarsened(path, mid_values, 2.0**-5, RngStream(15, 1))
         with pytest.raises(ValueError):
             rtq_brownian(bi, make_partition(64), ctau)
 
     def test_wrong_cell_count_rejected(self):
         # Coarse 2^-5 on a 2^-8 path has factor 8, as N = 64 on a 2^-9 path
         # does, but 32 cells instead of 64.
-        ctau = coarsen_tau(sample_brownian_path(RngStream(16), 2.0**-8), 2.0**-5, RngStream(16, 1))
-        bi = brownian_integrand(sample_brownian_path(RngStream(16), 2.0**-9))
+        _, ctau = coarsened(*sampled_path(RngStream(16), 2.0**-8), 2.0**-5, RngStream(16, 1))
+        bi = euler_integrand(sampled_path(RngStream(16), 2.0**-9)[0])
         with pytest.raises(ValueError, match="32 cells of 8 fine cells each, but the partition has 64 cells of 8"):
             rtq_brownian(bi, make_partition(64), ctau)
 

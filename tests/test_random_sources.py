@@ -10,18 +10,21 @@ import pytest
 
 from randquad import random_sources
 from randquad.random_sources import (
-    BrownianPath,
+    BrownianGrid,
     RngStream,
     _row_generator,
     _seed_row_type,
     _seed_words,
     _strict_uniform,
-    coarsen_tau,
-    sample_brownian_path,
+    coarse_tau_from,
+    sample_path_grid,
     sample_tau_batches,
     sample_tau_sequence,
+    select_fine_cells,
 )
 from randquad.summation import BLOCK_ELEMENTS
+
+from brownian_paths import coarsened, hand_grid, sampled_path
 
 EDGE_SEEDS = [0, 1, 2, 2**32 - 1, 2**32, 2**64 - 1]
 # PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
@@ -199,7 +202,8 @@ def _whole_array_strict_uniform(rng, count, base):
 
 
 def whole_array_brownian_path(stream, step):
-    """``sample_brownian_path`` as first written, over whole arrays: the oracle."""
+    """``sample_path_grid`` with its bridge collected, as first written over
+    whole arrays: the oracle."""
     h = float(step)
     cells = round(1.0 / h)
     rng = stream.generator()
@@ -215,33 +219,49 @@ def whole_array_brownian_path(stream, step):
     np.sqrt(work, out=work)
     work *= rng.standard_normal(out=complements)
     mid_values += work
-    return BrownianPath(step=h, grid_values=grid_values, offsets=offsets, mid_values=mid_values)
+    return BrownianGrid(step=h, grid_values=grid_values, offsets=offsets), mid_values
 
 
 def assert_paths_bitwise_equal(a, b):
-    assert a.step == b.step
-    for name in ("grid_values", "offsets", "mid_values"):
-        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    (grid_a, mids_a), (grid_b, mids_b) = a, b
+    assert grid_a.step == grid_b.step
+    for name in ("grid_values", "offsets"):
+        assert getattr(grid_a, name).tobytes() == getattr(grid_b, name).tobytes(), name
+    assert mids_a.tobytes() == mids_b.tobytes(), "mid_values"
 
 
-class TestBrownianPath:
+def peak_and_kept(fn):
+    """The peak and the final traced memory of ``fn()``, with its result.
+    A first small path keeps the lazy imports behind numpy's generators out
+    of the count."""
+    sampled_path(RngStream(0), 2.0**-4)
+    tracemalloc.start()
+    try:
+        result = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, kept, result
+
+
+class TestSamplePathGrid:
     def test_starts_at_zero_every_seed(self):
         for seed in range(5):
-            path = sample_brownian_path(RngStream(seed), 2.0**-4)
-            assert path.grid_values[0] == 0.0
+            grid, _ = sample_path_grid(RngStream(seed), 2.0**-4)
+            assert grid.grid_values[0] == 0.0
 
     def test_terminal_variance(self):
         terminal = np.array(
-            [sample_brownian_path(RngStream(9, i), 2.0**-6).grid_values[-1] for i in range(10**4)]
+            [sample_path_grid(RngStream(9, i), 2.0**-6)[0].grid_values[-1] for i in range(10**4)]
         )
         assert abs(terminal.var() - 1.0) < 0.05
 
     def test_bridge_residuals_standard_normal(self):
-        path = sample_brownian_path(RngStream(23), 2.0**-14)
+        path, mid_values = sampled_path(RngStream(23), 2.0**-14)
         tau = path.offsets
         mean = (1.0 - tau) * path.grid_values[:-1] + tau * path.grid_values[1:]
         sd = np.sqrt(tau * (1.0 - tau) * path.step)
-        residuals = ((path.mid_values - mean) / sd)[: 10**4]
+        residuals = ((mid_values - mean) / sd)[: 10**4]
         assert abs(residuals.mean()) < 0.05
         assert abs(residuals.var() - 1.0) < 0.07
 
@@ -249,17 +269,17 @@ class TestBrownianPath:
         """Grid plus interior samples must still look like one Brownian path:
         each union-grid increment has variance equal to its interval length.
         This pins the orientation of the bridge mean."""
-        path = sample_brownian_path(RngStream(31), 2.0**-12)
+        path, mid_values = sampled_path(RngStream(31), 2.0**-12)
         tau = path.offsets
-        left = path.mid_values - path.grid_values[:-1]
-        right = path.grid_values[1:] - path.mid_values
+        left = mid_values - path.grid_values[:-1]
+        right = path.grid_values[1:] - mid_values
         ratios = np.concatenate(
             [left**2 / (tau * path.step), right**2 / ((1.0 - tau) * path.step)]
         )
         assert abs(ratios.mean() - 1.0) < 0.06
 
     def test_interior_times_strictly_inside(self):
-        path = sample_brownian_path(RngStream(3), 2.0**-8)
+        path, _ = sample_path_grid(RngStream(3), 2.0**-8)
         cells = np.arange(path.cells)
         assert np.all(path.mid_times(cells) > cells * path.step)
         assert np.all(path.mid_times(cells) < (cells + 1) * path.step)
@@ -268,7 +288,7 @@ class TestBrownianPath:
         # 1 + 1e-300 rounds to 1, so the first offset drawn for cell 1 would
         # put its interior time on node 1; the next draw replaces it.
         rng = PlantedGenerator({0: {1: 1e-300}})
-        path = sample_brownian_path(rng.stream(), 2.0**-4)
+        path, _ = sampled_path(rng.stream(), 2.0**-4)
         first, redraw = rng.offset_draws
         assert first[1] == 1e-300 and redraw.shape == (1,)
         assert path.offsets[1] == redraw[0]
@@ -281,9 +301,7 @@ class TestBrownianPath:
     def test_bitwise_equals_the_whole_array_oracle(self, seed):
         for k in range(17):
             stream = RngStream(seed, k)
-            assert_paths_bitwise_equal(
-                sample_brownian_path(stream, 2.0**-k), whole_array_brownian_path(stream, 2.0**-k)
-            )
+            assert_paths_bitwise_equal(sampled_path(stream, 2.0**-k), whole_array_brownian_path(stream, 2.0**-k))
 
     def test_redraws_across_blocks_and_rounds_equal_the_oracle(self):
         # Cells 1 and 4097 (in the second check block) would land on their
@@ -291,94 +309,81 @@ class TestBrownianPath:
         # 1 lands on the node again, so a second round redraws it.
         plants = {0: {1: 1e-300, 4097: 1e-300, 8191: 1.0 - 2.0**-53}, 1: {0: 1e-300}}
         rng = PlantedGenerator(plants)
-        path = sample_brownian_path(rng.stream(), 2.0**-13)
+        path, mid_values = sampled_path(rng.stream(), 2.0**-13)
         first, redraw, second = rng.offset_draws
         assert [first.size, redraw.size, second.size] == [2**13, 3, 1]
         assert path.offsets[1] == second[0]
         assert path.offsets[4097] == redraw[1] and path.offsets[8191] == redraw[2]
         oracle = whole_array_brownian_path(PlantedGenerator(plants).stream(), 2.0**-13)
-        assert_paths_bitwise_equal(path, oracle)
+        assert_paths_bitwise_equal((path, mid_values), oracle)
 
     def test_peak_holds_the_sampled_arrays_and_a_few_blocks(self):
         # Whole-array sampling peaked about 1.2 MiB above the three kept
         # arrays here; a block's temporaries are a few BLOCK_ELEMENTS values.
-        sample_brownian_path(RngStream(0), 2.0**-4)
-        tracemalloc.start()
-        try:
-            sample_brownian_path(RngStream(0), 2.0**-16)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # Consumed as they come, the bridge samples are never whole, so only
+        # the node values and the offsets are.
+        def consumed():
+            grid, bridge = sample_path_grid(RngStream(0), 2.0**-16)
+            for _ in bridge:
+                pass
+
+        peak, _, _ = peak_and_kept(consumed)
+        assert peak <= 2 * 2**16 * 8 + 8 * BLOCK_ELEMENTS * 8
+        peak, _, _ = peak_and_kept(lambda: sampled_path(RngStream(0), 2.0**-16))
         assert peak <= 3 * 2**16 * 8 + 8 * BLOCK_ELEMENTS * 8
 
     def test_keeps_only_the_sampled_arrays(self):
-        # Node values, offsets and interior values: three arrays of 2^16
-        # float64, and nothing else of that size.  A first small path keeps
-        # the lazy imports behind numpy's generators out of the count.
-        sample_brownian_path(RngStream(0), 2.0**-4)
-        tracemalloc.start()
-        try:
-            path = sample_brownian_path(RngStream(0), 2.0**-16)
-            kept, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        # Node values, offsets and collected interior values: three arrays
+        # of 2^16 float64, and nothing else of that size.
+        _, kept, (path, _) = peak_and_kept(lambda: sampled_path(RngStream(0), 2.0**-16))
         assert path.cells == 2**16
         assert kept <= 3 * 2**16 * 8 + 64 * 1024
 
     @pytest.mark.parametrize("step", [0.0, -0.5, 2.0, 0.3, 3 * 2**-4, float("nan"), float("inf")])
     def test_rejects_bad_steps(self, step):
         with pytest.raises(ValueError):
-            sample_brownian_path(RngStream(1), step)
+            sample_path_grid(RngStream(1), step)
 
 
-def _hand_path(grid_values, offsets, mid_values):
-    grid_values = np.asarray(grid_values, dtype=float)
-    return BrownianPath(
-        step=1.0 / (grid_values.size - 1),
-        grid_values=grid_values,
-        offsets=np.asarray(offsets, dtype=float),
-        mid_values=np.asarray(mid_values, dtype=float),
-    )
-
-
-class TestCoarsenTau:
+class TestCoarsening:
     def test_identity_at_factor_one(self):
-        path = sample_brownian_path(RngStream(4), 2.0**-6)
-        ctau = coarsen_tau(path, 2.0**-6, RngStream(4, 1))
+        path, mid_values = sampled_path(RngStream(4), 2.0**-6)
+        selected, ctau = coarsened(path, mid_values, 2.0**-6, RngStream(4, 1))
         assert ctau.factor == 1
         np.testing.assert_allclose(ctau.values, path.offsets, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(ctau.selected_indices, np.arange(path.cells))
+        np.testing.assert_array_equal(selected, np.arange(path.cells))
 
     def test_slot_one_formula(self):
         # Selector that picks fine slot 1 of interval 0: tau_h = (1 + tau_1) / 2.
-        path = _hand_path([0.0, 0.5, -0.25], [0.25, 0.75], [0.1, 0.2])
+        path = hand_grid([0.0, 0.5, -0.25], [0.25, 0.75])
         stream = next(
             RngStream(0, i)
             for i in range(50)
             if RngStream(0, i).generator().integers(0, 2, size=1)[0] == 1
         )
-        ctau = coarsen_tau(path, 1.0, stream)
-        assert ctau.selected_indices[0] == 1
+        selected, ctau = coarsened(path, np.array([0.1, 0.2]), 1.0, stream)
+        assert selected[0] == 1
         assert ctau.values[0] == (1.0 + 0.75) / 2.0
+        assert ctau.mid_values[0] == 0.2
 
     @pytest.mark.parametrize("k", [2**i for i in range(1, 10)])
     def test_reuse_is_bitwise_exact(self, k):
-        path = sample_brownian_path(RngStream(77), 2.0**-14)
+        path, mid_values = sampled_path(RngStream(77), 2.0**-14)
         hc = k * path.step
-        ctau = coarsen_tau(path, hc, RngStream(77, k))
+        selected, ctau = coarsened(path, mid_values, hc, RngStream(77, k))
         starts = np.arange(path.cells // k) * hc
-        np.testing.assert_array_equal(starts + ctau.values * hc, path.mid_times(ctau.selected_indices))
-        np.testing.assert_array_equal(path.mid_values[ctau.selected_indices], ctau.mid_values)
+        np.testing.assert_array_equal(starts + ctau.values * hc, path.mid_times(selected))
+        np.testing.assert_array_equal(mid_values[selected], ctau.mid_values)
         assert np.all(ctau.values > 0.0) and np.all(ctau.values < 1.0)
         lo = np.arange(len(ctau)) * k
-        assert np.all(ctau.selected_indices >= lo)
-        assert np.all(ctau.selected_indices < lo + k)
+        assert np.all(selected >= lo)
+        assert np.all(selected < lo + k)
 
     def test_coarse_offsets_still_uniform(self):
         # Uniform slot choice over per-slot uniforms keeps the marginal U(0,1):
         # Kolmogorov-Smirnov at the 1% level.
-        path = sample_brownian_path(RngStream(13), 2.0**-19)
-        ctau = coarsen_tau(path, 4 * path.step, RngStream(13, 1))
+        path, mid_values = sampled_path(RngStream(13), 2.0**-19)
+        _, ctau = coarsened(path, mid_values, 4 * path.step, RngStream(13, 1))
         u = np.sort(ctau.values)
         n = u.size
         grid = np.arange(1, n + 1) / n
@@ -386,9 +391,9 @@ class TestCoarsenTau:
         assert d_stat < 1.628 / np.sqrt(n)
 
     def test_interpolated_complement_on_generic_path(self):
-        path = sample_brownian_path(RngStream(19), 2.0**-10)
+        path, mid_values = sampled_path(RngStream(19), 2.0**-10)
         hc = 2.0**-7
-        ctau = coarsen_tau(path, hc, RngStream(19, 1))
+        _, ctau = coarsened(path, mid_values, hc, RngStream(19, 1))
         comp_times = np.arange(len(ctau)) * hc + ctau.complements * hc
         idx = np.floor(comp_times / path.step).astype(int)
         frac = (comp_times - idx * path.step) / path.step
@@ -398,7 +403,21 @@ class TestCoarsenTau:
 
     @pytest.mark.parametrize("coarse_step", [0.3, 3 * 2**-3, 2.0**-5])
     def test_rejects_non_multiple(self, coarse_step):
-        path = sample_brownian_path(RngStream(1), 2.0**-4)
+        path, _ = sample_path_grid(RngStream(1), 2.0**-4)
         with pytest.raises(ValueError):
-            coarsen_tau(path, coarse_step, RngStream(1, 1))
+            select_fine_cells(path, coarse_step, RngStream(1, 1))
 
+    @pytest.mark.parametrize(
+        "offsets,coarse_step,selected,message",
+        [
+            ([0.5] * 4, 0.5, [3, 0], r"left \(0, 1\)"),
+            ([0.19] * 4, 0.3, [0], "do not reproduce"),
+            ([1e-300, 0.5, 0.5, 0.5], 1.0, [0], "fell on fine grid nodes"),
+        ],
+        ids=["cell-outside-its-coarse-cell", "non-dyadic-step", "complement-on-a-node"],
+    )
+    def test_coarse_tau_from_rejects_offsets_off_their_times(self, offsets, coarse_step, selected, message):
+        path = hand_grid(np.zeros(5), offsets)
+        selected = np.array(selected)
+        with pytest.raises(ValueError, match=message):
+            coarse_tau_from(path, coarse_step, selected, np.zeros(selected.size))
