@@ -333,8 +333,6 @@ def cmd_example1(args: argparse.Namespace) -> int:
 
 
 def cmd_example2(args: argparse.Namespace) -> int:
-    if args.h_ref_exp < args.max_exp:
-        raise ValueError("h-ref-exp must be at least max-exp (reference finer than coarse grids)")
     with _output_dir(args.outdir) as outdir:
         result = run_example2(
             step_exponents=range(args.min_exp, args.max_exp + 1),

@@ -26,10 +26,10 @@ and offsets whole (``random_sources.sample_path_grid``).  It draws every
 rung's fine-cell selection first (``select_fine_cells``), then walks the
 bridge blocks once, carrying the Euler prefix sums (``euler_prefix``),
 summing the union-grid trapezoids and keeping the selected bridge samples
-and the prefix sums at the finest rung's nodes, which is all the rungs read;
-``coarse_tau_from`` turns each rung's samples into its offsets.  The
-reference is bit for bit the trapezoidal rule on the union grid through
-``BrownianIntegrand.value_at``.
+and the prefix sums at the finest rung's nodes: one ``BrownianIntegrand``,
+the node type both rules read; ``coarse_tau_from`` turns each rung's samples
+into its offsets.  The reference is bit for bit the trapezoidal rule on the
+union grid through that type's ``value_at`` on the path's own grid.
 
 Timing: each quadrature call is repeated five times and the median of a
 monotonic clock is reported, which resists scheduler noise without
@@ -42,12 +42,12 @@ import sys
 import time
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .integrands import (
-    EulerNodes,
+    BrownianIntegrand,
     Integrand,
     ctq_brownian,
     euler_prefix,
@@ -362,15 +362,16 @@ def _dyadic_steps(step_exponents) -> list[float]:
     return steps
 
 
-def _timed(fn):
-    """Median wall time of ``fn()`` over ``TIMING_REPEATS`` calls, plus its value."""
+def _timed_row(part: Partition, exact: float, rule) -> LadderRow:
+    """The rung of ``part``: the error |exact - value| of ``rule()``'s
+    value, and its median wall time over ``TIMING_REPEATS`` calls."""
     times = []
-    value = None
     for _ in range(TIMING_REPEATS):
         t0 = time.perf_counter()
-        value = fn()
+        q = rule()
         times.append(time.perf_counter() - t0)
-    return value, float(np.median(times))
+    error = abs(exact - q.value)
+    return LadderRow(step=part.step, intervals=part.intervals, error=error, wall_time_s=float(np.median(times)))
 
 
 def warn_if_nonmonotone(ladder: ErrorLadder) -> None:
@@ -442,29 +443,14 @@ def run_example1(
             part = make_partition(round(1.0 / h))
             slot = gi * len(steps) + hj
 
-            q, t_ctq = _timed(lambda: ctq(g, part))
-            ctq_rows.append(
-                LadderRow(step=h, intervals=part.intervals, error=abs(exact - q.value), wall_time_s=t_ctq)
-            )
+            ctq_rows.append(_timed_row(part, exact, lambda: ctq(g, part)))
 
             # One RTQ call is timed per rung; both RTQ ladders report it.
             tau_path = sample_tau_sequence(_lane_stream(seed, _LANE_PATHWISE, slot), part.intervals)
-            qp, t_rtq = _timed(lambda: rtq(g, part, tau_path))
-            path_rows.append(
-                LadderRow(step=h, intervals=part.intervals, error=abs(exact - qp.value), wall_time_s=t_rtq)
-            )
+            path_rows.append(_timed_row(part, exact, lambda: rtq(g, part, tau_path)))
 
             err, se = mc_lp_error(g, part, p, replications, _lane_stream(seed, _LANE_MC, slot))
-            l2_rows.append(
-                LadderRow(
-                    step=h,
-                    intervals=part.intervals,
-                    error=err,
-                    wall_time_s=t_rtq,
-                    replications=replications,
-                    std_error=se,
-                )
-            )
+            l2_rows.append(replace(path_rows[-1], error=err, replications=replications, std_error=se))
 
         ladders = (
             ErrorLadder(rule=CTQ, metric=METRIC_ABSOLUTE, rows=tuple(ctq_rows), label=label),
@@ -548,26 +534,20 @@ def run_example2(
     """
     steps = _dyadic_steps(step_exponents)
     if min(steps) < reference_step:
-        raise ValueError("coarse steps must not be finer than the reference step")
+        raise ValueError(f"the finest step {min(steps)!r} is finer than the reference step {reference_step!r}")
     grid, bridge = example2_path(seed, reference_step)
     selected = [select_fine_cells(grid, h, _lane_stream(seed, _LANE_COARSEN, hj)) for hj, h in enumerate(steps)]
     stride = round(min(steps) / grid.step)
     reference, node_prefix, mid_values = _stream_path(grid, bridge, selected, stride)
-    nodes = EulerNodes(step=min(steps), grid_values=grid.grid_values[::stride], prefix=node_prefix, stride=stride)
+    nodes = BrownianIntegrand(step=min(steps), grid_values=grid.grid_values[::stride], prefix=node_prefix, stride=stride)
 
     ctq_rows, rtq_rows = [], []
     for h, picked, mids in zip(steps, selected, mid_values):
         part = make_partition(round(1.0 / h))
         ctau = coarse_tau_from(grid, h, picked, mids)
 
-        qc, t_ctq = _timed(lambda: ctq_brownian(nodes, part))
-        ctq_rows.append(
-            LadderRow(step=h, intervals=part.intervals, error=abs(reference - qc.value), wall_time_s=t_ctq)
-        )
-        qr, t_rtq = _timed(lambda: rtq_brownian(nodes, part, ctau))
-        rtq_rows.append(
-            LadderRow(step=h, intervals=part.intervals, error=abs(reference - qr.value), wall_time_s=t_rtq)
-        )
+        ctq_rows.append(_timed_row(part, reference, lambda: ctq_brownian(nodes, part)))
+        rtq_rows.append(_timed_row(part, reference, lambda: rtq_brownian(nodes, part, ctau)))
 
     ladders = (
         ErrorLadder(rule=CTQ, metric=METRIC_PATHWISE, rows=tuple(ctq_rows), label="gB"),

@@ -7,10 +7,12 @@ randomised rule is designed for.
 
 The Brownian target is g(t) = integral of a Brownian path B over [0, t].
 It has no closed form, so it is approximated once on the path's fine grid
-by the left-point Euler rule (``euler_prefix``, a block of cells at a time)
-and the two quadrature rules are then evaluated on coarser grids through
-their algebraically expanded forms (``ctq_brownian``, ``rtq_brownian``),
-which collapse to running prefix sums instead of nested double sums.
+by the left-point Euler rule (``euler_prefix``, a block of cells at a time).
+``BrownianIntegrand``, the one node type, holds B and those sums at the
+nodes the two quadrature rules read; the rules are evaluated on coarser
+grids through their algebraically expanded forms (``ctq_brownian``,
+``rtq_brownian``), which collapse to running prefix sums instead of nested
+double sums.
 
 ``sobolev_seminorm`` is a purely diagnostic discretisation of the
 fractional Sobolev (Sobolev-Slobodeckij) norm used to check which
@@ -109,11 +111,20 @@ def affine_integrand(a: float, b: float) -> Integrand:
 
 
 @dataclass(frozen=True, eq=False)
-class EulerNodes:
-    """B (``grid_values``) and its Euler integral (``prefix``) at the nodes
-    ``n * step`` of a dyadic grid of [0, 1], all that ``ctq_brownian`` and
-    ``rtq_brownian`` read.  The prefix sums run over the path's fine grid,
-    which has ``stride`` cells per cell of this one."""
+class BrownianIntegrand:
+    """Euler approximation of t -> integral of B over [0, t] at the nodes
+    ``n * step`` of a dyadic grid of [0, 1]: B (``grid_values``) and its
+    Euler integral (``prefix``) there, all that ``ctq_brownian`` and
+    ``rtq_brownian`` read.
+
+    The prefix sums run over the path's fine grid, which has ``stride``
+    cells per cell of this one, with prefix[0] = 0.  At stride 1 the nodes
+    are the path's own, prefix[n] - prefix[n-1] = step * B(t_{n-1}), and
+    ``value_at`` extends the sums between nodes with the same left-point
+    convention, G(t) = prefix[n] + B(t_n) * (t - t_n): the continuous
+    piecewise-linear interpolant of the prefix sums, whose trapezoidal rule
+    on the union grid is Example 2's reference.
+    """
 
     step: float
     grid_values: np.ndarray
@@ -124,21 +135,9 @@ class EulerNodes:
     def cells(self) -> int:
         return int(self.grid_values.size - 1)
 
-
-@dataclass(frozen=True, eq=False)
-class BrownianIntegrand(EulerNodes):
-    """Euler approximation of t -> integral of B over [0, t] on the path's
-    fine grid of [0, 1] (the nodes are the path's own).
-
-    ``prefix[n]`` approximates the integral up to the n-th fine node, with
-    prefix[0] = 0 and prefix[n] - prefix[n-1] = step * B(t_{n-1}).  Between
-    nodes the value is extended with the same left-point convention,
-    G(t) = prefix[n] + B(t_n) * (t - t_n), which makes the extension the
-    continuous piecewise-linear interpolant of the prefix sums.  Example 2's
-    reference is the trapezoidal rule on the union grid through ``value_at``.
-    """
-
     def value_at(self, times) -> np.ndarray:
+        if self.stride != 1:
+            raise ValueError(f"value_at needs the path's own grid (stride 1), got stride {self.stride!r}")
         t = np.asarray(times, dtype=np.float64)
         if t.size and not (t.min() >= 0.0 and t.max() <= 1.0):
             bad = t[~((t >= 0.0) & (t <= 1.0))][0]
@@ -157,13 +156,9 @@ def euler_prefix(left_values: np.ndarray, step: float, first: float = 0.0) -> np
     return np.cumsum(prefix, out=prefix)
 
 
-def _coarse_factor(nodes: EulerNodes, part: Partition) -> int:
-    factor = round(part.step / nodes.step)
-    if (
-        factor < 1
-        or factor * part.intervals != nodes.cells
-        or not np.array_equal(part.nodes, np.arange(0, nodes.cells + 1, factor) * nodes.step)
-    ):
+def _coarse_factor(nodes: BrownianIntegrand, part: Partition) -> int:
+    factor, rest = divmod(nodes.cells, part.intervals)
+    if rest or factor * nodes.step != part.step:
         raise ValueError(
             "partition nodes are not a subset of the path's grid "
             f"(coarse step {part.step!r}, grid step {nodes.step!r})"
@@ -171,7 +166,7 @@ def _coarse_factor(nodes: EulerNodes, part: Partition) -> int:
     return factor
 
 
-def ctq_brownian(bi: EulerNodes, part: Partition) -> QuadratureValue:
+def ctq_brownian(bi: BrownianIntegrand, part: Partition) -> QuadratureValue:
     """Classical trapezoidal quadrature of the Brownian target, expanded form.
 
     Because the integrand vanishes at 0, the trapezoid sum telescopes to
@@ -187,7 +182,7 @@ def ctq_brownian(bi: EulerNodes, part: Partition) -> QuadratureValue:
     return QuadratureValue(value=value, rule=CTQ, evaluations=2 * part.intervals)
 
 
-def rtq_brownian(bi: EulerNodes, part: Partition, ctau: CoarseTau) -> QuadratureValue:
+def rtq_brownian(bi: BrownianIntegrand, part: Partition, ctau: CoarseTau) -> QuadratureValue:
     """Randomised trapezoidal quadrature of the Brownian target, expanded form.
 
     Every cell's two interior integrals are approximated by the cell-level

@@ -274,10 +274,12 @@ class TestExample2Command:
             by_rule[row[1]] += 1
         assert by_rule == {"CTQ": 6, "RTQ": 6}
 
-    def test_reference_must_be_finest(self, capsys):
-        argv = ["example2", "--h-ref-exp", "8", "--max-exp", "10"]
+    def test_reference_must_be_finest(self, tmp_path, capsys):
+        argv = ["example2", "--h-ref-exp", "8", "--max-exp", "10", "--outdir", str(tmp_path / "a" / "b")]
         assert main(argv) == EXIT_USAGE
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"finest step {2.0**-10!r}" in err and f"reference step {2.0**-8!r}" in err
+        assert not (tmp_path / "a").exists()
 
 
 def _plot_clauses(script):

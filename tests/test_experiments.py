@@ -1,3 +1,4 @@
+import re
 import time
 import tracemalloc
 
@@ -364,6 +365,18 @@ class TestRunExample1:
             assert row.std_error is not None and row.std_error > 0
             assert row.wall_time_s >= 0
 
+    def test_every_rung_shares_its_partition_and_rtq_timing(self):
+        result = run_example1(gammas=(1.25, 1.75), step_exponents=range(3, 7), replications=5, seed=4)
+        for label in ("1.25", "1.75"):
+            ctq_rows, l2_rows, path_rows = (
+                result.report(label, rule, metric).ladder.rows
+                for rule, metric in (("CTQ", "absolute"), ("RTQ", "L2_monte_carlo"), ("RTQ", "pathwise"))
+            )
+            for i, c, l2, pw in zip(range(3, 7), ctq_rows, l2_rows, path_rows, strict=True):
+                assert l2.wall_time_s == pw.wall_time_s
+                for row in (c, l2, pw):
+                    assert (row.step, row.intervals) == (2.0**-i, 2**i)
+
     def test_unknown_report_raises(self):
         result = run_example1(gammas=(1.25,), step_exponents=range(5, 7), replications=5, seed=3)
         with pytest.raises(KeyError):
@@ -402,8 +415,15 @@ class TestRunExample2:
         assert result.reference == pytest.approx(fine, rel=1e-13)
 
     def test_rejects_steps_finer_than_reference(self):
-        with pytest.raises(ValueError):
+        message = f"finest step {2.0**-11!r} is finer than the reference step {2.0**-10!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             run_example2(step_exponents=range(5, 12), reference_step=2.0**-10, seed=8)
+
+    def test_both_ladders_share_every_rungs_partition(self):
+        result = run_example2(step_exponents=range(2, 7), reference_step=2.0**-8, seed=8)
+        ctq_rows, rtq_rows = (report.ladder.rows for report in result.reports)
+        for i, c, r in zip(range(2, 7), ctq_rows, rtq_rows, strict=True):
+            assert (c.step, c.intervals) == (r.step, r.intervals) == (2.0**-i, 2**i)
 
     # On the reference grid itself CTQ can equal the reference exactly.
     @pytest.mark.filterwarnings("ignore:fit_order. excluded")

@@ -10,6 +10,7 @@ import pytest
 
 from randquad.integrands import (
     SOBOLEV_MAX_CELLS,
+    BrownianIntegrand,
     _slobodeckij_sum,
     affine_integrand,
     constant_integrand,
@@ -115,6 +116,13 @@ class TestBrownianIntegrand:
             bi.value_at(np.nan)
         assert bi.value_at(np.array([])).shape == (0,)
 
+    def test_value_at_needs_the_paths_own_grid(self):
+        # At stride 2 the prefix sums run over a grid twice as fine as the
+        # nodes, so the left-point extension would mix the two grids.
+        bi = BrownianIntegrand(step=0.25, grid_values=np.zeros(5), prefix=np.zeros(5), stride=2)
+        with pytest.raises(ValueError, match="stride 1"):
+            bi.value_at(np.array([0.5]))
+
 
 class TestCtqBrownian:
     def test_zero_path(self):
@@ -145,10 +153,12 @@ class TestCtqBrownian:
         value = ctq_brownian(bi, part).value
         assert abs(value - expected) <= 2 * np.spacing(abs(expected))
 
-    def test_misaligned_nodes_rejected(self):
+    # 3 and 5 cells do not divide the path's 8; 16 is finer than it.
+    @pytest.mark.parametrize("intervals", [3, 5, 16])
+    def test_misaligned_nodes_rejected(self, intervals):
         bi = euler_integrand(sampled_path(RngStream(5), 2.0**-3)[0])
-        with pytest.raises(ValueError):
-            ctq_brownian(bi, make_partition(3))
+        with pytest.raises(ValueError, match="not a subset of the path's grid"):
+            ctq_brownian(bi, make_partition(intervals))
 
 
 class TestRtqBrownian:
@@ -186,6 +196,13 @@ class TestRtqBrownian:
             comp_values=ctau.mid_values,
         )
         assert rtq_brownian(bi, part, ctau).value == rtq_brownian(bi, part, swapped).value
+
+    @pytest.mark.parametrize("intervals", [3, 5, 16])
+    def test_misaligned_nodes_rejected(self, intervals):
+        path, mid_values = sampled_path(RngStream(5), 2.0**-3)
+        _, ctau = coarsened(path, mid_values, 2.0**-2, RngStream(5, 1))
+        with pytest.raises(ValueError, match="not a subset of the path's grid"):
+            rtq_brownian(euler_integrand(path), make_partition(intervals), ctau)
 
     def test_wrong_coarse_step_rejected(self):
         path, mid_values = sampled_path(RngStream(15), 2.0**-8)
