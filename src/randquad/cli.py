@@ -38,6 +38,7 @@ from .experiments import (
     DEFAULT_REPLICATIONS,
     DEFAULT_SEED,
     DEFAULT_STEP_EXPONENTS,
+    MAX_STEP_EXPONENT,
     METRIC_ABSOLUTE,
     METRIC_PATHWISE,
     ErrorLadder,
@@ -333,6 +334,9 @@ def cmd_example1(args: argparse.Namespace) -> int:
 
 
 def cmd_example2(args: argparse.Namespace) -> int:
+    # 2.0**-h_ref_exp overflows below -1023, and above 1022 it is subnormal or 0.0.
+    if not 0 <= args.h_ref_exp <= MAX_STEP_EXPONENT:
+        raise ValueError(f"--h-ref-exp must lie in [0, {MAX_STEP_EXPONENT}], got {args.h_ref_exp}")
     with _output_dir(args.outdir) as outdir:
         result = run_example2(
             step_exponents=range(args.min_exp, args.max_exp + 1),

@@ -76,6 +76,8 @@ DEFAULT_REPLICATIONS = 100
 DEFAULT_P = 2.0
 # Example 2's reference step is 2^-DEFAULT_REFERENCE_EXP.
 DEFAULT_REFERENCE_EXP = 14
+# Largest step exponent i: 2^-1022 is the smallest normal double.
+MAX_STEP_EXPONENT = 1022
 
 METRIC_ABSOLUTE = "absolute"
 METRIC_PATHWISE = "pathwise"
@@ -357,7 +359,7 @@ def _dyadic_steps(step_exponents) -> list[float]:
         if h < sys.float_info.min:
             raise ValueError(
                 f"the step exponent {i!r} gives the step 2^-{i} = {h!r}, not a normal double; "
-                "exponents must be at most 1022"
+                f"exponents must be at most {MAX_STEP_EXPONENT}"
             )
     return steps
 

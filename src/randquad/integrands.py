@@ -21,10 +21,12 @@ regularity class an integrand belongs to.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .quadrature import CTQ, RTQ, Integrand, Partition, QuadratureValue
 from .random_sources import CoarseTau
@@ -32,9 +34,16 @@ from .summation import compensated_sum
 
 # Largest ``cells`` accepted by ``sobolev_seminorm``, a time bound: memory
 # stays small, but the double integral is O(cells**2) work, and one estimate
-# at 8192 cells takes about 0.08 s at p = 2 and 0.24 s at p = 2.5 (2-vCPU
+# at 8192 cells takes about 0.05 s at p = 2 and 0.2 s at p = 2.5 (2-vCPU
 # x86-64 VM, 2 MiB L2 per core, numpy 2.4).
 SOBOLEV_MAX_CELLS = 8192
+
+# Values per block of Slobodeckij diagonals (``_slobodeckij_sum``), 256 KiB.
+# A block costs about 10 us of numpy calls however few values it holds:
+# blocks of 2**14 values were slower at 4096 and 8192 cells.  Blocks of
+# 2**16 values saved up to a tenth of the time at 4096 cells and raised the
+# peak RSS of ``sobolev --cells 1024`` by about 0.25 MiB more.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 def _finite(name: str, value: float) -> float:
@@ -233,38 +242,74 @@ class SobolevEstimate:
 
 
 def _slobodeckij_sum(dv, delta: float, p: float, exponent: float) -> float:
-    """Sum of the Slobodeckij kernel over the kept pairs, one diagonal at a time.
+    """Sum of the Slobodeckij kernel over the kept pairs, a block of diagonals at a time.
 
     Midpoints i and j are k = |i - j| cells apart, and the kernel takes
     their distance as d_k = k / cells, correctly rounded, not as the rounded
     difference of the two midpoints: whether a pair is kept (d_k >= delta)
     then depends on k alone.  A kept pair adds |dv_i - dv_j| ** p / d_k **
     exponent.  The kernel is symmetric, so each kept diagonal k >= 1 is
-    summed once, divided once by d_k ** exponent and counted twice; the
+    summed once, divided by d_k ** exponent and counted twice; the
     diagonals are combined by ``compensated_sum``.
 
-    d_k >= delta is monotone in k, so the loop starts at the first kept
-    diagonal.  Each diagonal is made in one reused buffer of ``cells``
-    values by three numpy calls (difference, power, ``np.add.reduce``) and
-    has the bits of ``np.sum(np.abs(dv[k:] - dv[:-k]) ** p)``: ``np.sum``
-    of a 1-d float64 array is ``np.add.reduce``, and at p = 2 an array's
-    ``** 2.0`` is ``np.square`` and x * x == |x| * |x| exactly, so the
-    ``abs`` pass is skipped there.
+    d_k >= delta is monotone in k, so the work starts at the first kept
+    diagonal.  Each diagonal's sum has the bits of
+    ``np.sum(np.abs(dv[k:] - dv[:-k]) ** p)``, yet a block of R consecutive
+    diagonals k, ..., k + R - 1 takes one subtraction, one power and one
+    ``np.add.reduceat``:
+
+    - The block is a reused buffer viewed as (R, L + 1), where L = cells - k
+      is the length of its longest diagonal.  Row r holds 0.0 and then
+      ``windows[k + r, :L] - dv[:L]``, ``windows`` being the length-cells
+      windows of dv followed by zeros: diagonal k + r, then r padding values
+      0.0 - dv_i, whose p-th powers the |dg|^p term already takes, so they
+      overflow only where that term does.
+    - ``np.sum`` of a 1-d float64 array is ``np.add.reduce``, which is 0.0
+      plus numpy's pairwise sum of all n values, while a ``reduceat``
+      segment is its first value plus the pairwise sum of the other n - 1.
+      A segment from a row's leading 0.0 to the end of its diagonal is
+      therefore that diagonal's ``np.add.reduce`` bit for bit.  The padding
+      falls into the segments in between, which are discarded, and the
+      block handed to ``reduceat`` ends with the last diagonal, so it reads
+      only values written for this block.
+    - At p = 2 an array's ``** 2.0`` is ``np.square`` and x * x == |x| * |x|
+      exactly, so the ``abs`` pass is skipped there.
     """
     cells = dv.size
-    buffer = np.empty(cells)
     first = next((k for k in range(1, cells) if k / cells >= delta), cells)
-    diagonals = []
-    for k in range(first, cells):
-        diagonal = buffer[: cells - k]
-        np.subtract(dv[k:], dv[:-k], out=diagonal)
+    padded = np.zeros(2 * cells)
+    padded[:cells] = dv
+    windows = sliding_window_view(padded, cells)
+    buffer = np.empty(max(_BLOCK_ELEMENTS, cells))
+    # reduceat cut j of a block with rows of L + 1 values lies at
+    # cut_row[j] * (L + 1) - cut_back[j]: even j = 2 r at row r's leading
+    # 0.0, odd j = 2 r + 1 just after its diagonal.  A block has at most
+    # min(L, _BLOCK_ELEMENTS // (L + 1)) <= isqrt(_BLOCK_ELEMENTS) rows.
+    cut = np.arange(2 * math.isqrt(_BLOCK_ELEMENTS))
+    cut_row = (cut + 1) // 2
+    cut_back = cut % 2 * (cut // 2)
+    segment_sums = np.empty(2 * (cells - first))
+    k = first
+    while k < cells:
+        length = cells - k
+        rows = max(1, min(length, _BLOCK_ELEMENTS // (length + 1)))
+        block = buffer[: rows * (length + 1)].reshape(rows, length + 1)
+        block[:, 0] = 0.0
+        np.subtract(windows[k : k + rows, :length], dv[:length], out=block[:, 1:])
+        flat = buffer[: rows * length + 1]
         if p == 2.0:
-            np.square(diagonal, out=diagonal)
+            np.square(flat, out=flat)
         else:
-            np.abs(diagonal, out=diagonal)
-            np.power(diagonal, p, out=diagonal)
-        diagonals.append(np.add.reduce(diagonal) / (k / cells) ** exponent)
-    return 2.0 * compensated_sum(diagonals)
+            np.abs(flat, out=flat)
+            np.power(flat, p, out=flat)
+        cuts = 2 * rows - 1
+        at = 2 * (k - first)
+        np.add.reduceat(flat, cut_row[:cuts] * (length + 1) - cut_back[:cuts], out=segment_sums[at : at + cuts])
+        k += rows
+    # Python-float powers, as one diagonal at a time took them: numpy's
+    # array power may take a SIMD loop that rounds differently.
+    divisors = np.fromiter(((k / cells) ** exponent for k in range(first, cells)), float, cells - first)
+    return 2.0 * compensated_sum(segment_sums[::2] / divisors)
 
 
 def sobolev_seminorm(
@@ -288,10 +333,11 @@ def sobolev_seminorm(
     sits at or beyond the membership boundary, which is what makes it
     useful as a (purely heuristic) diagnostic.
 
-    The double integral is summed one diagonal of the ``cells x cells``
-    kernel at a time (see ``_slobodeckij_sum``), so memory stays O(cells).
-    The work is O(cells**2), so ``cells`` is capped at ``SOBOLEV_MAX_CELLS``
-    to bound the time (about 0.08 s per estimate at that size and p = 2).
+    The double integral is summed by diagonals of the ``cells x cells``
+    kernel, a block of them at a time in one reused buffer (see
+    ``_slobodeckij_sum``), so memory stays O(cells).  The work is
+    O(cells**2), so ``cells`` is capped at ``SOBOLEV_MAX_CELLS`` to bound the
+    time (about 0.05 s per estimate at that size and p = 2).
 
     Raises:
         ValueError: if ``g`` carries no exact derivative, sigma/p/cells

@@ -392,6 +392,17 @@ def test_one_rung_ladder_exits_2_before_writing(subcommand, tmp_path, capsys):
     assert not (tmp_path / "errors.csv").exists()
 
 
+@pytest.mark.parametrize("h_ref_exp", ["-2000", "-1", "1023", "2000"])
+def test_reference_exponent_out_of_range_exits_2_naming_the_flag(h_ref_exp, tmp_path, capsys):
+    # -2000 once failed with "(34, 'Numerical result out of range')" and 2000
+    # with "step must be 2^-k ..., got 0.0", neither naming the flag.
+    argv = ["example2", "--h-ref-exp", h_ref_exp, "--outdir", str(tmp_path / "a" / "b")]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: --h-ref-exp must lie in [0, 1022], got {h_ref_exp}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 REJECTED_RUNS = {
     "example1-divergent-gamma": ["example1", "--gammas", "1.5", "-2", "-M", "5", "--min-exp", "3", "--max-exp", "4"],
     "example1-nan-gamma": ["example1", "--gammas", "1.5", "nan", "-M", "5", "--min-exp", "3", "--max-exp", "4"],

@@ -333,22 +333,51 @@ class TestSobolevSeminorm:
         assert abs(est.term_slobodeckij - oracle) <= np.spacing(oracle)
 
     @pytest.mark.parametrize("p", [2.0, 2.5, 3.0])
-    @pytest.mark.parametrize("cells", [2, 3, 7, 257, 1024, 1500, 4096])
+    @pytest.mark.parametrize("cells", [2, 3, 7, 8, 9, 128, 129, 136, 257, 1024, 1500, 4096, SOBOLEV_MAX_CELLS])
     @pytest.mark.parametrize("delta_of", [
         lambda cells: 2 / cells,
         lambda cells: 3 / cells,
         lambda cells: np.nextafter(3 / cells, 0.0),
-    ], ids=["2/cells", "3/cells", "below-3/cells"])
+        lambda cells: (cells - 1) / cells,
+        lambda cells: 1.5,
+    ], ids=["2/cells", "3/cells", "below-3/cells", "last-diagonal", "none-kept"])
     def test_diagonal_sum_matches_fresh_temporaries_bit_for_bit(self, cells, p, delta_of):
         # The differences change sign, so negative ones reach both the square
         # at p = 2 and the abs before np.power; a read-only dv shows that the
-        # kernel writes only into its own buffer.
+        # kernel writes only into its own buffer.  Around 8 and 128 values
+        # numpy's pairwise sum changes its tree, and a block's rows run from
+        # one diagonal to over a hundred.  Under errstate(all="raise"),
+        # arithmetic on a padding value or on an unwritten buffer value that
+        # overflowed or made a nan would raise.
         mid = (np.arange(cells) + 0.5) / cells
         dv = power_integrand(1.5).exact_derivative(mid) - 1.0
         dv.setflags(write=False)
         delta = float(delta_of(cells))
         exponent = 1.0 + 0.2 * p
-        assert _slobodeckij_sum(dv, delta, p, exponent) == diagonal_slobodeckij_sum(dv, delta, p, exponent)
+        with np.errstate(all="raise"):
+            got = _slobodeckij_sum(dv, delta, p, exponent)
+        assert got == diagonal_slobodeckij_sum(dv, delta, p, exponent)
+
+    @pytest.mark.parametrize("gamma, sigma, p, exact", [
+        (1.5, 1.2, 2.0, 0.7582166143),
+        (1.25, 1.2, 2.0, 0.2798637573),
+        (1.5, 1.4, 3.0, 0.8838739441),
+    ])
+    def test_slobodeckij_term_converges_to_the_closed_form(self, gamma, sigma, p, exact):
+        # With a = gamma - 1 and s = sigma - 1, substituting y = x u turns the
+        # double integral of |g'(x) - g'(y)|^p / |x - y|^(1 + s p) for
+        # g = t**gamma into gamma^p * 2 / (a p - s p + 1) times the integral
+        # over (0, 1) of |1 - u^a|^p (1 - u)^(-1 - s p).  The values are that
+        # expression evaluated by mpmath at 30 digits, rounded to ten.  This
+        # checks the kernel's value, not its agreement with an older kernel.
+        g = power_integrand(gamma)
+        error = {
+            cells: abs(sobolev_seminorm(g, sigma, p, cells).term_slobodeckij - exact) / exact
+            for cells in (2048, SOBOLEV_MAX_CELLS)
+        }
+        assert error[SOBOLEV_MAX_CELLS] < error[2048]
+        if gamma == 1.5:
+            assert error[SOBOLEV_MAX_CELLS] < 1e-4
 
     # The midpoint difference once dropped 258 of the 510 pairs at |i - j| = 2
     # for 257 cells, 1760 of 2996 for 1500 and 2778 of 5996 for 3000.
