@@ -334,18 +334,18 @@ def cmd_example1(args: argparse.Namespace) -> int:
 
 
 def cmd_example2(args: argparse.Namespace) -> int:
-    # 2.0**-h_ref_exp overflows below -1023, and above 1022 it is subnormal or 0.0.
+    # run_example2 rejects these too, but naming reference_exp, not the flag.
     if not 0 <= args.h_ref_exp <= MAX_STEP_EXPONENT:
         raise ValueError(f"--h-ref-exp must lie in [0, {MAX_STEP_EXPONENT}], got {args.h_ref_exp}")
     with _output_dir(args.outdir) as outdir:
         result = run_example2(
             step_exponents=range(args.min_exp, args.max_exp + 1),
-            reference_step=2.0**-args.h_ref_exp,
+            reference_exp=args.h_ref_exp,
             seed=args.seed,
         )
         _write_tables(outdir, result)
         if args.dump_path:
-            path = example2_path(args.seed, 2.0**-args.h_ref_exp)
+            path = example2_path(args.seed, args.h_ref_exp)
             _write_csv(os.path.join(outdir, "path.csv"), ["j", "t", "B_grid", "tau", "t_mid", "B_mid"], _path_rows(*path))
 
         lad_ctq, lad_rtq = (rep.ladder for rep in result.reports)

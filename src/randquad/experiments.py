@@ -1,13 +1,15 @@
 """Error estimation, convergence-order fitting, and experiment drivers.
 
 Two reproduction drivers live here.  ``run_example1`` integrates the power
-functions t**gamma over a dyadic ladder of step sizes and reports three
-error ladders per exponent: the deterministic rule's absolute error, the
-randomised rule's Monte Carlo L^p error, and a single-realisation
-(pathwise) error.  ``run_example2`` does the same comparison for the
-Brownian-driven integrand against a fine union-grid reference.
+functions t**gamma over a dyadic ladder and reports three error ladders per
+exponent: the deterministic rule's absolute error, the randomised rule's
+Monte Carlo L^p error, and a single-realisation (pathwise) error.
+``run_example2`` does the same comparison for the Brownian-driven
+integrand against a fine union-grid reference.  Both take integer step
+exponents i and name each grid by its cell count 2^i (``_ladder``); a step
+is ``1.0 / cells``, which is 2^-i exactly for every exponent they accept.
 
-Randomness policy: every driver takes one seed; each (ladder, step,
+Randomness policy: every driver takes one seed; each (ladder, rung,
 replication) slot maps to its own stream id through a fixed packing,
 ``lane * 2^40 + slot * 2^20 + replication``, so runs are reproducible and
 replications never share a stream.  The packing holds only while slots and
@@ -38,6 +40,7 @@ distorting the typical cost.
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 import warnings
@@ -58,6 +61,7 @@ from .quadrature import CTQ, RTQ, Partition, ctq, make_partition, rtq, rtq_prefi
 from .random_sources import (
     BrownianGrid,
     RngStream,
+    _integer,
     coarse_tau_from,
     sample_path_grid,
     sample_tau_batches,
@@ -214,14 +218,14 @@ def mc_lp_error(
     batches; the result is bit-for-bit that of one ``rtq`` call per
     replication.
 
-    Raises ``ValueError`` naming ``p`` when |error|^p leaves the double
-    range: the mean is not finite, or falls below the smallest normal double
-    while some error is non-zero, or the variance of |error|^p falls below
-    it while those powers differ.  A rule that is exact on every replication
+    Raises ``ValueError`` before any draw unless ``replications`` is an
+    integer of at least 2, and naming ``p`` when |error|^p leaves the
+    double range: the mean is not finite, or falls below the smallest
+    normal double while some error is non-zero, or the variance of
+    |error|^p falls below it while those powers differ.  A rule that is exact on every replication
     returns (0, 0).
     """
-    if replications < 2:
-        raise ValueError("replications must be at least 2 to estimate a standard error")
+    replications = _integer("replications", replications, 2)
     if not 1.0 <= p < np.inf:
         raise ValueError(f"p must be finite and at least 1, got {p!r}")
     exact = g.exact_integral
@@ -285,42 +289,38 @@ def as_rate_check(
     g: Integrand,
     sigma: float,
     eps: float,
-    steps,
+    step_exponents,
     master_stream: RngStream,
 ) -> ASRateCheck:
-    """Check the almost-sure pathwise rate on one realisation per step size.
+    """Check the almost-sure pathwise rate on one realisation per rung of
+    the ladder ``step_exponents`` (as ``_ladder`` checks it).
 
-    For each step h the randomised rule's partial sums are compared with the
-    exact running integral at every node; the max error must fall below
-    h ** (1/2 + sigma - eps).  The theory guarantees this from some random
-    index onward, so callers should inspect ``first_passing_index`` rather
-    than expect every rung to pass.  Each h must be 1/N for a whole N, so
-    that the rung runs at the step it reports; every h is checked before
-    anything is drawn.
+    For each step h = 2^-i the randomised rule's partial sums are compared
+    with the exact running integral at every node; the max error must fall
+    below h ** (1/2 + sigma - eps).  The theory guarantees this from some
+    random index onward, so callers should inspect ``first_passing_index``
+    rather than expect every rung to pass.  Nothing is drawn before every
+    argument is checked.
     """
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps!r}")
     if g.exact_prefix_integral is None:
         raise ValueError(f"integrand {g.label!r} has no exact running integral")
-    steps = list(steps)
-    for h in steps:
-        # make_partition(N)'s step is 1.0 / N.
-        if not (0.0 < h <= 1.0 and np.isfinite(1.0 / h) and 1.0 / round(1.0 / h) == h):
-            raise ValueError(f"step h = {h!r} is not 1/N for a whole N >= 1")
+    ladder = _ladder(step_exponents)
     target = 0.5 + float(sigma) - float(eps)
     rows = []
-    for m, h in enumerate(steps):
-        part = make_partition(round(1.0 / h))
+    for m, cells in enumerate(ladder):
+        part = make_partition(cells)
         tau = sample_tau_sequence(
             _lane_stream(master_stream.seed, _LANE_AS_RATE, master_stream.stream_id, m),
             part.intervals,
         )
         partials = rtq_prefix(g, part, tau).value
         max_err = float(np.max(np.abs(g.exact_prefix_integral(part.nodes[1:]) - partials)))
-        bound = h**target
+        bound = part.step**target
         rows.append(
             ASRateRow(
-                step=h,
+                step=part.step,
                 intervals=part.intervals,
                 max_prefix_error=max_err,
                 bound=bound,
@@ -330,14 +330,14 @@ def as_rate_check(
     return ASRateCheck(target_exponent=target, rows=tuple(rows))
 
 
-def _dyadic_steps(step_exponents) -> list[float]:
-    """The steps 2^-i of a driver's ladder on [0, 1].
+def _ladder(step_exponents) -> list[int]:
+    """The cell counts 2^i of a driver's ladder on [0, 1], one per exponent i.
 
     A ladder needs two rungs to fit an order, so an empty or one-exponent
     range is an error, and so is an exponent below 0, whose step is longer
-    than [0, 1], one whose step 2^-i is not a normal double (i > 1022), and
-    a list that does not strictly increase; all are raised before anything
-    is sampled or written.
+    than [0, 1], one that is not an integer, one whose step 2^-i is not a
+    normal double (i > 1022), and a list that does not strictly increase;
+    all are raised before anything is sampled or written.
     """
     exponents = list(step_exponents)
     if not exponents:
@@ -352,16 +352,15 @@ def _dyadic_steps(step_exponents) -> list[float]:
         raise ValueError(
             f"the step exponent range {step_exponents!r} holds {min(exponents)!r}; exponents must be at least 0"
         )
+    exponents = [_integer("a step exponent", i, 0) for i in exponents]
     if any(b <= a for a, b in zip(exponents, exponents[1:])):
         raise ValueError(f"the step exponents {exponents!r} must strictly increase, one rung per exponent")
-    steps = [2.0**-i for i in exponents]
-    for i, h in zip(exponents, steps):
-        if h < sys.float_info.min:
-            raise ValueError(
-                f"the step exponent {i!r} gives the step 2^-{i} = {h!r}, not a normal double; "
-                f"exponents must be at most {MAX_STEP_EXPONENT}"
-            )
-    return steps
+    if (i := exponents[-1]) > MAX_STEP_EXPONENT:
+        raise ValueError(
+            f"the step exponent {i!r} gives the step 2^-{i} = {math.ldexp(1.0, -i)!r}, not a normal double; "
+            f"exponents must be at most {MAX_STEP_EXPONENT}"
+        )
+    return [2**i for i in exponents]
 
 
 def _timed_row(part: Partition, exact: float, rule) -> LadderRow:
@@ -425,12 +424,13 @@ def run_example1(
     is reproducible bit for bit.  Each gamma's ``:g`` form labels its
     ladders and files, so gammas whose labels collide raise ValueError.
     """
+    replications = _integer("replications", replications, 2)
     if replications > MAX_REPLICATIONS:
         raise ValueError(
             f"replications must be at most {MAX_REPLICATIONS} (2^20), got {replications!r}; "
             "more would reuse the next slot's random streams"
         )
-    steps = _dyadic_steps(step_exponents)
+    ladder = _ladder(step_exponents)
     labels = [f"{gamma:g}" for gamma in gammas]
     shared = sorted({label for label in labels if labels.count(label) > 1})
     if shared:
@@ -441,9 +441,9 @@ def run_example1(
     for gi, (g, label) in enumerate(zip(integrands, labels)):
         exact = g.exact_integral
         ctq_rows, l2_rows, path_rows = [], [], []
-        for hj, h in enumerate(steps):
-            part = make_partition(round(1.0 / h))
-            slot = gi * len(steps) + hj
+        for hj, cells in enumerate(ladder):
+            part = make_partition(cells)
+            slot = gi * len(ladder) + hj
 
             ctq_rows.append(_timed_row(part, exact, lambda: ctq(g, part)))
 
@@ -492,10 +492,10 @@ def _union_terms(grid: BrownianGrid, prefix: np.ndarray, start: int) -> np.ndarr
     return 0.5 * widths * (g[:-1] + g[1:])
 
 
-def example2_path(seed: int, reference_step: float) -> tuple[BrownianGrid, Iterator[tuple[int, np.ndarray]]]:
-    """Example 2's path for ``seed``, as :func:`sample_path_grid` returns it:
-    its nodes and offsets, and an iterator that draws its bridge samples."""
-    return sample_path_grid(_lane_stream(seed, _LANE_PATH), reference_step)
+def example2_path(seed: int, reference_exp: int) -> tuple[BrownianGrid, Iterator[tuple[int, np.ndarray]]]:
+    """Example 2's path for ``seed`` on 2^reference_exp cells, as
+    :func:`sample_path_grid` returns it: nodes, offsets and bridge blocks."""
+    return sample_path_grid(_lane_stream(seed, _LANE_PATH), 2**reference_exp)
 
 
 def _stream_path(grid: BrownianGrid, bridge, selected: list[np.ndarray], stride: int):
@@ -521,32 +521,33 @@ def _stream_path(grid: BrownianGrid, bridge, selected: list[np.ndarray], stride:
 
 def run_example2(
     step_exponents=DEFAULT_STEP_EXPONENTS,
-    reference_step: float = 2.0**-DEFAULT_REFERENCE_EXP,
+    reference_exp: int = DEFAULT_REFERENCE_EXP,
     seed: int = DEFAULT_SEED,
 ) -> Example2Result:
     """Brownian-target convergence study on [0, 1] against a union-grid reference.
 
-    One path per run, sampled from the seed on the dyadic grid of step
-    ``reference_step``; coarse offsets reuse the path's interior samples
-    exactly; errors are pathwise (one realisation) by construction.  The
-    reference, by fiat the exact value, is the trapezoidal value of the
-    Euler-extended integral on the union grid of fine nodes and bridge
-    samples, so the coarse rules are measured against the best trapezoidal
-    value of the very function they integrate.
+    One path per run, sampled from the seed on the grid of 2^reference_exp
+    cells (at least the finest rung's); coarse offsets reuse the path's
+    interior samples exactly; errors are pathwise (one realisation) by
+    construction.  The reference, by fiat the exact value, is the
+    trapezoidal value of the Euler-extended integral on the union grid of
+    fine nodes and bridge samples, so the coarse rules are measured against
+    the best trapezoidal value of the very function they integrate.
     """
-    steps = _dyadic_steps(step_exponents)
-    if min(steps) < reference_step:
-        raise ValueError(f"the finest step {min(steps)!r} is finer than the reference step {reference_step!r}")
-    grid, bridge = example2_path(seed, reference_step)
-    selected = [select_fine_cells(grid, h, _lane_stream(seed, _LANE_COARSEN, hj)) for hj, h in enumerate(steps)]
-    stride = round(min(steps) / grid.step)
+    ladder = _ladder(step_exponents)
+    finest = ladder[-1].bit_length() - 1
+    if not finest <= _integer("reference_exp", reference_exp, 0) <= MAX_STEP_EXPONENT:
+        raise ValueError(f"the reference exponent {reference_exp!r} must lie in [{finest}, {MAX_STEP_EXPONENT}], from the finest step exponent up")
+    grid, bridge = example2_path(seed, reference_exp)
+    selected = [select_fine_cells(grid, cells, _lane_stream(seed, _LANE_COARSEN, hj)) for hj, cells in enumerate(ladder)]
+    stride = grid.cells // ladder[-1]
     reference, node_prefix, mid_values = _stream_path(grid, bridge, selected, stride)
-    nodes = BrownianIntegrand(step=min(steps), grid_values=grid.grid_values[::stride], prefix=node_prefix, stride=stride)
+    nodes = BrownianIntegrand(grid_values=grid.grid_values[::stride], prefix=node_prefix, stride=stride)
 
     ctq_rows, rtq_rows = [], []
-    for h, picked, mids in zip(steps, selected, mid_values):
-        part = make_partition(round(1.0 / h))
-        ctau = coarse_tau_from(grid, h, picked, mids)
+    for cells, picked, mids in zip(ladder, selected, mid_values):
+        part = make_partition(cells)
+        ctau = coarse_tau_from(grid, picked, mids)
 
         ctq_rows.append(_timed_row(part, reference, lambda: ctq_brownian(nodes, part)))
         rtq_rows.append(_timed_row(part, reference, lambda: rtq_brownian(nodes, part, ctau)))

@@ -122,9 +122,9 @@ def affine_integrand(a: float, b: float) -> Integrand:
 @dataclass(frozen=True, eq=False)
 class BrownianIntegrand:
     """Euler approximation of t -> integral of B over [0, t] at the nodes
-    ``n * step`` of a dyadic grid of [0, 1]: B (``grid_values``) and its
-    Euler integral (``prefix``) there, all that ``ctq_brownian`` and
-    ``rtq_brownian`` read.
+    ``n * step`` of the grid of [0, 1] with ``cells`` cells, ``step`` being
+    ``1.0 / cells``: B (``grid_values``) and its Euler integral (``prefix``)
+    there, all that ``ctq_brownian`` and ``rtq_brownian`` read.
 
     The prefix sums run over the path's fine grid, which has ``stride``
     cells per cell of this one, with prefix[0] = 0.  At stride 1 the nodes
@@ -135,7 +135,6 @@ class BrownianIntegrand:
     on the union grid is Example 2's reference.
     """
 
-    step: float
     grid_values: np.ndarray
     prefix: np.ndarray
     stride: int
@@ -143,6 +142,10 @@ class BrownianIntegrand:
     @property
     def cells(self) -> int:
         return int(self.grid_values.size - 1)
+
+    @property
+    def step(self) -> float:
+        return 1.0 / self.cells
 
     def value_at(self, times) -> np.ndarray:
         if self.stride != 1:
@@ -167,11 +170,8 @@ def euler_prefix(left_values: np.ndarray, step: float, first: float = 0.0) -> np
 
 def _coarse_factor(nodes: BrownianIntegrand, part: Partition) -> int:
     factor, rest = divmod(nodes.cells, part.intervals)
-    if rest or factor * nodes.step != part.step:
-        raise ValueError(
-            "partition nodes are not a subset of the path's grid "
-            f"(coarse step {part.step!r}, grid step {nodes.step!r})"
-        )
+    if rest:
+        raise ValueError(f"partition nodes are not a subset of the path's grid ({part.intervals} cells, grid of {nodes.cells})")
     return factor
 
 
@@ -203,8 +203,8 @@ def rtq_brownian(bi: BrownianIntegrand, part: Partition, ctau: CoarseTau) -> Qua
 
     with all sums over n = 0..N-1.  B_tau values are reused fine-grid
     samples and B_comp values linear interpolants of the path, both fixed
-    when ``coarse_tau_from`` built ``ctau`` on this path and step from the
-    cells ``select_fine_cells`` picked.
+    when ``coarse_tau_from`` built ``ctau`` on this path from the cells
+    ``select_fine_cells`` picked, one per cell of the partition.
 
     Raises:
         ValueError: if the partition is not on the path's grid, or ``ctau``

@@ -18,19 +18,20 @@ numpy's SeedSequence staying as it is; a test compares the two on edge
 seeds and ids, so a numpy release that changed it would fail it.
 ``RngStream.generator()`` stays the single-stream path.
 
-:func:`sample_path_grid` samples a Brownian motion on the dyadic grid of
-[0, 1] (step h = 2^-k) with one extra sample strictly inside every cell,
-drawn from the Brownian bridge conditional on the cell endpoints: at time
-``(j + tau) * h`` the bridge law is Normal with mean
+:func:`sample_path_grid` samples a Brownian motion on the grid of [0, 1]
+with 2^k cells (step h = 2^-k) with one extra sample strictly inside every
+cell, drawn from the Brownian bridge conditional on the cell endpoints: at
+time ``(j + tau) * h`` the bridge law is Normal with mean
 ``(1 - tau) * B_j + tau * B_{j+1}`` and variance ``tau * (1 - tau) * h``.
 One stream draws the node values and the offsets whole (a
 :class:`BrownianGrid`), then the bridge residuals a block at a time, which
 numpy's generator (it keeps no normal between calls) makes bit for bit one
 draw; the bridge samples are handed out block by block and never held
-whole.  The times ``j * h`` and ``(j + tau) * h`` are exact on this grid
-and are computed where they are used.  A coarser dyadic grid reuses the
-interior samples exactly: :func:`select_fine_cells` picks, uniformly at
-random, one of the k fine cells inside each coarse cell, which keeps the
+whole.  A grid is named by its cell count; its step is ``1.0 / cells``, so
+the times ``j * h`` and ``(j + tau) * h`` are exact and are computed where
+they are used.  A coarser grid, whose cell count divides the path's, reuses
+the interior samples exactly: :func:`select_fine_cells` picks, uniformly at
+random, one of the fine cells inside each coarse cell, which keeps the
 coarse offsets Uniform(0, 1), and :func:`coarse_tau_from` solves for the
 offsets that land on the picked samples' times bit for bit.  The picks are
 drawn before the bridge, so a caller that consumes the blocks keeps only
@@ -40,7 +41,7 @@ the samples it picked.
 from __future__ import annotations
 
 import functools
-import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -69,6 +70,17 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence([self.seed, self.stream_id]))
+
+
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is an
+    integer (``operator.index``: not 2.5, nan or inf) of at least ``least``."""
+    try:
+        if operator.index(value) >= least:
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def _strict_uniform(rng: np.random.Generator, count: int, per_cell: bool = False) -> np.ndarray:
@@ -100,9 +112,7 @@ def sample_tau_sequence(stream: RngStream, count: int) -> np.ndarray:
 
     A 1-d float64 array; the rules form the complements 1 - tau themselves.
     """
-    if count < 1:
-        raise ValueError(f"count must be a positive integer, got {count!r}")
-    return _strict_uniform(stream.generator(), int(count))
+    return _strict_uniform(stream.generator(), _integer("count", count, 1))
 
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx): pool size, hash and
@@ -145,8 +155,6 @@ def _seed_words(seed: int, first: int, rows: int) -> np.ndarray:
     checked their range; the ids past ``first`` are checked here.
     """
     seed, first, rows = int(seed), int(first), int(rows)
-    if rows < 1:
-        raise ValueError(f"rows must be a positive integer, got {rows!r}")
     if first + rows > _MAX_UINT64:
         raise ValueError(f"stream ids {first!r} + [0, {rows!r}) leave the 64-bit unsigned range")
     ids = (np.arange(rows, dtype=np.uint64) + np.uint64(first)).astype("<u8").view("<u4").reshape(rows, 2)
@@ -217,14 +225,14 @@ def sample_tau_batches(stream: RngStream, replications: int, count: int) -> Iter
     stream's start by the single-stream rule.
 
     Raises:
-        ValueError: if a count is not positive or a stream id would leave
-            the 64-bit range (before anything is drawn).
+        ValueError: if ``replications`` or ``count`` is not a positive
+            integer, or a stream id would leave the 64-bit range (before
+            anything is drawn).
     """
-    if count < 1:
-        raise ValueError(f"count must be a positive integer, got {count!r}")
+    replications = _integer("replications", replications, 1)
+    count = _integer("count", count, 1)
     # Seeded here, outside the generator, so a bad range fails at the call.
-    words = _seed_words(stream.seed, stream.stream_id, replications)
-    return _draw_blocks(words, int(count))
+    return _draw_blocks(_seed_words(stream.seed, stream.stream_id, replications), count)
 
 
 def _draw_blocks(words: np.ndarray, count: int) -> Iterator[np.ndarray]:
@@ -239,29 +247,15 @@ def _draw_blocks(words: np.ndarray, count: int) -> Iterator[np.ndarray]:
         yield values
 
 
-def _dyadic_cells(step: float) -> int:
-    """The number of cells of a grid of [0, 1] with step 2^-k, k >= 0.
-
-    Raises:
-        ValueError: if ``step`` is not such a power of two.
-    """
-    h = float(step)
-    mantissa, exponent = math.frexp(h)
-    if not 0.0 < h <= 1.0 or mantissa != 0.5:
-        raise ValueError(f"step must be 2^-k for an integer k >= 0, got {step!r}")
-    return 2 ** (1 - exponent)
-
-
 @dataclass(frozen=True, eq=False)
 class BrownianGrid:
-    """Brownian motion on the dyadic grid of [0, 1] and one offset per cell.
+    """Brownian motion on the grid of [0, 1] and one offset per cell.
 
-    ``step`` is 2^-k.  ``grid_values[j]`` is B at the node ``j * step``, with
-    B(0) = 0, and cell j's interior time ``(j + offsets[j]) * step``
+    ``step`` is ``1.0 / cells``.  ``grid_values[j]`` is B at ``j * step``,
+    with B(0) = 0, and cell j's interior time ``(j + offsets[j]) * step``
     (:meth:`mid_times`) lies strictly inside the cell.
     """
 
-    step: float
     grid_values: np.ndarray
     offsets: np.ndarray
 
@@ -269,34 +263,40 @@ class BrownianGrid:
     def cells(self) -> int:
         return int(self.grid_values.size - 1)
 
+    @property
+    def step(self) -> float:
+        return 1.0 / self.cells
+
     def mid_times(self, cells: np.ndarray) -> np.ndarray:
         """The interior sample times of the cells with the given indices."""
         return (cells + self.offsets[cells]) * self.step
 
 
-def sample_path_grid(stream: RngStream, step: float) -> tuple[BrownianGrid, Iterator[tuple[int, np.ndarray]]]:
+def sample_path_grid(stream: RngStream, cells: int) -> tuple[BrownianGrid, Iterator[tuple[int, np.ndarray]]]:
     """Sample a Brownian path's nodes and offsets on the grid of [0, 1] with
-    step 2^-k, with an iterator that then draws the bridge samples and
-    yields ``(first cell, values)`` per block of ``BLOCK_ELEMENTS`` cells.
+    ``cells`` = 2^k cells, with an iterator that then draws the bridge
+    samples and yields ``(first cell, values)`` per block of
+    ``BLOCK_ELEMENTS`` cells.
 
     An offset whose interior time would round onto a node is redrawn within
     the offset section.  The bridge value at ``(j + tau) * h`` is
     ``((1 - tau) * B_j + tau * B_{j+1}) + sqrt(tau * (1 - tau) * h) * Z``.
 
     Raises:
-        ValueError: if ``step`` is not 2^-k for an integer k >= 0.
+        ValueError: if ``cells`` is not 2^k for an integer k >= 0.
     """
-    cells = _dyadic_cells(step)
-    h = float(step)
+    cells = _integer("cells", cells, 1)
+    if cells & (cells - 1):
+        raise ValueError(f"cells must be a power of two, got {cells!r}")
     rng = stream.generator()
     grid_values = np.zeros(cells + 1)
     increments = rng.standard_normal(out=grid_values[1:])
-    increments *= np.sqrt(h)
+    increments *= np.sqrt(1.0 / cells)
     np.cumsum(increments, out=increments)
     offsets = _strict_uniform(rng, cells, per_cell=True)
     for arr in (grid_values, offsets):
         arr.setflags(write=False)
-    grid = BrownianGrid(step=h, grid_values=grid_values, offsets=offsets)
+    grid = BrownianGrid(grid_values=grid_values, offsets=offsets)
     return grid, _bridge_blocks(grid, rng)
 
 
@@ -336,20 +336,17 @@ class CoarseTau:
         return int(self.values.size)
 
 
-def select_fine_cells(grid: BrownianGrid, coarse_step: float, stream: RngStream) -> np.ndarray:
-    """One fine cell drawn uniformly from ``stream`` in each coarse cell, in
-    increasing order; ValueError unless ``coarse_step`` is a power of two at
-    least the grid step."""
-    cells = _dyadic_cells(coarse_step)
-    if cells > grid.cells:
-        raise ValueError(
-            f"coarse_step {coarse_step!r} is not an integer multiple of the path step {grid.step!r}"
-        )
-    factor = grid.cells // cells
+def select_fine_cells(grid: BrownianGrid, cells: int, stream: RngStream) -> np.ndarray:
+    """One fine cell drawn uniformly from ``stream`` in each of ``cells``
+    coarse cells, in increasing order; ValueError unless ``cells`` is a
+    positive integer that divides the path's cell count."""
+    factor, rest = divmod(grid.cells, _integer("cells", cells, 1))
+    if rest:
+        raise ValueError(f"{cells!r} coarse cells do not divide the path's {grid.cells} cells")
     return np.arange(cells) * factor + stream.generator().integers(0, factor, size=cells)
 
 
-def coarse_tau_from(grid: BrownianGrid, coarse_step: float, selected: np.ndarray, mid_values: np.ndarray) -> CoarseTau:
+def coarse_tau_from(grid: BrownianGrid, selected: np.ndarray, mid_values: np.ndarray) -> CoarseTau:
     """The :class:`CoarseTau` of a :func:`select_fine_cells` selection whose
     bridge samples are ``mid_values``.
 
@@ -359,7 +356,7 @@ def coarse_tau_from(grid: BrownianGrid, coarse_step: float, selected: np.ndarray
             fine node.
     """
     h_fine = grid.step
-    hc = float(coarse_step)
+    hc = 1.0 / selected.size  # one pick per coarse cell
     starts = np.arange(selected.size) * hc
     mid_times = grid.mid_times(selected)
     values = (mid_times - starts) / hc

@@ -19,27 +19,28 @@ def collect_path(grid, bridge):
     return grid, mid_values
 
 
-def sampled_path(stream, step):
-    """``sample_path_grid(stream, step)``'s grid and its collected bridge samples."""
-    return collect_path(*sample_path_grid(stream, step))
+def sampled_path(stream, cells):
+    """``sample_path_grid(stream, cells)``'s grid and its collected bridge samples."""
+    return collect_path(*sample_path_grid(stream, cells))
 
 
-def coarsened(grid, mid_values, coarse_step, stream):
-    """The fine cells ``select_fine_cells`` picks from ``stream`` and the
-    :class:`CoarseTau` that ``coarse_tau_from`` derives from their samples."""
-    selected = select_fine_cells(grid, coarse_step, stream)
-    return selected, coarse_tau_from(grid, coarse_step, selected, mid_values[selected])
+def coarsened(grid, mid_values, cells, stream):
+    """The fine cells ``select_fine_cells`` picks from ``stream``, one in
+    each of ``cells`` coarse cells, and the :class:`CoarseTau` that
+    ``coarse_tau_from`` derives from their samples."""
+    selected = select_fine_cells(grid, cells, stream)
+    return selected, coarse_tau_from(grid, selected, mid_values[selected])
 
 
 def hand_grid(grid_values, offsets):
     """A grid of [0, 1] with the given node values and offsets."""
     grid_values = np.asarray(grid_values, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
-    return BrownianGrid(step=1.0 / (grid_values.size - 1), grid_values=grid_values, offsets=offsets)
+    return BrownianGrid(grid_values=grid_values, offsets=offsets)
 
 
 def euler_integrand(grid):
     """The Euler approximation of the integral of ``grid``'s path, its prefix
     sums formed over every cell as one block."""
     prefix = euler_prefix(grid.grid_values[:-1], grid.step)
-    return BrownianIntegrand(step=grid.step, grid_values=grid.grid_values, prefix=prefix, stride=1)
+    return BrownianIntegrand(grid_values=grid.grid_values, prefix=prefix, stride=1)

@@ -149,13 +149,13 @@ def test_criterion_07_brownian_machinery():
     def check():
         terminal = np.array(
             [
-                sample_path_grid(RngStream(DEFAULT_SEED, i), 2.0**-6)[0].grid_values[-1]
+                sample_path_grid(RngStream(DEFAULT_SEED, i), 2**6)[0].grid_values[-1]
                 for i in range(10**4)
             ]
         )
         assert abs(terminal.var() - 1.0) < 0.05, f"terminal variance {terminal.var()}"
 
-        path, mid_values = sampled_path(RngStream(DEFAULT_SEED, 10**5), 2.0**-14)
+        path, mid_values = sampled_path(RngStream(DEFAULT_SEED, 10**5), 2**14)
         tau = path.offsets
         mean = (1.0 - tau) * path.grid_values[:-1] + tau * path.grid_values[1:]
         sd = np.sqrt(tau * (1.0 - tau) * path.step)
@@ -165,7 +165,7 @@ def test_criterion_07_brownian_machinery():
 
         for k in (2, 4, 8, 16, 32, 64, 128, 256, 512):
             hc = k * path.step
-            selected, ctau = coarsened(path, mid_values, hc, RngStream(DEFAULT_SEED, 10**5 + k))
+            selected, ctau = coarsened(path, mid_values, path.cells // k, RngStream(DEFAULT_SEED, 10**5 + k))
             starts = np.arange(path.cells // k) * hc
             assert np.array_equal(starts + ctau.values * hc, path.mid_times(selected)), f"k={k}"
 
@@ -175,7 +175,7 @@ def test_criterion_07_brownian_machinery():
 def test_criterion_08_example2_property():
     def check():
         start = time.perf_counter()
-        result = run_example2(reference_step=2.0**-14, seed=DEFAULT_SEED)
+        result = run_example2(reference_exp=14, seed=DEFAULT_SEED)
         ctq_report = result.report("gB", "CTQ", "pathwise")
         rtq_report = result.report("gB", "RTQ", "pathwise")
         assert rtq_report.fitted_order > ctq_report.fitted_order, (
@@ -193,8 +193,7 @@ def test_criterion_08_example2_property():
 def test_criterion_09_almost_sure_rate():
     def check():
         g = power_integrand(1.75)
-        steps = [2.0**-i for i in range(5, 13)]
-        result = as_rate_check(g, sigma=2.0, eps=0.25, steps=steps, master_stream=RngStream(DEFAULT_SEED))
+        result = as_rate_check(g, sigma=2.0, eps=0.25, step_exponents=range(5, 13), master_stream=RngStream(DEFAULT_SEED))
         assert any(row.passed for row in result.rows), "no rung satisfied the bound"
         m0 = result.first_passing_index
         print(f"    almost-sure rate check: first all-passing index m0 = {m0}", flush=True)
@@ -204,7 +203,7 @@ def test_criterion_09_almost_sure_rate():
 
 def test_criterion_10_double_sum_identity():
     def check():
-        path, _ = sampled_path(RngStream(DEFAULT_SEED, 424242), 2.0**-10)
+        path, _ = sampled_path(RngStream(DEFAULT_SEED, 424242), 2**10)
         bi = euler_integrand(path)
 
         def brute_force(intervals):

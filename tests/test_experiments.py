@@ -12,6 +12,7 @@ from randquad.experiments import (
     _LANE_PATH,
     DEFAULT_SEED,
     MAX_REPLICATIONS,
+    MAX_STEP_EXPONENT,
     ErrorLadder,
     LadderRow,
     _lane_stream,
@@ -163,9 +164,12 @@ class TestMcLpError:
         with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(ValueError, match="p = 2.0"):
             mc_lp_error(g, part, 2.0, 4, RngStream(0))
 
-    def test_rejects_single_replication(self):
-        with pytest.raises(ValueError):
-            mc_lp_error(power_integrand(1.5), make_partition(4), 2.0, 1, RngStream(0))
+    @pytest.mark.parametrize("replications", [1, 2.5, 0, -3])
+    def test_rejects_replications_that_are_not_an_integer_of_at_least_two_before_drawing(self, replications, monkeypatch):
+        # 2.5 once drew two streams and divided by 2.5.
+        monkeypatch.setattr(experiments, "sample_tau_batches", lambda *args: pytest.fail("drew before the check"))
+        with pytest.raises(ValueError, match=f"replications must be an integer of at least 2, got {replications}"):
+            mc_lp_error(power_integrand(1.5), make_partition(8), 2.0, replications, RngStream(0))
 
     @pytest.mark.parametrize(
         "intervals,replications,p",
@@ -198,6 +202,16 @@ class TestStreamPacking:
             with pytest.raises(ValueError, match="collide"):
                 _lane_stream(1, 0, slot, replication)
 
+    @pytest.mark.parametrize("replications", [1, 2.5, 0, -3])
+    def test_example1_rejects_replications_that_are_not_an_integer_of_at_least_two_before_drawing(
+        self, replications, monkeypatch
+    ):
+        # 2.5 once wrote rows with M = 2.5.
+        for name in ("ctq", "sample_tau_sequence", "mc_lp_error"):
+            monkeypatch.setattr(experiments, name, lambda *args: pytest.fail("a rung ran before the check"))
+        with pytest.raises(ValueError, match=f"replications must be an integer of at least 2, got {replications}"):
+            run_example1(gammas=(1.5,), step_exponents=range(3, 5), replications=replications)
+
     def test_example1_rejects_replications_past_the_packing_before_drawing(self):
         start = time.perf_counter()
         with pytest.raises(ValueError, match="replications"):
@@ -205,12 +219,12 @@ class TestStreamPacking:
         assert time.perf_counter() - start < 1.0
 
 
-def per_node_max_prefix_errors(gamma, steps, master):
+def per_node_max_prefix_errors(gamma, step_exponents, master):
     """``as_rate_check``'s max-prefix errors as its per-node loop computed
     them, with the running integral of t**gamma in Python float arithmetic."""
     maxima = []
-    for m, h in enumerate(steps):
-        part = make_partition(round(1.0 / h))
+    for m, i in enumerate(step_exponents):
+        part = make_partition(2**i)
         stream = _lane_stream(master.seed, _LANE_AS_RATE, master.stream_id, m)
         partials = rtq_prefix(power_integrand(gamma), part, sample_tau_sequence(stream, part.intervals)).value
         max_err = 0.0
@@ -224,70 +238,75 @@ def per_node_max_prefix_errors(gamma, steps, master):
 
 class TestAsRateCheck:
     def test_max_prefix_errors_equal_the_per_node_loop_on_the_acceptance_ladder(self):
-        steps = [2.0**-i for i in range(5, 13)]
+        exponents = range(5, 13)
         master = RngStream(DEFAULT_SEED)
-        check = as_rate_check(power_integrand(1.75), 2.0, 0.25, steps, master)
-        assert [row.max_prefix_error for row in check.rows] == per_node_max_prefix_errors(1.75, steps, master)
+        check = as_rate_check(power_integrand(1.75), 2.0, 0.25, exponents, master)
+        assert [row.max_prefix_error for row in check.rows] == per_node_max_prefix_errors(1.75, exponents, master)
+        assert [(row.step, row.intervals) for row in check.rows] == [(2.0**-i, 2**i) for i in exponents]
 
     @pytest.mark.parametrize("gamma", [1.25, 1.5, 1.75])
     def test_max_prefix_errors_within_an_ulp_of_the_integral_elsewhere(self, gamma):
         # numpy's array power and Python's float power may round t**(gamma+1)
         # an ulp apart (seed 7, gamma 1.5, h = 2^-5 does), so off the
         # acceptance ladder the two agree to an ulp of the running integral.
-        steps = [2.0**-i for i in range(5, 13)]
         master = RngStream(7)
-        check = as_rate_check(power_integrand(gamma), 2.0, 0.25, steps, master)
-        loop = per_node_max_prefix_errors(gamma, steps, master)
+        check = as_rate_check(power_integrand(gamma), 2.0, 0.25, range(5, 13), master)
+        loop = per_node_max_prefix_errors(gamma, range(5, 13), master)
         ulp = np.spacing(1.0 / (gamma + 1.0))
         for row, expected in zip(check.rows, loop):
             assert abs(row.max_prefix_error - expected) <= ulp
 
     def test_affine_passes_every_rung_with_zero_error(self):
         g = affine_integrand(1.0, 3.0)
-        check = as_rate_check(g, 2.0, 0.25, [2.0**-i for i in range(3, 7)], RngStream(0))
+        check = as_rate_check(g, 2.0, 0.25, range(3, 7), RngStream(0))
         assert all(row.passed for row in check.rows)
         assert max(row.max_prefix_error for row in check.rows) <= 1e-14
         assert check.first_passing_index == 0
 
     def test_rough_power_eventually_passes(self):
         g = power_integrand(1.75)
-        check = as_rate_check(g, 2.0, 0.25, [2.0**-i for i in range(5, 11)], RngStream(2))
+        check = as_rate_check(g, 2.0, 0.25, range(5, 11), RngStream(2))
         assert check.target_exponent == 2.25
         assert check.first_passing_index is not None
 
     def test_shrinking_eps_tightens_monotonically(self):
         g = power_integrand(1.75)
-        steps = [2.0**-i for i in range(5, 11)]
-        loose = as_rate_check(g, 2.0, 0.4, steps, RngStream(2))
-        tight = as_rate_check(g, 2.0, 0.1, steps, RngStream(2))
+        loose = as_rate_check(g, 2.0, 0.4, range(5, 11), RngStream(2))
+        tight = as_rate_check(g, 2.0, 0.1, range(5, 11), RngStream(2))
         for row_t, row_l in zip(tight.rows, loose.rows):
             assert row_t.bound < row_l.bound
             assert row_t.max_prefix_error == row_l.max_prefix_error
             if row_t.passed:
                 assert row_l.passed
 
-    def test_step_off_the_partition_grid_rejected(self):
-        # round(1 / 0.3) = 3 cells would run at h = 1/3 while reporting 0.3.
-        with pytest.raises(ValueError, match=r"step h = 0\.3 is not 1/N"):
-            as_rate_check(power_integrand(1.75), 2.0, 0.25, [0.3], RngStream(0))
+    def test_no_passing_index_when_the_last_rung_fails(self):
+        # At sigma = 10 the bound h ** 10.25 is far below every rung's error.
+        check = as_rate_check(power_integrand(1.75), 10.0, 0.25, range(3, 6), RngStream(0))
+        assert not check.rows[-1].passed
+        assert check.first_passing_index is None
+
+    def test_integrand_without_a_running_integral_rejected(self):
+        g = Integrand(evaluator=lambda t: t, label="identity")
+        with pytest.raises(ValueError, match="'identity' has no exact running integral"):
+            as_rate_check(g, 2.0, 0.25, range(3, 6), RngStream(0))
 
     @pytest.mark.parametrize(
-        "steps",
-        [[0.0], [np.nan], [np.inf], [-0.5], [5e-324], [2.0**-5, 0.0]],
-        ids=["zero", "nan", "inf", "negative", "subnormal", "later"],
+        "exponents",
+        [(5.5, 6), (5, np.nan), (-1, 5), (5, 1023), (6, 5), (5,), ()],
+        ids=["fractional", "nan", "negative", "subnormal", "decreasing", "one", "empty"],
     )
-    def test_bad_step_rejected_naming_h_before_drawing(self, steps, monkeypatch):
+    def test_bad_exponent_rejected_before_drawing(self, exponents, monkeypatch):
         def no_draw(*args):
-            raise AssertionError("drew offsets before every step was checked")
+            raise AssertionError("drew offsets before every exponent was checked")
 
         monkeypatch.setattr(experiments, "sample_tau_sequence", no_draw)
-        with pytest.raises(ValueError, match=r"step h = .* is not 1/N"):
-            as_rate_check(power_integrand(1.75), 2.0, 0.25, steps, RngStream(0))
+        with pytest.raises(ValueError, match="exponent"):
+            as_rate_check(power_integrand(1.75), 2.0, 0.25, exponents, RngStream(0))
 
     @pytest.mark.parametrize("eps", [0.0, 0.5, -0.1, 0.7])
     def test_eps_validation(self, eps):
-        with pytest.raises(ValueError):
-            as_rate_check(affine_integrand(0, 1), 2.0, eps, [0.5], RngStream(0))
+        with pytest.raises(ValueError, match="eps"):
+            as_rate_check(affine_integrand(0, 1), 2.0, eps, range(1, 3), RngStream(0))
 
 
 @pytest.mark.parametrize(
@@ -295,7 +314,7 @@ class TestAsRateCheck:
     [
         (run_example1, dict(step_exponents=[10, 10], replications=1000)),
         (run_example1, dict(step_exponents=[11, 5], replications=1000)),
-        (run_example2, dict(step_exponents=[15, 5], reference_step=2.0**-18)),
+        (run_example2, dict(step_exponents=[15, 5], reference_exp=18)),
     ],
     ids=["example1-repeated", "example1-decreasing", "example2-decreasing"],
 )
@@ -314,7 +333,7 @@ def test_exponents_not_strictly_increasing_rejected_before_sampling(driver, kwar
     "driver, kwargs",
     [
         (run_example1, dict(gammas=(1.5,), step_exponents=[5, 1100], replications=5)),
-        (run_example2, dict(step_exponents=[5, 1023], reference_step=2.0**-18)),
+        (run_example2, dict(step_exponents=[5, 1023], reference_exp=18)),
     ],
     ids=["example1", "example2"],
 )
@@ -328,6 +347,30 @@ def test_step_below_the_normal_range_rejected_before_sampling(driver, kwargs, mo
     monkeypatch.setattr(experiments, "sample_path_grid", no_work)
     bad = kwargs["step_exponents"][-1]
     with pytest.raises(ValueError, match=rf"step exponent {bad} gives the step 2\^-{bad} = .*not a normal double"):
+        driver(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "driver, kwargs, message",
+    [
+        (run_example1, dict(step_exponents=(5.5, 6)), "a step exponent must be an integer of at least 0, got 5.5"),
+        (run_example2, dict(step_exponents=(5.5, 6)), "a step exponent must be an integer of at least 0, got 5.5"),
+        (run_example2, dict(step_exponents=(-1, 5)), r"holds -1; exponents must be at least 0"),
+        (run_example2, dict(step_exponents=range(5, 9), reference_exp=7), r"reference exponent 7 must lie in \[8, 1022\]"),
+        (run_example2, dict(step_exponents=(5, 6), reference_exp=7.5), "reference_exp must be an integer of at least 0"),
+        (run_example2, dict(step_exponents=(5, 6), reference_exp=1023), r"reference exponent 1023 must lie in \[6, 1022\]"),
+    ],
+    ids=["example1-fractional", "fractional", "negative", "reference-coarser", "reference-fractional", "reference-subnormal"],
+)
+def test_bad_exponent_rejected_before_sampling(driver, kwargs, message, monkeypatch):
+    # run_example1(step_exponents=(5.5, 6)) once ran a rung of
+    # round(1 / 2^-5.5) = 45 cells and reported h = 1/45.
+    def no_work(*args):
+        raise AssertionError("sampled before the exponents were checked")
+
+    for name in ("mc_lp_error", "sample_path_grid", "sample_tau_sequence"):
+        monkeypatch.setattr(experiments, name, no_work)
+    with pytest.raises(ValueError, match=message):
         driver(**kwargs)
 
 
@@ -394,7 +437,7 @@ class TestRunExample1:
 
 class TestRunExample2:
     def test_structure_and_determinism(self):
-        kwargs = dict(step_exponents=range(5, 8), reference_step=2.0**-10, seed=8)
+        kwargs = dict(step_exponents=range(5, 8), reference_exp=10, seed=8)
         a = run_example2(**kwargs)
         b = run_example2(**kwargs)
         assert len(a.reports) == 2
@@ -403,24 +446,38 @@ class TestRunExample2:
             np.testing.assert_array_equal(ra.ladder.errors, rb.ladder.errors)
 
     def test_reference_is_union_trapezoid_of_the_integrand(self):
-        result = run_example2(step_exponents=range(5, 7), reference_step=2.0**-9, seed=8)
-        path, _ = collect_path(*example2_path(8, 2.0**-9))
+        result = run_example2(step_exponents=range(5, 7), reference_exp=9, seed=8)
+        path, _ = collect_path(*example2_path(8, 9))
         oracle = value_at_union_grid_reference(path, euler_integrand(path))
         assert np.float64(result.reference).tobytes() == np.float64(oracle).tobytes()
 
     def test_reference_matches_finest_partition_quadrature(self):
-        result = run_example2(step_exponents=range(5, 7), reference_step=2.0**-9, seed=8)
-        bi = euler_integrand(collect_path(*example2_path(8, 2.0**-9))[0])
+        result = run_example2(step_exponents=range(5, 7), reference_exp=9, seed=8)
+        bi = euler_integrand(collect_path(*example2_path(8, 9))[0])
         fine = ctq_brownian(bi, make_partition(2**9)).value
         assert result.reference == pytest.approx(fine, rel=1e-13)
 
     def test_rejects_steps_finer_than_reference(self):
-        message = f"finest step {2.0**-11!r} is finer than the reference step {2.0**-10!r}"
+        message = "the reference exponent 10 must lie in [11, 1022], from the finest step exponent up"
         with pytest.raises(ValueError, match=re.escape(message)):
-            run_example2(step_exponents=range(5, 12), reference_step=2.0**-10, seed=8)
+            run_example2(step_exponents=range(5, 12), reference_exp=10, seed=8)
+
+    def test_derived_steps_are_exactly_the_dyadic_steps(self, monkeypatch):
+        # Every step is derived as 1.0 / 2^i; that is 2.0**-i exactly on the
+        # whole range the drivers accept.
+        assert all(1.0 / 2**i == 2.0**-i for i in range(MAX_STEP_EXPONENT + 1))
+        nodes = []
+
+        def recording(bi, part):
+            nodes.append(bi)
+            return ctq_brownian(bi, part)
+
+        monkeypatch.setattr(experiments, "ctq_brownian", recording)
+        run_example2(step_exponents=range(3, 7), reference_exp=9, seed=8)
+        assert {(bi.cells, bi.step, bi.stride) for bi in nodes} == {(2**6, 2.0**-6, 2**3)}
 
     def test_both_ladders_share_every_rungs_partition(self):
-        result = run_example2(step_exponents=range(2, 7), reference_step=2.0**-8, seed=8)
+        result = run_example2(step_exponents=range(2, 7), reference_exp=8, seed=8)
         ctq_rows, rtq_rows = (report.ladder.rows for report in result.reports)
         for i, c, r in zip(range(2, 7), ctq_rows, rtq_rows, strict=True):
             assert (c.step, c.intervals) == (r.step, r.intervals) == (2.0**-i, 2**i)
@@ -446,25 +503,25 @@ class TestRunExample2:
         monkeypatch.setattr(experiments, "rtq_brownian", recording(rtq_brownian))
         for ref_exp, lo, hi in ((3, 0, 3), (11, 2, 6), (12, 0, 12), (13, 5, 13), (14, 0, 9), (17, 14, 17)):
             values.clear()
-            result = run_example2(step_exponents=range(lo, hi + 1), reference_step=2.0**-ref_exp, seed=seed)
+            result = run_example2(step_exponents=range(lo, hi + 1), reference_exp=ref_exp, seed=seed)
             streamed = [result.reference] + values[experiments.TIMING_REPEATS - 1 :: experiments.TIMING_REPEATS]
 
-            path, mid_values = sampled_path(_lane_stream(seed, _LANE_PATH), 2.0**-ref_exp)
+            path, mid_values = sampled_path(_lane_stream(seed, _LANE_PATH), 2**ref_exp)
             bi = euler_integrand(path)
             whole = [value_at_union_grid_reference(path, bi)]
             for hj, e in enumerate(range(lo, hi + 1)):
                 part = make_partition(2**e)
-                _, ctau = coarsened(path, mid_values, part.step, _lane_stream(seed, _LANE_COARSEN, hj))
+                _, ctau = coarsened(path, mid_values, part.intervals, _lane_stream(seed, _LANE_COARSEN, hj))
                 whole += [ctq_brownian(bi, part).value, rtq_brownian(bi, part, ctau).value]
             assert np.array(streamed).tobytes() == np.array(whole).tobytes(), (ref_exp, lo, hi)
 
     def test_peak_memory_holds_two_path_arrays(self):
         # The node values and the offsets are the only whole arrays; the
         # bridge samples and the Euler prefix sums stream a block at a time.
-        run_example2(step_exponents=range(5, 7), reference_step=2.0**-8, seed=2)
+        run_example2(step_exponents=range(5, 7), reference_exp=8, seed=2)
         tracemalloc.start()
         try:
-            run_example2(step_exponents=range(5, 11), reference_step=2.0**-18, seed=2)
+            run_example2(step_exponents=range(5, 11), reference_exp=18, seed=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -478,7 +535,7 @@ class TestRunExample2:
         for n in (32, 64, 128):
             part = make_partition(n)
             assert ctq_brownian(bi, part).value == 0.0
-            _, ctau = coarsened(zero, np.zeros(cells), part.step, RngStream(8, n))
+            _, ctau = coarsened(zero, np.zeros(cells), n, RngStream(8, n))
             assert rtq_brownian(bi, part, ctau).value == 0.0
 
 
@@ -520,7 +577,7 @@ class TestUnionGridReference:
     @pytest.mark.parametrize("seed", [0, 2, 7, 11])
     def test_bitwise_equals_the_value_at_oracle(self, seed):
         for k in range(17):
-            path, _ = sampled_path(RngStream(seed, k), 2.0**-k)
+            path, _ = sampled_path(RngStream(seed, k), 2**k)
             new, old = union_terms_sum(path), value_at_union_grid_reference(path, euler_integrand(path))
             assert np.float64(new).tobytes() == np.float64(old).tobytes(), k
 

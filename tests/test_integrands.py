@@ -76,7 +76,7 @@ def _zero_path(cells=8):
 
 class TestBrownianIntegrand:
     def test_prefix_starts_at_zero(self):
-        bi = euler_integrand(sampled_path(RngStream(1), 2.0**-6)[0])
+        bi = euler_integrand(sampled_path(RngStream(1), 2**6)[0])
         assert bi.prefix[0] == 0.0
 
     def test_linear_path_hand_value(self):
@@ -90,12 +90,12 @@ class TestBrownianIntegrand:
         np.testing.assert_allclose(bi.prefix, h * h * n * (n - 1) / 2.0, rtol=1e-14, atol=1e-18)
 
     def test_node_evaluation_is_prefix(self):
-        path, _ = sampled_path(RngStream(2), 2.0**-8)
+        path, _ = sampled_path(RngStream(2), 2**8)
         bi = euler_integrand(path)
         np.testing.assert_array_equal(bi.value_at(np.arange(path.cells + 1) * path.step), bi.prefix)
 
     def test_euler_recurrence(self):
-        path, _ = sampled_path(RngStream(3), 2.0**-8)
+        path, _ = sampled_path(RngStream(3), 2**8)
         bi = euler_integrand(path)
         steps = np.diff(bi.prefix)
         # Differences of stored prefixes are exact only up to the rounding of
@@ -104,7 +104,7 @@ class TestBrownianIntegrand:
         np.testing.assert_allclose(steps, path.step * path.grid_values[:-1], rtol=0, atol=atol)
 
     def test_out_of_range_rejected(self):
-        bi = euler_integrand(sampled_path(RngStream(4), 2.0**-4)[0])
+        bi = euler_integrand(sampled_path(RngStream(4), 2**4)[0])
         with pytest.raises(ValueError):
             bi.value_at(np.array([1.5]))
         with pytest.raises(ValueError):
@@ -119,7 +119,7 @@ class TestBrownianIntegrand:
     def test_value_at_needs_the_paths_own_grid(self):
         # At stride 2 the prefix sums run over a grid twice as fine as the
         # nodes, so the left-point extension would mix the two grids.
-        bi = BrownianIntegrand(step=0.25, grid_values=np.zeros(5), prefix=np.zeros(5), stride=2)
+        bi = BrownianIntegrand(grid_values=np.zeros(5), prefix=np.zeros(5), stride=2)
         with pytest.raises(ValueError, match="stride 1"):
             bi.value_at(np.array([0.5]))
 
@@ -130,7 +130,7 @@ class TestCtqBrownian:
         assert ctq_brownian(bi, make_partition(4)).value == 0.0
 
     def test_matches_generic_rule_on_same_nodes(self):
-        bi = euler_integrand(sampled_path(RngStream(11), 2.0**-10)[0])
+        bi = euler_integrand(sampled_path(RngStream(11), 2**10)[0])
         for n in (32, 128, 1024):
             part = make_partition(n)
             closed = ctq_brownian(bi, part).value
@@ -156,7 +156,7 @@ class TestCtqBrownian:
     # 3 and 5 cells do not divide the path's 8; 16 is finer than it.
     @pytest.mark.parametrize("intervals", [3, 5, 16])
     def test_misaligned_nodes_rejected(self, intervals):
-        bi = euler_integrand(sampled_path(RngStream(5), 2.0**-3)[0])
+        bi = euler_integrand(sampled_path(RngStream(5), 2**3)[0])
         with pytest.raises(ValueError, match="not a subset of the path's grid"):
             ctq_brownian(bi, make_partition(intervals))
 
@@ -166,14 +166,14 @@ class TestRtqBrownian:
         path, mid_values = _zero_path()
         bi = euler_integrand(path)
         part = make_partition(4)
-        _, ctau = coarsened(path, mid_values, part.step, RngStream(21))
+        _, ctau = coarsened(path, mid_values, part.intervals, RngStream(21))
         assert rtq_brownian(bi, part, ctau).value == 0.0
 
     def test_single_cell_hand_expansion(self):
         path, mid_values = hand_grid([0.0, 0.7, -0.4], [0.25, 0.75]), np.array([2.0, -3.0])
         bi = euler_integrand(path)
         part = make_partition(1)
-        selected, ctau = coarsened(path, mid_values, 1.0, RngStream(9))
+        selected, ctau = coarsened(path, mid_values, 1, RngStream(9))
         # The selected slot s puts tau at (s + offset_s) / 2 with sample
         # mid_values[s]; the complement takes B's interpolant through
         # (0, 0.7, -0.4) at 1 - tau.  G(0) = 0 and B(0) = 0 kill the rest.
@@ -184,10 +184,10 @@ class TestRtqBrownian:
         assert rtq_brownian(bi, part, ctau).value == pytest.approx(expected, rel=1e-15)
 
     def test_swap_invariance_is_exact(self):
-        path, mid_values = sampled_path(RngStream(14), 2.0**-10)
+        path, mid_values = sampled_path(RngStream(14), 2**10)
         bi = euler_integrand(path)
         part = make_partition(64)
-        _, ctau = coarsened(path, mid_values, part.step, RngStream(14, 1))
+        _, ctau = coarsened(path, mid_values, part.intervals, RngStream(14, 1))
         swapped = dataclasses.replace(
             ctau,
             values=ctau.complements,
@@ -199,23 +199,23 @@ class TestRtqBrownian:
 
     @pytest.mark.parametrize("intervals", [3, 5, 16])
     def test_misaligned_nodes_rejected(self, intervals):
-        path, mid_values = sampled_path(RngStream(5), 2.0**-3)
-        _, ctau = coarsened(path, mid_values, 2.0**-2, RngStream(5, 1))
+        path, mid_values = sampled_path(RngStream(5), 2**3)
+        _, ctau = coarsened(path, mid_values, 2**2, RngStream(5, 1))
         with pytest.raises(ValueError, match="not a subset of the path's grid"):
             rtq_brownian(euler_integrand(path), make_partition(intervals), ctau)
 
     def test_wrong_coarse_step_rejected(self):
-        path, mid_values = sampled_path(RngStream(15), 2.0**-8)
+        path, mid_values = sampled_path(RngStream(15), 2**8)
         bi = euler_integrand(path)
-        _, ctau = coarsened(path, mid_values, 2.0**-5, RngStream(15, 1))
+        _, ctau = coarsened(path, mid_values, 2**5, RngStream(15, 1))
         with pytest.raises(ValueError):
             rtq_brownian(bi, make_partition(64), ctau)
 
     def test_wrong_cell_count_rejected(self):
         # Coarse 2^-5 on a 2^-8 path has factor 8, as N = 64 on a 2^-9 path
         # does, but 32 cells instead of 64.
-        _, ctau = coarsened(*sampled_path(RngStream(16), 2.0**-8), 2.0**-5, RngStream(16, 1))
-        bi = euler_integrand(sampled_path(RngStream(16), 2.0**-9)[0])
+        _, ctau = coarsened(*sampled_path(RngStream(16), 2**8), 2**5, RngStream(16, 1))
+        bi = euler_integrand(sampled_path(RngStream(16), 2**9)[0])
         with pytest.raises(ValueError, match="32 cells of 8 fine cells each, but the partition has 64 cells of 8"):
             rtq_brownian(bi, make_partition(64), ctau)
 

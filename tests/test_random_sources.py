@@ -149,6 +149,16 @@ class TestBatchSeeding:
         (block,) = sample_tau_batches(RngStream(1, 2**64 - 2), 2, 4)
         np.testing.assert_array_equal(block[1], sample_tau_sequence(RngStream(1, 2**64 - 1), 4))
 
+    @pytest.mark.parametrize(
+        "replications,count,message",
+        [(2.5, 4, "replications"), (0, 4, "replications"), (-3, 4, "replications"), (4, 0, "count"), (4, 2.5, "count")],
+    )
+    def test_non_integer_or_non_positive_sizes_rejected_before_seeding(self, replications, count, message, monkeypatch):
+        # 2.5 replications once drew two streams; 0 failed naming "rows".
+        monkeypatch.setattr(random_sources, "_seed_words", lambda *args: pytest.fail("seeded before the sizes were checked"))
+        with pytest.raises(ValueError, match=f"{message} must be an integer of at least 1"):
+            sample_tau_batches(RngStream(0), replications, count)
+
 
 def test_importing_the_cli_leaves_numpy_random_unloaded():
     # numpy.random is about a tenth of the package's import time, and
@@ -201,11 +211,10 @@ def _whole_array_strict_uniform(rng, count, base):
     return values
 
 
-def whole_array_brownian_path(stream, step):
+def whole_array_brownian_path(stream, cells):
     """``sample_path_grid`` with its bridge collected, as first written over
     whole arrays: the oracle."""
-    h = float(step)
-    cells = round(1.0 / h)
+    h = 1.0 / cells
     rng = stream.generator()
     grid_values = np.zeros(cells + 1)
     np.cumsum(rng.standard_normal(cells) * np.sqrt(h), out=grid_values[1:])
@@ -219,12 +228,12 @@ def whole_array_brownian_path(stream, step):
     np.sqrt(work, out=work)
     work *= rng.standard_normal(out=complements)
     mid_values += work
-    return BrownianGrid(step=h, grid_values=grid_values, offsets=offsets), mid_values
+    return BrownianGrid(grid_values=grid_values, offsets=offsets), mid_values
 
 
 def assert_paths_bitwise_equal(a, b):
     (grid_a, mids_a), (grid_b, mids_b) = a, b
-    assert grid_a.step == grid_b.step
+    assert grid_a.cells == grid_b.cells
     for name in ("grid_values", "offsets"):
         assert getattr(grid_a, name).tobytes() == getattr(grid_b, name).tobytes(), name
     assert mids_a.tobytes() == mids_b.tobytes(), "mid_values"
@@ -234,7 +243,7 @@ def peak_and_kept(fn):
     """The peak and the final traced memory of ``fn()``, with its result.
     A first small path keeps the lazy imports behind numpy's generators out
     of the count."""
-    sampled_path(RngStream(0), 2.0**-4)
+    sampled_path(RngStream(0), 2**4)
     tracemalloc.start()
     try:
         result = fn()
@@ -247,17 +256,17 @@ def peak_and_kept(fn):
 class TestSamplePathGrid:
     def test_starts_at_zero_every_seed(self):
         for seed in range(5):
-            grid, _ = sample_path_grid(RngStream(seed), 2.0**-4)
+            grid, _ = sample_path_grid(RngStream(seed), 2**4)
             assert grid.grid_values[0] == 0.0
 
     def test_terminal_variance(self):
         terminal = np.array(
-            [sample_path_grid(RngStream(9, i), 2.0**-6)[0].grid_values[-1] for i in range(10**4)]
+            [sample_path_grid(RngStream(9, i), 2**6)[0].grid_values[-1] for i in range(10**4)]
         )
         assert abs(terminal.var() - 1.0) < 0.05
 
     def test_bridge_residuals_standard_normal(self):
-        path, mid_values = sampled_path(RngStream(23), 2.0**-14)
+        path, mid_values = sampled_path(RngStream(23), 2**14)
         tau = path.offsets
         mean = (1.0 - tau) * path.grid_values[:-1] + tau * path.grid_values[1:]
         sd = np.sqrt(tau * (1.0 - tau) * path.step)
@@ -269,7 +278,7 @@ class TestSamplePathGrid:
         """Grid plus interior samples must still look like one Brownian path:
         each union-grid increment has variance equal to its interval length.
         This pins the orientation of the bridge mean."""
-        path, mid_values = sampled_path(RngStream(31), 2.0**-12)
+        path, mid_values = sampled_path(RngStream(31), 2**12)
         tau = path.offsets
         left = mid_values - path.grid_values[:-1]
         right = path.grid_values[1:] - mid_values
@@ -279,7 +288,7 @@ class TestSamplePathGrid:
         assert abs(ratios.mean() - 1.0) < 0.06
 
     def test_interior_times_strictly_inside(self):
-        path, _ = sample_path_grid(RngStream(3), 2.0**-8)
+        path, _ = sample_path_grid(RngStream(3), 2**8)
         cells = np.arange(path.cells)
         assert np.all(path.mid_times(cells) > cells * path.step)
         assert np.all(path.mid_times(cells) < (cells + 1) * path.step)
@@ -288,7 +297,7 @@ class TestSamplePathGrid:
         # 1 + 1e-300 rounds to 1, so the first offset drawn for cell 1 would
         # put its interior time on node 1; the next draw replaces it.
         rng = PlantedGenerator({0: {1: 1e-300}})
-        path, _ = sampled_path(rng.stream(), 2.0**-4)
+        path, _ = sampled_path(rng.stream(), 2**4)
         first, redraw = rng.offset_draws
         assert first[1] == 1e-300 and redraw.shape == (1,)
         assert path.offsets[1] == redraw[0]
@@ -301,7 +310,7 @@ class TestSamplePathGrid:
     def test_bitwise_equals_the_whole_array_oracle(self, seed):
         for k in range(17):
             stream = RngStream(seed, k)
-            assert_paths_bitwise_equal(sampled_path(stream, 2.0**-k), whole_array_brownian_path(stream, 2.0**-k))
+            assert_paths_bitwise_equal(sampled_path(stream, 2**k), whole_array_brownian_path(stream, 2**k))
 
     def test_redraws_across_blocks_and_rounds_equal_the_oracle(self):
         # Cells 1 and 4097 (in the second check block) would land on their
@@ -309,12 +318,12 @@ class TestSamplePathGrid:
         # 1 lands on the node again, so a second round redraws it.
         plants = {0: {1: 1e-300, 4097: 1e-300, 8191: 1.0 - 2.0**-53}, 1: {0: 1e-300}}
         rng = PlantedGenerator(plants)
-        path, mid_values = sampled_path(rng.stream(), 2.0**-13)
+        path, mid_values = sampled_path(rng.stream(), 2**13)
         first, redraw, second = rng.offset_draws
         assert [first.size, redraw.size, second.size] == [2**13, 3, 1]
         assert path.offsets[1] == second[0]
         assert path.offsets[4097] == redraw[1] and path.offsets[8191] == redraw[2]
-        oracle = whole_array_brownian_path(PlantedGenerator(plants).stream(), 2.0**-13)
+        oracle = whole_array_brownian_path(PlantedGenerator(plants).stream(), 2**13)
         assert_paths_bitwise_equal((path, mid_values), oracle)
 
     def test_peak_holds_the_sampled_arrays_and_a_few_blocks(self):
@@ -323,32 +332,37 @@ class TestSamplePathGrid:
         # Consumed as they come, the bridge samples are never whole, so only
         # the node values and the offsets are.
         def consumed():
-            grid, bridge = sample_path_grid(RngStream(0), 2.0**-16)
+            grid, bridge = sample_path_grid(RngStream(0), 2**16)
             for _ in bridge:
                 pass
 
         peak, _, _ = peak_and_kept(consumed)
         assert peak <= 2 * 2**16 * 8 + 8 * BLOCK_ELEMENTS * 8
-        peak, _, _ = peak_and_kept(lambda: sampled_path(RngStream(0), 2.0**-16))
+        peak, _, _ = peak_and_kept(lambda: sampled_path(RngStream(0), 2**16))
         assert peak <= 3 * 2**16 * 8 + 8 * BLOCK_ELEMENTS * 8
 
     def test_keeps_only_the_sampled_arrays(self):
         # Node values, offsets and collected interior values: three arrays
         # of 2^16 float64, and nothing else of that size.
-        _, kept, (path, _) = peak_and_kept(lambda: sampled_path(RngStream(0), 2.0**-16))
+        _, kept, (path, _) = peak_and_kept(lambda: sampled_path(RngStream(0), 2**16))
         assert path.cells == 2**16
         assert kept <= 3 * 2**16 * 8 + 64 * 1024
 
-    @pytest.mark.parametrize("step", [0.0, -0.5, 2.0, 0.3, 3 * 2**-4, float("nan"), float("inf")])
-    def test_rejects_bad_steps(self, step):
-        with pytest.raises(ValueError):
-            sample_path_grid(RngStream(1), step)
+    @pytest.mark.parametrize("k", [0, 1, 5, 12])
+    def test_step_is_exactly_the_dyadic_step(self, k):
+        grid, _ = sample_path_grid(RngStream(k), 2**k)
+        assert grid.cells == 2**k and grid.step == 2.0**-k
+
+    @pytest.mark.parametrize("cells", [0, -4, 3, 12, 2.5, 16.0, float("nan"), float("inf")])
+    def test_rejects_cell_counts_not_a_power_of_two(self, cells):
+        with pytest.raises(ValueError, match=f"cells must be .*, got {cells!r}"):
+            sample_path_grid(RngStream(1), cells)
 
 
 class TestCoarsening:
     def test_identity_at_factor_one(self):
-        path, mid_values = sampled_path(RngStream(4), 2.0**-6)
-        selected, ctau = coarsened(path, mid_values, 2.0**-6, RngStream(4, 1))
+        path, mid_values = sampled_path(RngStream(4), 2**6)
+        selected, ctau = coarsened(path, mid_values, 2**6, RngStream(4, 1))
         assert ctau.factor == 1
         np.testing.assert_allclose(ctau.values, path.offsets, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(selected, np.arange(path.cells))
@@ -361,16 +375,16 @@ class TestCoarsening:
             for i in range(50)
             if RngStream(0, i).generator().integers(0, 2, size=1)[0] == 1
         )
-        selected, ctau = coarsened(path, np.array([0.1, 0.2]), 1.0, stream)
+        selected, ctau = coarsened(path, np.array([0.1, 0.2]), 1, stream)
         assert selected[0] == 1
         assert ctau.values[0] == (1.0 + 0.75) / 2.0
         assert ctau.mid_values[0] == 0.2
 
     @pytest.mark.parametrize("k", [2**i for i in range(1, 10)])
     def test_reuse_is_bitwise_exact(self, k):
-        path, mid_values = sampled_path(RngStream(77), 2.0**-14)
+        path, mid_values = sampled_path(RngStream(77), 2**14)
         hc = k * path.step
-        selected, ctau = coarsened(path, mid_values, hc, RngStream(77, k))
+        selected, ctau = coarsened(path, mid_values, path.cells // k, RngStream(77, k))
         starts = np.arange(path.cells // k) * hc
         np.testing.assert_array_equal(starts + ctau.values * hc, path.mid_times(selected))
         np.testing.assert_array_equal(mid_values[selected], ctau.mid_values)
@@ -382,8 +396,8 @@ class TestCoarsening:
     def test_coarse_offsets_still_uniform(self):
         # Uniform slot choice over per-slot uniforms keeps the marginal U(0,1):
         # Kolmogorov-Smirnov at the 1% level.
-        path, mid_values = sampled_path(RngStream(13), 2.0**-19)
-        _, ctau = coarsened(path, mid_values, 4 * path.step, RngStream(13, 1))
+        path, mid_values = sampled_path(RngStream(13), 2**19)
+        _, ctau = coarsened(path, mid_values, path.cells // 4, RngStream(13, 1))
         u = np.sort(ctau.values)
         n = u.size
         grid = np.arange(1, n + 1) / n
@@ -391,9 +405,9 @@ class TestCoarsening:
         assert d_stat < 1.628 / np.sqrt(n)
 
     def test_interpolated_complement_on_generic_path(self):
-        path, mid_values = sampled_path(RngStream(19), 2.0**-10)
+        path, mid_values = sampled_path(RngStream(19), 2**10)
         hc = 2.0**-7
-        _, ctau = coarsened(path, mid_values, hc, RngStream(19, 1))
+        _, ctau = coarsened(path, mid_values, 2**7, RngStream(19, 1))
         comp_times = np.arange(len(ctau)) * hc + ctau.complements * hc
         idx = np.floor(comp_times / path.step).astype(int)
         frac = (comp_times - idx * path.step) / path.step
@@ -401,23 +415,27 @@ class TestCoarsening:
         expected = (1 - frac) * path.grid_values[idx] + frac * path.grid_values[idx + 1]
         np.testing.assert_allclose(ctau.comp_values, expected, rtol=1e-12)
 
-    @pytest.mark.parametrize("coarse_step", [0.3, 3 * 2**-3, 2.0**-5])
-    def test_rejects_non_multiple(self, coarse_step):
-        path, _ = sample_path_grid(RngStream(1), 2.0**-4)
-        with pytest.raises(ValueError):
-            select_fine_cells(path, coarse_step, RngStream(1, 1))
+    @pytest.mark.parametrize(
+        "cells,message",
+        [(3, "do not divide"), (6, "do not divide"), (32, "do not divide"), (0, "at least 1"), (2.5, "integer")],
+    )
+    def test_rejects_counts_that_do_not_divide_the_paths(self, cells, message, monkeypatch):
+        path, _ = sample_path_grid(RngStream(1), 2**4)
+        monkeypatch.setattr(RngStream, "generator", lambda self: pytest.fail("drew before the count was checked"))
+        with pytest.raises(ValueError, match=message):
+            select_fine_cells(path, cells, RngStream(1, 1))
 
     @pytest.mark.parametrize(
-        "offsets,coarse_step,selected,message",
+        "offsets,selected,message",
         [
-            ([0.5] * 4, 0.5, [3, 0], r"left \(0, 1\)"),
-            ([0.19] * 4, 0.3, [0], "do not reproduce"),
-            ([1e-300, 0.5, 0.5, 0.5], 1.0, [0], "fell on fine grid nodes"),
+            ([0.5] * 4, [3, 0], r"left \(0, 1\)"),
+            ([0.17] * 4, [0, 2, 3], "do not reproduce"),
+            ([1e-300, 0.5, 0.5, 0.5], [0], "fell on fine grid nodes"),
         ],
-        ids=["cell-outside-its-coarse-cell", "non-dyadic-step", "complement-on-a-node"],
+        ids=["cell-outside-its-coarse-cell", "three-coarse-cells-of-four", "complement-on-a-node"],
     )
-    def test_coarse_tau_from_rejects_offsets_off_their_times(self, offsets, coarse_step, selected, message):
+    def test_coarse_tau_from_rejects_offsets_off_their_times(self, offsets, selected, message):
         path = hand_grid(np.zeros(5), offsets)
         selected = np.array(selected)
         with pytest.raises(ValueError, match=message):
-            coarse_tau_from(path, coarse_step, selected, np.zeros(selected.size))
+            coarse_tau_from(path, selected, np.zeros(selected.size))
