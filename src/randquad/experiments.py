@@ -52,12 +52,13 @@ import numpy as np
 from .integrands import (
     BrownianIntegrand,
     Integrand,
+    _finite,
     ctq_brownian,
     euler_prefix,
     power_integrand,
     rtq_brownian,
 )
-from .quadrature import CTQ, RTQ, Partition, ctq, make_partition, rtq, rtq_prefix
+from .quadrature import CTQ, RTQ, Partition, _CellCount, ctq, make_partition, rtq, rtq_prefix
 from .random_sources import (
     BrownianGrid,
     RngStream,
@@ -115,10 +116,9 @@ def _lane_stream(seed: int, lane: int, slot: int = 0, replication: int = 0) -> R
 
 
 @dataclass(frozen=True)
-class LadderRow:
-    """One rung of an error ladder."""
+class LadderRow(_CellCount):
+    """One rung of an error ladder, on ``intervals`` cells of width ``step``."""
 
-    step: float
     intervals: int
     error: float
     wall_time_s: float
@@ -137,8 +137,8 @@ class ErrorLadder:
 
     def __post_init__(self) -> None:
         rows = tuple(self.rows)
-        steps = [r.step for r in rows]
-        if any(b >= a for a, b in zip(steps, steps[1:])):
+        sizes = [r.intervals for r in rows]
+        if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ValueError("ladder rows must be sorted by strictly decreasing step")
         for r in rows:
             if not np.isfinite(r.error) or r.error < 0.0:
@@ -202,6 +202,11 @@ def _fit_or_degenerate(ladder: ErrorLadder) -> ConvergenceReport:
     return fit_order(ladder)
 
 
+def _lp_exponent(p: float) -> None:
+    if not 1.0 <= p < np.inf:
+        raise ValueError(f"p must be finite and at least 1, got {p!r}")
+
+
 def mc_lp_error(
     g: Integrand,
     part: Partition,
@@ -226,8 +231,7 @@ def mc_lp_error(
     returns (0, 0).
     """
     replications = _integer("replications", replications, 2)
-    if not 1.0 <= p < np.inf:
-        raise ValueError(f"p must be finite and at least 1, got {p!r}")
+    _lp_exponent(p)
     exact = g.exact_integral
     if exact is None:
         raise ValueError(f"integrand {g.label!r} has no exact integral")
@@ -260,8 +264,7 @@ def mc_lp_error(
 
 
 @dataclass(frozen=True)
-class ASRateRow:
-    step: float
+class ASRateRow(_CellCount):
     intervals: int
     max_prefix_error: float
     bound: float
@@ -307,7 +310,7 @@ def as_rate_check(
     if g.exact_prefix_integral is None:
         raise ValueError(f"integrand {g.label!r} has no exact running integral")
     ladder = _ladder(step_exponents)
-    target = 0.5 + float(sigma) - float(eps)
+    target = 0.5 + _finite("sigma", sigma) - float(eps)
     rows = []
     for m, cells in enumerate(ladder):
         part = make_partition(cells)
@@ -320,7 +323,6 @@ def as_rate_check(
         bound = part.step**target
         rows.append(
             ASRateRow(
-                step=part.step,
                 intervals=part.intervals,
                 max_prefix_error=max_err,
                 bound=bound,
@@ -372,7 +374,7 @@ def _timed_row(part: Partition, exact: float, rule) -> LadderRow:
         q = rule()
         times.append(time.perf_counter() - t0)
     error = abs(exact - q.value)
-    return LadderRow(step=part.step, intervals=part.intervals, error=error, wall_time_s=float(np.median(times)))
+    return LadderRow(intervals=part.intervals, error=error, wall_time_s=float(np.median(times)))
 
 
 def warn_if_nonmonotone(ladder: ErrorLadder) -> None:
@@ -430,6 +432,7 @@ def run_example1(
             f"replications must be at most {MAX_REPLICATIONS} (2^20), got {replications!r}; "
             "more would reuse the next slot's random streams"
         )
+    _lp_exponent(p)
     ladder = _ladder(step_exponents)
     labels = [f"{gamma:g}" for gamma in gammas]
     shared = sorted({label for label in labels if labels.count(label) > 1})

@@ -29,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .quadrature import CTQ, RTQ, Integrand, Partition, QuadratureValue
-from .random_sources import CoarseTau
+from .random_sources import CoarseTau, _integer
 from .summation import compensated_sum
 
 # Largest ``cells`` accepted by ``sobolev_seminorm``, a time bound: memory
@@ -341,8 +341,8 @@ def sobolev_seminorm(
 
     Raises:
         ValueError: if ``g`` carries no exact derivative, sigma/p/cells
-            are out of range (``cells`` above ``SOBOLEV_MAX_CELLS`` or not a
-            whole number included), or a term or the total is not finite.
+            are out of range (``cells`` not an integer of at least 2, or
+            above ``SOBOLEV_MAX_CELLS``), or a term or the total is not finite.
     """
     if g.exact_derivative is None:
         raise ValueError(f"sobolev_seminorm requires an exact derivative; {g.label!r} has none")
@@ -352,9 +352,9 @@ def sobolev_seminorm(
         raise ValueError(f"sigma must lie in [1, 2), got {sigma!r}")
     if not 2.0 <= p < np.inf:
         raise ValueError(f"p must be finite and at least 2, got {p!r}")
-    if not (2 <= cells <= SOBOLEV_MAX_CELLS and cells == int(cells)):
-        raise ValueError(f"cells must be an integer in [2, {SOBOLEV_MAX_CELLS}], got {cells!r}")
-    cells = int(cells)
+    cells = _integer("cells", cells, 2)
+    if cells > SOBOLEV_MAX_CELLS:
+        raise ValueError(f"cells must be at most {SOBOLEV_MAX_CELLS}, got {cells!r}")
     width = 1.0 / cells
     if delta is None:
         delta = 2.0 * width

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .random_sources import _integer
 from .summation import compensated_cumsum, compensated_sum
 
 CTQ = "CTQ"
@@ -42,12 +43,19 @@ class EvaluationError(ArithmeticError):
     value overflows; the message names the node or the overflow."""
 
 
+class _CellCount:
+    """A record of a grid on [0, 1] that stores only its cell count ``intervals``."""
+
+    @property
+    def step(self) -> float:
+        return 1.0 / self.intervals
+
+
 @dataclass(frozen=True, eq=False)
-class Partition:
+class Partition(_CellCount):
     """Equidistant grid over [0, 1] with N cells of width h = 1/N; ``nodes[-1]`` is 1."""
 
     intervals: int
-    step: float
     nodes: np.ndarray
 
 
@@ -55,17 +63,12 @@ def make_partition(intervals: int) -> Partition:
     """Build the equidistant partition of [0, 1] with ``intervals`` cells.
 
     Raises:
-        ValueError: if ``intervals`` is not a positive integer.
+        ValueError: if ``intervals`` is not an integer of at least 1.
     """
-    try:
-        N = int(intervals)
-    except (OverflowError, ValueError):  # inf, nan
-        N = 0
-    if N != intervals or N < 1:
-        raise ValueError(f"intervals must be a positive integer, got {intervals!r}")
+    N = _integer("intervals", intervals, 1)
     nodes = np.linspace(0.0, 1.0, N + 1)
     nodes.setflags(write=False)
-    return Partition(intervals=N, step=1.0 / N, nodes=nodes)
+    return Partition(intervals=N, nodes=nodes)
 
 
 @dataclass(frozen=True, eq=False)

@@ -54,7 +54,7 @@ _MAX_UINT64 = 2**64
 
 @dataclass(frozen=True)
 class RngStream:
-    """A reproducible random stream identified by (seed, stream_id).
+    """A reproducible random stream identified by integers 0 <= seed, stream_id < 2^64.
 
     ``generator()`` returns a fresh generator positioned at the start of
     the stream, so repeated calls replay the same draws.
@@ -65,7 +65,7 @@ class RngStream:
 
     def __post_init__(self) -> None:
         for name, v in (("seed", self.seed), ("stream_id", self.stream_id)):
-            if not 0 <= int(v) < _MAX_UINT64:
+            if _integer(name, v, 0) >= _MAX_UINT64:
                 raise ValueError(f"{name} must be a 64-bit unsigned integer, got {v!r}")
 
     def generator(self) -> np.random.Generator:

@@ -57,7 +57,7 @@ def test_criterion_01_ctq_orders():
             for i in range(5, 11):
                 part = make_partition(2**i)
                 error = abs(g.exact_integral - ctq(g, part).value)
-                rows.append(LadderRow(step=2.0**-i, intervals=2**i, error=error, wall_time_s=0.0))
+                rows.append(LadderRow(intervals=2**i, error=error, wall_time_s=0.0))
             order = fit_order(ErrorLadder(rule="CTQ", metric="absolute", rows=tuple(rows))).fitted_order
             assert abs(order - target) <= 0.15, f"gamma={gamma}: {order} vs {target}"
         assert time.perf_counter() - start < 1.0
@@ -135,7 +135,7 @@ def test_criterion_06_order_fit_oracle():
     def check():
         for constant, order in ((1.0, 2.0), (3.0, 2.5), (0.125, 1.75)):
             rows = tuple(
-                LadderRow(step=2.0**-i, intervals=2**i, error=constant * (2.0**-i) ** order, wall_time_s=0.0)
+                LadderRow(intervals=2**i, error=constant * (2.0**-i) ** order, wall_time_s=0.0)
                 for i in range(5, 11)
             )
             report = fit_order(ErrorLadder(rule="CTQ", metric="absolute", rows=rows))

@@ -375,7 +375,7 @@ def test_colliding_gamma_labels_exit_2_before_writing(gammas, tmp_path, capsys):
 @pytest.mark.parametrize("subcommand", ["example1", "example2"])
 def test_negative_step_exponent_exits_2_before_writing(subcommand, tmp_path, capsys):
     # Once failed only at the first partition, after example2 had sampled its
-    # path, with "intervals must be a positive integer, got 0".
+    # path, naming make_partition's argument (0 intervals) and not the flag.
     argv = [subcommand, "--min-exp", "-1", "--max-exp", "3", "--outdir", str(tmp_path)]
     assert main(argv) == EXIT_USAGE
     assert "step exponent range range(-1, 4) holds -1; exponents must be at least 0" in capsys.readouterr().err

@@ -39,7 +39,7 @@ from brownian_paths import coarsened, collect_path, euler_integrand, hand_grid, 
 
 def synthetic_ladder(constant, order, exponents=(5, 6, 7, 8, 9, 10)):
     rows = tuple(
-        LadderRow(step=2.0**-i, intervals=2**i, error=constant * (2.0**-i) ** order, wall_time_s=0.0)
+        LadderRow(intervals=2**i, error=constant * (2.0**-i) ** order, wall_time_s=0.0)
         for i in exponents
     )
     return ErrorLadder(rule="CTQ", metric="absolute", rows=rows, label="synthetic")
@@ -48,21 +48,28 @@ def synthetic_ladder(constant, order, exponents=(5, 6, 7, 8, 9, 10)):
 class TestErrorLadder:
     def test_requires_decreasing_steps(self):
         rows = (
-            LadderRow(step=0.25, intervals=4, error=1.0, wall_time_s=0.0),
-            LadderRow(step=0.5, intervals=2, error=1.0, wall_time_s=0.0),
+            LadderRow(intervals=4, error=1.0, wall_time_s=0.0),
+            LadderRow(intervals=2, error=1.0, wall_time_s=0.0),
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strictly decreasing step"):
             ErrorLadder(rule="CTQ", metric="absolute", rows=rows)
 
+    def test_step_is_derived_from_the_cell_count(self):
+        # A row once stored a step beside its count, and fit_order fitted
+        # step 0.3 on 4 cells without complaint.
+        assert LadderRow(intervals=8, error=1.0, wall_time_s=0.0).step == 0.125
+        with pytest.raises(TypeError):
+            LadderRow(step=0.3, intervals=4, error=1.0, wall_time_s=0.0)
+
     def test_rejects_bad_errors(self):
-        rows = (LadderRow(step=0.5, intervals=2, error=-1.0, wall_time_s=0.0),)
+        rows = (LadderRow(intervals=2, error=-1.0, wall_time_s=0.0),)
         with pytest.raises(ValueError):
             ErrorLadder(rule="CTQ", metric="absolute", rows=rows)
 
     def test_nonmonotone_warning(self):
         rows = (
-            LadderRow(step=0.5, intervals=2, error=1e-3, wall_time_s=0.0),
-            LadderRow(step=0.25, intervals=4, error=2e-3, wall_time_s=0.0),
+            LadderRow(intervals=2, error=1e-3, wall_time_s=0.0),
+            LadderRow(intervals=4, error=2e-3, wall_time_s=0.0),
         )
         with pytest.warns(RuntimeWarning, match="increased"):
             warn_if_nonmonotone(ErrorLadder(rule="CTQ", metric="absolute", rows=rows))
@@ -89,9 +96,9 @@ class TestFitOrder:
 
     def test_zero_rows_excluded_with_warning(self):
         rows = (
-            LadderRow(step=0.5, intervals=2, error=1e-2, wall_time_s=0.0),
-            LadderRow(step=0.25, intervals=4, error=0.0, wall_time_s=0.0),
-            LadderRow(step=0.125, intervals=8, error=1e-4, wall_time_s=0.0),
+            LadderRow(intervals=2, error=1e-2, wall_time_s=0.0),
+            LadderRow(intervals=4, error=0.0, wall_time_s=0.0),
+            LadderRow(intervals=8, error=1e-4, wall_time_s=0.0),
         )
         ladder = ErrorLadder(rule="CTQ", metric="absolute", rows=rows)
         with pytest.warns(RuntimeWarning, match="zero-error"):
@@ -100,8 +107,8 @@ class TestFitOrder:
 
     def test_too_few_usable_rows(self):
         rows = (
-            LadderRow(step=0.5, intervals=2, error=0.0, wall_time_s=0.0),
-            LadderRow(step=0.25, intervals=4, error=1e-3, wall_time_s=0.0),
+            LadderRow(intervals=2, error=0.0, wall_time_s=0.0),
+            LadderRow(intervals=4, error=1e-3, wall_time_s=0.0),
         )
         ladder = ErrorLadder(rule="CTQ", metric="absolute", rows=rows)
         with pytest.warns(RuntimeWarning):
@@ -212,6 +219,14 @@ class TestStreamPacking:
         with pytest.raises(ValueError, match=f"replications must be an integer of at least 2, got {replications}"):
             run_example1(gammas=(1.5,), step_exponents=range(3, 5), replications=replications)
 
+    @pytest.mark.parametrize("p", [0.5, float("nan")])
+    def test_example1_rejects_p_before_drawing(self, p, monkeypatch):
+        # p = 0.5 once made 5 ctq calls and drew a pathwise sequence first.
+        for name in ("ctq", "sample_tau_sequence", "mc_lp_error"):
+            monkeypatch.setattr(experiments, name, lambda *args: pytest.fail("a rung ran before the check"))
+        with pytest.raises(ValueError, match=f"p must be finite and at least 1, got {p}"):
+            run_example1(gammas=(1.5,), step_exponents=range(3, 5), replications=5, p=p)
+
     def test_example1_rejects_replications_past_the_packing_before_drawing(self):
         start = time.perf_counter()
         with pytest.raises(ValueError, match="replications"):
@@ -302,6 +317,13 @@ class TestAsRateCheck:
         monkeypatch.setattr(experiments, "sample_tau_sequence", no_draw)
         with pytest.raises(ValueError, match="exponent"):
             as_rate_check(power_integrand(1.75), 2.0, 0.25, exponents, RngStream(0))
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_sigma_rejected_before_drawing(self, sigma, monkeypatch):
+        # nan once gave a nan target exponent and no passing rung, silently.
+        monkeypatch.setattr(experiments, "sample_tau_sequence", lambda *args: pytest.fail("drew before the check"))
+        with pytest.raises(ValueError, match=f"sigma must be finite, got {sigma}"):
+            as_rate_check(power_integrand(1.75), sigma, 0.25, range(3, 6), RngStream(2))
 
     @pytest.mark.parametrize("eps", [0.0, 0.5, -0.1, 0.7])
     def test_eps_validation(self, eps):

@@ -307,7 +307,7 @@ class TestSobolevSeminorm:
 
     @pytest.mark.parametrize("cells", [64.7, float("inf"), float("nan")])
     def test_non_integer_cells_rejected(self, cells):
-        with pytest.raises(ValueError, match=re.escape(f"cells must be an integer in [2, {SOBOLEV_MAX_CELLS}], got {cells!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"cells must be an integer of at least 2, got {cells!r}")):
             sobolev_seminorm(power_integrand(1.5), 1.2, 2.0, cells)
 
     @pytest.mark.parametrize("g, sigma, p, cells, term", [

@@ -46,7 +46,7 @@ class TestMakePartition:
     def test_rejects_bad_arguments(self, N):
         # inf once raised a bare OverflowError from int(), nan a bare
         # "cannot convert float NaN to integer".
-        with pytest.raises(ValueError, match="intervals must be a positive integer"):
+        with pytest.raises(ValueError, match="intervals must be an integer of at least 1"):
             make_partition(N)
 
 

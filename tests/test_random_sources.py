@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 
 from randquad import random_sources
+from randquad.integrands import power_integrand, sobolev_seminorm
+from randquad.quadrature import make_partition
 from randquad.random_sources import (
     BrownianGrid,
     RngStream,
@@ -158,6 +161,26 @@ class TestBatchSeeding:
         monkeypatch.setattr(random_sources, "_seed_words", lambda *args: pytest.fail("seeded before the sizes were checked"))
         with pytest.raises(ValueError, match=f"{message} must be an integer of at least 1"):
             sample_tau_batches(RngStream(0), replications, count)
+
+
+@pytest.mark.parametrize("value", [64.0, 2.5, float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "name,least,build",
+    [
+        ("intervals", 1, make_partition),
+        ("cells", 2, lambda cells: sobolev_seminorm(power_integrand(1.5), 1.2, 2.0, cells)),
+        ("seed", 0, RngStream),
+        ("stream_id", 0, lambda stream_id: RngStream(0, stream_id)),
+        ("count", 1, lambda count: sample_tau_sequence(RngStream(0), count)),
+        ("cells", 1, lambda cells: sample_path_grid(RngStream(0), cells)),
+    ],
+    ids=["make_partition", "sobolev_seminorm", "seed", "stream_id", "sample_tau_sequence", "sample_path_grid"],
+)
+def test_every_count_and_id_is_checked_by_one_integer_rule(name, least, build, value):
+    # A whole float once built a 64-cell partition and a 64-cell Sobolev
+    # estimate, and RngStream(2.5) drew seed 2's streams.
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer of at least {least}, got {value!r}")):
+        build(value)
 
 
 def test_importing_the_cli_leaves_numpy_random_unloaded():
