@@ -38,7 +38,7 @@ from .experiments import (
     DEFAULT_REPLICATIONS,
     DEFAULT_SEED,
     DEFAULT_STEP_EXPONENTS,
-    MAX_STEP_EXPONENT,
+    MAX_REFERENCE_EXP,
     METRIC_ABSOLUTE,
     METRIC_PATHWISE,
     ErrorLadder,
@@ -56,7 +56,7 @@ from .integrands import (
     sobolev_seminorm,
 )
 from .quadrature import CTQ, RTQ, Integrand, ctq, make_partition, rtq
-from .random_sources import BrownianGrid, RngStream, sample_tau_sequence
+from .random_sources import BrownianPath, RngStream, sample_tau_sequence
 
 OUTPUT_DIR_ENV = "RANDQUAD_OUTDIR"
 _DEFAULT_OUTPUT_DIR = "randquad-output"
@@ -121,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_seed(p_ex1)
 
     p_ex2 = sub.add_parser("example2", help="Brownian-target convergence study")
-    p_ex2.add_argument("--h-ref-exp", type=int, default=DEFAULT_REFERENCE_EXP, help="reference step is 2^-h_ref_exp")
+    p_ex2.add_argument("--h-ref-exp", type=int, default=DEFAULT_REFERENCE_EXP, help=f"reference step is 2^-h_ref_exp, h_ref_exp at most {MAX_REFERENCE_EXP}")
     add_steps(p_ex2)
     p_ex2.add_argument("--dump-path", action="store_true", help="also write path.csv")
     add_outdir(p_ex2)
@@ -208,14 +208,14 @@ def _write_tables(outdir: str, result: ExperimentResult) -> None:
     )
 
 
-def _path_rows(grid: BrownianGrid, bridge):
-    """One path.csv row per grid index j, a bridge block at a time; the last
-    (j = J) has no interior sample, so its tau, t_mid and B_mid fields are
-    empty."""
-    for start, mid_values in bridge:
-        j = np.arange(start, start + mid_values.size)
-        yield from zip(j, j * grid.step, grid.grid_values[j], grid.offsets[j], grid.mid_times(j), mid_values)
-    yield grid.cells, grid.cells * grid.step, grid.grid_values[-1], None, None, None
+def _path_rows(path: BrownianPath):
+    """One path.csv row per grid index j, a block of the path at a time; the
+    last (j = J) has no interior sample, so its tau, t_mid and B_mid fields
+    are empty."""
+    for block in path.blocks():
+        j = np.arange(block.start, block.start + block.offsets.size)
+        yield from zip(j, j * path.step, block.nodes[:-1], block.offsets, (j + block.offsets) * path.step, block.mid_values)
+    yield path.cells, path.cells * path.step, block.nodes[-1], None, None, None
 
 
 def _error_panel(dat: str, title: str, series, orders):
@@ -335,8 +335,8 @@ def cmd_example1(args: argparse.Namespace) -> int:
 
 def cmd_example2(args: argparse.Namespace) -> int:
     # run_example2 rejects these too, but naming reference_exp, not the flag.
-    if not 0 <= args.h_ref_exp <= MAX_STEP_EXPONENT:
-        raise ValueError(f"--h-ref-exp must lie in [0, {MAX_STEP_EXPONENT}], got {args.h_ref_exp}")
+    if not 0 <= args.h_ref_exp <= MAX_REFERENCE_EXP:
+        raise ValueError(f"--h-ref-exp must lie in [0, {MAX_REFERENCE_EXP}], got {args.h_ref_exp}")
     with _output_dir(args.outdir) as outdir:
         result = run_example2(
             step_exponents=range(args.min_exp, args.max_exp + 1),
@@ -346,7 +346,7 @@ def cmd_example2(args: argparse.Namespace) -> int:
         _write_tables(outdir, result)
         if args.dump_path:
             path = example2_path(args.seed, args.h_ref_exp)
-            _write_csv(os.path.join(outdir, "path.csv"), ["j", "t", "B_grid", "tau", "t_mid", "B_mid"], _path_rows(*path))
+            _write_csv(os.path.join(outdir, "path.csv"), ["j", "t", "B_grid", "tau", "t_mid", "B_mid"], _path_rows(path))
 
         lad_ctq, lad_rtq = (rep.ladder for rep in result.reports)
         panels = [

@@ -23,15 +23,20 @@ draws from its own stream, the block is one integrand call and one row-wise
 compensated sum, and every replication's value is bit-for-bit the one a
 separate ``rtq`` call would give.
 
-Example 2 in one pass: ``run_example2`` keeps only the path's node values
-and offsets whole (``random_sources.sample_path_grid``).  It draws every
-rung's fine-cell selection first (``select_fine_cells``), then walks the
-bridge blocks once, carrying the Euler prefix sums (``euler_prefix``),
-summing the union-grid trapezoids and keeping the selected bridge samples
-and the prefix sums at the finest rung's nodes: one ``BrownianIntegrand``,
-the node type both rules read; ``coarse_tau_from`` turns each rung's samples
-into its offsets.  The reference is bit for bit the trapezoidal rule on the
-union grid through that type's ``value_at`` on the path's own grid.
+Example 2 in bounded memory: ``run_example2`` holds no array of the path's
+size, so its memory does not grow with the reference step.  It draws every
+rung's fine-cell selection first (``select_fine_cells``); the first pass of
+``random_sources.sample_path`` keeps the offsets of the selected cells, from
+which ``complement_cells`` names the nodes around each complementary time.
+One walk of the path's blocks then carries the Euler prefix sums
+(``euler_prefix``), sums the union-grid trapezoids and gathers what the
+rungs read: B and the prefix sums at the finest rung's nodes (one
+``BrownianIntegrand``, the node type both rules read), the selected bridge
+samples and B around the complementary times.  ``coarse_tau_from`` turns
+each rung's share into its offsets, one rung at a time.  The reference is
+bit for bit the trapezoidal rule on the union grid through that type's
+``value_at`` on the path's own grid.  ``MAX_REFERENCE_EXP`` bounds the
+reference by time, since memory no longer does.
 
 Timing: each quadrature call is repeated five times and the median of a
 monotonic clock is reported, which resists scheduler noise without
@@ -44,7 +49,6 @@ import math
 import sys
 import time
 import warnings
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,11 +64,14 @@ from .integrands import (
 )
 from .quadrature import CTQ, RTQ, Partition, _CellCount, ctq, make_partition, rtq, rtq_prefix
 from .random_sources import (
-    BrownianGrid,
+    BrownianPath,
+    Gathered,
+    PathBlock,
     RngStream,
     _integer,
     coarse_tau_from,
-    sample_path_grid,
+    complement_cells,
+    sample_path,
     sample_tau_batches,
     sample_tau_sequence,
     select_fine_cells,
@@ -83,6 +90,10 @@ DEFAULT_P = 2.0
 DEFAULT_REFERENCE_EXP = 14
 # Largest step exponent i: 2^-1022 is the smallest normal double.
 MAX_STEP_EXPONENT = 1022
+# Largest reference exponent of Example 2, a time bound: the path streams in
+# memory that does not grow with it, but each fine cell costs about 100 ns,
+# so a reference of 2^28 cells takes about 30 s (2-vCPU x86-64 VM, numpy 2.4).
+MAX_REFERENCE_EXP = 28
 
 METRIC_ABSOLUTE = "absolute"
 METRIC_PATHWISE = "pathwise"
@@ -467,9 +478,9 @@ def run_example1(
     return ExperimentResult(reports=tuple(reports))
 
 
-def _union_terms(grid: BrownianGrid, prefix: np.ndarray, start: int) -> np.ndarray:
-    """The union-grid trapezoids of the fine cells from ``start`` on whose
-    Euler prefix sums, at the cells' nodes, are ``prefix``.
+def _union_terms(block: PathBlock, prefix: np.ndarray, step: float) -> np.ndarray:
+    """The union-grid trapezoids of ``block``'s cells, of step ``step``,
+    whose Euler prefix sums, at the cells' nodes, are ``prefix``.
 
     Each term is bit for bit that of ``BrownianIntegrand.value_at`` on the
     union grid.  The step h is 2^-k, so the node j * h and the interior time
@@ -480,46 +491,55 @@ def _union_terms(grid: BrownianGrid, prefix: np.ndarray, start: int) -> np.ndarr
     Sterbenz's lemma makes exact; at t = 1, clamped to the last cell, it is
     how the last prefix sum was formed.
     """
-    stop = start + prefix.size - 1
-    j = np.arange(start, stop + 1, dtype=np.float64)
-    nodes = j * grid.step
-    mids = (j[:-1] + grid.offsets[start:stop]) * grid.step
-    widths = np.empty(2 * (stop - start))
-    widths[0::2] = mids - nodes[:-1]
-    widths[1::2] = nodes[1:] - mids
-    if not np.all(widths > 0.0):
+    j = np.arange(block.start, block.start + block.offsets.size + 1, dtype=np.float64)
+    nodes = j * step
+    mids = j[:-1] + block.offsets
+    mids *= step
+    left = mids - nodes[:-1]
+    right = nodes[1:] - mids
+    if not (left.min() > 0.0 and right.min() > 0.0):
         raise ValueError("union grid is not strictly increasing")
-    g = np.empty(widths.size + 1)
-    g[0::2] = prefix
-    g[1::2] = prefix[:-1] + grid.grid_values[start:stop] * widths[0::2]
-    return 0.5 * widths * (g[:-1] + g[1:])
+    # The value at each interior time, then the left and right trapezoids,
+    # written straight into their interleaved places.
+    mid_g = block.nodes[:-1] * left
+    mid_g += prefix[:-1]
+    terms = np.empty(2 * left.size)
+    np.multiply(0.5, left, out=terms[0::2])
+    terms[0::2] *= prefix[:-1] + mid_g
+    np.multiply(0.5, right, out=terms[1::2])
+    mid_g += prefix[1:]
+    terms[1::2] *= mid_g
+    return terms
 
 
-def example2_path(seed: int, reference_exp: int) -> tuple[BrownianGrid, Iterator[tuple[int, np.ndarray]]]:
-    """Example 2's path for ``seed`` on 2^reference_exp cells, as
-    :func:`sample_path_grid` returns it: nodes, offsets and bridge blocks."""
-    return sample_path_grid(_lane_stream(seed, _LANE_PATH), 2**reference_exp)
+def example2_path(seed: int, reference_exp: int, picked=()) -> BrownianPath:
+    """Example 2's path for ``seed`` on 2^reference_exp cells after the
+    first pass of :func:`sample_path`, which keeps the offsets of the cells
+    ``picked``."""
+    return sample_path(_lane_stream(seed, _LANE_PATH), 2**reference_exp, picked)
 
 
-def _stream_path(grid: BrownianGrid, bridge, selected: list[np.ndarray], stride: int):
-    """One pass over the bridge blocks: the union-grid reference, the Euler
-    prefix sums at every ``stride``-th node, and the bridge samples of each
-    selection of fine cells (gathered through one sorted list of them all)."""
+def _stream_path(path: BrownianPath, stride: int, mids: Gathered, left: Gathered, right: Gathered):
+    """One pass over the path's blocks: the union-grid reference and the
+    :class:`BrownianIntegrand` of every ``stride``-th node, filling ``mids``
+    with bridge samples, and ``left`` and ``right`` with the values of B at
+    the left and right nodes of their cells."""
     acc = NeumaierSum()
-    node_prefix = np.empty(grid.cells // stride + 1)
-    cells = np.concatenate(selected)
-    cells.sort()
-    cell_mids = np.empty(cells.size)
+    node_values = np.empty(path.cells // stride + 1)
+    node_prefix = np.empty(node_values.size)
     prefix = np.zeros(1)
-    for start, mids in bridge:
-        stop = start + mids.size
-        prefix = euler_prefix(grid.grid_values[start:stop], grid.step, prefix[-1])
-        acc.extend(_union_terms(grid, prefix, start))
-        first_node = -(-start // stride)
-        node_prefix[first_node : stop // stride + 1] = prefix[first_node * stride - start :: stride]
-        lo, hi = np.searchsorted(cells, (start, stop))
-        cell_mids[lo:hi] = mids[cells[lo:hi] - start]
-    return acc.value, node_prefix, [cell_mids[np.searchsorted(cells, picked)] for picked in selected]
+    for block in path.blocks():
+        start, stop = block.start, block.start + block.offsets.size
+        prefix = euler_prefix(block.nodes[:-1], path.step, prefix[-1])
+        acc.extend(_union_terms(block, prefix, path.step))
+        first = -(-start // stride)
+        kept = slice(first * stride - start, None, stride)
+        node_values[first : stop // stride + 1] = block.nodes[kept]
+        node_prefix[first : stop // stride + 1] = prefix[kept]
+        mids.fill(start, block.mid_values)
+        left.fill(start, block.nodes[:-1])
+        right.fill(start, block.nodes[1:])
+    return acc.value, BrownianIntegrand(grid_values=node_values, prefix=node_prefix, stride=stride)
 
 
 def run_example2(
@@ -530,27 +550,38 @@ def run_example2(
     """Brownian-target convergence study on [0, 1] against a union-grid reference.
 
     One path per run, sampled from the seed on the grid of 2^reference_exp
-    cells (at least the finest rung's); coarse offsets reuse the path's
-    interior samples exactly; errors are pathwise (one realisation) by
-    construction.  The reference, by fiat the exact value, is the
-    trapezoidal value of the Euler-extended integral on the union grid of
-    fine nodes and bridge samples, so the coarse rules are measured against
-    the best trapezoidal value of the very function they integrate.
+    cells (at least the finest rung's, at most ``MAX_REFERENCE_EXP``);
+    coarse offsets reuse the path's interior samples exactly; errors are
+    pathwise (one realisation) by construction.  The reference, by fiat the
+    exact value, is the trapezoidal value of the Euler-extended integral on
+    the union grid of fine nodes and bridge samples, so the coarse rules
+    are measured against the best trapezoidal value of the very function
+    they integrate.  The path is drawn twice, a block at a time (see the
+    module docstring), so memory does not grow with the reference.
     """
     ladder = _ladder(step_exponents)
     finest = ladder[-1].bit_length() - 1
-    if not finest <= _integer("reference_exp", reference_exp, 0) <= MAX_STEP_EXPONENT:
-        raise ValueError(f"the reference exponent {reference_exp!r} must lie in [{finest}, {MAX_STEP_EXPONENT}], from the finest step exponent up")
-    grid, bridge = example2_path(seed, reference_exp)
-    selected = [select_fine_cells(grid, cells, _lane_stream(seed, _LANE_COARSEN, hj)) for hj, cells in enumerate(ladder)]
-    stride = grid.cells // ladder[-1]
-    reference, node_prefix, mid_values = _stream_path(grid, bridge, selected, stride)
-    nodes = BrownianIntegrand(grid_values=grid.grid_values[::stride], prefix=node_prefix, stride=stride)
+    if finest > MAX_REFERENCE_EXP:
+        raise ValueError(f"the finest step exponent {finest} is above the largest reference exponent {MAX_REFERENCE_EXP}")
+    if not finest <= _integer("reference_exp", reference_exp, 0) <= MAX_REFERENCE_EXP:
+        raise ValueError(
+            f"the reference exponent {reference_exp!r} must lie in [{finest}, {MAX_REFERENCE_EXP}], "
+            "from the finest step exponent up"
+        )
+    fine_cells = 2**reference_exp
+    selected = [select_fine_cells(fine_cells, cells, _lane_stream(seed, _LANE_COARSEN, hj)) for hj, cells in enumerate(ladder)]
+    path = example2_path(seed, reference_exp, np.concatenate(selected))
+    rungs = np.cumsum(ladder)[:-1]  # where each rung's values start, after the first
+    offsets = np.split(path.picked_offsets.values, rungs)
+    left = Gathered.at(np.concatenate([complement_cells(fine_cells, *picks) for picks in zip(selected, offsets)]))
+    mids, right = path.picked_offsets.twin(), left.twin()
+    reference, nodes = _stream_path(path, fine_cells // ladder[-1], mids, left, right)
 
     ctq_rows, rtq_rows = [], []
-    for cells, picked, mids in zip(ladder, selected, mid_values):
+    rung_values = (np.split(gathered.values, rungs) for gathered in (mids, left, right))
+    for cells, picked, tau, mid, *around in zip(ladder, selected, offsets, *rung_values):
         part = make_partition(cells)
-        ctau = coarse_tau_from(grid, picked, mids)
+        ctau = coarse_tau_from(fine_cells, picked, tau, mid, around)
 
         ctq_rows.append(_timed_row(part, reference, lambda: ctq_brownian(nodes, part)))
         rtq_rows.append(_timed_row(part, reference, lambda: rtq_brownian(nodes, part, ctau)))

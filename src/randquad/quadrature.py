@@ -44,7 +44,11 @@ class EvaluationError(ArithmeticError):
 
 
 class _CellCount:
-    """A record of a grid on [0, 1] that stores only its cell count ``intervals``."""
+    """A record of a grid on [0, 1] that stores only its cell count
+    ``intervals``, an integer of at least 1 (ValueError otherwise)."""
+
+    def __post_init__(self) -> None:
+        _integer("intervals", self.intervals, 1)
 
     @property
     def step(self) -> float:

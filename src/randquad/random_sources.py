@@ -18,24 +18,38 @@ numpy's SeedSequence staying as it is; a test compares the two on edge
 seeds and ids, so a numpy release that changed it would fail it.
 ``RngStream.generator()`` stays the single-stream path.
 
-:func:`sample_path_grid` samples a Brownian motion on the grid of [0, 1]
-with 2^k cells (step h = 2^-k) with one extra sample strictly inside every
+:func:`sample_path` samples a Brownian motion on the grid of [0, 1] with
+2^k cells (step h = 2^-k) with one extra sample strictly inside every
 cell, drawn from the Brownian bridge conditional on the cell endpoints: at
 time ``(j + tau) * h`` the bridge law is Normal with mean
-``(1 - tau) * B_j + tau * B_{j+1}`` and variance ``tau * (1 - tau) * h``.
-One stream draws the node values and the offsets whole (a
-:class:`BrownianGrid`), then the bridge residuals a block at a time, which
-numpy's generator (it keeps no normal between calls) makes bit for bit one
-draw; the bridge samples are handed out block by block and never held
-whole.  A grid is named by its cell count; its step is ``1.0 / cells``, so
-the times ``j * h`` and ``(j + tau) * h`` are exact and are computed where
-they are used.  A coarser grid, whose cell count divides the path's, reuses
-the interior samples exactly: :func:`select_fine_cells` picks, uniformly at
-random, one of the fine cells inside each coarse cell, which keeps the
-coarse offsets Uniform(0, 1), and :func:`coarse_tau_from` solves for the
-offsets that land on the picked samples' times bit for bit.  The picks are
-drawn before the bridge, so a caller that consumes the blocks keeps only
-the samples it picked.
+``(1 - tau) * B_j + tau * B_{j+1}`` and variance ``tau * (1 - tau) * h``
+(Glasserman, *Monte Carlo Methods in Financial Engineering*, 2003,
+Section 3.1).
+One stream draws, in this order, the node increments, the offsets (with
+any redraws) and the bridge residuals, and no array of the path's size is
+ever held.  A first pass draws and drops the increments and the offsets a
+block at a time and records a :class:`BrownianPath`: the generator at the
+start of each of the three sections, the few offsets that were redrawn,
+and the offsets of the cells the caller asked to keep.
+:meth:`BrownianPath.blocks` then restores three generators from those
+states, drives them in step and hands the path out a :class:`PathBlock` of ``BLOCK_ELEMENTS``
+cells at a time: node values, offsets and bridge samples.  numpy's
+generator keeps no normal between calls and draws one word per uniform, so
+every block is bit for bit what one pass over whole arrays would draw; the
+price is that the node increments are drawn twice.  A grid is named by its
+cell count; its step is ``1.0 / cells``, so the times ``j * h`` and
+``(j + tau) * h`` are exact and are computed where they are used.
+
+A coarser grid, whose cell count divides the path's, reuses the interior
+samples exactly: :func:`select_fine_cells` picks, uniformly at random, one
+of the fine cells inside each coarse cell, which keeps the coarse offsets
+Uniform(0, 1), and :func:`coarse_tau_from` solves for the offsets that land
+on the picked samples' times bit for bit.  It reads only what it needs of
+the path, gathered (:class:`Gathered`) by the passes: the picked cells'
+offsets (first pass) and bridge samples, and B at the nodes around each
+complementary time, which :func:`complement_cells` names from the offsets.
+The picks are drawn before the first pass, so a caller keeps only the
+samples it picked.
 """
 
 from __future__ import annotations
@@ -44,6 +58,7 @@ import functools
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,27 +98,32 @@ def _integer(name: str, value, least: int) -> int:
     raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
-def _strict_uniform(rng: np.random.Generator, count: int, per_cell: bool = False) -> np.ndarray:
-    """Uniform(0,1) draws u, each redrawn while ``j + u`` rounds to j or
-    j + 1: j = 0 for plain offsets, and j is u's index for a path's offsets
-    (``per_cell``; near j = 2^24 an offset below about 2^-30 would put
-    j + u on a node).  The check runs a block at a time, and the flagged
-    draws are redrawn together in index order until none is left."""
+def _off_ends(u: np.ndarray, j) -> np.ndarray:
+    """Where ``j + u`` rounds to j or j + 1: j = 0 for plain offsets, and the
+    cell index for a path's offsets (near j = 2^24 an offset below about
+    2^-30 would put j + u on a node)."""
+    t = j + u
+    return (t <= j) | (t >= j + 1)
 
-    def off_ends(u: np.ndarray, j) -> np.ndarray:
-        t = j + u
-        return (t <= j) | (t >= j + 1)
 
+def _redraws(rng: np.random.Generator, cells: np.ndarray) -> np.ndarray:
+    """The final values of the flagged draws of the cells ``cells`` (float
+    indices in increasing order, or zeros for plain offsets): all are
+    redrawn together in index order, and those still off their cell's ends
+    again, until none is left."""
+    values = np.empty(cells.size)
+    pending = np.arange(cells.size)
+    while pending.size:
+        values[pending] = rng.random(pending.size)
+        pending = pending[_off_ends(values[pending], cells[pending])]
+    return values
+
+
+def _strict_uniform(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` Uniform(0,1) draws, each exact 0 or 1 redrawn (:func:`_redraws`)."""
     values = rng.random(count)
-    flagged = []
-    for start in range(0, count, BLOCK_ELEMENTS):
-        block = values[start : start + BLOCK_ELEMENTS]
-        cells = np.arange(start, start + block.size, dtype=np.float64) if per_cell else 0
-        flagged.append(start + np.flatnonzero(off_ends(block, cells)))
-    flagged = np.concatenate(flagged)
-    while flagged.size:
-        values[flagged] = rng.random(flagged.size)
-        flagged = flagged[off_ends(values[flagged], flagged if per_cell else 0)]
+    flagged = np.flatnonzero((values <= 0.0) | (values >= 1.0))
+    values[flagged] = _redraws(rng, np.zeros(flagged.size))
     return values
 
 
@@ -211,6 +231,15 @@ def _row_generator(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_seed_row_type()(words)))
 
 
+def _generator_at(state: dict) -> np.random.Generator:
+    """A generator at ``state``, a ``bit_generator.state`` of a stream's
+    generator (seeding it from a row of zeros first is the cheap way to
+    make one)."""
+    rng = _row_generator(np.zeros(_POOL_WORDS, dtype=np.uint64))
+    rng.bit_generator.state = state
+    return rng
+
+
 def sample_tau_batches(stream: RngStream, replications: int, count: int) -> Iterator[np.ndarray]:
     """Offset sequences of ``count`` offsets for ``replications`` streams, in blocks.
 
@@ -247,40 +276,120 @@ def _draw_blocks(words: np.ndarray, count: int) -> Iterator[np.ndarray]:
         yield values
 
 
-@dataclass(frozen=True, eq=False)
-class BrownianGrid:
-    """Brownian motion on the grid of [0, 1] and one offset per cell.
+class Gathered(NamedTuple):
+    """Values of a path at given indices (of cells or of nodes, in any
+    order, repeats allowed), filled a block at a time in index order.
 
-    ``step`` is ``1.0 / cells``.  ``grid_values[j]`` is B at ``j * step``,
-    with B(0) = 0, and cell j's interior time ``(j + offsets[j]) * step``
-    (:meth:`mid_times`) lies strictly inside the cell.
+    ``values[i]`` is the value at the i-th given index; ``indices`` holds
+    them sorted, ``order`` where each sorted one was given, so a block finds
+    its indices with one binary search and nothing is looked up later.
     """
 
-    grid_values: np.ndarray
-    offsets: np.ndarray
+    indices: np.ndarray
+    order: np.ndarray
+    values: np.ndarray
 
-    @property
-    def cells(self) -> int:
-        return int(self.grid_values.size - 1)
+    @classmethod
+    def at(cls, indices) -> Gathered:
+        indices = np.asarray(indices, dtype=np.int64)
+        order = np.argsort(indices)
+        return cls(indices=indices[order], order=order, values=np.empty(indices.size))
+
+    def twin(self) -> Gathered:
+        """An unfilled record at the same indices."""
+        return self._replace(values=np.empty(self.values.size))
+
+    def fill(self, start: int, block: np.ndarray) -> None:
+        """Take the values at this record's indices from ``block``, the
+        values at indices ``start`` on."""
+        lo, hi = np.searchsorted(self.indices, (start, start + block.size))
+        self.values[self.order[lo:hi]] = block[self.indices[lo:hi] - start]
+
+
+class PathBlock(NamedTuple):
+    """Cells ``start`` to ``start + offsets.size`` of a path: B at their
+    nodes (``nodes``, one value more than cells), their offsets and their
+    bridge samples."""
+
+    start: int
+    nodes: np.ndarray
+    offsets: np.ndarray
+    mid_values: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class BrownianPath:
+    """A Brownian path on the grid of [0, 1] with ``cells`` cells and one
+    interior sample per cell, as a first pass over its stream left it.
+
+    ``step`` is ``1.0 / cells``; cell j's interior time
+    ``(j + offset) * step`` lies strictly inside the cell.  The path holds
+    no array of its cells: the generator states at the starts of the
+    stream's three sections (node normals, offsets, bridge normals), the
+    offsets that were redrawn, and ``picked_offsets``, the offsets of the
+    cells the sampler was asked to keep.  :meth:`blocks` draws the path
+    again.
+    """
+
+    cells: int
+    picked_offsets: Gathered
+    states: tuple
+    redrawn: np.ndarray
+    redraws: np.ndarray
 
     @property
     def step(self) -> float:
         return 1.0 / self.cells
 
-    def mid_times(self, cells: np.ndarray) -> np.ndarray:
-        """The interior sample times of the cells with the given indices."""
-        return (cells + self.offsets[cells]) * self.step
+    def blocks(self) -> Iterator[PathBlock]:
+        """The path a :class:`PathBlock` of ``BLOCK_ELEMENTS`` cells at a
+        time, each drawn, by generators restored from the recorded states,
+        bit for bit as one pass over the whole stream would draw it."""
+        nodes_rng, offsets_rng, bridge_rng = (_generator_at(state) for state in self.states)
+        root_step = np.sqrt(self.step)
+        size = min(self.cells, BLOCK_ELEMENTS)  # both powers of two
+        last = 0.0
+        for start in range(0, self.cells, size):
+            nodes = np.empty(size + 1)
+            nodes[0] = last
+            increments = nodes_rng.standard_normal(out=nodes[1:])
+            increments *= root_step
+            # B(0) = 0 is not added to the first increment: one cumsum's order.
+            running = increments if start == 0 else nodes
+            np.cumsum(running, out=running)
+            last = nodes[-1]
+            tau = offsets_rng.random(size)
+            lo, hi = np.searchsorted(self.redrawn, (start, start + size))
+            tau[self.redrawn[lo:hi] - start] = self.redraws[lo:hi]
+            mid_values = _bridge(nodes, tau, self.step, bridge_rng)
+            yield PathBlock(start=start, nodes=nodes, offsets=tau, mid_values=mid_values)
 
 
-def sample_path_grid(stream: RngStream, cells: int) -> tuple[BrownianGrid, Iterator[tuple[int, np.ndarray]]]:
-    """Sample a Brownian path's nodes and offsets on the grid of [0, 1] with
-    ``cells`` = 2^k cells, with an iterator that then draws the bridge
-    samples and yields ``(first cell, values)`` per block of
-    ``BLOCK_ELEMENTS`` cells.
+def _bridge(nodes: np.ndarray, tau: np.ndarray, step: float, rng: np.random.Generator) -> np.ndarray:
+    """A block's bridge samples (see :func:`sample_path`), formed with two
+    work buffers that are dropped on return."""
+    work = 1.0 - tau
+    mid_values = work * nodes[:-1]
+    work *= tau
+    work *= step
+    noise = rng.standard_normal(tau.size)
+    noise *= np.sqrt(work, out=work)
+    mid_values += np.multiply(tau, nodes[1:], out=work)
+    mid_values += noise
+    return mid_values
 
-    An offset whose interior time would round onto a node is redrawn within
-    the offset section.  The bridge value at ``(j + tau) * h`` is
+
+def sample_path(stream: RngStream, cells: int, picked=()) -> BrownianPath:
+    """Make the first pass over a Brownian path on the grid of [0, 1] with
+    ``cells`` = 2^k cells, keeping the offsets of the cells ``picked``.
+
+    The stream draws the ``cells`` node increments, then one offset per
+    cell, and redraws, within the offset section, any offset whose interior
+    time would round onto a node; then it draws one bridge residual Z per
+    cell.  The bridge value at ``(j + tau) * h`` is
     ``((1 - tau) * B_j + tau * B_{j+1}) + sqrt(tau * (1 - tau) * h) * Z``.
+    The first pass draws and drops the increments and the offsets a block
+    at a time, recording the generator state at each section's start.
 
     Raises:
         ValueError: if ``cells`` is not 2^k for an integer k >= 0.
@@ -289,23 +398,25 @@ def sample_path_grid(stream: RngStream, cells: int) -> tuple[BrownianGrid, Itera
     if cells & (cells - 1):
         raise ValueError(f"cells must be a power of two, got {cells!r}")
     rng = stream.generator()
-    grid_values = np.zeros(cells + 1)
-    increments = rng.standard_normal(out=grid_values[1:])
-    increments *= np.sqrt(1.0 / cells)
-    np.cumsum(increments, out=increments)
-    offsets = _strict_uniform(rng, cells, per_cell=True)
-    for arr in (grid_values, offsets):
-        arr.setflags(write=False)
-    grid = BrownianGrid(grid_values=grid_values, offsets=offsets)
-    return grid, _bridge_blocks(grid, rng)
-
-
-def _bridge_blocks(grid: BrownianGrid, rng: np.random.Generator) -> Iterator[tuple[int, np.ndarray]]:
-    for start in range(0, grid.cells, BLOCK_ELEMENTS):
-        tau = grid.offsets[start : start + BLOCK_ELEMENTS]
-        left = grid.grid_values[start : start + tau.size + 1]
-        mean = (1.0 - tau) * left[:-1] + tau * left[1:]
-        yield start, mean + np.sqrt(tau * (1.0 - tau) * grid.step) * rng.standard_normal(tau.size)
+    states = [rng.bit_generator.state]
+    dropped = np.empty(min(cells, BLOCK_ELEMENTS))  # both powers of two
+    for _ in range(0, cells, dropped.size):
+        rng.standard_normal(out=dropped)
+    states.append(rng.bit_generator.state)
+    kept = Gathered.at(picked)
+    flagged = [np.empty(0, dtype=np.int64)]  # the blocks with any, so it stays short
+    for start in range(0, cells, dropped.size):
+        tau = rng.random(dropped.size)
+        hits = np.flatnonzero(_off_ends(tau, np.arange(start, start + tau.size, dtype=np.float64)))
+        if hits.size:
+            flagged.append(start + hits)
+        kept.fill(start, tau)
+    redrawn = np.concatenate(flagged)
+    redraws = _redraws(rng, redrawn.astype(np.float64))
+    for i, cell in enumerate(redrawn):
+        kept.fill(cell, redraws[i : i + 1])
+    states.append(rng.bit_generator.state)
+    return BrownianPath(cells=cells, picked_offsets=kept, states=tuple(states), redrawn=redrawn, redraws=redraws)
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,52 +447,66 @@ class CoarseTau:
         return int(self.values.size)
 
 
-def select_fine_cells(grid: BrownianGrid, cells: int, stream: RngStream) -> np.ndarray:
+def select_fine_cells(fine_cells: int, cells, stream: RngStream) -> np.ndarray:
     """One fine cell drawn uniformly from ``stream`` in each of ``cells``
-    coarse cells, in increasing order; ValueError unless ``cells`` is a
-    positive integer that divides the path's cell count."""
-    factor, rest = divmod(grid.cells, _integer("cells", cells, 1))
+    coarse cells of a path of ``fine_cells`` cells, in increasing order;
+    ValueError unless ``cells`` is a positive integer that divides
+    ``fine_cells``."""
+    factor, rest = divmod(fine_cells, _integer("cells", cells, 1))
     if rest:
-        raise ValueError(f"{cells!r} coarse cells do not divide the path's {grid.cells} cells")
+        raise ValueError(f"{cells!r} coarse cells do not divide the path's {fine_cells} cells")
     return np.arange(cells) * factor + stream.generator().integers(0, factor, size=cells)
 
 
-def coarse_tau_from(grid: BrownianGrid, selected: np.ndarray, mid_values: np.ndarray) -> CoarseTau:
-    """The :class:`CoarseTau` of a :func:`select_fine_cells` selection whose
-    bridge samples are ``mid_values``.
+def _coarse_offsets(fine_cells: int, selected: np.ndarray, offsets: np.ndarray):
+    """The coarse offsets of a selection whose fine offsets are ``offsets``,
+    with the fine cell holding each complementary time and its position in
+    that cell, after checking them (see :func:`coarse_tau_from`)."""
+    h_fine = 1.0 / fine_cells
+    hc = 1.0 / selected.size  # one pick per coarse cell
+    starts = np.arange(selected.size) * hc
+    mid_times = (selected + offsets) * h_fine
+    values = (mid_times - starts) / hc
+    if np.any(values <= 0.0) or np.any(values >= 1.0):
+        raise ValueError("derived coarse offsets left (0, 1)")
+    if not np.array_equal(starts + values * hc, mid_times):
+        raise ValueError("coarse offsets do not reproduce the fine sample times exactly")
+    complement_times = starts + (1.0 - values) * hc
+    cells = np.minimum(np.floor(complement_times / h_fine).astype(np.int64), fine_cells - 1)
+    frac = (complement_times - cells * h_fine) / h_fine
+    if np.any(frac <= 0.0) or np.any(frac >= 1.0):
+        raise ValueError("complementary times fell on fine grid nodes; grids misaligned")
+    return values, cells, frac
+
+
+def complement_cells(fine_cells: int, selected: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The fine cells holding the complementary times of a
+    :func:`select_fine_cells` selection whose offsets are ``offsets``: the
+    nodes :func:`coarse_tau_from` reads are these and the next ones."""
+    return _coarse_offsets(fine_cells, selected, offsets)[1]
+
+
+def coarse_tau_from(fine_cells: int, selected: np.ndarray, offsets, mid_values, around) -> CoarseTau:
+    """The :class:`CoarseTau` of a :func:`select_fine_cells` selection from
+    a path of ``fine_cells`` cells, from what it reads of the path: the
+    selected cells' ``offsets`` and bridge samples ``mid_values``, and
+    ``around``, the pair of B at the nodes that :func:`complement_cells`
+    names and B at the nodes after them.
 
     Raises:
         ValueError: if a derived offset leaves (0, 1) or does not reproduce
             its fine sample time exactly, or a complementary time falls on a
             fine node.
     """
-    h_fine = grid.step
-    hc = 1.0 / selected.size  # one pick per coarse cell
-    starts = np.arange(selected.size) * hc
-    mid_times = grid.mid_times(selected)
-    values = (mid_times - starts) / hc
-    if np.any(values <= 0.0) or np.any(values >= 1.0):
-        raise ValueError("derived coarse offsets left (0, 1)")
-    if not np.array_equal(starts + values * hc, mid_times):
-        raise ValueError("coarse offsets do not reproduce the fine sample times exactly")
-
-    # Drop each array once dead: on the finest rung these set Example 2's peak.
-    del mid_times
+    values, _, frac = _coarse_offsets(fine_cells, selected, offsets)
+    left, right = around
+    comp_values = (1.0 - frac) * left
+    comp_values += frac * right
     complements = 1.0 - values
-    complement_times = starts + complements * hc
-    del starts
-    cell_idx = np.minimum(np.floor(complement_times / h_fine).astype(np.int64), grid.cells - 1)
-    frac = (complement_times - cell_idx * h_fine) / h_fine
-    del complement_times
-    if np.any(frac <= 0.0) or np.any(frac >= 1.0):
-        raise ValueError("complementary times fell on fine grid nodes; grids misaligned")
-    comp_values = (1.0 - frac) * grid.grid_values[cell_idx]
-    comp_values += frac * grid.grid_values[cell_idx + 1]
-
     for arr in (values, complements, comp_values):
         arr.setflags(write=False)
     return CoarseTau(
-        factor=grid.cells // selected.size,
+        factor=fine_cells // selected.size,
         values=values,
         complements=complements,
         mid_values=mid_values,

@@ -1,42 +1,74 @@
 """Whole Brownian paths for the tests, built from the functions that
-``run_example2`` calls: ``sample_path_grid``'s nodes and offsets with its
-bridge blocks collected into one array, coarse offsets from
-``select_fine_cells`` and ``coarse_tau_from``, and ``euler_prefix`` over all
-the cells as one block."""
+``run_example2`` calls: ``sample_path``'s blocks collected into whole
+arrays, coarse offsets from ``select_fine_cells``, ``complement_cells`` and
+``coarse_tau_from``, and ``euler_prefix`` over all the cells as one block."""
+
+from typing import NamedTuple
 
 import numpy as np
 
 from randquad.integrands import BrownianIntegrand, euler_prefix
-from randquad.random_sources import BrownianGrid, coarse_tau_from, sample_path_grid, select_fine_cells
+from randquad.random_sources import complement_cells, coarse_tau_from, sample_path, select_fine_cells
 
 
-def collect_path(grid, bridge):
-    """``grid`` and the bridge samples that ``bridge`` yields, in one array,
-    from a ``(grid, bridge)`` pair as ``sample_path_grid`` returns it."""
-    mid_values = np.empty(grid.cells)
-    for start, values in bridge:
-        mid_values[start : start + values.size] = values
-    return grid, mid_values
+class WholePath(NamedTuple):
+    """A path's node values and offsets as whole arrays."""
+
+    grid_values: np.ndarray
+    offsets: np.ndarray
+
+    @property
+    def cells(self) -> int:
+        return int(self.offsets.size)
+
+    @property
+    def step(self) -> float:
+        return 1.0 / self.cells
+
+    def mid_times(self, cells: np.ndarray) -> np.ndarray:
+        """The interior sample times of the cells with the given indices."""
+        return (cells + self.offsets[cells]) * self.step
+
+
+def collect_path(path):
+    """The :class:`WholePath` of a ``sample_path`` result and its bridge
+    samples, collected from its blocks."""
+    grid_values = np.empty(path.cells + 1)
+    offsets = np.empty(path.cells)
+    mid_values = np.empty(path.cells)
+    for block in path.blocks():
+        stop = block.start + block.offsets.size
+        grid_values[block.start : stop + 1] = block.nodes
+        offsets[block.start : stop] = block.offsets
+        mid_values[block.start : stop] = block.mid_values
+        del block  # copied: let it go before the next one is drawn
+    return WholePath(grid_values, offsets), mid_values
 
 
 def sampled_path(stream, cells):
-    """``sample_path_grid(stream, cells)``'s grid and its collected bridge samples."""
-    return collect_path(*sample_path_grid(stream, cells))
+    """``sample_path(stream, cells)`` collected: its whole path and bridge samples."""
+    return collect_path(sample_path(stream, cells))
 
 
-def coarsened(grid, mid_values, cells, stream):
+def coarse_tau_of(path, selected, mid_values):
+    """``coarse_tau_from`` on the selection ``selected`` of the whole path
+    ``path``, whose selected cells' bridge samples are ``mid_values``."""
+    offsets = path.offsets[selected]
+    around = complement_cells(path.cells, selected, offsets)
+    return coarse_tau_from(path.cells, selected, offsets, mid_values, (path.grid_values[around], path.grid_values[around + 1]))
+
+
+def coarsened(path, mid_values, cells, stream):
     """The fine cells ``select_fine_cells`` picks from ``stream``, one in
-    each of ``cells`` coarse cells, and the :class:`CoarseTau` that
-    ``coarse_tau_from`` derives from their samples."""
-    selected = select_fine_cells(grid, cells, stream)
-    return selected, coarse_tau_from(grid, selected, mid_values[selected])
+    each of ``cells`` coarse cells of the whole path ``path``, and the
+    :class:`CoarseTau` that ``coarse_tau_from`` derives from their samples."""
+    selected = select_fine_cells(path.cells, cells, stream)
+    return selected, coarse_tau_of(path, selected, mid_values[selected])
 
 
 def hand_grid(grid_values, offsets):
-    """A grid of [0, 1] with the given node values and offsets."""
-    grid_values = np.asarray(grid_values, dtype=float)
-    offsets = np.asarray(offsets, dtype=float)
-    return BrownianGrid(grid_values=grid_values, offsets=offsets)
+    """A whole path of [0, 1] with the given node values and offsets."""
+    return WholePath(np.asarray(grid_values, dtype=float), np.asarray(offsets, dtype=float))
 
 
 def euler_integrand(grid):

@@ -29,7 +29,7 @@ from randquad.integrands import (
     power_integrand,
 )
 from randquad.quadrature import Integrand, ctq, make_partition, rtq
-from randquad.random_sources import RngStream, sample_path_grid, sample_tau_sequence
+from randquad.random_sources import RngStream, sample_tau_sequence
 
 from brownian_paths import coarsened, euler_integrand, sampled_path
 
@@ -149,7 +149,7 @@ def test_criterion_07_brownian_machinery():
     def check():
         terminal = np.array(
             [
-                sample_path_grid(RngStream(DEFAULT_SEED, i), 2**6)[0].grid_values[-1]
+                sampled_path(RngStream(DEFAULT_SEED, i), 2**6)[0].grid_values[-1]
                 for i in range(10**4)
             ]
         )

@@ -235,7 +235,7 @@ class TestExample2Command:
         argv = ["example2", "--h-ref-exp", "7", "--min-exp", "4", "--max-exp", "6", "--seed", "88", "--dump-path"]
         assert main(argv + ["--outdir", str(tmp_path)]) == EXIT_OK
         capsys.readouterr()
-        path, mid_values = collect_path(*example2_path(88, 7))
+        path, mid_values = collect_path(example2_path(88, 7))
         header, *rows = read_csv(tmp_path / "path.csv")
         assert header == ["j", "t", "B_grid", "tau", "t_mid", "B_mid"]
         assert [int(r[0]) for r in rows] == list(range(path.cells + 1))
@@ -278,7 +278,7 @@ class TestExample2Command:
         argv = ["example2", "--h-ref-exp", "8", "--max-exp", "10", "--outdir", str(tmp_path / "a" / "b")]
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert "reference exponent 8 must lie in [10, 1022], from the finest step exponent up" in err
+        assert "reference exponent 8 must lie in [10, 28], from the finest step exponent up" in err
         assert not (tmp_path / "a").exists()
 
 
@@ -392,14 +392,15 @@ def test_one_rung_ladder_exits_2_before_writing(subcommand, tmp_path, capsys):
     assert not (tmp_path / "errors.csv").exists()
 
 
-@pytest.mark.parametrize("h_ref_exp", ["-2000", "-1", "1023", "2000"])
+@pytest.mark.parametrize("h_ref_exp", ["-2000", "-1", "29", "1023", "2000"])
 def test_reference_exponent_out_of_range_exits_2_naming_the_flag(h_ref_exp, tmp_path, capsys):
     # -2000 once failed with "(34, 'Numerical result out of range')" and 2000
-    # with a message about a reference step of 0.0, neither naming the flag.
+    # with a message about a reference step of 0.0, neither naming the flag;
+    # 29 and up would stream for minutes to days (MAX_REFERENCE_EXP).
     argv = ["example2", "--h-ref-exp", h_ref_exp, "--outdir", str(tmp_path / "a" / "b")]
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert err == f"error: --h-ref-exp must lie in [0, 1022], got {h_ref_exp}\n"
+    assert err == f"error: --h-ref-exp must lie in [0, 28], got {h_ref_exp}\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -13,6 +13,7 @@ from randquad.experiments import (
     DEFAULT_SEED,
     MAX_REPLICATIONS,
     MAX_STEP_EXPONENT,
+    ASRateRow,
     ErrorLadder,
     LadderRow,
     _lane_stream,
@@ -30,8 +31,8 @@ from randquad.integrands import (
     power_integrand,
     rtq_brownian,
 )
-from randquad.quadrature import Integrand, QuadratureValue, ctq, make_partition, rtq, rtq_prefix
-from randquad.random_sources import RngStream, sample_tau_sequence
+from randquad.quadrature import Integrand, Partition, QuadratureValue, ctq, make_partition, rtq, rtq_prefix
+from randquad.random_sources import PathBlock, RngStream, sample_tau_sequence
 from randquad.summation import BLOCK_ELEMENTS, NeumaierSum, compensated_sum
 
 from brownian_paths import coarsened, collect_path, euler_integrand, hand_grid, sampled_path
@@ -60,6 +61,22 @@ class TestErrorLadder:
         assert LadderRow(intervals=8, error=1.0, wall_time_s=0.0).step == 0.125
         with pytest.raises(TypeError):
             LadderRow(step=0.3, intervals=4, error=1.0, wall_time_s=0.0)
+
+    @pytest.mark.parametrize("intervals", [2.5, 4.0, 0, -4, float("nan")])
+    @pytest.mark.parametrize(
+        "record",
+        [
+            lambda n: LadderRow(intervals=n, error=1e-2, wall_time_s=0.0),
+            lambda n: ASRateRow(intervals=n, max_prefix_error=0.0, bound=1.0, passed=True),
+            lambda n: Partition(intervals=n, nodes=np.zeros(3)),
+        ],
+        ids=["LadderRow", "ASRateRow", "Partition"],
+    )
+    def test_cell_count_must_be_a_positive_integer(self, record, intervals):
+        # fit_order once fitted an order of 4.90 on rows of 2.5 and 4 cells,
+        # and a row of 0 cells raised a bare ZeroDivisionError from its step.
+        with pytest.raises(ValueError, match=re.escape(f"intervals must be an integer of at least 1, got {intervals!r}")):
+            record(intervals)
 
     def test_rejects_bad_errors(self):
         rows = (LadderRow(intervals=2, error=-1.0, wall_time_s=0.0),)
@@ -346,7 +363,7 @@ def test_exponents_not_strictly_increasing_rejected_before_sampling(driver, kwar
         raise AssertionError("sampled before the step exponents were checked")
 
     monkeypatch.setattr(experiments, "mc_lp_error", no_work)
-    monkeypatch.setattr(experiments, "sample_path_grid", no_work)
+    monkeypatch.setattr(experiments, "sample_path", no_work)
     with pytest.raises(ValueError, match=r"step exponents \[.*\] must strictly increase"):
         driver(**kwargs)
 
@@ -366,7 +383,7 @@ def test_step_below_the_normal_range_rejected_before_sampling(driver, kwargs, mo
         raise AssertionError("sampled before the step exponents were checked")
 
     monkeypatch.setattr(experiments, "mc_lp_error", no_work)
-    monkeypatch.setattr(experiments, "sample_path_grid", no_work)
+    monkeypatch.setattr(experiments, "sample_path", no_work)
     bad = kwargs["step_exponents"][-1]
     with pytest.raises(ValueError, match=rf"step exponent {bad} gives the step 2\^-{bad} = .*not a normal double"):
         driver(**kwargs)
@@ -378,11 +395,22 @@ def test_step_below_the_normal_range_rejected_before_sampling(driver, kwargs, mo
         (run_example1, dict(step_exponents=(5.5, 6)), "a step exponent must be an integer of at least 0, got 5.5"),
         (run_example2, dict(step_exponents=(5.5, 6)), "a step exponent must be an integer of at least 0, got 5.5"),
         (run_example2, dict(step_exponents=(-1, 5)), r"holds -1; exponents must be at least 0"),
-        (run_example2, dict(step_exponents=range(5, 9), reference_exp=7), r"reference exponent 7 must lie in \[8, 1022\]"),
+        (run_example2, dict(step_exponents=range(5, 9), reference_exp=7), r"reference exponent 7 must lie in \[8, 28\]"),
         (run_example2, dict(step_exponents=(5, 6), reference_exp=7.5), "reference_exp must be an integer of at least 0"),
-        (run_example2, dict(step_exponents=(5, 6), reference_exp=1023), r"reference exponent 1023 must lie in \[6, 1022\]"),
+        (run_example2, dict(step_exponents=(5, 6), reference_exp=1023), r"reference exponent 1023 must lie in \[6, 28\]"),
+        (run_example2, dict(step_exponents=(5, 6), reference_exp=29), r"reference exponent 29 must lie in \[6, 28\]"),
+        (run_example2, dict(step_exponents=(5, 30)), "the finest step exponent 30 is above the largest reference exponent 28"),
     ],
-    ids=["example1-fractional", "fractional", "negative", "reference-coarser", "reference-fractional", "reference-subnormal"],
+    ids=[
+        "example1-fractional",
+        "fractional",
+        "negative",
+        "reference-coarser",
+        "reference-fractional",
+        "reference-subnormal",
+        "reference-above-the-time-cap",
+        "ladder-above-the-time-cap",
+    ],
 )
 def test_bad_exponent_rejected_before_sampling(driver, kwargs, message, monkeypatch):
     # run_example1(step_exponents=(5.5, 6)) once ran a rung of
@@ -390,7 +418,7 @@ def test_bad_exponent_rejected_before_sampling(driver, kwargs, message, monkeypa
     def no_work(*args):
         raise AssertionError("sampled before the exponents were checked")
 
-    for name in ("mc_lp_error", "sample_path_grid", "sample_tau_sequence"):
+    for name in ("mc_lp_error", "sample_path", "sample_tau_sequence"):
         monkeypatch.setattr(experiments, name, no_work)
     with pytest.raises(ValueError, match=message):
         driver(**kwargs)
@@ -469,18 +497,18 @@ class TestRunExample2:
 
     def test_reference_is_union_trapezoid_of_the_integrand(self):
         result = run_example2(step_exponents=range(5, 7), reference_exp=9, seed=8)
-        path, _ = collect_path(*example2_path(8, 9))
+        path, _ = collect_path(example2_path(8, 9))
         oracle = value_at_union_grid_reference(path, euler_integrand(path))
         assert np.float64(result.reference).tobytes() == np.float64(oracle).tobytes()
 
     def test_reference_matches_finest_partition_quadrature(self):
         result = run_example2(step_exponents=range(5, 7), reference_exp=9, seed=8)
-        bi = euler_integrand(collect_path(*example2_path(8, 9))[0])
+        bi = euler_integrand(collect_path(example2_path(8, 9))[0])
         fine = ctq_brownian(bi, make_partition(2**9)).value
         assert result.reference == pytest.approx(fine, rel=1e-13)
 
     def test_rejects_steps_finer_than_reference(self):
-        message = "the reference exponent 10 must lie in [11, 1022], from the finest step exponent up"
+        message = "the reference exponent 10 must lie in [11, 28], from the finest step exponent up"
         with pytest.raises(ValueError, match=re.escape(message)):
             run_example2(step_exponents=range(5, 12), reference_exp=10, seed=8)
 
@@ -537,17 +565,24 @@ class TestRunExample2:
                 whole += [ctq_brownian(bi, part).value, rtq_brownian(bi, part, ctau).value]
             assert np.array(streamed).tobytes() == np.array(whole).tobytes(), (ref_exp, lo, hi)
 
-    def test_peak_memory_holds_two_path_arrays(self):
-        # The node values and the offsets are the only whole arrays; the
-        # bridge samples and the Euler prefix sums stream a block at a time.
-        run_example2(step_exponents=range(5, 7), reference_exp=8, seed=2)
+    @staticmethod
+    def traced_peak(reference_exp):
         tracemalloc.start()
         try:
-            run_example2(step_exponents=range(5, 11), reference_exp=18, seed=2)
-            peak = tracemalloc.get_traced_memory()[1]
+            run_example2(step_exponents=range(5, 11), reference_exp=reference_exp, seed=2)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * 8 * 2**18
+
+    def test_peak_memory_does_not_grow_with_the_reference(self):
+        # Nothing the run holds grows with the reference: 2^18 cells peak
+        # within two blocks of 2^14, where whole node values and offsets
+        # would add about 4 MiB.  The peak is a few dozen blocks of the pass
+        # and the coarse rungs' arrays.
+        run_example2(step_exponents=range(5, 7), reference_exp=8, seed=2)
+        small, large = self.traced_peak(14), self.traced_peak(18)
+        assert large <= small + 2 * BLOCK_ELEMENTS * 8
+        assert large < 32 * BLOCK_ELEMENTS * 8
 
     def test_zero_path_gives_zero_reference_and_rule_values(self):
         cells = 2**8
@@ -590,9 +625,10 @@ def _edge_offsets(cells):
 
 
 def union_terms_sum(path):
-    """The compensated sum of ``_union_terms`` over the path as one block,
-    bit for bit the blocked sum ``run_example2`` carries."""
-    return compensated_sum(experiments._union_terms(path, euler_integrand(path).prefix, 0))
+    """The compensated sum of ``_union_terms`` over the whole path ``path``
+    as one block, bit for bit the blocked sum ``run_example2`` carries."""
+    block = PathBlock(start=0, nodes=path.grid_values, offsets=path.offsets, mid_values=None)
+    return compensated_sum(experiments._union_terms(block, euler_integrand(path).prefix, path.step))
 
 
 class TestUnionGridReference:

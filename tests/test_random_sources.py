@@ -13,21 +13,19 @@ from randquad import random_sources
 from randquad.integrands import power_integrand, sobolev_seminorm
 from randquad.quadrature import make_partition
 from randquad.random_sources import (
-    BrownianGrid,
     RngStream,
     _row_generator,
     _seed_row_type,
     _seed_words,
     _strict_uniform,
-    coarse_tau_from,
-    sample_path_grid,
+    sample_path,
     sample_tau_batches,
     sample_tau_sequence,
     select_fine_cells,
 )
 from randquad.summation import BLOCK_ELEMENTS
 
-from brownian_paths import coarsened, hand_grid, sampled_path
+from brownian_paths import WholePath, coarse_tau_of, coarsened, collect_path, hand_grid, sampled_path
 
 EDGE_SEEDS = [0, 1, 2, 2**32 - 1, 2**32, 2**64 - 1]
 # PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
@@ -172,9 +170,9 @@ class TestBatchSeeding:
         ("seed", 0, RngStream),
         ("stream_id", 0, lambda stream_id: RngStream(0, stream_id)),
         ("count", 1, lambda count: sample_tau_sequence(RngStream(0), count)),
-        ("cells", 1, lambda cells: sample_path_grid(RngStream(0), cells)),
+        ("cells", 1, lambda cells: sample_path(RngStream(0), cells)),
     ],
-    ids=["make_partition", "sobolev_seminorm", "seed", "stream_id", "sample_tau_sequence", "sample_path_grid"],
+    ids=["make_partition", "sobolev_seminorm", "seed", "stream_id", "sample_tau_sequence", "sample_path"],
 )
 def test_every_count_and_id_is_checked_by_one_integer_rule(name, least, build, value):
     # A whole float once built a 64-cell partition and a 64-cell Sobolev
@@ -198,24 +196,35 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
 
 
 class PlantedGenerator:
-    """numpy's generator for seed 0, except that the n-th ``random`` call
-    returns the values in ``plants[n]`` at their indices; every ``random``
-    result is kept in ``offset_draws``."""
+    """numpy's generator for seed 0, except that the uniform draw with
+    absolute index n (counting every value ``random`` has returned, however
+    the calls split them) is ``plants[n]``; every uniform drawn is kept in
+    ``draws`` by its index.  A path's first pass draws from it; the
+    generators its blocks restore from the recorded states draw numpy's
+    values without the plants, so only offsets that get redrawn (in both
+    passes alike) may be planted."""
 
     def __init__(self, plants):
         self.rng = np.random.default_rng(0)
         self.plants = plants
-        self.offset_draws = []
+        self.drawn = 0
+        self.draws = {}
 
     def random(self, size):
         values = self.rng.random(size)
-        for index, value in self.plants.get(len(self.offset_draws), {}).items():
-            values[index] = value
-        self.offset_draws.append(values.copy())
+        for index, value in self.plants.items():
+            if self.drawn <= index < self.drawn + size:
+                values[index - self.drawn] = value
+        self.draws.update(zip(range(self.drawn, self.drawn + size), values.tolist()))
+        self.drawn += size
         return values
 
     def standard_normal(self, *args, **kwargs):
         return self.rng.standard_normal(*args, **kwargs)
+
+    @property
+    def bit_generator(self):
+        return self.rng.bit_generator
 
     def stream(self):
         return SimpleNamespace(generator=lambda: self)
@@ -235,7 +244,7 @@ def _whole_array_strict_uniform(rng, count, base):
 
 
 def whole_array_brownian_path(stream, cells):
-    """``sample_path_grid`` with its bridge collected, as first written over
+    """``sample_path`` with its blocks collected, as first written over
     whole arrays: the oracle."""
     h = 1.0 / cells
     rng = stream.generator()
@@ -251,7 +260,7 @@ def whole_array_brownian_path(stream, cells):
     np.sqrt(work, out=work)
     work *= rng.standard_normal(out=complements)
     mid_values += work
-    return BrownianGrid(grid_values=grid_values, offsets=offsets), mid_values
+    return WholePath(grid_values, offsets), mid_values
 
 
 def assert_paths_bitwise_equal(a, b):
@@ -279,12 +288,12 @@ def peak_and_kept(fn):
 class TestSamplePathGrid:
     def test_starts_at_zero_every_seed(self):
         for seed in range(5):
-            grid, _ = sample_path_grid(RngStream(seed), 2**4)
+            grid, _ = sampled_path(RngStream(seed), 2**4)
             assert grid.grid_values[0] == 0.0
 
     def test_terminal_variance(self):
         terminal = np.array(
-            [sample_path_grid(RngStream(9, i), 2**6)[0].grid_values[-1] for i in range(10**4)]
+            [sampled_path(RngStream(9, i), 2**6)[0].grid_values[-1] for i in range(10**4)]
         )
         assert abs(terminal.var() - 1.0) < 0.05
 
@@ -311,19 +320,20 @@ class TestSamplePathGrid:
         assert abs(ratios.mean() - 1.0) < 0.06
 
     def test_interior_times_strictly_inside(self):
-        path, _ = sample_path_grid(RngStream(3), 2**8)
+        path, _ = sampled_path(RngStream(3), 2**8)
         cells = np.arange(path.cells)
         assert np.all(path.mid_times(cells) > cells * path.step)
         assert np.all(path.mid_times(cells) < (cells + 1) * path.step)
 
     def test_offset_whose_time_rounds_onto_a_node_is_redrawn(self):
         # 1 + 1e-300 rounds to 1, so the first offset drawn for cell 1 would
-        # put its interior time on node 1; the next draw replaces it.
-        rng = PlantedGenerator({0: {1: 1e-300}})
+        # put its interior time on node 1; the draw after the 16 offsets
+        # replaces it.
+        rng = PlantedGenerator({1: 1e-300})
         path, _ = sampled_path(rng.stream(), 2**4)
-        first, redraw = rng.offset_draws
-        assert first[1] == 1e-300 and redraw.shape == (1,)
-        assert path.offsets[1] == redraw[0]
+        first = np.array([rng.draws[n] for n in range(16)])
+        assert first[1] == 1e-300 and len(rng.draws) == 17
+        assert path.offsets[1] == rng.draws[16]
         np.testing.assert_array_equal(np.delete(path.offsets, 1), np.delete(first, 1))
         cells = np.arange(path.cells)
         assert np.all(path.mid_times(cells) > cells * path.step)
@@ -336,50 +346,66 @@ class TestSamplePathGrid:
             assert_paths_bitwise_equal(sampled_path(stream, 2**k), whole_array_brownian_path(stream, 2**k))
 
     def test_redraws_across_blocks_and_rounds_equal_the_oracle(self):
-        # Cells 1 and 4097 (in the second check block) would land on their
-        # left node and cell 8191 on its right one; the first redraw of cell
-        # 1 lands on the node again, so a second round redraws it.
-        plants = {0: {1: 1e-300, 4097: 1e-300, 8191: 1.0 - 2.0**-53}, 1: {0: 1e-300}}
+        # Cells 1 and 4097 (in the second block) would land on their left
+        # node and cell 8191 on its right one; the first redraw of cell 1
+        # (draw 8192, the first after the offsets) lands on the node again,
+        # so a second round redraws it.
+        plants = {1: 1e-300, 4097: 1e-300, 8191: 1.0 - 2.0**-53, 8192: 1e-300}
         rng = PlantedGenerator(plants)
         path, mid_values = sampled_path(rng.stream(), 2**13)
-        first, redraw, second = rng.offset_draws
-        assert [first.size, redraw.size, second.size] == [2**13, 3, 1]
-        assert path.offsets[1] == second[0]
-        assert path.offsets[4097] == redraw[1] and path.offsets[8191] == redraw[2]
+        assert len(rng.draws) == 2**13 + 3 + 1
+        assert path.offsets[1] == rng.draws[8195]
+        assert path.offsets[4097] == rng.draws[8193] and path.offsets[8191] == rng.draws[8194]
         oracle = whole_array_brownian_path(PlantedGenerator(plants).stream(), 2**13)
         assert_paths_bitwise_equal((path, mid_values), oracle)
 
     def test_peak_holds_the_sampled_arrays_and_a_few_blocks(self):
-        # Whole-array sampling peaked about 1.2 MiB above the three kept
-        # arrays here; a block's temporaries are a few BLOCK_ELEMENTS values.
-        # Consumed as they come, the bridge samples are never whole, so only
-        # the node values and the offsets are.
+        # Both passes draw a block of BLOCK_ELEMENTS cells at a time: the
+        # block the caller holds (node values, offsets, bridge samples) and
+        # five arrays for the next, and no array of the path's size.  Whole,
+        # the node values and offsets once took 2^20 bytes here.
         def consumed():
-            grid, bridge = sample_path_grid(RngStream(0), 2**16)
-            for _ in bridge:
+            for _ in sample_path(RngStream(0), 2**16).blocks():
                 pass
 
         peak, _, _ = peak_and_kept(consumed)
-        assert peak <= 2 * 2**16 * 8 + 8 * BLOCK_ELEMENTS * 8
+        assert peak <= 8 * BLOCK_ELEMENTS * 8 + 16 * 1024
         peak, _, _ = peak_and_kept(lambda: sampled_path(RngStream(0), 2**16))
         assert peak <= 3 * 2**16 * 8 + 8 * BLOCK_ELEMENTS * 8
 
     def test_keeps_only_the_sampled_arrays(self):
-        # Node values, offsets and collected interior values: three arrays
-        # of 2^16 float64, and nothing else of that size.
-        _, kept, (path, _) = peak_and_kept(lambda: sampled_path(RngStream(0), 2**16))
+        # The first pass keeps generators and the few redrawn offsets, not
+        # the path.  Collected, the node values, offsets and interior values
+        # are three arrays of 2^16 float64, and nothing else of that size.
+        _, kept, path = peak_and_kept(lambda: sample_path(RngStream(0), 2**16))
         assert path.cells == 2**16
-        assert kept <= 3 * 2**16 * 8 + 64 * 1024
+        assert kept <= 16 * 1024
+        _, kept, (whole, _) = peak_and_kept(lambda: sampled_path(RngStream(0), 2**16))
+        assert whole.cells == 2**16
+        assert kept <= 3 * 2**16 * 8 + 16 * 1024
+
+    def test_picked_offsets_are_the_paths_offsets(self):
+        # Cell 4097 is picked and redrawn (its first offset, draw 4097, is
+        # planted on its node), so its kept offset is the redraw.
+        picked = np.array([4097, 5, 8191, 5, 0])
+        path = sample_path(PlantedGenerator({4097: 1e-300}).stream(), 2**13, picked)
+        whole, _ = collect_path(path)
+        np.testing.assert_array_equal(path.picked_offsets.values, whole.offsets[picked])
+        assert path.picked_offsets.values[0] != 1e-300
+
+    def test_blocks_replay_the_same_path(self):
+        path = sample_path(RngStream(6), 2**13)
+        assert_paths_bitwise_equal(collect_path(path), collect_path(path))
 
     @pytest.mark.parametrize("k", [0, 1, 5, 12])
     def test_step_is_exactly_the_dyadic_step(self, k):
-        grid, _ = sample_path_grid(RngStream(k), 2**k)
-        assert grid.cells == 2**k and grid.step == 2.0**-k
+        path = sample_path(RngStream(k), 2**k)
+        assert path.cells == 2**k and path.step == 2.0**-k
 
     @pytest.mark.parametrize("cells", [0, -4, 3, 12, 2.5, 16.0, float("nan"), float("inf")])
     def test_rejects_cell_counts_not_a_power_of_two(self, cells):
         with pytest.raises(ValueError, match=f"cells must be .*, got {cells!r}"):
-            sample_path_grid(RngStream(1), cells)
+            sample_path(RngStream(1), cells)
 
 
 class TestCoarsening:
@@ -443,10 +469,9 @@ class TestCoarsening:
         [(3, "do not divide"), (6, "do not divide"), (32, "do not divide"), (0, "at least 1"), (2.5, "integer")],
     )
     def test_rejects_counts_that_do_not_divide_the_paths(self, cells, message, monkeypatch):
-        path, _ = sample_path_grid(RngStream(1), 2**4)
         monkeypatch.setattr(RngStream, "generator", lambda self: pytest.fail("drew before the count was checked"))
         with pytest.raises(ValueError, match=message):
-            select_fine_cells(path, cells, RngStream(1, 1))
+            select_fine_cells(2**4, cells, RngStream(1, 1))
 
     @pytest.mark.parametrize(
         "offsets,selected,message",
@@ -461,4 +486,4 @@ class TestCoarsening:
         path = hand_grid(np.zeros(5), offsets)
         selected = np.array(selected)
         with pytest.raises(ValueError, match=message):
-            coarse_tau_from(path, selected, np.zeros(selected.size))
+            coarse_tau_of(path, selected, np.zeros(selected.size))
