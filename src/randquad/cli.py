@@ -43,7 +43,6 @@ from .experiments import (
     METRIC_PATHWISE,
     ErrorLadder,
     ExperimentResult,
-    example2_path,
     mc_metric_name,
     run_example1,
     run_example2,
@@ -345,8 +344,7 @@ def cmd_example2(args: argparse.Namespace) -> int:
         )
         _write_tables(outdir, result)
         if args.dump_path:
-            path = example2_path(args.seed, args.h_ref_exp)
-            _write_csv(os.path.join(outdir, "path.csv"), ["j", "t", "B_grid", "tau", "t_mid", "B_mid"], _path_rows(path))
+            _write_csv(os.path.join(outdir, "path.csv"), ["j", "t", "B_grid", "tau", "t_mid", "B_mid"], _path_rows(result.path))
 
         lad_ctq, lad_rtq = (rep.ladder for rep in result.reports)
         panels = [

@@ -421,7 +421,10 @@ class ExperimentResult:
 
 @dataclass(frozen=True, eq=False)
 class Example2Result(ExperimentResult):
-    reference: float = float("nan")
+    """Example 2's reports, reference value and the path it drew."""
+
+    reference: float
+    path: BrownianPath
 
 
 def run_example1(
@@ -435,7 +438,8 @@ def run_example1(
 
     Deterministic given ``seed``; wall times are measured, everything else
     is reproducible bit for bit.  Each gamma's ``:g`` form labels its
-    ladders and files, so gammas whose labels collide raise ValueError.
+    ladders and files, so no gammas, or gammas whose labels collide, raise
+    ValueError.
     """
     replications = _integer("replications", replications, 2)
     if replications > MAX_REPLICATIONS:
@@ -445,10 +449,13 @@ def run_example1(
         )
     _lp_exponent(p)
     ladder = _ladder(step_exponents)
+    gammas = list(gammas)
+    if not gammas:
+        raise ValueError("gammas is empty; the study needs at least one exponent")
     labels = [f"{gamma:g}" for gamma in gammas]
     shared = sorted({label for label in labels if labels.count(label) > 1})
     if shared:
-        raise ValueError(f"gammas {list(gammas)!r} share the labels {shared}; each gamma needs its own")
+        raise ValueError(f"gammas {gammas!r} share the labels {shared}; each gamma needs its own")
     # Every gamma is checked before the first rung runs.
     integrands = [power_integrand(gamma) for gamma in gammas]
     reports = []
@@ -512,13 +519,6 @@ def _union_terms(block: PathBlock, prefix: np.ndarray, step: float) -> np.ndarra
     return terms
 
 
-def example2_path(seed: int, reference_exp: int, picked=()) -> BrownianPath:
-    """Example 2's path for ``seed`` on 2^reference_exp cells after the
-    first pass of :func:`sample_path`, which keeps the offsets of the cells
-    ``picked``."""
-    return sample_path(_lane_stream(seed, _LANE_PATH), 2**reference_exp, picked)
-
-
 def _stream_path(path: BrownianPath, stride: int, mids: Gathered, left: Gathered, right: Gathered):
     """One pass over the path's blocks: the union-grid reference and the
     :class:`BrownianIntegrand` of every ``stride``-th node, filling ``mids``
@@ -556,8 +556,10 @@ def run_example2(
     exact value, is the trapezoidal value of the Euler-extended integral on
     the union grid of fine nodes and bridge samples, so the coarse rules
     are measured against the best trapezoidal value of the very function
-    they integrate.  The path is drawn twice, a block at a time (see the
-    module docstring), so memory does not grow with the reference.
+    they integrate.  The path's stream is named here, from ``seed``; the
+    path is drawn twice, a block at a time (see the module docstring), so
+    memory does not grow with the reference, and the result keeps it as
+    the first pass left it: generator snapshots, no array of its cells.
     """
     ladder = _ladder(step_exponents)
     finest = ladder[-1].bit_length() - 1
@@ -570,7 +572,7 @@ def run_example2(
         )
     fine_cells = 2**reference_exp
     selected = [select_fine_cells(fine_cells, cells, _lane_stream(seed, _LANE_COARSEN, hj)) for hj, cells in enumerate(ladder)]
-    path = example2_path(seed, reference_exp, np.concatenate(selected))
+    path = sample_path(_lane_stream(seed, _LANE_PATH), fine_cells, np.concatenate(selected))
     rungs = np.cumsum(ladder)[:-1]  # where each rung's values start, after the first
     offsets = np.split(path.picked_offsets.values, rungs)
     left = Gathered.at(np.concatenate([complement_cells(fine_cells, *picks) for picks in zip(selected, offsets)]))
@@ -590,4 +592,4 @@ def run_example2(
         ErrorLadder(rule=CTQ, metric=METRIC_PATHWISE, rows=tuple(ctq_rows), label="gB"),
         ErrorLadder(rule=RTQ, metric=METRIC_PATHWISE, rows=tuple(rtq_rows), label="gB"),
     )
-    return Example2Result(reports=tuple(_fit_or_degenerate(lad) for lad in ladders), reference=reference)
+    return Example2Result(reports=tuple(_fit_or_degenerate(lad) for lad in ladders), reference=reference, path=path)

@@ -25,20 +25,20 @@ time ``(j + tau) * h`` the bridge law is Normal with mean
 ``(1 - tau) * B_j + tau * B_{j+1}`` and variance ``tau * (1 - tau) * h``
 (Glasserman, *Monte Carlo Methods in Financial Engineering*, 2003,
 Section 3.1).
-One stream draws, in this order, the node increments, the offsets (with
-any redraws) and the bridge residuals, and no array of the path's size is
-ever held.  A first pass draws and drops the increments and the offsets a
-block at a time and records a :class:`BrownianPath`: the generator at the
-start of each of the three sections, the few offsets that were redrawn,
-and the offsets of the cells the caller asked to keep.
-:meth:`BrownianPath.blocks` then restores three generators from those
-states, drives them in step and hands the path out a :class:`PathBlock` of ``BLOCK_ELEMENTS``
-cells at a time: node values, offsets and bridge samples.  numpy's
-generator keeps no normal between calls and draws one word per uniform, so
-every block is bit for bit what one pass over whole arrays would draw; the
-price is that the node increments are drawn twice.  A grid is named by its
-cell count; its step is ``1.0 / cells``, so the times ``j * h`` and
-``(j + tau) * h`` are exact and are computed where they are used.
+One stream, named by the caller, draws, in this order, the node
+increments, the offsets (with any redraws) and the bridge residuals, and
+no array of the path's size is ever held.  A first pass draws and drops
+the increments and the offsets a block at a time and records a
+:class:`BrownianPath`: a snapshot (deep copy) of the generator at the start
+of each section, the few offsets that were redrawn, and the offsets of the
+cells the caller asked to keep.  :meth:`BrownianPath.blocks` drives copies
+of the snapshots in step, as often as it is called, handing the path out a
+:class:`PathBlock` of ``BLOCK_ELEMENTS`` cells at a time: node values,
+offsets and bridge samples.  numpy's generator keeps no normal between
+calls and draws one word per uniform, so every block is bit for bit what
+one pass over whole arrays would draw; the price is that the node
+increments are drawn twice.  A grid is named by its cell count; its step is
+``1.0 / cells``, so the times ``j * h`` and ``(j + tau) * h`` are exact.
 
 A coarser grid, whose cell count divides the path's, reuses the interior
 samples exactly: :func:`select_fine_cells` picks, uniformly at random, one
@@ -54,6 +54,7 @@ samples it picked.
 
 from __future__ import annotations
 
+import copy
 import functools
 import operator
 from collections.abc import Iterator
@@ -231,15 +232,6 @@ def _row_generator(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_seed_row_type()(words)))
 
 
-def _generator_at(state: dict) -> np.random.Generator:
-    """A generator at ``state``, a ``bit_generator.state`` of a stream's
-    generator (seeding it from a row of zeros first is the cheap way to
-    make one)."""
-    rng = _row_generator(np.zeros(_POOL_WORDS, dtype=np.uint64))
-    rng.bit_generator.state = state
-    return rng
-
-
 def sample_tau_batches(stream: RngStream, replications: int, count: int) -> Iterator[np.ndarray]:
     """Offset sequences of ``count`` offsets for ``replications`` streams, in blocks.
 
@@ -324,16 +316,16 @@ class BrownianPath:
 
     ``step`` is ``1.0 / cells``; cell j's interior time
     ``(j + offset) * step`` lies strictly inside the cell.  The path holds
-    no array of its cells: the generator states at the starts of the
-    stream's three sections (node normals, offsets, bridge normals), the
-    offsets that were redrawn, and ``picked_offsets``, the offsets of the
-    cells the sampler was asked to keep.  :meth:`blocks` draws the path
-    again.
+    no array of its cells: ``snapshots``, copies of the stream's generator
+    at the starts of its three sections (node normals, offsets, bridge
+    normals), the offsets that were redrawn, and ``picked_offsets``, the
+    offsets of the cells the sampler was asked to keep.  :meth:`blocks`
+    draws the path again from copies of the snapshots.
     """
 
     cells: int
     picked_offsets: Gathered
-    states: tuple
+    snapshots: tuple
     redrawn: np.ndarray
     redraws: np.ndarray
 
@@ -343,9 +335,9 @@ class BrownianPath:
 
     def blocks(self) -> Iterator[PathBlock]:
         """The path a :class:`PathBlock` of ``BLOCK_ELEMENTS`` cells at a
-        time, each drawn, by generators restored from the recorded states,
-        bit for bit as one pass over the whole stream would draw it."""
-        nodes_rng, offsets_rng, bridge_rng = (_generator_at(state) for state in self.states)
+        time, each drawn, by copies of the snapshots, bit for bit as one
+        pass over the whole stream would draw it."""
+        nodes_rng, offsets_rng, bridge_rng = copy.deepcopy(self.snapshots)
         root_step = np.sqrt(self.step)
         size = min(self.cells, BLOCK_ELEMENTS)  # both powers of two
         last = 0.0
@@ -389,20 +381,25 @@ def sample_path(stream: RngStream, cells: int, picked=()) -> BrownianPath:
     cell.  The bridge value at ``(j + tau) * h`` is
     ``((1 - tau) * B_j + tau * B_{j+1}) + sqrt(tau * (1 - tau) * h) * Z``.
     The first pass draws and drops the increments and the offsets a block
-    at a time, recording the generator state at each section's start.
+    at a time, keeping a snapshot of the generator at each section's start.
 
     Raises:
-        ValueError: if ``cells`` is not 2^k for an integer k >= 0.
+        ValueError: if ``cells`` is not 2^k for an integer k >= 0, or a pick
+            is not an integer in [0, cells), or ``picked`` is not a list of
+            them (before anything is drawn).
     """
     cells = _integer("cells", cells, 1)
     if cells & (cells - 1):
         raise ValueError(f"cells must be a power of two, got {cells!r}")
+    picked = np.asarray(picked)
+    if picked.ndim != 1 or picked.size and (picked.dtype.kind not in "iu" or picked.min() < 0 or picked.max() >= cells):
+        raise ValueError(f"picked must be a list of integer cell indices in [0, {cells}), got {picked!r}")
     rng = stream.generator()
-    states = [rng.bit_generator.state]
+    snapshots = [copy.deepcopy(rng)]
     dropped = np.empty(min(cells, BLOCK_ELEMENTS))  # both powers of two
     for _ in range(0, cells, dropped.size):
         rng.standard_normal(out=dropped)
-    states.append(rng.bit_generator.state)
+    snapshots.append(copy.deepcopy(rng))
     kept = Gathered.at(picked)
     flagged = [np.empty(0, dtype=np.int64)]  # the blocks with any, so it stays short
     for start in range(0, cells, dropped.size):
@@ -415,8 +412,8 @@ def sample_path(stream: RngStream, cells: int, picked=()) -> BrownianPath:
     redraws = _redraws(rng, redrawn.astype(np.float64))
     for i, cell in enumerate(redrawn):
         kept.fill(cell, redraws[i : i + 1])
-    states.append(rng.bit_generator.state)
-    return BrownianPath(cells=cells, picked_offsets=kept, states=tuple(states), redrawn=redrawn, redraws=redraws)
+    snapshots.append(rng)
+    return BrownianPath(cells=cells, picked_offsets=kept, snapshots=tuple(snapshots), redrawn=redrawn, redraws=redraws)
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,9 +11,10 @@ import pytest
 
 from randquad import cli
 from randquad.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from randquad.experiments import _LANE_PATH, _lane_stream, example2_path
+from randquad import experiments
+from randquad.experiments import _LANE_PATH, _lane_stream
 
-from brownian_paths import collect_path, sampled_path
+from brownian_paths import sampled_path
 
 
 def read_csv(path):
@@ -235,7 +236,7 @@ class TestExample2Command:
         argv = ["example2", "--h-ref-exp", "7", "--min-exp", "4", "--max-exp", "6", "--seed", "88", "--dump-path"]
         assert main(argv + ["--outdir", str(tmp_path)]) == EXIT_OK
         capsys.readouterr()
-        path, mid_values = collect_path(example2_path(88, 7))
+        path, mid_values = sampled_path(_lane_stream(88, _LANE_PATH), 2**7)
         header, *rows = read_csv(tmp_path / "path.csv")
         assert header == ["j", "t", "B_grid", "tau", "t_mid", "B_mid"]
         assert [int(r[0]) for r in rows] == list(range(path.cells + 1))
@@ -252,6 +253,22 @@ class TestExample2Command:
             (5, mid_values),
         ):
             np.testing.assert_array_equal(column(index, len(expected)), expected.view(np.uint64))
+
+    def test_dump_path_writes_the_studys_own_path(self, tmp_path, capsys, monkeypatch):
+        # path.csv once came from a second first pass over the same stream.
+        calls = []
+        original = experiments.sample_path
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(experiments, "sample_path", counted)
+        argv = ["example2", "--h-ref-exp", "9", "--min-exp", "4", "--max-exp", "6", "--seed", "3", "--dump-path"]
+        assert main(argv + ["--outdir", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        assert len(calls) == 1
+        assert (tmp_path / "path.csv").exists()
 
     def test_dump_path_spans_bridge_blocks_in_order(self, tmp_path, capsys):
         # 2^13 cells are two bridge blocks; path.csv streams them one by one.

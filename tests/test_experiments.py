@@ -18,7 +18,6 @@ from randquad.experiments import (
     LadderRow,
     _lane_stream,
     as_rate_check,
-    example2_path,
     fit_order,
     mc_lp_error,
     run_example1,
@@ -435,6 +434,27 @@ def test_every_gamma_checked_before_the_first_rung(gammas, monkeypatch):
         run_example1(gammas=gammas, step_exponents=range(5, 7), replications=5)
 
 
+def test_example1_runs_every_gamma_of_a_one_shot_iterable():
+    # The label check once consumed the generator, leaving 0 reports.
+    kwargs = dict(step_exponents=range(3, 5), replications=2)
+    result = run_example1(gammas=(g for g in [1.5, 1.75]), **kwargs)
+    expected = run_example1(gammas=[1.5, 1.75], **kwargs)
+    assert [r.ladder.label for r in result.reports] == ["1.5"] * 3 + ["1.75"] * 3
+    for got, want in zip(result.reports, expected.reports, strict=True):
+        assert got.ladder.errors.tobytes() == want.ladder.errors.tobytes()
+
+
+def test_example1_rejects_no_gammas_before_anything_is_built(monkeypatch):
+    # gammas=() once returned a study of 0 reports.
+    def no_work(*args):
+        raise AssertionError("built or drew before the gammas were checked")
+
+    monkeypatch.setattr(experiments, "power_integrand", no_work)
+    monkeypatch.setattr(RngStream, "generator", no_work)
+    with pytest.raises(ValueError, match="gammas is empty"):
+        run_example1(gammas=(), step_exponents=range(3, 5), replications=2)
+
+
 class TestRunExample1:
     def test_report_layout_and_determinism(self):
         kwargs = dict(gammas=(1.5,), step_exponents=range(5, 9), replications=20, seed=77)
@@ -497,13 +517,23 @@ class TestRunExample2:
 
     def test_reference_is_union_trapezoid_of_the_integrand(self):
         result = run_example2(step_exponents=range(5, 7), reference_exp=9, seed=8)
-        path, _ = collect_path(example2_path(8, 9))
+        path, _ = sampled_path(_lane_stream(8, _LANE_PATH), 2**9)
         oracle = value_at_union_grid_reference(path, euler_integrand(path))
         assert np.float64(result.reference).tobytes() == np.float64(oracle).tobytes()
 
+    def test_result_keeps_the_path_it_drew(self):
+        # 2^13 cells are two blocks; the path walks bit for bit as a fresh
+        # first pass on Example 2's stream, however often it is walked.
+        path = run_example2(step_exponents=range(5, 8), reference_exp=13, seed=8).path
+        walks = [collect_path(path), collect_path(path), sampled_path(_lane_stream(8, _LANE_PATH), 2**13)]
+        for (grid, mids), (first_grid, first_mids) in zip(walks[1:], walks):
+            assert grid.grid_values.tobytes() == first_grid.grid_values.tobytes()
+            assert grid.offsets.tobytes() == first_grid.offsets.tobytes()
+            assert mids.tobytes() == first_mids.tobytes()
+
     def test_reference_matches_finest_partition_quadrature(self):
         result = run_example2(step_exponents=range(5, 7), reference_exp=9, seed=8)
-        bi = euler_integrand(collect_path(example2_path(8, 9))[0])
+        bi = euler_integrand(sampled_path(_lane_stream(8, _LANE_PATH), 2**9)[0])
         fine = ctq_brownian(bi, make_partition(2**9)).value
         assert result.reference == pytest.approx(fine, rel=1e-13)
 

@@ -199,10 +199,8 @@ class PlantedGenerator:
     """numpy's generator for seed 0, except that the uniform draw with
     absolute index n (counting every value ``random`` has returned, however
     the calls split them) is ``plants[n]``; every uniform drawn is kept in
-    ``draws`` by its index.  A path's first pass draws from it; the
-    generators its blocks restore from the recorded states draw numpy's
-    values without the plants, so only offsets that get redrawn (in both
-    passes alike) may be planted."""
+    ``draws`` by its index.  A path's first pass draws from it, and its
+    blocks from deep copies of it, which plant the same values."""
 
     def __init__(self, plants):
         self.rng = np.random.default_rng(0)
@@ -221,10 +219,6 @@ class PlantedGenerator:
 
     def standard_normal(self, *args, **kwargs):
         return self.rng.standard_normal(*args, **kwargs)
-
-    @property
-    def bit_generator(self):
-        return self.rng.bit_generator
 
     def stream(self):
         return SimpleNamespace(generator=lambda: self)
@@ -406,6 +400,17 @@ class TestSamplePathGrid:
     def test_rejects_cell_counts_not_a_power_of_two(self, cells):
         with pytest.raises(ValueError, match=f"cells must be .*, got {cells!r}"):
             sample_path(RngStream(1), cells)
+
+    @pytest.mark.parametrize("picked", [[3, 100, -1], [8], [2.7], [2.0], 3, [[1, 2]]])
+    def test_rejects_picks_that_are_not_cells_before_drawing(self, picked, monkeypatch):
+        # [3, 100, -1] once kept [0.538, 6.9e-310, 0.0]: memory no block
+        # filled; [2.7] was read as cell 2.
+        monkeypatch.setattr(RngStream, "generator", lambda self: pytest.fail("drew before the picks were checked"))
+        with pytest.raises(ValueError, match=r"picked must be a list of integer cell indices in \[0, 8\)"):
+            sample_path(RngStream(1), 8, picked)
+
+    def test_default_picks_nothing(self):
+        assert sample_path(RngStream(1), 8).picked_offsets.values.size == 0
 
 
 class TestCoarsening:
