@@ -38,6 +38,7 @@ from .experiments import (
     DEFAULT_REPLICATIONS,
     DEFAULT_SEED,
     DEFAULT_STEP_EXPONENTS,
+    MAX_LADDER_EXP,
     MAX_REFERENCE_EXP,
     METRIC_ABSOLUTE,
     METRIC_PATHWISE,
@@ -336,6 +337,8 @@ def cmd_example2(args: argparse.Namespace) -> int:
     # run_example2 rejects these too, but naming reference_exp, not the flag.
     if not 0 <= args.h_ref_exp <= MAX_REFERENCE_EXP:
         raise ValueError(f"--h-ref-exp must lie in [0, {MAX_REFERENCE_EXP}], got {args.h_ref_exp}")
+    if args.max_exp > MAX_LADDER_EXP:
+        raise ValueError(f"--max-exp must be at most {MAX_LADDER_EXP} for example2, whose rungs hold about 55 B per coarse cell, got {args.max_exp}")
     with _output_dir(args.outdir) as outdir:
         result = run_example2(
             step_exponents=range(args.min_exp, args.max_exp + 1),

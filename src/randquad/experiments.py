@@ -23,20 +23,17 @@ draws from its own stream, the block is one integrand call and one row-wise
 compensated sum, and every replication's value is bit-for-bit the one a
 separate ``rtq`` call would give.
 
-Example 2 in bounded memory: ``run_example2`` holds no array of the path's
-size, so its memory does not grow with the reference step.  It draws every
-rung's fine-cell selection first (``select_fine_cells``); the first pass of
-``random_sources.sample_path`` keeps the offsets of the selected cells, from
-which ``complement_cells`` names the nodes around each complementary time.
-One walk of the path's blocks then carries the Euler prefix sums
-(``euler_prefix``), sums the union-grid trapezoids and gathers what the
-rungs read: B and the prefix sums at the finest rung's nodes (one
-``BrownianIntegrand``, the node type both rules read), the selected bridge
-samples and B around the complementary times.  ``coarse_tau_from`` turns
-each rung's share into its offsets, one rung at a time.  The reference is
-bit for bit the trapezoidal rule on the union grid through that type's
-``value_at`` on the path's own grid.  ``MAX_REFERENCE_EXP`` bounds the
-reference by time, since memory no longer does.
+Example 2 in O(block + coarse cells) memory: ``run_example2`` holds no
+array of the path's size.  It draws every rung's picks first
+(``select_fine_cells``, one int32 fine cell per coarse cell); the first pass
+of ``random_sources.sample_path`` keeps their offsets, rung by rung, and one
+walk of the path's blocks carries the Euler prefix sums, sums the union-grid
+trapezoids and gathers (``gather``) what the rungs read: B and the prefix
+sums at the finest rung's nodes, the picked bridge samples and B around the
+complementary times.  ``coarse_tau_from`` turns each rung's share into its
+offsets, coarsest first, and the rung's inputs are dropped once it has.
+``MAX_REFERENCE_EXP`` bounds the reference by time, ``MAX_LADDER_EXP`` the
+finest rung by memory.
 
 Timing: each quadrature call is repeated five times and the median of a
 monotonic clock is reported, which resists scheduler noise without
@@ -65,12 +62,12 @@ from .integrands import (
 from .quadrature import CTQ, RTQ, Partition, _CellCount, ctq, make_partition, rtq, rtq_prefix
 from .random_sources import (
     BrownianPath,
-    Gathered,
     PathBlock,
     RngStream,
     _integer,
     coarse_tau_from,
     complement_cells,
+    gather,
     sample_path,
     sample_tau_batches,
     sample_tau_sequence,
@@ -94,6 +91,10 @@ MAX_STEP_EXPONENT = 1022
 # memory that does not grow with it, but each fine cell costs about 100 ns,
 # so a reference of 2^28 cells takes about 30 s (2-vCPU x86-64 VM, numpy 2.4).
 MAX_REFERENCE_EXP = 28
+# Largest finest step exponent of Example 2, a memory bound: a run holds about
+# 55 B per coarse cell (149 MiB peak RSS at reference 2^-21 and ladder 5..20,
+# 38.5 MiB at the defaults), so a ladder down to 2^-24 takes about 1.9 GB.
+MAX_LADDER_EXP = 24
 
 METRIC_ABSOLUTE = "absolute"
 METRIC_PATHWISE = "pathwise"
@@ -519,11 +520,13 @@ def _union_terms(block: PathBlock, prefix: np.ndarray, step: float) -> np.ndarra
     return terms
 
 
-def _stream_path(path: BrownianPath, stride: int, mids: Gathered, left: Gathered, right: Gathered):
-    """One pass over the path's blocks: the union-grid reference and the
-    :class:`BrownianIntegrand` of every ``stride``-th node, filling ``mids``
-    with bridge samples, and ``left`` and ``right`` with the values of B at
-    the left and right nodes of their cells."""
+def _stream_path(path: BrownianPath, stride: int, selected, offsets):
+    """One pass over the path's blocks: the union-grid reference, the
+    :class:`BrownianIntegrand` of every ``stride``-th node, and per rung
+    the bridge samples of the cells ``selected`` and B at the nodes around
+    their complementary times."""
+    comps = [complement_cells(path.cells, *picks) for picks in zip(selected, offsets)]
+    mids, left, right = ([np.empty(picks.size) for picks in selected] for _ in range(3))
     acc = NeumaierSum()
     node_values = np.empty(path.cells // stride + 1)
     node_prefix = np.empty(node_values.size)
@@ -536,10 +539,10 @@ def _stream_path(path: BrownianPath, stride: int, mids: Gathered, left: Gathered
         kept = slice(first * stride - start, None, stride)
         node_values[first : stop // stride + 1] = block.nodes[kept]
         node_prefix[first : stop // stride + 1] = prefix[kept]
-        mids.fill(start, block.mid_values)
-        left.fill(start, block.nodes[:-1])
-        right.fill(start, block.nodes[1:])
-    return acc.value, BrownianIntegrand(grid_values=node_values, prefix=node_prefix, stride=stride)
+        gather(selected, path.cells, start, block.mid_values, mids)
+        gather(comps, path.cells, start, block.nodes[:-1], left)
+        gather(comps, path.cells, start, block.nodes[1:], right)
+    return acc.value, BrownianIntegrand(grid_values=node_values, prefix=node_prefix, stride=stride), mids, left, right
 
 
 def run_example2(
@@ -558,13 +561,13 @@ def run_example2(
     are measured against the best trapezoidal value of the very function
     they integrate.  The path's stream is named here, from ``seed``; the
     path is drawn twice, a block at a time (see the module docstring), so
-    memory does not grow with the reference, and the result keeps it as
-    the first pass left it: generator snapshots, no array of its cells.
+    memory does not grow with the reference, and the result keeps it
+    without the picks' offsets: generator snapshots, no array of its cells.
     """
     ladder = _ladder(step_exponents)
     finest = ladder[-1].bit_length() - 1
-    if finest > MAX_REFERENCE_EXP:
-        raise ValueError(f"the finest step exponent {finest} is above the largest reference exponent {MAX_REFERENCE_EXP}")
+    if finest > MAX_LADDER_EXP:
+        raise ValueError(f"the finest step exponent {finest} is above {MAX_LADDER_EXP}, the largest whose rungs fit in memory")
     if not finest <= _integer("reference_exp", reference_exp, 0) <= MAX_REFERENCE_EXP:
         raise ValueError(
             f"the reference exponent {reference_exp!r} must lie in [{finest}, {MAX_REFERENCE_EXP}], "
@@ -572,21 +575,18 @@ def run_example2(
         )
     fine_cells = 2**reference_exp
     selected = [select_fine_cells(fine_cells, cells, _lane_stream(seed, _LANE_COARSEN, hj)) for hj, cells in enumerate(ladder)]
-    path = sample_path(_lane_stream(seed, _LANE_PATH), fine_cells, np.concatenate(selected))
-    rungs = np.cumsum(ladder)[:-1]  # where each rung's values start, after the first
-    offsets = np.split(path.picked_offsets.values, rungs)
-    left = Gathered.at(np.concatenate([complement_cells(fine_cells, *picks) for picks in zip(selected, offsets)]))
-    mids, right = path.picked_offsets.twin(), left.twin()
-    reference, nodes = _stream_path(path, fine_cells // ladder[-1], mids, left, right)
+    path = sample_path(_lane_stream(seed, _LANE_PATH), fine_cells, selected)
+    offsets, path = list(path.picked_offsets), replace(path, picked_offsets=())  # the result pins no rung
+    reference, nodes, mids, left, right = _stream_path(path, fine_cells // ladder[-1], selected, offsets)
 
     ctq_rows, rtq_rows = [], []
-    rung_values = (np.split(gathered.values, rungs) for gathered in (mids, left, right))
-    for cells, picked, tau, mid, *around in zip(ladder, selected, offsets, *rung_values):
+    for cells in ladder:
         part = make_partition(cells)
-        ctau = coarse_tau_from(fine_cells, picked, tau, mid, around)
+        ctau = coarse_tau_from(fine_cells, selected.pop(0), offsets.pop(0), mids.pop(0), (left.pop(0), right.pop(0)))
 
         ctq_rows.append(_timed_row(part, reference, lambda: ctq_brownian(nodes, part)))
         rtq_rows.append(_timed_row(part, reference, lambda: rtq_brownian(nodes, part, ctau)))
+        del ctau  # before the next, finer rung is built
 
     ladders = (
         ErrorLadder(rule=CTQ, metric=METRIC_PATHWISE, rows=tuple(ctq_rows), label="gB"),

@@ -44,12 +44,11 @@ A coarser grid, whose cell count divides the path's, reuses the interior
 samples exactly: :func:`select_fine_cells` picks, uniformly at random, one
 of the fine cells inside each coarse cell, which keeps the coarse offsets
 Uniform(0, 1), and :func:`coarse_tau_from` solves for the offsets that land
-on the picked samples' times bit for bit.  It reads only what it needs of
-the path, gathered (:class:`Gathered`) by the passes: the picked cells'
-offsets (first pass) and bridge samples, and B at the nodes around each
-complementary time, which :func:`complement_cells` names from the offsets.
-The picks are drawn before the first pass, so a caller keeps only the
-samples it picked.
+on the picked samples' times bit for bit.  It reads only the picked cells'
+offsets and bridge samples, and B at the nodes around each complementary
+time, which :func:`complement_cells` names from the offsets.  The picks are
+drawn before the first pass and kept rung by rung; a block's share of a
+rung is a slice of its coarse cells, which :func:`gather` reads.
 """
 
 from __future__ import annotations
@@ -268,34 +267,20 @@ def _draw_blocks(words: np.ndarray, count: int) -> Iterator[np.ndarray]:
         yield values
 
 
-class Gathered(NamedTuple):
-    """Values of a path at given indices (of cells or of nodes, in any
-    order, repeats allowed), filled a block at a time in index order.
-
-    ``values[i]`` is the value at the i-th given index; ``indices`` holds
-    them sorted, ``order`` where each sorted one was given, so a block finds
-    its indices with one binary search and nothing is looked up later.
-    """
-
-    indices: np.ndarray
-    order: np.ndarray
-    values: np.ndarray
-
-    @classmethod
-    def at(cls, indices) -> Gathered:
-        indices = np.asarray(indices, dtype=np.int64)
-        order = np.argsort(indices)
-        return cls(indices=indices[order], order=order, values=np.empty(indices.size))
-
-    def twin(self) -> Gathered:
-        """An unfilled record at the same indices."""
-        return self._replace(values=np.empty(self.values.size))
-
-    def fill(self, start: int, block: np.ndarray) -> None:
-        """Take the values at this record's indices from ``block``, the
-        values at indices ``start`` on."""
-        lo, hi = np.searchsorted(self.indices, (start, start + block.size))
-        self.values[self.order[lo:hi]] = block[self.indices[lo:hi] - start]
+def gather(picked, cells: int, start: int, block: np.ndarray, into) -> None:
+    """Copy into ``into[r]`` the values of ``block``, cells ``start`` on of a
+    path of ``cells``, at the picks ``picked[r]``, one per coarse cell of f
+    cells: for f up to the block's size, which ``start`` and that size are
+    multiples of, those of coarse cells start // f on; for a larger f, at most one."""
+    size = block.size
+    for picks, out in zip(picked, into):
+        factor = cells // picks.size
+        n = start // factor
+        if factor <= size:
+            stop = n + size // factor
+            out[n:stop] = block[np.subtract(picks[n:stop], start, dtype=np.intp)]
+        elif 0 <= (i := int(picks[n]) - start) < size:
+            out[n] = block[i]
 
 
 class PathBlock(NamedTuple):
@@ -318,13 +303,13 @@ class BrownianPath:
     ``(j + offset) * step`` lies strictly inside the cell.  The path holds
     no array of its cells: ``snapshots``, copies of the stream's generator
     at the starts of its three sections (node normals, offsets, bridge
-    normals), the offsets that were redrawn, and ``picked_offsets``, the
-    offsets of the cells the sampler was asked to keep.  :meth:`blocks`
-    draws the path again from copies of the snapshots.
+    normals), the offsets that were redrawn, and ``picked_offsets``, rung
+    by rung, the offsets of the cells the sampler was asked to keep.
+    :meth:`blocks` draws the path again from copies of the snapshots.
     """
 
     cells: int
-    picked_offsets: Gathered
+    picked_offsets: tuple
     snapshots: tuple
     redrawn: np.ndarray
     redraws: np.ndarray
@@ -373,7 +358,7 @@ def _bridge(nodes: np.ndarray, tau: np.ndarray, step: float, rng: np.random.Gene
 
 def sample_path(stream: RngStream, cells: int, picked=()) -> BrownianPath:
     """Make the first pass over a Brownian path on the grid of [0, 1] with
-    ``cells`` = 2^k cells, keeping the offsets of the cells ``picked``.
+    ``cells`` = 2^k cells, keeping the offsets of the rungs' picks ``picked``.
 
     The stream draws the ``cells`` node increments, then one offset per
     cell, and redraws, within the offset section, any offset whose interior
@@ -384,34 +369,38 @@ def sample_path(stream: RngStream, cells: int, picked=()) -> BrownianPath:
     at a time, keeping a snapshot of the generator at each section's start.
 
     Raises:
-        ValueError: if ``cells`` is not 2^k for an integer k >= 0, or a pick
-            is not an integer in [0, cells), or ``picked`` is not a list of
-            them (before anything is drawn).
+        ValueError: if ``cells`` is not 2^k for an integer k >= 0, or
+            ``picked`` is not a list of rungs, each a 1-d integer array
+            whose count divides ``cells`` and whose pick n lies in coarse
+            cell n (before anything is drawn).
     """
     cells = _integer("cells", cells, 1)
     if cells & (cells - 1):
         raise ValueError(f"cells must be a power of two, got {cells!r}")
-    picked = np.asarray(picked)
-    if picked.ndim != 1 or picked.size and (picked.dtype.kind not in "iu" or picked.min() < 0 or picked.max() >= cells):
-        raise ValueError(f"picked must be a list of integer cell indices in [0, {cells}), got {picked!r}")
+    picked = tuple(map(np.asarray, picked if np.iterable(picked) else [picked]))
+    for r, picks in enumerate(picked):
+        if picks.ndim != 1 or picks.dtype.kind not in "iu" or not picks.size or cells % picks.size:
+            raise ValueError(f"picked rung {r} must be 1-d integers whose count divides {cells}, got {picks!r}")
+        if np.any(picks.astype(np.int64) // (cells // picks.size) != np.arange(picks.size)):
+            raise ValueError(f"picked rung {r} has a pick n outside coarse cell n, got {picks!r}")
     rng = stream.generator()
     snapshots = [copy.deepcopy(rng)]
     dropped = np.empty(min(cells, BLOCK_ELEMENTS))  # both powers of two
     for _ in range(0, cells, dropped.size):
         rng.standard_normal(out=dropped)
     snapshots.append(copy.deepcopy(rng))
-    kept = Gathered.at(picked)
+    kept = tuple(np.empty(picks.size) for picks in picked)
     flagged = [np.empty(0, dtype=np.int64)]  # the blocks with any, so it stays short
     for start in range(0, cells, dropped.size):
         tau = rng.random(dropped.size)
         hits = np.flatnonzero(_off_ends(tau, np.arange(start, start + tau.size, dtype=np.float64)))
         if hits.size:
             flagged.append(start + hits)
-        kept.fill(start, tau)
+        gather(picked, cells, start, tau, kept)
     redrawn = np.concatenate(flagged)
     redraws = _redraws(rng, redrawn.astype(np.float64))
     for i, cell in enumerate(redrawn):
-        kept.fill(cell, redraws[i : i + 1])
+        gather(picked, cells, cell, redraws[i : i + 1], kept)
     snapshots.append(rng)
     return BrownianPath(cells=cells, picked_offsets=kept, snapshots=tuple(snapshots), redrawn=redrawn, redraws=redraws)
 
@@ -446,19 +435,20 @@ class CoarseTau:
 
 def select_fine_cells(fine_cells: int, cells, stream: RngStream) -> np.ndarray:
     """One fine cell drawn uniformly from ``stream`` in each of ``cells``
-    coarse cells of a path of ``fine_cells`` cells, in increasing order;
-    ValueError unless ``cells`` is a positive integer that divides
-    ``fine_cells``."""
+    coarse cells of a path of ``fine_cells`` cells, in increasing order, as
+    int32 (a path of at most 2^31 cells); ValueError unless ``cells`` is a
+    positive integer that divides ``fine_cells``."""
     factor, rest = divmod(fine_cells, _integer("cells", cells, 1))
     if rest:
         raise ValueError(f"{cells!r} coarse cells do not divide the path's {fine_cells} cells")
-    return np.arange(cells) * factor + stream.generator().integers(0, factor, size=cells)
+    return (np.arange(cells) * factor + stream.generator().integers(0, factor, size=cells)).astype(np.int32)
 
 
 def _coarse_offsets(fine_cells: int, selected: np.ndarray, offsets: np.ndarray):
     """The coarse offsets of a selection whose fine offsets are ``offsets``,
-    with the fine cell holding each complementary time and its position in
-    that cell, after checking them (see :func:`coarse_tau_from`)."""
+    with the fine cell holding each complementary time (int32) and its
+    position in that cell, after checking them (see :func:`coarse_tau_from`).
+    Past ``values`` each is formed in place: IEEE ``+`` and ``*`` commute."""
     h_fine = 1.0 / fine_cells
     hc = 1.0 / selected.size  # one pick per coarse cell
     starts = np.arange(selected.size) * hc
@@ -466,20 +456,27 @@ def _coarse_offsets(fine_cells: int, selected: np.ndarray, offsets: np.ndarray):
     values = (mid_times - starts) / hc
     if np.any(values <= 0.0) or np.any(values >= 1.0):
         raise ValueError("derived coarse offsets left (0, 1)")
-    if not np.array_equal(starts + values * hc, mid_times):
+    work = values * hc
+    work += starts
+    if not np.array_equal(work, mid_times):
         raise ValueError("coarse offsets do not reproduce the fine sample times exactly")
-    complement_times = starts + (1.0 - values) * hc
-    cells = np.minimum(np.floor(complement_times / h_fine).astype(np.int64), fine_cells - 1)
-    frac = (complement_times - cells * h_fine) / h_fine
-    if np.any(frac <= 0.0) or np.any(frac >= 1.0):
+    np.subtract(1.0, values, out=work)
+    work *= hc
+    work += starts  # the complementary times
+    cells = np.floor(np.divide(work, h_fine, out=mid_times), out=mid_times).astype(np.int32)
+    np.minimum(cells, fine_cells - 1, out=cells)
+    work -= np.multiply(cells, h_fine, out=mid_times)
+    work /= h_fine
+    if np.any(work <= 0.0) or np.any(work >= 1.0):
         raise ValueError("complementary times fell on fine grid nodes; grids misaligned")
-    return values, cells, frac
+    return values, cells, work
 
 
 def complement_cells(fine_cells: int, selected: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """The fine cells holding the complementary times of a
-    :func:`select_fine_cells` selection whose offsets are ``offsets``: the
-    nodes :func:`coarse_tau_from` reads are these and the next ones."""
+    :func:`select_fine_cells` selection whose offsets are ``offsets``, in
+    the picks' coarse cells: the nodes :func:`coarse_tau_from` reads are
+    these and the next ones."""
     return _coarse_offsets(fine_cells, selected, offsets)[1]
 
 

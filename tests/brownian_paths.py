@@ -50,12 +50,15 @@ def sampled_path(stream, cells):
     return collect_path(sample_path(stream, cells))
 
 
-def coarse_tau_of(path, selected, mid_values):
-    """``coarse_tau_from`` on the selection ``selected`` of the whole path
-    ``path``, whose selected cells' bridge samples are ``mid_values``."""
-    offsets = path.offsets[selected]
-    around = complement_cells(path.cells, selected, offsets)
-    return coarse_tau_from(path.cells, selected, offsets, mid_values, (path.grid_values[around], path.grid_values[around + 1]))
+def coarse_tau_of(path, mid_values, picks):
+    """``coarse_tau_from`` on one rung's ``picks`` (one fine cell in each
+    coarse cell, held as int32 as ``select_fine_cells`` holds them) of the
+    whole path ``path`` with bridge samples ``mid_values``, reading at the
+    picks and around their complementary times what a rung reads."""
+    picks = np.asarray(picks, dtype=np.int32)
+    offsets = path.offsets[picks]
+    around = complement_cells(path.cells, picks, offsets)
+    return coarse_tau_from(path.cells, picks, offsets, mid_values[picks], (path.grid_values[around], path.grid_values[around + 1]))
 
 
 def coarsened(path, mid_values, cells, stream):
@@ -63,7 +66,7 @@ def coarsened(path, mid_values, cells, stream):
     each of ``cells`` coarse cells of the whole path ``path``, and the
     :class:`CoarseTau` that ``coarse_tau_from`` derives from their samples."""
     selected = select_fine_cells(path.cells, cells, stream)
-    return selected, coarse_tau_of(path, selected, mid_values[selected])
+    return selected, coarse_tau_of(path, mid_values, selected)
 
 
 def hand_grid(grid_values, offsets):

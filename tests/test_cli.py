@@ -421,6 +421,16 @@ def test_reference_exponent_out_of_range_exits_2_naming_the_flag(h_ref_exp, tmp_
     assert list(tmp_path.iterdir()) == []
 
 
+def test_ladder_above_the_memory_cap_exits_2_naming_the_flag(tmp_path, capsys, monkeypatch):
+    # --max-exp 25 once started a run needing about 8 GB: 2^26 coarse cells
+    # at about 120 B each.
+    monkeypatch.setattr(cli, "run_example2", lambda **kwargs: pytest.fail("ran before --max-exp was checked"))
+    argv = ["example2", "--h-ref-exp", "25", "--max-exp", "25", "--outdir", str(tmp_path / "a" / "b")]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: --max-exp must be at most 24 for example2")
+    assert list(tmp_path.iterdir()) == []
+
+
 REJECTED_RUNS = {
     "example1-divergent-gamma": ["example1", "--gammas", "1.5", "-2", "-M", "5", "--min-exp", "3", "--max-exp", "4"],
     "example1-nan-gamma": ["example1", "--gammas", "1.5", "nan", "-M", "5", "--min-exp", "3", "--max-exp", "4"],

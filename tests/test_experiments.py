@@ -398,7 +398,7 @@ def test_step_below_the_normal_range_rejected_before_sampling(driver, kwargs, mo
         (run_example2, dict(step_exponents=(5, 6), reference_exp=7.5), "reference_exp must be an integer of at least 0"),
         (run_example2, dict(step_exponents=(5, 6), reference_exp=1023), r"reference exponent 1023 must lie in \[6, 28\]"),
         (run_example2, dict(step_exponents=(5, 6), reference_exp=29), r"reference exponent 29 must lie in \[6, 28\]"),
-        (run_example2, dict(step_exponents=(5, 30)), "the finest step exponent 30 is above the largest reference exponent 28"),
+        (run_example2, dict(step_exponents=(5, 25)), "the finest step exponent 25 is above 24, the largest whose rungs fit in memory"),
     ],
     ids=[
         "example1-fractional",
@@ -408,7 +408,7 @@ def test_step_below_the_normal_range_rejected_before_sampling(driver, kwargs, mo
         "reference-fractional",
         "reference-subnormal",
         "reference-above-the-time-cap",
-        "ladder-above-the-time-cap",
+        "ladder-above-the-memory-cap",
     ],
 )
 def test_bad_exponent_rejected_before_sampling(driver, kwargs, message, monkeypatch):
@@ -613,6 +613,23 @@ class TestRunExample2:
         small, large = self.traced_peak(14), self.traced_peak(18)
         assert large <= small + 2 * BLOCK_ELEMENTS * 8
         assert large < 32 * BLOCK_ELEMENTS * 8
+
+    def test_peak_memory_is_bounded_per_coarse_cell(self):
+        # The ladder 5..14 picks 2^15 - 2^5 fine cells; the run holds at most
+        # 64 B per pick and a few dozen blocks of the pass.  One sorted
+        # record of all the picks once took about 120 B per pick, and the
+        # result kept its 24 B per pick.
+        picks = 2**15 - 2**5
+        run_example2(step_exponents=range(5, 7), reference_exp=8, seed=2)
+        tracemalloc.start()
+        try:
+            result = run_example2(step_exponents=range(5, 15), reference_exp=16, seed=2)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * picks + 16 * BLOCK_ELEMENTS * 8
+        assert result.path.picked_offsets == ()
+        assert kept < 2**14 * 4  # the finest rung's picks as int32
 
     def test_zero_path_gives_zero_reference_and_rule_values(self):
         cells = 2**8

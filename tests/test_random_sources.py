@@ -380,12 +380,15 @@ class TestSamplePathGrid:
 
     def test_picked_offsets_are_the_paths_offsets(self):
         # Cell 4097 is picked and redrawn (its first offset, draw 4097, is
-        # planted on its node), so its kept offset is the redraw.
-        picked = np.array([4097, 5, 8191, 5, 0])
+        # planted on its node), so its kept offset is the redraw.  The rungs'
+        # coarse cells span two blocks, one, half of one and one cell; a
+        # narrow dtype need not hold the cell count.
+        picked = [[4097], [5, 8191], np.array([0, 2049, 4097, 8191], dtype=np.int32), np.arange(2**13), np.int8([5])]
         path = sample_path(PlantedGenerator({4097: 1e-300}).stream(), 2**13, picked)
         whole, _ = collect_path(path)
-        np.testing.assert_array_equal(path.picked_offsets.values, whole.offsets[picked])
-        assert path.picked_offsets.values[0] != 1e-300
+        for picks, offsets in zip(picked, path.picked_offsets, strict=True):
+            np.testing.assert_array_equal(offsets, whole.offsets[picks])
+        assert path.picked_offsets[0][0] != 1e-300
 
     def test_blocks_replay_the_same_path(self):
         path = sample_path(RngStream(6), 2**13)
@@ -401,16 +404,42 @@ class TestSamplePathGrid:
         with pytest.raises(ValueError, match=f"cells must be .*, got {cells!r}"):
             sample_path(RngStream(1), cells)
 
-    @pytest.mark.parametrize("picked", [[3, 100, -1], [8], [2.7], [2.0], 3, [[1, 2]]])
-    def test_rejects_picks_that_are_not_cells_before_drawing(self, picked, monkeypatch):
+    @pytest.mark.parametrize(
+        "picked, message",
+        [
+            ([[3, 100, -1]], "rung 0 must be 1-d integers whose count divides 8"),
+            ([[8]], "rung 0 has a pick n outside coarse cell n"),
+            ([[2.7]], "rung 0 must be 1-d integers whose count divides 8"),
+            ([[2.0]], "rung 0 must be 1-d integers whose count divides 8"),
+            (3, "rung 0 must be 1-d integers whose count divides 8"),
+            ([[1, 2]], "rung 0 has a pick n outside coarse cell n"),
+            ([3, 100, -1], "rung 0 must be 1-d integers whose count divides 8"),
+            ([[1, 5], [[1, 2]]], "rung 1 must be 1-d integers whose count divides 8"),
+            ([[1, 5], np.array([], dtype=np.int64)], "rung 1 must be 1-d integers whose count divides 8"),
+            ([[1, 5], [-1, 2, 4, 6]], "rung 1 has a pick n outside coarse cell n"),
+        ],
+        ids=[
+            "three-of-eight",
+            "past-the-end",
+            "fractional",
+            "whole-float",
+            "scalar",
+            "second-pick-outside",
+            "one-flat-list",
+            "2-d-rung",
+            "empty-rung",
+            "negative-pick",
+        ],
+    )
+    def test_rejects_picks_that_are_not_cells_before_drawing(self, picked, message, monkeypatch):
         # [3, 100, -1] once kept [0.538, 6.9e-310, 0.0]: memory no block
         # filled; [2.7] was read as cell 2.
         monkeypatch.setattr(RngStream, "generator", lambda self: pytest.fail("drew before the picks were checked"))
-        with pytest.raises(ValueError, match=r"picked must be a list of integer cell indices in \[0, 8\)"):
+        with pytest.raises(ValueError, match="^picked .*" + re.escape(message)):
             sample_path(RngStream(1), 8, picked)
 
     def test_default_picks_nothing(self):
-        assert sample_path(RngStream(1), 8).picked_offsets.values.size == 0
+        assert sample_path(RngStream(1), 8).picked_offsets == ()
 
 
 class TestCoarsening:
@@ -491,4 +520,4 @@ class TestCoarsening:
         path = hand_grid(np.zeros(5), offsets)
         selected = np.array(selected)
         with pytest.raises(ValueError, match=message):
-            coarse_tau_of(path, selected, np.zeros(selected.size))
+            coarse_tau_of(path, np.zeros(path.cells), selected)
