@@ -24,12 +24,12 @@ compensated sum, and every replication's value is bit-for-bit the one a
 separate ``rtq`` call would give.
 
 Example 2 in O(block + coarse cells) memory: ``run_example2`` holds no
-array of the path's size.  It draws every rung's picks first
-(``select_fine_cells``, one int32 fine cell per coarse cell); the first pass
-of ``random_sources.sample_path`` keeps their offsets, rung by rung, and one
-walk of the path's blocks carries the Euler prefix sums, sums the union-grid
-trapezoids and gathers (``gather``) what the rungs read: B and the prefix
-sums at the finest rung's nodes, the picked bridge samples and B around the
+array of the path's size.  It draws every rung's picks
+(``select_fine_cells``, one int32 fine cell per coarse cell); after the
+first pass of ``random_sources.sample_path``, one walk of the path's blocks
+carries the Euler prefix sums, sums the union-grid trapezoids and gathers
+(``gather``) all that the rungs read: B and the prefix sums at the finest
+rung's nodes, the picked offsets and bridge samples, and B around the
 complementary times.  ``coarse_tau_from`` turns each rung's share into its
 offsets, coarsest first, and the rung's inputs are dropped once it has.
 ``MAX_REFERENCE_EXP`` bounds the reference by time, ``MAX_LADDER_EXP`` the
@@ -520,13 +520,13 @@ def _union_terms(block: PathBlock, prefix: np.ndarray, step: float) -> np.ndarra
     return terms
 
 
-def _stream_path(path: BrownianPath, stride: int, selected, offsets):
+def _stream_path(path: BrownianPath, stride: int, selected):
     """One pass over the path's blocks: the union-grid reference, the
     :class:`BrownianIntegrand` of every ``stride``-th node, and per rung
-    the bridge samples of the cells ``selected`` and B at the nodes around
-    their complementary times."""
-    comps = [complement_cells(path.cells, *picks) for picks in zip(selected, offsets)]
-    mids, left, right = ([np.empty(picks.size) for picks in selected] for _ in range(3))
+    the offsets and bridge samples of the cells ``selected`` and B at the
+    nodes around their complementary times, every rung checked first."""
+    comps = [complement_cells(path.cells, picks) for picks in selected]
+    offsets, mids, left, right = ([np.empty(picks.size) for picks in selected] for _ in range(4))
     acc = NeumaierSum()
     node_values = np.empty(path.cells // stride + 1)
     node_prefix = np.empty(node_values.size)
@@ -539,10 +539,11 @@ def _stream_path(path: BrownianPath, stride: int, selected, offsets):
         kept = slice(first * stride - start, None, stride)
         node_values[first : stop // stride + 1] = block.nodes[kept]
         node_prefix[first : stop // stride + 1] = prefix[kept]
+        gather(selected, path.cells, start, block.offsets, offsets)
         gather(selected, path.cells, start, block.mid_values, mids)
         gather(comps, path.cells, start, block.nodes[:-1], left)
         gather(comps, path.cells, start, block.nodes[1:], right)
-    return acc.value, BrownianIntegrand(grid_values=node_values, prefix=node_prefix, stride=stride), mids, left, right
+    return acc.value, BrownianIntegrand(grid_values=node_values, prefix=node_prefix, stride=stride), offsets, mids, left, right
 
 
 def run_example2(
@@ -561,8 +562,8 @@ def run_example2(
     are measured against the best trapezoidal value of the very function
     they integrate.  The path's stream is named here, from ``seed``; the
     path is drawn twice, a block at a time (see the module docstring), so
-    memory does not grow with the reference, and the result keeps it
-    without the picks' offsets: generator snapshots, no array of its cells.
+    memory does not grow with the reference, and the result keeps it as
+    generator snapshots, no array of its cells.
     """
     ladder = _ladder(step_exponents)
     finest = ladder[-1].bit_length() - 1
@@ -575,9 +576,8 @@ def run_example2(
         )
     fine_cells = 2**reference_exp
     selected = [select_fine_cells(fine_cells, cells, _lane_stream(seed, _LANE_COARSEN, hj)) for hj, cells in enumerate(ladder)]
-    path = sample_path(_lane_stream(seed, _LANE_PATH), fine_cells, selected)
-    offsets, path = list(path.picked_offsets), replace(path, picked_offsets=())  # the result pins no rung
-    reference, nodes, mids, left, right = _stream_path(path, fine_cells // ladder[-1], selected, offsets)
+    path = sample_path(_lane_stream(seed, _LANE_PATH), fine_cells)
+    reference, nodes, offsets, mids, left, right = _stream_path(path, fine_cells // ladder[-1], selected)
 
     ctq_rows, rtq_rows = [], []
     for cells in ladder:

@@ -26,6 +26,7 @@ The rules form ``1 - tau`` themselves and check both offsets once, in
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -57,10 +58,16 @@ class _CellCount:
 
 @dataclass(frozen=True, eq=False)
 class Partition(_CellCount):
-    """Equidistant grid over [0, 1] with N cells of width h = 1/N; ``nodes[-1]`` is 1."""
+    """Equidistant grid over [0, 1] with N cells of width h = 1/N."""
 
     intervals: int
-    nodes: np.ndarray
+
+    @functools.cached_property
+    def nodes(self) -> np.ndarray:
+        """The N + 1 nodes ``np.linspace(0, 1, N + 1)``, read-only; ``nodes[-1]`` is 1."""
+        nodes = np.linspace(0.0, 1.0, self.intervals + 1)
+        nodes.setflags(write=False)
+        return nodes
 
 
 def make_partition(intervals: int) -> Partition:
@@ -69,10 +76,7 @@ def make_partition(intervals: int) -> Partition:
     Raises:
         ValueError: if ``intervals`` is not an integer of at least 1.
     """
-    N = _integer("intervals", intervals, 1)
-    nodes = np.linspace(0.0, 1.0, N + 1)
-    nodes.setflags(write=False)
-    return Partition(intervals=N, nodes=nodes)
+    return Partition(intervals=_integer("intervals", intervals, 1))
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,15 +30,14 @@ increments, the offsets (with any redraws) and the bridge residuals, and
 no array of the path's size is ever held.  A first pass draws and drops
 the increments and the offsets a block at a time and records a
 :class:`BrownianPath`: a snapshot (deep copy) of the generator at the start
-of each section, the few offsets that were redrawn, and the offsets of the
-cells the caller asked to keep.  :meth:`BrownianPath.blocks` drives copies
-of the snapshots in step, as often as it is called, handing the path out a
-:class:`PathBlock` of ``BLOCK_ELEMENTS`` cells at a time: node values,
-offsets and bridge samples.  numpy's generator keeps no normal between
-calls and draws one word per uniform, so every block is bit for bit what
-one pass over whole arrays would draw; the price is that the node
-increments are drawn twice.  A grid is named by its cell count; its step is
-``1.0 / cells``, so the times ``j * h`` and ``(j + tau) * h`` are exact.
+of each section and the few offsets that were redrawn.  Its
+:meth:`~BrownianPath.blocks` drive copies of the snapshots in step, as often
+as called, handing out a :class:`PathBlock` of ``BLOCK_ELEMENTS`` cells at a
+time: node values, offsets and bridge samples.  numpy's generator keeps no
+normal between calls and draws one word per uniform, so every block is bit
+for bit what one pass over whole arrays would draw; the price is that the
+node increments are drawn twice.  A grid is named by its cell count; its
+step is ``1.0 / cells``, so the times ``j * h`` and ``(j + tau) * h`` are exact.
 
 A coarser grid, whose cell count divides the path's, reuses the interior
 samples exactly: :func:`select_fine_cells` picks, uniformly at random, one
@@ -46,9 +45,9 @@ of the fine cells inside each coarse cell, which keeps the coarse offsets
 Uniform(0, 1), and :func:`coarse_tau_from` solves for the offsets that land
 on the picked samples' times bit for bit.  It reads only the picked cells'
 offsets and bridge samples, and B at the nodes around each complementary
-time, which :func:`complement_cells` names from the offsets.  The picks are
-drawn before the first pass and kept rung by rung; a block's share of a
-rung is a slice of its coarse cells, which :func:`gather` reads.
+time, in cells that :func:`complement_cells` names from the picks alone; a
+walk of the blocks reads a rung's share, a slice of its coarse cells, with
+:func:`gather`.
 """
 
 from __future__ import annotations
@@ -303,13 +302,12 @@ class BrownianPath:
     ``(j + offset) * step`` lies strictly inside the cell.  The path holds
     no array of its cells: ``snapshots``, copies of the stream's generator
     at the starts of its three sections (node normals, offsets, bridge
-    normals), the offsets that were redrawn, and ``picked_offsets``, rung
-    by rung, the offsets of the cells the sampler was asked to keep.
-    :meth:`blocks` draws the path again from copies of the snapshots.
+    normals), and the cells ``redrawn`` whose offsets were redrawn, with
+    their final offsets ``redraws``.  :meth:`blocks` draws the path again
+    from copies of the snapshots.
     """
 
     cells: int
-    picked_offsets: tuple
     snapshots: tuple
     redrawn: np.ndarray
     redraws: np.ndarray
@@ -356,53 +354,40 @@ def _bridge(nodes: np.ndarray, tau: np.ndarray, step: float, rng: np.random.Gene
     return mid_values
 
 
-def sample_path(stream: RngStream, cells: int, picked=()) -> BrownianPath:
+def sample_path(stream: RngStream, cells: int) -> BrownianPath:
     """Make the first pass over a Brownian path on the grid of [0, 1] with
-    ``cells`` = 2^k cells, keeping the offsets of the rungs' picks ``picked``.
+    ``cells`` = 2^k cells: draw and drop its increments and offsets a block
+    at a time, keeping a snapshot of the generator at each section's start.
 
     The stream draws the ``cells`` node increments, then one offset per
     cell, and redraws, within the offset section, any offset whose interior
     time would round onto a node; then it draws one bridge residual Z per
     cell.  The bridge value at ``(j + tau) * h`` is
     ``((1 - tau) * B_j + tau * B_{j+1}) + sqrt(tau * (1 - tau) * h) * Z``.
-    The first pass draws and drops the increments and the offsets a block
-    at a time, keeping a snapshot of the generator at each section's start.
 
     Raises:
-        ValueError: if ``cells`` is not 2^k for an integer k >= 0, or
-            ``picked`` is not a list of rungs, each a 1-d integer array
-            whose count divides ``cells`` and whose pick n lies in coarse
-            cell n (before anything is drawn).
+        ValueError: if ``cells`` is not 2^k for an integer k >= 0 (before
+            anything is drawn).
     """
     cells = _integer("cells", cells, 1)
     if cells & (cells - 1):
         raise ValueError(f"cells must be a power of two, got {cells!r}")
-    picked = tuple(map(np.asarray, picked if np.iterable(picked) else [picked]))
-    for r, picks in enumerate(picked):
-        if picks.ndim != 1 or picks.dtype.kind not in "iu" or not picks.size or cells % picks.size:
-            raise ValueError(f"picked rung {r} must be 1-d integers whose count divides {cells}, got {picks!r}")
-        if np.any(picks.astype(np.int64) // (cells // picks.size) != np.arange(picks.size)):
-            raise ValueError(f"picked rung {r} has a pick n outside coarse cell n, got {picks!r}")
     rng = stream.generator()
     snapshots = [copy.deepcopy(rng)]
     dropped = np.empty(min(cells, BLOCK_ELEMENTS))  # both powers of two
     for _ in range(0, cells, dropped.size):
         rng.standard_normal(out=dropped)
     snapshots.append(copy.deepcopy(rng))
-    kept = tuple(np.empty(picks.size) for picks in picked)
     flagged = [np.empty(0, dtype=np.int64)]  # the blocks with any, so it stays short
     for start in range(0, cells, dropped.size):
         tau = rng.random(dropped.size)
         hits = np.flatnonzero(_off_ends(tau, np.arange(start, start + tau.size, dtype=np.float64)))
         if hits.size:
             flagged.append(start + hits)
-        gather(picked, cells, start, tau, kept)
     redrawn = np.concatenate(flagged)
     redraws = _redraws(rng, redrawn.astype(np.float64))
-    for i, cell in enumerate(redrawn):
-        gather(picked, cells, cell, redraws[i : i + 1], kept)
     snapshots.append(rng)
-    return BrownianPath(cells=cells, picked_offsets=kept, snapshots=tuple(snapshots), redrawn=redrawn, redraws=redraws)
+    return BrownianPath(cells=cells, snapshots=tuple(snapshots), redrawn=redrawn, redraws=redraws)
 
 
 @dataclass(frozen=True, eq=False)
@@ -436,19 +421,52 @@ class CoarseTau:
 def select_fine_cells(fine_cells: int, cells, stream: RngStream) -> np.ndarray:
     """One fine cell drawn uniformly from ``stream`` in each of ``cells``
     coarse cells of a path of ``fine_cells`` cells, in increasing order, as
-    int32 (a path of at most 2^31 cells); ValueError unless ``cells`` is a
-    positive integer that divides ``fine_cells``."""
+    int32; ValueError unless ``fine_cells`` is an integer in [1, 2^31] and
+    ``cells`` a positive integer that divides it."""
+    fine_cells = _integer("fine_cells", fine_cells, 1)
+    if fine_cells > 2**31:
+        raise ValueError(f"fine_cells must be at most 2^31 for int32 picks, got {fine_cells!r}")
     factor, rest = divmod(fine_cells, _integer("cells", cells, 1))
     if rest:
         raise ValueError(f"{cells!r} coarse cells do not divide the path's {fine_cells} cells")
     return (np.arange(cells) * factor + stream.generator().integers(0, factor, size=cells)).astype(np.int32)
 
 
-def _coarse_offsets(fine_cells: int, selected: np.ndarray, offsets: np.ndarray):
-    """The coarse offsets of a selection whose fine offsets are ``offsets``,
-    with the fine cell holding each complementary time (int32) and its
-    position in that cell, after checking them (see :func:`coarse_tau_from`).
-    Past ``values`` each is formed in place: IEEE ``+`` and ``*`` commute."""
+def complement_cells(fine_cells: int, selected) -> np.ndarray:
+    """The fine cells (int32) holding the complementary times of a
+    :func:`select_fine_cells` selection from a path of ``fine_cells`` cells;
+    :func:`coarse_tau_from` reads B at these nodes and the next.  The pick s
+    of coarse cell n of f fine cells, at x fine steps (s < x < s + 1), has
+    its complementary time at (2n + 1) f - x, in the mirror cell
+    (2n + 1) f - 1 - s: for power-of-two counts and n >= 1 every rounding
+    on the way is exact (Sterbenz), and for n = 0 it can land only on a node
+    of that cell, which :func:`coarse_tau_from` rejects.  ValueError naming
+    ``selected`` unless it is 1-d integers, as many as divide ``fine_cells``,
+    pick n in coarse cell n."""
+    picks = np.asarray(selected)
+    if picks.ndim != 1 or picks.dtype.kind not in "iu" or not picks.size or fine_cells % picks.size:
+        raise ValueError(f"selected must be 1-d integers whose count divides {fine_cells}, got {selected!r}")
+    factor = fine_cells // picks.size
+    n = np.arange(picks.size, dtype=np.int64)
+    if np.any(picks.astype(np.int64) // factor != n):
+        raise ValueError(f"selected has a pick n outside coarse cell n, got {selected!r}")
+    return ((2 * n + 1) * factor - 1 - picks).astype(np.int32)
+
+
+def coarse_tau_from(fine_cells: int, selected: np.ndarray, offsets, mid_values, around) -> CoarseTau:
+    """The :class:`CoarseTau` of a :func:`select_fine_cells` selection from
+    a path of ``fine_cells`` cells, from what it reads of the path: the
+    selected cells' ``offsets`` and bridge samples ``mid_values``, and
+    ``around``, the pair of B at the nodes that :func:`complement_cells`
+    names and B at the nodes after them.  Past ``values`` each array is
+    formed in place or in a spent one: IEEE ``+`` and ``*`` commute.
+
+    Raises:
+        ValueError: if ``selected`` is no selection, a derived offset
+            leaves (0, 1) or misses its fine sample time, or a
+            complementary time falls on a fine node.
+    """
+    cells = complement_cells(fine_cells, selected)
     h_fine = 1.0 / fine_cells
     hc = 1.0 / selected.size  # one pick per coarse cell
     starts = np.arange(selected.size) * hc
@@ -463,40 +481,15 @@ def _coarse_offsets(fine_cells: int, selected: np.ndarray, offsets: np.ndarray):
     np.subtract(1.0, values, out=work)
     work *= hc
     work += starts  # the complementary times
-    cells = np.floor(np.divide(work, h_fine, out=mid_times), out=mid_times).astype(np.int32)
-    np.minimum(cells, fine_cells - 1, out=cells)
     work -= np.multiply(cells, h_fine, out=mid_times)
-    work /= h_fine
+    work /= h_fine  # their positions in their cells
     if np.any(work <= 0.0) or np.any(work >= 1.0):
         raise ValueError("complementary times fell on fine grid nodes; grids misaligned")
-    return values, cells, work
-
-
-def complement_cells(fine_cells: int, selected: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """The fine cells holding the complementary times of a
-    :func:`select_fine_cells` selection whose offsets are ``offsets``, in
-    the picks' coarse cells: the nodes :func:`coarse_tau_from` reads are
-    these and the next ones."""
-    return _coarse_offsets(fine_cells, selected, offsets)[1]
-
-
-def coarse_tau_from(fine_cells: int, selected: np.ndarray, offsets, mid_values, around) -> CoarseTau:
-    """The :class:`CoarseTau` of a :func:`select_fine_cells` selection from
-    a path of ``fine_cells`` cells, from what it reads of the path: the
-    selected cells' ``offsets`` and bridge samples ``mid_values``, and
-    ``around``, the pair of B at the nodes that :func:`complement_cells`
-    names and B at the nodes after them.
-
-    Raises:
-        ValueError: if a derived offset leaves (0, 1) or does not reproduce
-            its fine sample time exactly, or a complementary time falls on a
-            fine node.
-    """
-    values, _, frac = _coarse_offsets(fine_cells, selected, offsets)
     left, right = around
-    comp_values = (1.0 - frac) * left
-    comp_values += frac * right
-    complements = 1.0 - values
+    comp_values = np.subtract(1.0, work, out=mid_times)
+    comp_values *= left
+    comp_values += np.multiply(work, right, out=starts)
+    complements = np.subtract(1.0, values, out=work)
     for arr in (values, complements, comp_values):
         arr.setflags(write=False)
     return CoarseTau(

@@ -57,7 +57,7 @@ def coarse_tau_of(path, mid_values, picks):
     picks and around their complementary times what a rung reads."""
     picks = np.asarray(picks, dtype=np.int32)
     offsets = path.offsets[picks]
-    around = complement_cells(path.cells, picks, offsets)
+    around = complement_cells(path.cells, picks)
     return coarse_tau_from(path.cells, picks, offsets, mid_values[picks], (path.grid_values[around], path.grid_values[around + 1]))
 
 

@@ -7,6 +7,7 @@ from randquad.integrands import affine_integrand, constant_integrand, power_inte
 from randquad.quadrature import (
     EvaluationError,
     Integrand,
+    Partition,
     ctq,
     make_partition,
     rtq,
@@ -41,6 +42,16 @@ class TestMakePartition:
         assert part.nodes[-1] == 1.0
         assert np.all(np.diff(part.nodes) > 0)
         assert part.nodes.size == N + 1
+
+    def test_nodes_are_derived_from_the_cell_count(self):
+        # A partition once stored nodes beside its count: CTQ on 4 cells
+        # with 9 nodes gave 0.8036 for t^1.5 against 0.4070, unremarked.
+        part = Partition(intervals=4)
+        assert ctq(power_integrand(1.5), part).value == ctq(power_integrand(1.5), make_partition(4)).value
+        np.testing.assert_array_equal(part.nodes, np.linspace(0.0, 1.0, 5))
+        assert part.nodes is part.nodes and not part.nodes.flags.writeable
+        with pytest.raises(TypeError):
+            Partition(intervals=4, nodes=np.linspace(0.0, 1.0, 9))
 
     @pytest.mark.parametrize("N", [0, -3, 2.5, float("nan"), float("inf")])
     def test_rejects_bad_arguments(self, N):

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from randquad import random_sources
+from randquad import experiments, random_sources
 from randquad.integrands import power_integrand, sobolev_seminorm
 from randquad.quadrature import make_partition
 from randquad.random_sources import (
@@ -18,6 +18,8 @@ from randquad.random_sources import (
     _seed_row_type,
     _seed_words,
     _strict_uniform,
+    coarse_tau_from,
+    complement_cells,
     sample_path,
     sample_tau_batches,
     sample_tau_sequence,
@@ -171,8 +173,9 @@ class TestBatchSeeding:
         ("stream_id", 0, lambda stream_id: RngStream(0, stream_id)),
         ("count", 1, lambda count: sample_tau_sequence(RngStream(0), count)),
         ("cells", 1, lambda cells: sample_path(RngStream(0), cells)),
+        ("fine_cells", 1, lambda fine_cells: select_fine_cells(fine_cells, 1, RngStream(0))),
     ],
-    ids=["make_partition", "sobolev_seminorm", "seed", "stream_id", "sample_tau_sequence", "sample_path"],
+    ids=["make_partition", "sobolev_seminorm", "seed", "stream_id", "sample_tau_sequence", "sample_path", "select_fine_cells"],
 )
 def test_every_count_and_id_is_checked_by_one_integer_rule(name, least, build, value):
     # A whole float once built a 64-cell partition and a 64-cell Sobolev
@@ -380,15 +383,22 @@ class TestSamplePathGrid:
 
     def test_picked_offsets_are_the_paths_offsets(self):
         # Cell 4097 is picked and redrawn (its first offset, draw 4097, is
-        # planted on its node), so its kept offset is the redraw.  The rungs'
-        # coarse cells span two blocks, one, half of one and one cell; a
-        # narrow dtype need not hold the cell count.
-        picked = [[4097], [5, 8191], np.array([0, 2049, 4097, 8191], dtype=np.int32), np.arange(2**13), np.int8([5])]
-        path = sample_path(PlantedGenerator({4097: 1e-300}).stream(), 2**13, picked)
-        whole, _ = collect_path(path)
-        for picks, offsets in zip(picked, path.picked_offsets, strict=True):
+        # planted on its node), so its gathered offset is the redraw.  The
+        # rungs' coarse cells span two blocks, one, half of one and one cell;
+        # a narrow dtype need not hold the cell count.  The walk gathers
+        # everything a rung reads: offsets and bridge samples at the picks,
+        # and B around their complementary times.
+        picked = [np.array([4097]), np.array([5, 8191]), np.int32([0, 2049, 4097, 8191]), np.arange(2**13), np.int8([5])]
+        path = sample_path(PlantedGenerator({4097: 1e-300}).stream(), 2**13)
+        _, _, *reads = experiments._stream_path(path, 2**13, picked)
+        whole, mid_values = collect_path(path)
+        for picks, offsets, mids, left, right in zip(picked, *reads, strict=True):
+            comps = complement_cells(path.cells, picks)
             np.testing.assert_array_equal(offsets, whole.offsets[picks])
-        assert path.picked_offsets[0][0] != 1e-300
+            np.testing.assert_array_equal(mids, mid_values[picks])
+            np.testing.assert_array_equal(left, whole.grid_values[comps])
+            np.testing.assert_array_equal(right, whole.grid_values[comps + 1])
+        assert reads[0][0][0] != 1e-300
 
     def test_blocks_replay_the_same_path(self):
         path = sample_path(RngStream(6), 2**13)
@@ -403,43 +413,6 @@ class TestSamplePathGrid:
     def test_rejects_cell_counts_not_a_power_of_two(self, cells):
         with pytest.raises(ValueError, match=f"cells must be .*, got {cells!r}"):
             sample_path(RngStream(1), cells)
-
-    @pytest.mark.parametrize(
-        "picked, message",
-        [
-            ([[3, 100, -1]], "rung 0 must be 1-d integers whose count divides 8"),
-            ([[8]], "rung 0 has a pick n outside coarse cell n"),
-            ([[2.7]], "rung 0 must be 1-d integers whose count divides 8"),
-            ([[2.0]], "rung 0 must be 1-d integers whose count divides 8"),
-            (3, "rung 0 must be 1-d integers whose count divides 8"),
-            ([[1, 2]], "rung 0 has a pick n outside coarse cell n"),
-            ([3, 100, -1], "rung 0 must be 1-d integers whose count divides 8"),
-            ([[1, 5], [[1, 2]]], "rung 1 must be 1-d integers whose count divides 8"),
-            ([[1, 5], np.array([], dtype=np.int64)], "rung 1 must be 1-d integers whose count divides 8"),
-            ([[1, 5], [-1, 2, 4, 6]], "rung 1 has a pick n outside coarse cell n"),
-        ],
-        ids=[
-            "three-of-eight",
-            "past-the-end",
-            "fractional",
-            "whole-float",
-            "scalar",
-            "second-pick-outside",
-            "one-flat-list",
-            "2-d-rung",
-            "empty-rung",
-            "negative-pick",
-        ],
-    )
-    def test_rejects_picks_that_are_not_cells_before_drawing(self, picked, message, monkeypatch):
-        # [3, 100, -1] once kept [0.538, 6.9e-310, 0.0]: memory no block
-        # filled; [2.7] was read as cell 2.
-        monkeypatch.setattr(RngStream, "generator", lambda self: pytest.fail("drew before the picks were checked"))
-        with pytest.raises(ValueError, match="^picked .*" + re.escape(message)):
-            sample_path(RngStream(1), 8, picked)
-
-    def test_default_picks_nothing(self):
-        assert sample_path(RngStream(1), 8).picked_offsets == ()
 
 
 class TestCoarsening:
@@ -508,16 +481,114 @@ class TestCoarsening:
             select_fine_cells(2**4, cells, RngStream(1, 1))
 
     @pytest.mark.parametrize(
+        "fine_cells, message",
+        [
+            (2**40, "fine_cells must be at most 2^31 for int32 picks"),
+            (2**31 + 4, "fine_cells must be at most 2^31 for int32 picks"),
+            (-16, "fine_cells must be an integer of at least 1"),
+            (0, "fine_cells must be an integer of at least 1"),
+        ],
+        ids=["2^40", "past-int32", "negative", "zero"],
+    )
+    def test_rejects_fine_cell_counts_before_drawing(self, fine_cells, message, monkeypatch):
+        # 2^40 cells once gave picks wrapped to negative int32 values, and
+        # -16 failed inside numpy with "high <= 0" (whole floats are checked
+        # with every other count).
+        assert np.all(select_fine_cells(2**31, 4, RngStream(1)) // 2**29 == np.arange(4))
+        monkeypatch.setattr(RngStream, "generator", lambda self: pytest.fail("drew before the count was checked"))
+        with pytest.raises(ValueError, match=re.escape(f"{message}, got {fine_cells!r}")):
+            select_fine_cells(fine_cells, 4, RngStream(1))
+
+    @pytest.mark.parametrize(
+        "selected, message",
+        [
+            ([3, 100, -1], "must be 1-d integers whose count divides 8"),
+            ([8], "has a pick n outside coarse cell n"),
+            ([2.7], "must be 1-d integers whose count divides 8"),
+            ([2.0], "must be 1-d integers whose count divides 8"),
+            (3, "must be 1-d integers whose count divides 8"),
+            ([1, 2], "has a pick n outside coarse cell n"),
+            ([[1, 2]], "must be 1-d integers whose count divides 8"),
+            (np.array([], dtype=np.int64), "must be 1-d integers whose count divides 8"),
+            ([-1, 2, 4, 6], "has a pick n outside coarse cell n"),
+            (np.uint64([2**63 + 1, 5]), "has a pick n outside coarse cell n"),
+        ],
+        ids=[
+            "three-of-eight",
+            "past-the-end",
+            "fractional",
+            "whole-float",
+            "scalar",
+            "second-pick-outside",
+            "2-d",
+            "empty",
+            "negative-pick",
+            "wraps-in-int64",
+        ],
+    )
+    def test_rejects_picks_that_are_not_cells_before_reading(self, selected, message):
+        # As picks of a first pass, [3, 100, -1] once kept
+        # [0.538, 6.9e-310, 0.0]: memory no block filled; [2.7] was read as
+        # cell 2.  The walk checks every rung before it draws a block.
+        with pytest.raises(ValueError, match="^selected " + re.escape(message)):
+            complement_cells(8, selected)
+        unread = SimpleNamespace(cells=8, blocks=lambda: pytest.fail("read before the picks were checked"))
+        with pytest.raises(ValueError, match="^selected " + re.escape(message)):
+            experiments._stream_path(unread, 1, [np.arange(8), selected])
+
+    @pytest.mark.parametrize(
         "offsets,selected,message",
         [
-            ([0.5] * 4, [3, 0], r"left \(0, 1\)"),
-            ([0.17] * 4, [0, 2, 3], "do not reproduce"),
+            ([0.5] * 4, [3, 0], "selected has a pick n outside coarse cell n"),
+            ([0.17] * 4, [0, 2, 3], "selected must be 1-d integers whose count divides 4"),
+            ([0.1] * 9, [0, 3, 6], "do not reproduce"),
             ([1e-300, 0.5, 0.5, 0.5], [0], "fell on fine grid nodes"),
         ],
-        ids=["cell-outside-its-coarse-cell", "three-coarse-cells-of-four", "complement-on-a-node"],
+        ids=["cell-outside-its-coarse-cell", "three-coarse-cells-of-four", "thirds-of-nine", "complement-on-a-node"],
     )
     def test_coarse_tau_from_rejects_offsets_off_their_times(self, offsets, selected, message):
-        path = hand_grid(np.zeros(5), offsets)
+        path = hand_grid(np.zeros(len(offsets) + 1), offsets)
         selected = np.array(selected)
         with pytest.raises(ValueError, match=message):
             coarse_tau_of(path, np.zeros(path.cells), selected)
+
+    def test_complement_cells_are_the_floor_of_the_complementary_times(self):
+        # complement_cells names each pick's mirror cell without reading an
+        # offset.  The reference is the floor of the complementary time,
+        # computed as the coarse offsets compute it, clamped to the last
+        # cell; coarse_tau_from must raise on exactly the rungs where that
+        # time lands on a node, and only there may the two cells differ.
+        edges = np.array([2.0**-53, 0.5 - 2.0**-53, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53])
+        outcomes = set()
+        for k in range(1, 29):
+            fine_cells = 2**k
+            h = 1.0 / fine_cells
+            for cells in (2**e for e in range(min(k, 10) + 1)):
+                factor = fine_cells // cells
+                n = np.arange(cells)
+                stream = RngStream(k, cells)
+                for picks in (select_fine_cells(fine_cells, cells, stream), n * factor, n * factor + factor - 1):
+                    picks = picks.astype(np.int32)
+                    # One ulp of the pick inside its cell, at its left end and at its right.
+                    ulp_ends = np.where(n % 2, np.nextafter(picks, np.inf), np.nextafter(picks + 1.0, 0.0)) - picks
+                    for offsets in (stream.generator().random(cells), np.resize(edges, cells), np.roll(np.resize(edges, cells), 1), ulp_ends):
+                        inside = ((picks + offsets) > picks) & ((picks + offsets) < picks + 1.0)
+                        offsets = np.where(inside, offsets, 0.5)
+                        hc = 1.0 / cells
+                        values = ((picks + offsets) * h - n * hc) / hc
+                        comp = (1.0 - values) * hc + n * hc
+                        reference = np.minimum(np.floor(comp / h), fine_cells - 1)
+                        frac = (comp - reference * h) / h
+                        node = (frac <= 0.0) | (frac >= 1.0)
+                        got = complement_cells(fine_cells, picks)
+                        assert got.dtype == np.int32
+                        np.testing.assert_array_equal(got[~node], reference[~node])
+                        try:
+                            coarse_tau_from(fine_cells, picks, offsets, offsets, (offsets, offsets))
+                            raised = False
+                        except ValueError as err:
+                            assert "fell on fine grid nodes" in str(err)
+                            raised = True
+                        assert raised == node.any(), (k, cells)
+                        outcomes.add(raised)
+        assert outcomes == {False, True}
