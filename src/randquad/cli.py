@@ -104,12 +104,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_steps(p):
         p.add_argument("--min-exp", type=int, default=DEFAULT_STEP_EXPONENTS[0], help="coarsest step 2^-min_exp")
-        p.add_argument("--max-exp", type=int, default=DEFAULT_STEP_EXPONENTS[-1], help="finest step 2^-max_exp")
+        p.add_argument("--max-exp", type=int, default=DEFAULT_STEP_EXPONENTS[-1], help=f"finest step 2^-max_exp, max_exp at most {MAX_LADDER_EXP}")
 
     p_eval = sub.add_parser("eval", help="evaluate one quadrature rule once")
     p_eval.add_argument("--rule", choices=("ctq", "rtq"), required=True)
     add_integrand(p_eval)
-    p_eval.add_argument("--N", dest="intervals", type=int, required=True, help="number of cells")
+    p_eval.add_argument("--N", dest="intervals", type=int, required=True, help=f"number of cells, at most 2^{MAX_LADDER_EXP}")
     add_seed(p_eval)
 
     p_ex1 = sub.add_parser("example1", help="power-function convergence study")
@@ -159,6 +159,9 @@ def _fmt(value) -> str:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    # The ladders' memory cap: a rule holds at most about 50 B per cell.
+    if args.intervals > 2**MAX_LADDER_EXP:
+        raise ValueError(f"--N must be at most 2^{MAX_LADDER_EXP} = {2**MAX_LADDER_EXP}, got {args.intervals}")
     g = _build_integrand(args)
     part = make_partition(args.intervals)
     if args.rule == "ctq":

@@ -30,10 +30,11 @@ first pass of ``random_sources.sample_path``, one walk of the path's blocks
 carries the Euler prefix sums, sums the union-grid trapezoids and gathers
 (``gather``) all that the rungs read: B and the prefix sums at the finest
 rung's nodes, the picked offsets and bridge samples, and B around the
-complementary times.  ``coarse_tau_from`` turns each rung's share into its
+complementary times, whose cells ``complement_cells`` names and checks
+once per rung.  ``coarse_tau_from`` turns each rung's share into its
 offsets, coarsest first, and the rung's inputs are dropped once it has.
-``MAX_REFERENCE_EXP`` bounds the reference by time, ``MAX_LADDER_EXP`` the
-finest rung by memory.
+``MAX_REFERENCE_EXP`` bounds the reference by time; ``_ladder`` bounds the
+finest rung of every study by memory (``MAX_LADDER_EXP``).
 
 Timing: each quadrature call is repeated five times and the median of a
 monotonic clock is reported, which resists scheduler noise without
@@ -42,7 +43,6 @@ distorting the typical cost.
 
 from __future__ import annotations
 
-import math
 import sys
 import time
 import warnings
@@ -85,15 +85,14 @@ DEFAULT_REPLICATIONS = 100
 DEFAULT_P = 2.0
 # Example 2's reference step is 2^-DEFAULT_REFERENCE_EXP.
 DEFAULT_REFERENCE_EXP = 14
-# Largest step exponent i: 2^-1022 is the smallest normal double.
-MAX_STEP_EXPONENT = 1022
 # Largest reference exponent of Example 2, a time bound: the path streams in
 # memory that does not grow with it, but each fine cell costs about 100 ns,
 # so a reference of 2^28 cells takes about 30 s (2-vCPU x86-64 VM, numpy 2.4).
 MAX_REFERENCE_EXP = 28
-# Largest finest step exponent of Example 2, a memory bound: a run holds about
-# 55 B per coarse cell (149 MiB peak RSS at reference 2^-21 and ladder 5..20,
-# 38.5 MiB at the defaults), so a ladder down to 2^-24 takes about 1.9 GB.
+# Largest finest step exponent of every study, a memory bound: Example 1 holds
+# about 60 B per cell of its finest rung (279 MiB peak RSS at 2^22, -M 2) and
+# Example 2 about 55 B per coarse cell (149 MiB at reference 2^-21 and ladder
+# 5..20), so a ladder down to 2^-24 takes 1 to 2 GB.
 MAX_LADDER_EXP = 24
 
 METRIC_ABSOLUTE = "absolute"
@@ -349,9 +348,10 @@ def _ladder(step_exponents) -> list[int]:
 
     A ladder needs two rungs to fit an order, so an empty or one-exponent
     range is an error, and so is an exponent below 0, whose step is longer
-    than [0, 1], one that is not an integer, one whose step 2^-i is not a
-    normal double (i > 1022), and a list that does not strictly increase;
-    all are raised before anything is sampled or written.
+    than [0, 1], one that is not an integer, a list that does not strictly
+    increase, and a finest exponent above ``MAX_LADDER_EXP``, whose rungs
+    would not fit in memory; all are raised before anything is sampled or
+    written.
     """
     exponents = list(step_exponents)
     if not exponents:
@@ -369,11 +369,8 @@ def _ladder(step_exponents) -> list[int]:
     exponents = [_integer("a step exponent", i, 0) for i in exponents]
     if any(b <= a for a, b in zip(exponents, exponents[1:])):
         raise ValueError(f"the step exponents {exponents!r} must strictly increase, one rung per exponent")
-    if (i := exponents[-1]) > MAX_STEP_EXPONENT:
-        raise ValueError(
-            f"the step exponent {i!r} gives the step 2^-{i} = {math.ldexp(1.0, -i)!r}, not a normal double; "
-            f"exponents must be at most {MAX_STEP_EXPONENT}"
-        )
+    if (i := exponents[-1]) > MAX_LADDER_EXP:
+        raise ValueError(f"the finest step exponent {i} is above {MAX_LADDER_EXP}, the largest whose rungs fit in memory")
     return [2**i for i in exponents]
 
 
@@ -523,8 +520,9 @@ def _union_terms(block: PathBlock, prefix: np.ndarray, step: float) -> np.ndarra
 def _stream_path(path: BrownianPath, stride: int, selected):
     """One pass over the path's blocks: the union-grid reference, the
     :class:`BrownianIntegrand` of every ``stride``-th node, and per rung
-    the offsets and bridge samples of the cells ``selected`` and B at the
-    nodes around their complementary times, every rung checked first."""
+    the cells of the complementary times of the cells ``selected``, the
+    selected cells' offsets and bridge samples, and B at the nodes around
+    the complementary times, every rung checked first."""
     comps = [complement_cells(path.cells, picks) for picks in selected]
     offsets, mids, left, right = ([np.empty(picks.size) for picks in selected] for _ in range(4))
     acc = NeumaierSum()
@@ -543,7 +541,7 @@ def _stream_path(path: BrownianPath, stride: int, selected):
         gather(selected, path.cells, start, block.mid_values, mids)
         gather(comps, path.cells, start, block.nodes[:-1], left)
         gather(comps, path.cells, start, block.nodes[1:], right)
-    return acc.value, BrownianIntegrand(grid_values=node_values, prefix=node_prefix, stride=stride), offsets, mids, left, right
+    return acc.value, BrownianIntegrand(grid_values=node_values, prefix=node_prefix, stride=stride), comps, offsets, mids, left, right
 
 
 def run_example2(
@@ -567,8 +565,6 @@ def run_example2(
     """
     ladder = _ladder(step_exponents)
     finest = ladder[-1].bit_length() - 1
-    if finest > MAX_LADDER_EXP:
-        raise ValueError(f"the finest step exponent {finest} is above {MAX_LADDER_EXP}, the largest whose rungs fit in memory")
     if not finest <= _integer("reference_exp", reference_exp, 0) <= MAX_REFERENCE_EXP:
         raise ValueError(
             f"the reference exponent {reference_exp!r} must lie in [{finest}, {MAX_REFERENCE_EXP}], "
@@ -577,12 +573,12 @@ def run_example2(
     fine_cells = 2**reference_exp
     selected = [select_fine_cells(fine_cells, cells, _lane_stream(seed, _LANE_COARSEN, hj)) for hj, cells in enumerate(ladder)]
     path = sample_path(_lane_stream(seed, _LANE_PATH), fine_cells)
-    reference, nodes, offsets, mids, left, right = _stream_path(path, fine_cells // ladder[-1], selected)
+    reference, nodes, comps, offsets, mids, left, right = _stream_path(path, fine_cells // ladder[-1], selected)
 
     ctq_rows, rtq_rows = [], []
     for cells in ladder:
         part = make_partition(cells)
-        ctau = coarse_tau_from(fine_cells, selected.pop(0), offsets.pop(0), mids.pop(0), (left.pop(0), right.pop(0)))
+        ctau = coarse_tau_from(fine_cells, selected.pop(0), comps.pop(0), offsets.pop(0), mids.pop(0), (left.pop(0), right.pop(0)))
 
         ctq_rows.append(_timed_row(part, reference, lambda: ctq_brownian(nodes, part)))
         rtq_rows.append(_timed_row(part, reference, lambda: rtq_brownian(nodes, part, ctau)))

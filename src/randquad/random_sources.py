@@ -453,20 +453,19 @@ def complement_cells(fine_cells: int, selected) -> np.ndarray:
     return ((2 * n + 1) * factor - 1 - picks).astype(np.int32)
 
 
-def coarse_tau_from(fine_cells: int, selected: np.ndarray, offsets, mid_values, around) -> CoarseTau:
+def coarse_tau_from(fine_cells: int, selected: np.ndarray, cells: np.ndarray, offsets, mid_values, around) -> CoarseTau:
     """The :class:`CoarseTau` of a :func:`select_fine_cells` selection from
-    a path of ``fine_cells`` cells, from what it reads of the path: the
-    selected cells' ``offsets`` and bridge samples ``mid_values``, and
-    ``around``, the pair of B at the nodes that :func:`complement_cells`
-    names and B at the nodes after them.  Past ``values`` each array is
-    formed in place or in a spent one: IEEE ``+`` and ``*`` commute.
+    a path of ``fine_cells`` cells, given ``cells``, the
+    ``complement_cells(fine_cells, selected)`` that checked it, and what it
+    reads of the path: the selected cells' ``offsets`` and bridge samples
+    ``mid_values``, and ``around``, the pair of B at the nodes ``cells`` and
+    B at the nodes after them.  Past ``values`` each array is formed in
+    place or in a spent one: IEEE ``+`` and ``*`` commute.
 
     Raises:
-        ValueError: if ``selected`` is no selection, a derived offset
-            leaves (0, 1) or misses its fine sample time, or a
-            complementary time falls on a fine node.
+        ValueError: if a derived offset leaves (0, 1) or misses its fine
+            sample time, or a complementary time falls on a fine node.
     """
-    cells = complement_cells(fine_cells, selected)
     h_fine = 1.0 / fine_cells
     hc = 1.0 / selected.size  # one pick per coarse cell
     starts = np.arange(selected.size) * hc

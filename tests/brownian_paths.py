@@ -58,7 +58,7 @@ def coarse_tau_of(path, mid_values, picks):
     picks = np.asarray(picks, dtype=np.int32)
     offsets = path.offsets[picks]
     around = complement_cells(path.cells, picks)
-    return coarse_tau_from(path.cells, picks, offsets, mid_values[picks], (path.grid_values[around], path.grid_values[around + 1]))
+    return coarse_tau_from(path.cells, picks, around, offsets, mid_values[picks], (path.grid_values[around], path.grid_values[around + 1]))
 
 
 def coarsened(path, mid_values, cells, stream):

@@ -431,6 +431,25 @@ def test_ladder_above_the_memory_cap_exits_2_naming_the_flag(tmp_path, capsys, m
     assert list(tmp_path.iterdir()) == []
 
 
+def test_example1_ladder_above_the_memory_cap_exits_2_before_writing(tmp_path, capsys, monkeypatch):
+    # Example 1 once accepted --max-exp up to 1022 and ran out of memory
+    # near 2^27 cells.
+    monkeypatch.setattr(experiments, "ctq", lambda *args: pytest.fail("ran a rung before the ladder was checked"))
+    argv = ["example1", "--max-exp", "25", "--outdir", str(tmp_path / "a" / "b")]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: the finest step exponent 25 is above 24, the largest whose rungs fit in memory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("rule", ["ctq", "rtq"])
+def test_eval_above_the_memory_cap_exits_2_naming_the_flag(rule, capsys, monkeypatch):
+    # --N was unbounded: at up to 50 B per cell, 2^27 cells need 6.7 GB.
+    for name in ("ctq", "rtq", "make_partition", "sample_tau_sequence"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: pytest.fail(f"called {name} before --N was checked"))
+    assert main(["eval", "--rule", rule, "--N", "16777217"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --N must be at most 2^24 = 16777216, got 16777217\n"
+
+
 REJECTED_RUNS = {
     "example1-divergent-gamma": ["example1", "--gammas", "1.5", "-2", "-M", "5", "--min-exp", "3", "--max-exp", "4"],
     "example1-nan-gamma": ["example1", "--gammas", "1.5", "nan", "-M", "5", "--min-exp", "3", "--max-exp", "4"],
@@ -568,12 +587,22 @@ def test_horizon_flag_is_gone(subcommand, capsys):
 
 
 def test_impossible_size_exits_2_with_one_error_line(capsys):
-    # 2^56 cells ask numpy for 512 PiB, more than any 64-bit address space,
-    # so the allocation fails before any memory is touched.
+    # 2^56 cells once asked numpy for 512 PiB; the memory cap on --N now
+    # rejects them before anything is allocated.
     assert main(["eval", "--rule", "ctq", "--N", str(2**56)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+def test_failed_allocation_exits_2_with_one_error_line(capsys, monkeypatch):
+    # Below the caps an allocation can still fail on a small host.
+    def refused(*args):
+        raise MemoryError("Unable to allocate 32.0 B for an array with shape (4,)")
+
+    monkeypatch.setattr(cli, "ctq", refused)
+    assert main(["eval", "--rule", "ctq", "--N", "4"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 32.0 B for an array with shape (4,)\n"
 
 
 def test_non_finite_evaluation_error_prints_a_plain_float(capsys):

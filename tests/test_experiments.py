@@ -5,14 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from randquad import experiments
+from randquad import experiments, random_sources
 from randquad.experiments import (
     _LANE_AS_RATE,
     _LANE_COARSEN,
     _LANE_PATH,
     DEFAULT_SEED,
     MAX_REPLICATIONS,
-    MAX_STEP_EXPONENT,
     ASRateRow,
     ErrorLadder,
     LadderRow,
@@ -377,14 +376,15 @@ def test_exponents_not_strictly_increasing_rejected_before_sampling(driver, kwar
 )
 def test_step_below_the_normal_range_rejected_before_sampling(driver, kwargs, monkeypatch):
     # 2^-1100 is 0.0, which once failed late as a bare ZeroDivisionError
-    # after the 2^-5 rung had run; 2^-1023 is subnormal.
+    # after the 2^-5 rung had run; 2^-1023 is subnormal.  Both lie far
+    # above the memory cap.
     def no_work(*args):
         raise AssertionError("sampled before the step exponents were checked")
 
     monkeypatch.setattr(experiments, "mc_lp_error", no_work)
     monkeypatch.setattr(experiments, "sample_path", no_work)
     bad = kwargs["step_exponents"][-1]
-    with pytest.raises(ValueError, match=rf"step exponent {bad} gives the step 2\^-{bad} = .*not a normal double"):
+    with pytest.raises(ValueError, match=f"^the finest step exponent {bad} is above 24, the largest whose rungs fit in memory$"):
         driver(**kwargs)
 
 
@@ -399,6 +399,12 @@ def test_step_below_the_normal_range_rejected_before_sampling(driver, kwargs, mo
         (run_example2, dict(step_exponents=(5, 6), reference_exp=1023), r"reference exponent 1023 must lie in \[6, 28\]"),
         (run_example2, dict(step_exponents=(5, 6), reference_exp=29), r"reference exponent 29 must lie in \[6, 28\]"),
         (run_example2, dict(step_exponents=(5, 25)), "the finest step exponent 25 is above 24, the largest whose rungs fit in memory"),
+        (run_example1, dict(step_exponents=(5, 25)), "the finest step exponent 25 is above 24, the largest whose rungs fit in memory"),
+        (
+            lambda **kwargs: as_rate_check(power_integrand(1.75), 2.0, 0.25, master_stream=RngStream(0), **kwargs),
+            dict(step_exponents=(5, 25)),
+            "the finest step exponent 25 is above 24, the largest whose rungs fit in memory",
+        ),
     ],
     ids=[
         "example1-fractional",
@@ -409,11 +415,15 @@ def test_step_below_the_normal_range_rejected_before_sampling(driver, kwargs, mo
         "reference-subnormal",
         "reference-above-the-time-cap",
         "ladder-above-the-memory-cap",
+        "example1-ladder-above-the-memory-cap",
+        "as-rate-ladder-above-the-memory-cap",
     ],
 )
 def test_bad_exponent_rejected_before_sampling(driver, kwargs, message, monkeypatch):
     # run_example1(step_exponents=(5.5, 6)) once ran a rung of
-    # round(1 / 2^-5.5) = 45 cells and reported h = 1/45.
+    # round(1 / 2^-5.5) = 45 cells and reported h = 1/45.  Example 1 and
+    # as_rate_check once accepted a finest exponent up to 1022; at about
+    # 60 B per cell, 2^25 cells need 2 GB.
     def no_work(*args):
         raise AssertionError("sampled before the exponents were checked")
 
@@ -506,6 +516,20 @@ class TestRunExample1:
 
 
 class TestRunExample2:
+    def test_complement_cells_run_once_per_rung(self, monkeypatch):
+        # The walk and coarse_tau_from once both named each rung's cells,
+        # checking its picks twice: 8 calls for 4 rungs.
+        calls, named = [], random_sources.complement_cells
+
+        def counted(fine_cells, selected):
+            calls.append(selected.size)
+            return named(fine_cells, selected)
+
+        monkeypatch.setattr(experiments, "complement_cells", counted)
+        monkeypatch.setattr(random_sources, "complement_cells", counted)
+        run_example2(step_exponents=range(3, 7), reference_exp=9, seed=8)
+        assert calls == [8, 16, 32, 64]
+
     def test_structure_and_determinism(self):
         kwargs = dict(step_exponents=range(5, 8), reference_exp=10, seed=8)
         a = run_example2(**kwargs)
@@ -543,9 +567,9 @@ class TestRunExample2:
             run_example2(step_exponents=range(5, 12), reference_exp=10, seed=8)
 
     def test_derived_steps_are_exactly_the_dyadic_steps(self, monkeypatch):
-        # Every step is derived as 1.0 / 2^i; that is 2.0**-i exactly on the
-        # whole range the drivers accept.
-        assert all(1.0 / 2**i == 2.0**-i for i in range(MAX_STEP_EXPONENT + 1))
+        # Every step is derived as 1.0 / 2^i; that is 2.0**-i exactly down to
+        # the smallest normal double, far below any ladder the drivers accept.
+        assert all(1.0 / 2**i == 2.0**-i for i in range(1023))
         nodes = []
 
         def recording(bi, part):

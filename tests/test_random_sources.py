@@ -392,13 +392,13 @@ class TestSamplePathGrid:
         path = sample_path(PlantedGenerator({4097: 1e-300}).stream(), 2**13)
         _, _, *reads = experiments._stream_path(path, 2**13, picked)
         whole, mid_values = collect_path(path)
-        for picks, offsets, mids, left, right in zip(picked, *reads, strict=True):
-            comps = complement_cells(path.cells, picks)
+        for picks, comps, offsets, mids, left, right in zip(picked, *reads, strict=True):
+            np.testing.assert_array_equal(comps, complement_cells(path.cells, picks))
             np.testing.assert_array_equal(offsets, whole.offsets[picks])
             np.testing.assert_array_equal(mids, mid_values[picks])
             np.testing.assert_array_equal(left, whole.grid_values[comps])
             np.testing.assert_array_equal(right, whole.grid_values[comps + 1])
-        assert reads[0][0][0] != 1e-300
+        assert reads[1][0][0] != 1e-300
 
     def test_blocks_replay_the_same_path(self):
         path = sample_path(RngStream(6), 2**13)
@@ -584,7 +584,7 @@ class TestCoarsening:
                         assert got.dtype == np.int32
                         np.testing.assert_array_equal(got[~node], reference[~node])
                         try:
-                            coarse_tau_from(fine_cells, picks, offsets, offsets, (offsets, offsets))
+                            coarse_tau_from(fine_cells, picks, got, offsets, offsets, (offsets, offsets))
                             raised = False
                         except ValueError as err:
                             assert "fell on fine grid nodes" in str(err)
