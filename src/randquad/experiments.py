@@ -24,15 +24,15 @@ compensated sum, and every replication's value is bit-for-bit the one a
 separate ``rtq`` call would give.
 
 Example 2 in O(block + coarse cells) memory: ``run_example2`` holds no
-array of the path's size.  It draws every rung's picks
-(``select_fine_cells``, one int32 fine cell per coarse cell); after the
-first pass of ``random_sources.sample_path``, one walk of the path's blocks
-carries the Euler prefix sums, sums the union-grid trapezoids and gathers
-(``gather``) all that the rungs read: B and the prefix sums at the finest
-rung's nodes, the picked offsets and bridge samples, and B around the
-complementary times, whose cells ``complement_cells`` names and checks
-once per rung.  ``coarse_tau_from`` turns each rung's share into its
-offsets, coarsest first, and the rung's inputs are dropped once it has.
+array of the path's size.  After the first pass of
+``random_sources.sample_path`` it draws every rung's picks
+(``select_fine_cells``, one int32 fine cell per coarse cell), and one walk
+of the path's blocks carries the Euler prefix sums, sums the union-grid
+trapezoids, keeps B and the prefix sums at the finest rung's nodes and,
+with one ``gather`` call per block, fills one record per rung: the picked
+offsets and bridge samples, and B around the complementary times, whose
+cells ``complement_cells`` names and checks once per rung.
+``coarse_tau_from`` takes each record, coarsest first, then it is dropped.
 ``MAX_REFERENCE_EXP`` bounds the reference by time; ``_ladder`` bounds the
 finest rung of every study by memory (``MAX_LADDER_EXP``).
 
@@ -73,7 +73,7 @@ from .random_sources import (
     sample_tau_sequence,
     select_fine_cells,
 )
-from .summation import NeumaierSum
+from .summation import BLOCK_ELEMENTS, NeumaierSum
 
 # Fixed default so every run is reproducible without flags; chosen because
 # its single-realisation (pathwise) ladders show the typical behaviour
@@ -313,11 +313,15 @@ def as_rate_check(
     with the exact running integral at every node; the max error must fall
     below h ** (1/2 + sigma - eps).  The theory guarantees this from some
     random index onward, so callers should inspect ``first_passing_index``
-    rather than expect every rung to pass.  Nothing is drawn before every
-    argument is checked.
+    rather than expect every rung to pass.  Rung m draws from slot
+    ``master_stream.stream_id``, replication m, of the check's lane of
+    stream ids (see the module docstring), so that id must lie in
+    [0, 2^20).  Nothing is drawn before every argument is checked.
     """
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps!r}")
+    if (slots := _LANE_STRIDE // _SLOT_STRIDE) <= master_stream.stream_id:
+        raise ValueError(f"master_stream.stream_id must be below 2^20 = {slots}, got {master_stream.stream_id!r}")
     if g.exact_prefix_integral is None:
         raise ValueError(f"integrand {g.label!r} has no exact running integral")
     ladder = _ladder(step_exponents)
@@ -519,12 +523,16 @@ def _union_terms(block: PathBlock, prefix: np.ndarray, step: float) -> np.ndarra
 
 def _stream_path(path: BrownianPath, stride: int, selected):
     """One pass over the path's blocks: the union-grid reference, the
-    :class:`BrownianIntegrand` of every ``stride``-th node, and per rung
-    the cells of the complementary times of the cells ``selected``, the
-    selected cells' offsets and bridge samples, and B at the nodes around
-    the complementary times, every rung checked first."""
-    comps = [complement_cells(path.cells, picks) for picks in selected]
-    offsets, mids, left, right = ([np.empty(picks.size) for picks in selected] for _ in range(4))
+    :class:`BrownianIntegrand` of every ``stride``-th node, and per rung of
+    picks ``selected`` the arguments of :func:`coarse_tau_from` after
+    ``fine_cells``, every rung's complement cells named and checked before
+    the walk gathers what the rung reads."""
+    rungs = [
+        (picks, complement_cells(path.cells, picks), np.empty(picks.size), np.empty(picks.size), (np.empty(picks.size), np.empty(picks.size)))
+        for picks in selected
+    ]
+    starts = np.arange(0, path.cells + 1, min(path.cells, BLOCK_ELEMENTS))  # every block's start, then the end
+    ends = [(np.searchsorted(picks, starts), np.searchsorted(cells, starts)) for picks, cells, *_ in rungs]
     acc = NeumaierSum()
     node_values = np.empty(path.cells // stride + 1)
     node_prefix = np.empty(node_values.size)
@@ -537,11 +545,8 @@ def _stream_path(path: BrownianPath, stride: int, selected):
         kept = slice(first * stride - start, None, stride)
         node_values[first : stop // stride + 1] = block.nodes[kept]
         node_prefix[first : stop // stride + 1] = prefix[kept]
-        gather(selected, path.cells, start, block.offsets, offsets)
-        gather(selected, path.cells, start, block.mid_values, mids)
-        gather(comps, path.cells, start, block.nodes[:-1], left)
-        gather(comps, path.cells, start, block.nodes[1:], right)
-    return acc.value, BrownianIntegrand(grid_values=node_values, prefix=node_prefix, stride=stride), comps, offsets, mids, left, right
+        gather(rungs, ends, block)
+    return acc.value, BrownianIntegrand(grid_values=node_values, prefix=node_prefix, stride=stride), rungs
 
 
 def run_example2(
@@ -571,14 +576,14 @@ def run_example2(
             "from the finest step exponent up"
         )
     fine_cells = 2**reference_exp
-    selected = [select_fine_cells(fine_cells, cells, _lane_stream(seed, _LANE_COARSEN, hj)) for hj, cells in enumerate(ladder)]
     path = sample_path(_lane_stream(seed, _LANE_PATH), fine_cells)
-    reference, nodes, comps, offsets, mids, left, right = _stream_path(path, fine_cells // ladder[-1], selected)
+    selected = (select_fine_cells(fine_cells, cells, _lane_stream(seed, _LANE_COARSEN, hj)) for hj, cells in enumerate(ladder))
+    reference, nodes, rungs = _stream_path(path, fine_cells // ladder[-1], selected)
 
     ctq_rows, rtq_rows = [], []
     for cells in ladder:
         part = make_partition(cells)
-        ctau = coarse_tau_from(fine_cells, selected.pop(0), comps.pop(0), offsets.pop(0), mids.pop(0), (left.pop(0), right.pop(0)))
+        ctau = coarse_tau_from(fine_cells, *rungs.pop(0))
 
         ctq_rows.append(_timed_row(part, reference, lambda: ctq_brownian(nodes, part)))
         rtq_rows.append(_timed_row(part, reference, lambda: rtq_brownian(nodes, part, ctau)))

@@ -366,11 +366,13 @@ def sobolev_seminorm(
     gv = np.asarray(g.evaluator(mid), dtype=np.float64)
     dv = np.asarray(g.exact_derivative(mid), dtype=np.float64)
 
-    term_value = float(np.sum(np.abs(gv) ** p) * width)
-    term_derivative = float(np.sum(np.abs(dv) ** p) * width)
-
-    exponent = 1.0 + (sigma - 1.0) * p
-    term_slobodeckij = _slobodeckij_sum(dv, delta, p, exponent) * width * width
+    # A power that leaves the double range makes its term inf or nan, which
+    # the check below names; numpy's warnings on the way would only precede it.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        term_value = float(np.sum(np.abs(gv) ** p) * width)
+        term_derivative = float(np.sum(np.abs(dv) ** p) * width)
+        exponent = 1.0 + (sigma - 1.0) * p
+        term_slobodeckij = _slobodeckij_sum(dv, delta, p, exponent) * width * width
 
     total = term_value + term_derivative + term_slobodeckij
     terms = {

@@ -45,9 +45,9 @@ of the fine cells inside each coarse cell, which keeps the coarse offsets
 Uniform(0, 1), and :func:`coarse_tau_from` solves for the offsets that land
 on the picked samples' times bit for bit.  It reads only the picked cells'
 offsets and bridge samples, and B at the nodes around each complementary
-time, in cells that :func:`complement_cells` names from the picks alone; a
-walk of the blocks reads a rung's share, a slice of its coarse cells, with
-:func:`gather`.
+time, in cells that :func:`complement_cells` names from the picks alone.
+Picks and those cells are sorted, so a walk of the blocks reads every
+rung's share of a block, two slices, with one :func:`gather` call.
 """
 
 from __future__ import annotations
@@ -266,20 +266,19 @@ def _draw_blocks(words: np.ndarray, count: int) -> Iterator[np.ndarray]:
         yield values
 
 
-def gather(picked, cells: int, start: int, block: np.ndarray, into) -> None:
-    """Copy into ``into[r]`` the values of ``block``, cells ``start`` on of a
-    path of ``cells``, at the picks ``picked[r]``, one per coarse cell of f
-    cells: for f up to the block's size, which ``start`` and that size are
-    multiples of, those of coarse cells start // f on; for a larger f, at most one."""
-    size = block.size
-    for picks, out in zip(picked, into):
-        factor = cells // picks.size
-        n = start // factor
-        if factor <= size:
-            stop = n + size // factor
-            out[n:stop] = block[np.subtract(picks[n:stop], start, dtype=np.intp)]
-        elif 0 <= (i := int(picks[n]) - start) < size:
-            out[n] = block[i]
+def gather(rungs, ends, block: PathBlock) -> None:
+    """Copy into each rung ``(picks, cells, offsets, mid_values, (left, right))``
+    the offsets and bridge samples of ``block`` at its sorted fine cells
+    ``picks``, and B at its sorted nodes ``cells`` and the next; the rung's
+    ``ends``, the positions in both of every block start, bound block b's share."""
+    b = block.start // block.offsets.size  # every block has the same size
+    for (picks, cells, offsets, mid_values, (left, right)), (pick_ends, cell_ends) in zip(rungs, ends):
+        own = slice(pick_ends[b], pick_ends[b + 1])
+        i = np.subtract(picks[own], block.start, dtype=np.intp)
+        offsets[own], mid_values[own] = block.offsets[i], block.mid_values[i]
+        around = slice(cell_ends[b], cell_ends[b + 1])
+        i = np.subtract(cells[around], block.start, dtype=np.intp)
+        left[around], right[around] = block.nodes[i], block.nodes[1:][i]
 
 
 class PathBlock(NamedTuple):

@@ -340,6 +340,19 @@ class TestAsRateCheck:
         with pytest.raises(ValueError, match=f"sigma must be finite, got {sigma}"):
             as_rate_check(power_integrand(1.75), sigma, 0.25, range(3, 6), RngStream(2))
 
+    @pytest.mark.parametrize("stream_id", [2**20, 2**64 - 1])
+    def test_stream_id_above_the_slots_rejected_before_drawing_naming_it(self, stream_id, monkeypatch):
+        # The id is the streams' slot: 2^20 was refused from inside the
+        # stream packing, as "stream slot 1048576 is outside [0, 1048576)".
+        monkeypatch.setattr(experiments, "sample_tau_sequence", lambda *args: pytest.fail("drew before the check"))
+        message = f"master_stream.stream_id must be below 2^20 = 1048576, got {stream_id}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            as_rate_check(power_integrand(1.75), 2.0, 0.25, range(3, 6), RngStream(2, stream_id))
+
+    def test_largest_stream_id_draws_its_own_slot(self):
+        check = as_rate_check(power_integrand(1.75), 2.0, 0.25, range(3, 6), RngStream(2, 2**20 - 1))
+        assert [row.max_prefix_error for row in check.rows] == per_node_max_prefix_errors(1.75, range(3, 6), RngStream(2, 2**20 - 1))
+
     @pytest.mark.parametrize("eps", [0.0, 0.5, -0.1, 0.7])
     def test_eps_validation(self, eps):
         with pytest.raises(ValueError, match="eps"):

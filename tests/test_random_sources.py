@@ -390,15 +390,16 @@ class TestSamplePathGrid:
         # and B around their complementary times.
         picked = [np.array([4097]), np.array([5, 8191]), np.int32([0, 2049, 4097, 8191]), np.arange(2**13), np.int8([5])]
         path = sample_path(PlantedGenerator({4097: 1e-300}).stream(), 2**13)
-        _, _, *reads = experiments._stream_path(path, 2**13, picked)
+        _, _, rungs = experiments._stream_path(path, 2**13, picked)
         whole, mid_values = collect_path(path)
-        for picks, comps, offsets, mids, left, right in zip(picked, *reads, strict=True):
+        for picks, (own, comps, offsets, mids, (left, right)) in zip(picked, rungs, strict=True):
+            assert own is picks
             np.testing.assert_array_equal(comps, complement_cells(path.cells, picks))
             np.testing.assert_array_equal(offsets, whole.offsets[picks])
             np.testing.assert_array_equal(mids, mid_values[picks])
             np.testing.assert_array_equal(left, whole.grid_values[comps])
             np.testing.assert_array_equal(right, whole.grid_values[comps + 1])
-        assert reads[1][0][0] != 1e-300
+        assert rungs[0][2][0] != 1e-300
 
     def test_blocks_replay_the_same_path(self):
         path = sample_path(RngStream(6), 2**13)
