@@ -238,8 +238,8 @@ def mc_lp_error(
     integer of at least 2, and naming ``p`` when |error|^p leaves the
     double range: the mean is not finite, or falls below the smallest
     normal double while some error is non-zero, or the variance of
-    |error|^p falls below it while those powers differ.  A rule that is exact on every replication
-    returns (0, 0).
+    |error|^p is not finite, or falls below it while those powers differ.
+    A rule that is exact on every replication returns (0, 0).
     """
     replications = _integer("replications", replications, 2)
     _lp_exponent(p)
@@ -249,8 +249,13 @@ def mc_lp_error(
     errors = []
     for tau in sample_tau_batches(stream, replications, part.intervals):
         errors += [abs(exact - v) for v in rtq(g, part, tau).value.tolist()]
-    powered = [e ** p for e in errors]
-    mean = float(np.mean(powered))
+    try:
+        powered = [e ** p for e in errors]
+    except OverflowError:  # Python's float power raises where numpy's gives inf
+        powered = [np.inf] * len(errors)
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks below name an overflow
+        mean = float(np.mean(powered))
+        var = float(np.var(powered, ddof=1))
     # Below the smallest normal double the mean has lost precision, and the
     # standard error's mean ** (1/p - 1) can overflow.
     if not np.isfinite(mean) or (mean < sys.float_info.min and max(errors) > 0.0):
@@ -258,10 +263,9 @@ def mc_lp_error(
             f"|error|^p leaves the double range at p = {p!r}: the mean of |error|^p is "
             f"{mean!r} while the largest |error| is {max(errors)!r}; use a smaller p"
         )
-    # The variance squares deviations of |error|^p, so it underflows at a
-    # smaller p than the mean and would report a standard error of 0.
-    var = float(np.var(powered, ddof=1))
-    if var < sys.float_info.min and min(powered) != max(powered):
+    # The variance squares deviations of |error|^p, so it underflows (a
+    # standard error of 0) or overflows (one of inf) before the mean does.
+    if not var < np.inf or (var < sys.float_info.min and min(powered) != max(powered)):
         raise ValueError(
             f"|error|^p leaves the double range at p = {p!r}: the variance of |error|^p is "
             f"{var!r} while the powers differ; use a smaller p"

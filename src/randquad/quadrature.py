@@ -128,13 +128,14 @@ def _evaluate(g: Integrand, times: np.ndarray) -> np.ndarray:
 
 def _rule_value(g: Integrand, part: Partition, a, b, rule: str, accumulate) -> QuadratureValue:
     """h/2 times ``accumulate`` of the cell terms g(a) + g(b), checked finite."""
-    cells = _evaluate(g, a) + _evaluate(g, b)
-    value = 0.5 * part.step * accumulate(cells)
+    at_a, at_b = _evaluate(g, a), _evaluate(g, b)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names an overflow
+        value = 0.5 * part.step * accumulate(at_a + at_b)
     if not np.isfinite(value).all():
         raise EvaluationError(
             f"integrand {g.label!r} has finite values whose {rule} cell terms or their sum overflow the double range"
         )
-    return QuadratureValue(value=value, rule=rule, evaluations=2 * cells.size)
+    return QuadratureValue(value=value, rule=rule, evaluations=2 * at_a.size)
 
 
 def _offset_times(part: Partition, tau) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,7 @@
+import ast
 import contextlib
 import csv
+import functools
 import inspect
 import math
 import os
@@ -13,6 +15,7 @@ from randquad import cli
 from randquad.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from randquad import experiments
 from randquad.experiments import _LANE_PATH, _lane_stream
+from randquad.integrands import power_integrand, sobolev_seminorm
 
 from brownian_paths import sampled_path
 
@@ -423,36 +426,83 @@ def test_one_rung_ladder_exits_2_before_writing(subcommand, tmp_path, capsys):
     assert not (tmp_path / "errors.csv").exists()
 
 
-@pytest.mark.parametrize("h_ref_exp", ["-2000", "-1", "29", "1023", "2000"])
-def test_reference_exponent_out_of_range_exits_2_naming_the_flag(h_ref_exp, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "h_ref_exp, message",
+    [
+        ("-2000", "reference_exp must be an integer of at least 0, got -2000"),
+        ("-1", "reference_exp must be an integer of at least 0, got -1"),
+        *((e, f"the reference exponent {e} must lie in [10, 28], from the finest step exponent up") for e in ("5", "29", "1023", "2000")),
+    ],
+)
+def test_reference_exponent_out_of_range_exits_2_before_drawing(h_ref_exp, message, tmp_path, capsys, monkeypatch):
     # -2000 once failed with "(34, 'Numerical result out of range')" and 2000
-    # with a message about a reference step of 0.0, neither naming the flag;
-    # 29 and up would stream for minutes to days (MAX_REFERENCE_EXP).
+    # with a message about a reference step of 0.0; 29 and up would stream for
+    # minutes to days (MAX_REFERENCE_EXP).  A CLI copy of the check stated
+    # the range as [0, 28], which let 5 through to run_example2's [10, 28].
+    monkeypatch.setattr(experiments, "sample_path", lambda *args: pytest.fail("drew before the check"))
     argv = ["example2", "--h-ref-exp", h_ref_exp, "--outdir", str(tmp_path / "a" / "b")]
     assert main(argv) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err == f"error: --h-ref-exp must lie in [0, 28], got {h_ref_exp}\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
 
 
-def test_ladder_above_the_memory_cap_exits_2_naming_the_flag(tmp_path, capsys, monkeypatch):
-    # --max-exp 25 once started a run needing about 8 GB: 2^26 coarse cells
-    # at about 120 B each.
-    monkeypatch.setattr(cli, "run_example2", lambda **kwargs: pytest.fail("ran before --max-exp was checked"))
-    argv = ["example2", "--h-ref-exp", "25", "--max-exp", "25", "--outdir", str(tmp_path / "a" / "b")]
-    assert main(argv) == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("error: --max-exp must be at most 24 for example2")
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_example1_ladder_above_the_memory_cap_exits_2_before_writing(tmp_path, capsys, monkeypatch):
-    # Example 1 once accepted --max-exp up to 1022 and ran out of memory
-    # near 2^27 cells.
+@pytest.mark.parametrize(
+    "argv", [["example1", "--max-exp", "25"], ["example2", "--h-ref-exp", "25", "--max-exp", "25"]], ids=["example1", "example2"]
+)
+def test_ladder_above_the_memory_cap_exits_2_before_running(argv, tmp_path, capsys, monkeypatch):
+    # Example 1 once accepted --max-exp up to 1022 and ran out of memory near
+    # 2^27 cells, and example2 --max-exp 25 once started a run needing about
+    # 8 GB; a CLI copy of the check then worded example2's refusal its own way.
     monkeypatch.setattr(experiments, "ctq", lambda *args: pytest.fail("ran a rung before the ladder was checked"))
-    argv = ["example1", "--max-exp", "25", "--outdir", str(tmp_path / "a" / "b")]
-    assert main(argv) == EXIT_USAGE
+    monkeypatch.setattr(experiments, "sample_path", lambda *args: pytest.fail("drew before the ladder was checked"))
+    assert main(argv + ["--outdir", str(tmp_path / "a" / "b")]) == EXIT_USAGE
     assert capsys.readouterr().err == "error: the finest step exponent 25 is above 24, the largest whose rungs fit in memory\n"
     assert list(tmp_path.iterdir()) == []
+
+
+# Each study bound is checked once, by the library, so the CLI's one error
+# line is the ValueError the API call with the same value raises.
+_TO_25 = range(experiments.DEFAULT_STEP_EXPONENTS[0], 26)
+LIBRARY_BOUNDS = [
+    *(
+        (["example2", "--h-ref-exp", e], functools.partial(experiments.run_example2, reference_exp=int(e)))
+        for e in ("-2000", "-1", "5", "29", "1023", "2000")
+    ),
+    (["example2", "--h-ref-exp", "25", "--max-exp", "25"], functools.partial(experiments.run_example2, _TO_25, 25)),
+    (["example1", "--max-exp", "25"], functools.partial(experiments.run_example1, step_exponents=_TO_25)),
+    *(
+        (["sobolev", "--sigma", "1.2", "--cells", c], functools.partial(sobolev_seminorm, power_integrand(1.5), 1.2, 2.0, int(c)))
+        for c in ("1", "0", "-4")
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, call", LIBRARY_BOUNDS, ids=[" ".join(argv) for argv, _ in LIBRARY_BOUNDS])
+def test_study_bounds_are_reported_in_the_librarys_words(argv, call, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(experiments, "sample_path", lambda *args: pytest.fail("drew before the check"))
+    with pytest.raises(ValueError) as exc:
+        call()
+    outdir = [] if argv[0] == "sobolev" else ["--outdir", str(tmp_path / "a")]
+    assert main(argv + outdir) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_cli_checks_only_the_bounds_no_library_function_owns():
+    # A library bound copied into a cmd_* function is a second check with a
+    # wording of its own, and once stated the wrong range; the CLI owns only
+    # the --N cap of eval and the cap on sobolev's finest probe.
+    tree = ast.parse(inspect.getsource(cli))
+    raises = [
+        (func.name, ast.unparse(node.exc))
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef) and func.name.startswith("cmd_")
+        for node in ast.walk(func)
+        if isinstance(node, ast.Raise)
+    ]
+    assert [name for name, _ in raises] == ["cmd_eval", "cmd_sobolev"]
+    assert "--N must be at most" in raises[0][1]
+    assert "probes" in raises[1][1]
 
 
 @pytest.mark.parametrize("rule", ["ctq", "rtq"])
@@ -524,7 +574,7 @@ class TestSobolevCommand:
     def test_cells_below_two_exit_2(self, cells, capsys):
         argv = ["sobolev", "--integrand", "power", "--gamma", "1.5", "--sigma", "1.2", "--cells", cells]
         assert main(argv) == EXIT_USAGE
-        assert f"--cells must be at least 2, got {cells}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: cells must be an integer of at least 2, got {cells}\n"
 
     def test_invalid_sigma_exits_2(self, capsys):
         argv = ["sobolev", "--integrand", "power", "--gamma", "1.5", "--sigma", "2.5"]
@@ -556,37 +606,35 @@ def test_lp_error_underflow_at_large_p_exits_2(p, replications, tmp_path, capsys
 
 
 @pytest.mark.parametrize(
-    "argv, message, numpy_warns",
+    "argv, message",
     [
-        (["example1", "-p", "inf", "-M", "5", "--gammas", "1.5", "--min-exp", "5", "--max-exp", "6"], "p must be", False),
-        (["example1", "-p", "nan", "-M", "5", "--gammas", "1.5", "--min-exp", "5", "--max-exp", "6"], "p must be", False),
-        (["sobolev", "--sigma", "1.2", "-p", "nan"], "p must be", False),
-        (["sobolev", "--sigma", "1.2", "-p", "inf"], "p must be", False),
-        (["sobolev", "--sigma", "1.2", "--delta", "nan"], "delta must be", False),
-        (["sobolev", "--sigma", "1.2", "--delta", "inf"], "delta must be", False),
-        (["sobolev", "--sigma", "1.2", "--integrand", "affine", "--c0", "nan"], "must be finite", False),
-        (["sobolev", "--sigma", "1.2", "--integrand", "constant", "--c0", "1e200", "--cells", "8"], "term |g|^p is inf", False),
-        (["sobolev", "--sigma", "1.9", "-p", "400", "--cells", "16"], "term slobodeckij is nan", False),
-        (["eval", "--rule", "ctq", "--integrand", "constant", "--c0", "1e308", "--N", "4"], "CTQ cell terms or their sum overflow", True),
-        (["eval", "--rule", "rtq", "--integrand", "constant", "--c0", "1e308", "--N", "4"], "RTQ cell terms or their sum overflow", True),
-        (["eval", "--rule", "ctq", "--integrand", "constant", "--c0", "6e307", "--N", "4"], "CTQ cell terms or their sum overflow", True),
-        (["eval", "--rule", "rtq", "--gamma", "-1.5", "--N", "4"], "got -1.5: the integral of t**gamma", False),
-        (["eval", "--rule", "ctq", "--gamma", "-1", "--N", "4"], "got -1.0: the integral of t**gamma", False),
+        (["example1", "-p", "inf", "-M", "5", "--gammas", "1.5", "--min-exp", "5", "--max-exp", "6"], "p must be"),
+        (["example1", "-p", "nan", "-M", "5", "--gammas", "1.5", "--min-exp", "5", "--max-exp", "6"], "p must be"),
+        (["sobolev", "--sigma", "1.2", "-p", "nan"], "p must be"),
+        (["sobolev", "--sigma", "1.2", "-p", "inf"], "p must be"),
+        (["sobolev", "--sigma", "1.2", "--delta", "nan"], "delta must be"),
+        (["sobolev", "--sigma", "1.2", "--delta", "inf"], "delta must be"),
+        (["sobolev", "--sigma", "1.2", "--integrand", "affine", "--c0", "nan"], "must be finite"),
+        (["sobolev", "--sigma", "1.2", "--integrand", "constant", "--c0", "1e200", "--cells", "8"], "term |g|^p is inf"),
+        (["sobolev", "--sigma", "1.9", "-p", "400", "--cells", "16"], "term slobodeckij is nan"),
+        (["eval", "--rule", "ctq", "--integrand", "constant", "--c0", "1e308", "--N", "4"], "CTQ cell terms or their sum overflow"),
+        (["eval", "--rule", "rtq", "--integrand", "constant", "--c0", "1e308", "--N", "4"], "RTQ cell terms or their sum overflow"),
+        (["eval", "--rule", "ctq", "--integrand", "constant", "--c0", "6e307", "--N", "4"], "CTQ cell terms or their sum overflow"),
+        (["eval", "--rule", "rtq", "--gamma", "-1.5", "--N", "4"], "got -1.5: the integral of t**gamma"),
+        (["eval", "--rule", "ctq", "--gamma", "-1", "--N", "4"], "got -1.0: the integral of t**gamma"),
     ],
 )
-def test_non_finite_study_parameters_exit_2(argv, message, numpy_warns, tmp_path, capsys):
+def test_non_finite_study_parameters_exit_2(argv, message, tmp_path, capsys):
     # Each of these once exited 0 with a zero error, a NaN rule value, a NaN
     # order or a NaN or infinite total reported as "stable", or exited 2 with
-    # a bare "float division by zero".
+    # a bare "float division by zero".  The overflows are formed with numpy's
+    # warnings off and checked by name, so the error line is all that prints.
     if argv[0] == "example1":
         argv = argv + ["--outdir", str(tmp_path)]
-    # numpy warns of eval's overflow before the check; sobolev's terms are
-    # formed with numpy's warnings off and checked by name.
-    with pytest.warns(RuntimeWarning) if numpy_warns else contextlib.nullcontext():
-        assert main(argv) == EXIT_USAGE
+    assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert message in captured.err
-    assert captured.err.count("error: ") == 1
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
 
 

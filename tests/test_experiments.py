@@ -180,11 +180,18 @@ class TestMcLpError:
         with pytest.raises(ValueError, match=f"p = {p}: the variance"):
             mc_lp_error(power_integrand(1.5), part, p, 200, RngStream(0))
 
-    def test_rejects_p_whose_powers_overflow(self):
-        g = Integrand(evaluator=lambda t: np.asarray(t) ** 1.5, exact_integral=1e154)
-        part = make_partition(4)
-        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(ValueError, match="p = 2.0"):
-            mc_lp_error(g, part, 2.0, 4, RngStream(0))
+    @pytest.mark.parametrize(
+        "exact, scale, moment",
+        [(1e154, 1.0, "mean"), (1e200, 1.0, "mean"), (0.0, 1e153, "variance")],
+        ids=["numpy-mean", "python-power", "variance"],
+    )
+    def test_rejects_p_whose_powers_overflow(self, exact, scale, moment):
+        # At 1e154 numpy's overflow warning came first; at 1e200 Python's
+        # e ** p raised a bare OverflowError; and a variance that overflowed
+        # while the mean stayed finite returned a standard error of inf.
+        g = Integrand(evaluator=lambda t: scale * np.asarray(t) ** 1.5, exact_integral=exact)
+        with pytest.raises(ValueError, match=re.escape(f"p = 2.0: the {moment} of |error|^p is inf")):
+            mc_lp_error(g, make_partition(8), 2.0, 4, RngStream(1))
 
     @pytest.mark.parametrize("replications", [1, 2.5, 0, -3])
     def test_rejects_replications_that_are_not_an_integer_of_at_least_two_before_drawing(self, replications, monkeypatch):

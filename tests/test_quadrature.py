@@ -115,8 +115,9 @@ class TestCtq:
     @pytest.mark.parametrize("c", [1e308, 6e307], ids=["cell-term", "sum"])
     def test_finite_values_whose_rule_overflows_raise(self, c):
         # Both once returned NaN: g(a) + g(b) overflows at 1e308, and the sum
-        # of four finite cell terms at 6e307.
-        with pytest.warns(RuntimeWarning), pytest.raises(EvaluationError, match="CTQ cell terms or their sum overflow"):
+        # of four finite cell terms at 6e307.  numpy's overflow and
+        # invalid-value warnings came first; they would repeat the error.
+        with pytest.raises(EvaluationError, match="CTQ cell terms or their sum overflow"):
             ctq(constant_integrand(c), make_partition(4))
 
     def test_overflow_in_one_row_of_a_batch_raises(self):
@@ -128,7 +129,7 @@ class TestCtq:
         tau = [[0.5, 0.5, 0.5, 0.5], [0.25, 0.5, 0.5, 0.5]]
         assert math.isfinite(rtq(g, make_partition(4), tau[0]).value)
         for rule, offsets in ((rtq, tau), (rtq_prefix, tau[1])):
-            with pytest.warns(RuntimeWarning), pytest.raises(EvaluationError, match="'spiky' has finite values"):
+            with pytest.raises(EvaluationError, match="'spiky' has finite values"):
                 rule(g, make_partition(4), offsets)
 
 
