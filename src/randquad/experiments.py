@@ -248,7 +248,7 @@ def mc_lp_error(
         raise ValueError(f"integrand {g.label!r} has no exact integral")
     errors = []
     for tau in sample_tau_batches(stream, replications, part.intervals):
-        errors += [abs(exact - v) for v in rtq(g, part, tau).value.tolist()]
+        errors += np.abs(exact - rtq(g, part, tau).value).tolist()
     try:
         powered = [e ** p for e in errors]
     except OverflowError:  # Python's float power raises where numpy's gives inf

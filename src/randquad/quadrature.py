@@ -10,16 +10,18 @@ Every integrand and partition lives on [0, 1]; the integral of g over
 [0, T] is T times the integral of g(T s) over [0, 1], and both rules
 commute with that rescaling node for node.
 
-Both rules run one path: the cell terms g(a) + g(b) at the two evaluation
-points a, b of every cell, one compensated sum of them along the last
-axis, scaled by h/2, and one finiteness check of the result.  Each rule
+Both rules run one path: one integrand call on the two evaluation points
+a, b of every cell, stacked; the cell terms g(a) + g(b); one compensated
+sum of them along the last axis, scaled by h/2; and one finiteness check
+of the result.  That check covers both evaluations: a non-finite g value
+makes its cell term and every later running sum non-finite, and only a
+failed check scans g(a), then g(b), for the node to name.  Each rule
 makes 2N integrand evaluations per partition, so their cost accounting
 stays symmetric.
 
 Offsets are plain float64 arrays: 1-d for one sequence, 2-d with one
 sequence per row.  ``rtq`` takes a batch of offset sequences as the rows of
-a 2-d array; a single sequence is the one-row case of the same path: one
-integrand call on all the offset times, then one compensated sum per row.
+a 2-d array; a single sequence is the one-row case of the same path.
 The rules form ``1 - tau`` themselves and check both offsets once, in
 ``_offset_times``.
 """
@@ -113,33 +115,28 @@ class QuadratureValue:
     evaluations: int
 
 
-def _evaluate(g: Integrand, times: np.ndarray) -> np.ndarray:
-    out = np.asarray(g.evaluator(times), dtype=np.float64)
-    if out.shape != times.shape:
-        raise ValueError(f"integrand {g.label!r} returned shape {out.shape} for times of shape {times.shape}")
-    finite = np.isfinite(out)
-    if not finite.all():
-        bad = tuple(np.argwhere(~finite)[0])
-        raise EvaluationError(
-            f"integrand {g.label!r} returned a non-finite value at node t={float(times[bad])!r}"
-        )
-    return out
-
-
-def _rule_value(g: Integrand, part: Partition, a, b, rule: str, accumulate) -> QuadratureValue:
-    """h/2 times ``accumulate`` of the cell terms g(a) + g(b), checked finite."""
-    at_a, at_b = _evaluate(g, a), _evaluate(g, b)
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below names an overflow
-        value = 0.5 * part.step * accumulate(at_a + at_b)
-    if not np.isfinite(value).all():
+def _rule_value(g: Integrand, part: Partition, times: np.ndarray, rule: str, accumulate) -> QuadratureValue:
+    """h/2 times ``accumulate`` of the cell terms g(a) + g(b), checked finite,
+    with the evaluation points a, b of every cell stacked in ``times``."""
+    values = np.asarray(g.evaluator(times), dtype=np.float64)
+    if values.shape != times.shape:
+        raise ValueError(f"integrand {g.label!r} returned shape {values.shape} for times of shape {times.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names the fault
+        value = 0.5 * part.step * accumulate(values[0] + values[1])
+    if not np.isfinite(value).all():  # covers both points, see the module docstring
+        bad = np.argwhere(~np.isfinite(values))
+        if bad.size:
+            raise EvaluationError(
+                f"integrand {g.label!r} returned a non-finite value at node t={float(times[tuple(bad[0])])!r}"
+            )
         raise EvaluationError(
             f"integrand {g.label!r} has finite values whose {rule} cell terms or their sum overflow the double range"
         )
-    return QuadratureValue(value=value, rule=rule, evaluations=2 * at_a.size)
+    return QuadratureValue(value=value, rule=rule, evaluations=values.size)
 
 
-def _offset_times(part: Partition, tau) -> tuple[np.ndarray, np.ndarray]:
-    """The times t_n + tau_n h and t_n + (1 - tau_n) h, one row per offset sequence.
+def _offset_times(part: Partition, tau) -> np.ndarray:
+    """The times t_n + tau_n h and t_n + (1 - tau_n) h, stacked, one row per offset sequence.
 
     Raises:
         ValueError: unless ``tau`` is 1-d or 2-d with at least N offsets per
@@ -149,13 +146,16 @@ def _offset_times(part: Partition, tau) -> tuple[np.ndarray, np.ndarray]:
     tau = np.asarray(tau, dtype=np.float64)
     if tau.ndim not in (1, 2) or tau.size == 0 or tau.shape[-1] < n:
         raise ValueError(f"tau must be 1-d or 2-d with at least {n} offsets per row, got shape {tau.shape}")
-    comp = 1.0 - tau
+    comp = np.subtract(1.0, tau)
     # comp > 0 rejects tau >= 1; comp < 1 rejects tau <= 0 and any tau whose
     # complement rounds to 1.  Written so that NaN fails both comparisons.
-    if not (comp.min() > 0.0 and comp.max() < 1.0):
+    if not (np.minimum.reduce(comp, axis=None) > 0.0 and np.maximum.reduce(comp, axis=None) < 1.0):
         raise ValueError("offsets tau and 1 - tau must lie strictly inside (0, 1)")
-    lefts = part.nodes[:-1]
-    return lefts + tau[..., :n] * part.step, lefts + comp[..., :n] * part.step
+    times = np.empty((2, *tau.shape[:-1], n))
+    np.multiply(tau[..., :n], part.step, out=times[0])
+    np.multiply(comp[..., :n], part.step, out=times[1])
+    times += part.nodes[:-1]
+    return times
 
 
 def ctq(g: Integrand, part: Partition) -> QuadratureValue:
@@ -163,7 +163,7 @@ def ctq(g: Integrand, part: Partition) -> QuadratureValue:
 
     Every cell evaluates both of its endpoints, 2N evaluations in total.
     """
-    return _rule_value(g, part, part.nodes[:-1], part.nodes[1:], CTQ, compensated_sum)
+    return _rule_value(g, part, np.stack((part.nodes[:-1], part.nodes[1:])), CTQ, compensated_sum)
 
 
 def rtq(g: Integrand, part: Partition, tau) -> QuadratureValue:
@@ -175,7 +175,7 @@ def rtq(g: Integrand, part: Partition, tau) -> QuadratureValue:
     ``tau`` the value is an array with one rule value per row, each
     bit-for-bit equal to ``rtq`` on that row alone.
     """
-    return _rule_value(g, part, *_offset_times(part, tau), RTQ, compensated_sum)
+    return _rule_value(g, part, _offset_times(part, tau), RTQ, compensated_sum)
 
 
 def rtq_prefix(g: Integrand, part: Partition, tau) -> QuadratureValue:
@@ -187,6 +187,6 @@ def rtq_prefix(g: Integrand, part: Partition, tau) -> QuadratureValue:
     because both run the same compensated accumulation.
     """
     times = _offset_times(part, tau)
-    if times[0].ndim != 1:
+    if times.ndim != 2:
         raise ValueError("rtq_prefix supports single offset sequences only")
-    return _rule_value(g, part, *times, RTQ, compensated_cumsum)
+    return _rule_value(g, part, times, RTQ, compensated_cumsum)

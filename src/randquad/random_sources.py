@@ -218,7 +218,7 @@ def _seed_row_type() -> type:
             self.words = words
 
         def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-            if n_words != len(self.words) or np.dtype(dtype) != np.uint64:
+            if n_words != len(self.words) or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
                 raise ValueError(f"a seed row holds {len(self.words)} uint64 words, not {n_words!r} of {dtype!r}")
             return self.words
 
@@ -261,8 +261,9 @@ def _draw_blocks(words: np.ndarray, count: int) -> Iterator[np.ndarray]:
         values = np.empty((len(rows), count))
         for row, row_words in zip(values, rows):
             _row_generator(row_words).random(out=row)
-        for r in np.flatnonzero(((values <= 0.0) | (values >= 1.0)).any(axis=1)):
-            values[r] = _strict_uniform(_row_generator(rows[r]), count)
+        if np.minimum.reduce(values, axis=None) <= 0.0 or np.maximum.reduce(values, axis=None) >= 1.0:
+            for r in np.flatnonzero(((values <= 0.0) | (values >= 1.0)).any(axis=1)):
+                values[r] = _strict_uniform(_row_generator(rows[r]), count)
         yield values
 
 
@@ -273,12 +274,15 @@ def gather(rungs, ends, block: PathBlock) -> None:
     ``ends``, the positions in both of every block start, bound block b's share."""
     b = block.start // block.offsets.size  # every block has the same size
     for (picks, cells, offsets, mid_values, (left, right)), (pick_ends, cell_ends) in zip(rungs, ends):
+        # A coarse rung has picks and cells in only some blocks.
         own = slice(pick_ends[b], pick_ends[b + 1])
-        i = np.subtract(picks[own], block.start, dtype=np.intp)
-        offsets[own], mid_values[own] = block.offsets[i], block.mid_values[i]
+        if own.start < own.stop:
+            i = np.subtract(picks[own], block.start, dtype=np.intp)
+            offsets[own], mid_values[own] = block.offsets[i], block.mid_values[i]
         around = slice(cell_ends[b], cell_ends[b + 1])
-        i = np.subtract(cells[around], block.start, dtype=np.intp)
-        left[around], right[around] = block.nodes[i], block.nodes[1:][i]
+        if around.start < around.stop:
+            i = np.subtract(cells[around], block.start, dtype=np.intp)
+            left[around], right[around] = block.nodes[i], block.nodes[1:][i]
 
 
 class PathBlock(NamedTuple):

@@ -29,7 +29,11 @@ construction; that is what lets the randomised rule and its prefix
 
 The kernel takes a 2-d ``(rows, n)`` array whose rows sum independently and
 walks it in blocks of about ``BLOCK_ELEMENTS`` values, carrying each row's
-``(t, c)`` state from one block to the next.  Temporaries stay cache-sized
+``(t, c)`` state from one block to the next.  It copies each block into
+``(width + 1, rows)`` buffers, step k of every row in buffer row k: each
+TwoSum operation is then one contiguous pass, and for an even row count
+both scans run on pairs of rows viewed as complex numbers, whose sum is the
+two real sums, in half the dependent steps.  Temporaries stay cache-sized
 and peak memory bounded however long the input, and a caller can stream
 blocks it builds on the fly through one :class:`NeumaierSum`.
 """
@@ -56,29 +60,27 @@ def _accumulate(values: np.ndarray, total: np.ndarray, carry: np.ndarray, prefix
     if values.size == 0:
         return
     width = min(n, max(1, BLOCK_ELEMENTS // rows))
-    t_buf = np.empty((rows, width + 1))
-    e_buf = np.empty((rows, width + 1))
-    z_buf = np.empty((rows, width))
+    scan_type = np.complex128 if rows % 2 == 0 else np.float64  # pairs of rows, see the module docstring
+    x_buf, t_buf, e_buf, z_buf = np.empty((4, width + 1, rows))
     for start in range(0, n, width):
-        x = values[:, start : start + width]
-        k = x.shape[1]
-        t, e, z = t_buf[:, : k + 1], e_buf[:, : k + 1], z_buf[:, :k]
-        t[:, 0] = total
-        t[:, 1:] = x
-        np.add.accumulate(t, axis=1, out=t)
-        prev, new, err = t[:, :-1], t[:, 1:], e[:, 1:]
+        k = min(width, n - start)
+        x_t, t, e, z = x_buf[: k + 1], t_buf[: k + 1], e_buf[: k + 1], z_buf[:k]
+        x_t[0] = total
+        x_t[1:] = values[:, start : start + k].T
+        np.add.accumulate(x_t.view(scan_type), axis=0, out=t.view(scan_type))
+        x, prev, new, err = x_t[1:], t[:-1], t[1:], e[1:]
         # TwoSum: z = new - prev; err = (prev - (new - z)) + (x - z)
         np.subtract(new, prev, out=z)
         np.subtract(new, z, out=err)
         np.subtract(prev, err, out=err)
         np.subtract(x, z, out=z)
         np.add(err, z, out=err)
-        e[:, 0] = carry
-        np.add.accumulate(e, axis=1, out=e)
+        e[0] = carry
+        np.add.accumulate(e.view(scan_type), axis=0, out=e.view(scan_type))
         if prefixes is not None:
-            np.add(new, err, out=prefixes[:, start : start + k])
-        total[:] = t[:, -1]
-        carry[:] = e[:, -1]
+            np.add(new, err, out=prefixes.T[start : start + k])
+        total[:] = t[k]
+        carry[:] = e[k]
 
 
 class NeumaierSum:
@@ -111,8 +113,7 @@ def compensated_sum(values):
     """
     arr = np.asarray(values, dtype=np.float64)
     rows = arr.reshape(math.prod(arr.shape[:-1]), arr.shape[-1])
-    total = np.zeros(len(rows))
-    carry = np.zeros(len(rows))
+    total, carry = np.zeros((2, len(rows)))
     _accumulate(rows, total, carry)
     sums = total + carry
     return float(sums[0]) if arr.ndim == 1 else sums.reshape(arr.shape[:-1])

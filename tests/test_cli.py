@@ -6,7 +6,10 @@ import inspect
 import math
 import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -650,7 +653,7 @@ def test_negative_values_with_an_exponent_are_values(argv, split, joined, warns,
     # 2 with "expected one argument".
     results = []
     for flags in (split, joined):
-        # gamma = -0.5 warns that it is below 1, and t**-0.5 divides by zero at 0.
+        # gamma = -0.5 warns that it is below 1.
         with pytest.warns(RuntimeWarning) if warns else contextlib.nullcontext():
             code = main(argv + flags)
         results.append((code, *capsys.readouterr()))
@@ -686,9 +689,23 @@ def test_failed_allocation_exits_2_with_one_error_line(capsys, monkeypatch):
 
 def test_non_finite_evaluation_error_prints_a_plain_float(capsys):
     # The node was printed as a numpy repr, "t=np.float64(0.0)".
-    # gamma = -0.5 warns that it is below 1, and t**-0.5 divides by zero at 0.
+    # gamma = -0.5 warns that it is below 1.
     with pytest.warns(RuntimeWarning):
         assert main(["eval", "--rule", "ctq", "--gamma", "-5e-1", "--N", "4"]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.err == "error: integrand 'power(gamma=-0.5)' returned a non-finite value at node t=0.0\n"
     assert captured.out == ""
+
+
+def test_infinite_power_prints_its_own_warning_and_one_error_line():
+    # numpy's "divide by zero encountered in power" once came between the
+    # two: t**-0.5 is infinite at the node t = 0 that the error names.
+    argv = [sys.executable, "-m", "randquad.cli", "eval", "--rule", "ctq", "--gamma", "-5e-1", "--N", "4"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run(argv, capture_output=True, text=True, env=env, check=False)
+    assert run.returncode == EXIT_USAGE
+    lines = run.stderr.splitlines()
+    warned = [line for line in lines if "Warning" in line]
+    assert len(warned) == 1 and "at or below 1" in warned[0]
+    assert [line for line in lines if line.startswith("error: ")] == [lines[-1]]
+    assert "divide by zero" not in run.stderr

@@ -132,6 +132,41 @@ class TestCtq:
             with pytest.raises(EvaluationError, match="'spiky' has finite values"):
                 rule(g, make_partition(4), offsets)
 
+    # One finiteness check of the rule value covers both evaluation points;
+    # only a failed check looks for the node, g(a) first, then g(b).
+    @staticmethod
+    def planted(values):
+        def evaluator(t):
+            t = np.asarray(t, dtype=float)
+            out = t.copy()
+            for node, value in values.items():
+                out[t == node] = value
+            return out
+
+        return Integrand(evaluator=evaluator, label="planted")
+
+    def test_nonfinite_second_point_in_a_later_row_names_its_node(self):
+        tau = [[0.5] * 4, [0.5] * 4, [0.25, 0.5, 0.5, 0.5]]  # g(b) at 0.1875 only in row 2
+        with pytest.raises(EvaluationError, match=r"non-finite value at node t=0\.1875$"):
+            rtq(self.planted({0.1875: np.nan}), make_partition(4), tau)
+
+    def test_ctq_infinite_only_at_the_last_node(self):
+        with pytest.raises(EvaluationError, match=r"non-finite value at node t=1\.0$"):
+            ctq(self.planted({1.0: np.inf}), make_partition(4))
+
+    def test_prefix_infinite_in_its_last_cell(self):
+        with pytest.raises(EvaluationError, match=r"non-finite value at node t=0\.875$"):
+            rtq_prefix(self.planted({0.875: np.inf}), make_partition(4), [0.5] * 4)
+
+    def test_nan_in_one_row_is_named_before_an_overflow_in_another(self):
+        # Row 0 overflows at cell 0 (0.0625 and 0.1875); row 1 has NaN at g(b) of cell 3.
+        g = self.planted({0.0625: 1.7e308, 0.1875: 1.7e308, 0.8125: np.nan})
+        tau = [[0.25, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, 0.75]]
+        with pytest.raises(EvaluationError, match=r"non-finite value at node t=0\.8125$"):
+            rtq(g, make_partition(4), tau)
+        with pytest.raises(EvaluationError, match="'planted' has finite values"):
+            rtq(g, make_partition(4), tau[0])
+
 
 class TestRtq:
     @pytest.mark.parametrize("rule", [rtq, rtq_prefix])

@@ -90,11 +90,23 @@ def test_leading_negative_zero_matches_scalar_loop():
 
 
 def test_rows_sum_independently_and_match_per_row_loops():
+    # Odd and even row counts, row lengths that are not multiples of the
+    # block width, and inputs that are column slices or Fortran-ordered.
     rng = np.random.default_rng(5)
-    for rows, n in ((1, 10), (3, BLOCK + 7), (128, 32), (4, 1024), (BLOCK + 3, 2)):
-        values = wide_magnitudes(rng, (rows, n), max_exp=200)
-        expected = [neumaier_loop(row.tolist()) for row in values]
-        np.testing.assert_array_equal(bits(compensated_sum(values)), bits(expected))
+    shapes = ((1, 10), (3, BLOCK + 7), (128, 32), (4, 1024), (BLOCK + 3, 2), (3, 3 * (BLOCK // 3) + 5), (2, BLOCK + 1))
+    for rows, n in shapes:
+        full = wide_magnitudes(rng, (rows, 2 * n), max_exp=200)
+        for values in (full[:, :n], full[:, ::2], np.asfortranarray(full[:, n:])):
+            expected = [neumaier_loop(row.tolist()) for row in values]
+            np.testing.assert_array_equal(bits(compensated_sum(values)), bits(expected))
+
+
+def test_cumsum_of_a_strided_input_across_block_edges():
+    rng = np.random.default_rng(19)
+    values = wide_magnitudes(rng, 3 * (2 * BLOCK + 9))[::3]
+    prefixes = compensated_cumsum(values)
+    for k in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 8):
+        assert bits(prefixes[k]) == bits(neumaier_loop(values[: k + 1].tolist()))
 
 
 def test_cumsum_last_is_sum_bitwise_across_blocks():
