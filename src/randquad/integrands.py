@@ -34,16 +34,21 @@ from .summation import compensated_sum
 
 # Largest ``cells`` accepted by ``sobolev_seminorm``, a time bound: memory
 # stays small, but the double integral is O(cells**2) work, and one estimate
-# at 8192 cells takes about 0.05 s at p = 2 and 0.2 s at p = 2.5 (2-vCPU
+# at 8192 cells takes about 37 ms at p = 2 and 130 ms at p = 2.5 (2-vCPU
 # x86-64 VM, 2 MiB L2 per core, numpy 2.4).
 SOBOLEV_MAX_CELLS = 8192
 
-# Values per block of Slobodeckij diagonals (``_slobodeckij_sum``), 256 KiB.
-# A block costs about 10 us of numpy calls however few values it holds:
-# blocks of 2**14 values were slower at 4096 and 8192 cells.  Blocks of
-# 2**16 values saved up to a tenth of the time at 4096 cells and raised the
-# peak RSS of ``sobolev --cells 1024`` by about 0.25 MiB more.
-_BLOCK_ELEMENTS = 1 << 15
+# Values per block of Slobodeckij diagonals (``_slobodeckij_sum``), 512 KiB.
+# A block costs about 10 us of numpy calls however few values it holds.
+# With the ufunc buffer capped, blocks of 2**16 values beat blocks of 2**15
+# in 16 of 16 paired runs of the ``sobolev_1024`` benchmark, by 5% in cells
+# per second; one estimate at 4096 cells took 9.5 ms against 9.9 ms, and
+# the peak RSS of ``sobolev --cells 1024`` rose by about 0.12 MiB (2-vCPU
+# x86-64 VM, numpy 2.4).
+_BLOCK_ELEMENTS = 1 << 16
+
+# numpy's ufunc buffer size, in elements, for ``_slobodeckij_sum``'s loop.
+_UFUNC_BUFFER = 1024
 
 
 def _finite(name: str, value: float) -> float:
@@ -279,6 +284,15 @@ def _slobodeckij_sum(dv, delta: float, p: float, exponent: float) -> float:
       only values written for this block.
     - At p = 2 an array's ``** 2.0`` is ``np.square`` and x * x == |x| * |x|
       exactly, so the ``abs`` pass is skipped there.
+    - The loop runs with numpy's ufunc buffer capped at ``_UFUNC_BUFFER``
+      elements, and the caller's size is restored after it, also when it
+      raises.  numpy stages the subtraction of a block through buffers when
+      its diagonals are at most a quarter of the buffer size long: at the
+      default 8192 elements that was every block of diagonals up to 2048
+      long, copied through three 64 KiB buffers that do not fit in L1.
+      Under the cap, diagonals over 256 long are subtracted unbuffered and
+      shorter ones through three 8 KiB buffers.  Buffering moves values and
+      changes no arithmetic, so every sum keeps its bits.
     """
     cells = dv.size
     first = next((k for k in range(1, cells) if k / cells >= delta), cells)
@@ -295,22 +309,26 @@ def _slobodeckij_sum(dv, delta: float, p: float, exponent: float) -> float:
     cut_back = cut % 2 * (cut // 2)
     segment_sums = np.empty(2 * (cells - first))
     k = first
-    while k < cells:
-        length = cells - k
-        rows = max(1, min(length, _BLOCK_ELEMENTS // (length + 1)))
-        block = buffer[: rows * (length + 1)].reshape(rows, length + 1)
-        block[:, 0] = 0.0
-        np.subtract(windows[k : k + rows, :length], dv[:length], out=block[:, 1:])
-        flat = buffer[: rows * length + 1]
-        if p == 2.0:
-            np.square(flat, out=flat)
-        else:
-            np.abs(flat, out=flat)
-            np.power(flat, p, out=flat)
-        cuts = 2 * rows - 1
-        at = 2 * (k - first)
-        np.add.reduceat(flat, cut_row[:cuts] * (length + 1) - cut_back[:cuts], out=segment_sums[at : at + cuts])
-        k += rows
+    bufsize = np.setbufsize(_UFUNC_BUFFER)
+    try:
+        while k < cells:
+            length = cells - k
+            rows = max(1, min(length, _BLOCK_ELEMENTS // (length + 1)))
+            block = buffer[: rows * (length + 1)].reshape(rows, length + 1)
+            block[:, 0] = 0.0
+            np.subtract(windows[k : k + rows, :length], dv[:length], out=block[:, 1:])
+            flat = buffer[: rows * length + 1]
+            if p == 2.0:
+                np.square(flat, out=flat)
+            else:
+                np.abs(flat, out=flat)
+                np.power(flat, p, out=flat)
+            cuts = 2 * rows - 1
+            at = 2 * (k - first)
+            np.add.reduceat(flat, cut_row[:cuts] * (length + 1) - cut_back[:cuts], out=segment_sums[at : at + cuts])
+            k += rows
+    finally:
+        np.setbufsize(bufsize)
     # Python-float powers, as one diagonal at a time took them: numpy's
     # array power may take a SIMD loop that rounds differently.
     divisors = np.fromiter(((k / cells) ** exponent for k in range(first, cells)), float, cells - first)
@@ -342,7 +360,8 @@ def sobolev_seminorm(
     kernel, a block of them at a time in one reused buffer (see
     ``_slobodeckij_sum``), so memory stays O(cells).  The work is
     O(cells**2), so ``cells`` is capped at ``SOBOLEV_MAX_CELLS`` to bound the
-    time (about 0.05 s per estimate at that size and p = 2).
+    time (about 37 ms per estimate at that size and p = 2, 130 ms at
+    p = 2.5).
 
     Raises:
         ValueError: if ``g`` carries no exact derivative, sigma/p/cells

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from randquad.integrands import (
+    _BLOCK_ELEMENTS,
     SOBOLEV_MAX_CELLS,
     BrownianIntegrand,
     _slobodeckij_sum,
@@ -426,6 +427,45 @@ class TestSobolevSeminorm:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    def test_kernel_memory_is_one_block_without_ufunc_buffers(self):
+        # The subtraction of a block of short diagonals once went through
+        # numpy's default 8192-element buffers: with blocks of 2**15 values a
+        # 1024-cell estimate peaked at 517 KiB, 256 KiB of block and about
+        # 193 KB of those buffers.
+        tracemalloc.start()
+        try:
+            sobolev_seminorm(power_integrand(1.5), 1.2, 2.0, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * _BLOCK_ELEMENTS + 160 * 2**10
+
+    def test_numpy_state_is_the_callers_after_an_estimate(self):
+        bufsize = np.setbufsize(4096)
+        try:
+            with np.errstate(over="raise"):
+                before = np.getbufsize(), np.geterr()
+                sobolev_seminorm(power_integrand(1.5), 1.2, 2.0, 1024)
+                assert (np.getbufsize(), np.geterr()) == before
+        finally:
+            np.setbufsize(bufsize)
+
+    def test_numpy_state_is_the_callers_after_the_kernel_raises(self):
+        # Differences of 2^601 square to inf, and under over="raise" the
+        # np.square of the first block raises inside the capped loop.  The
+        # kernel is called directly: numpy 2 also restores the buffer size
+        # on leaving ``sobolev_seminorm``'s own ``np.errstate`` block.
+        dv = np.tile([2.0**600, -(2.0**600)], 512)
+        bufsize = np.setbufsize(4096)
+        try:
+            with np.errstate(over="raise"):
+                before = np.getbufsize(), np.geterr()
+                with pytest.raises(FloatingPointError, match="overflow encountered in square"):
+                    _slobodeckij_sum(dv, 2 / dv.size, 2.0, 1.4)
+                assert (np.getbufsize(), np.geterr()) == before
+        finally:
+            np.setbufsize(bufsize)
 
     def test_cells_above_the_cap_rejected_before_allocating(self):
         start = time.perf_counter()
